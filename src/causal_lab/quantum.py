@@ -195,6 +195,14 @@ def bump_spinor_packet(center: float, halfwidth: float, *, origin: float,
 # -- propagators -------------------------------------------------------------
 
 
+def _evolve_phase(psi: WavePacket, phase: np.ndarray) -> WavePacket:
+    """Multiply each momentum mode by exp(-i omega(k) t), given as `phase`."""
+    amp = np.fft.ifft(np.fft.fft(psi.amplitudes) * phase)
+    out = psi.with_amplitudes(amp)
+    _check_boundary(out.density[0], out.density[-1])
+    return out
+
+
 def evolve_schrodinger_free(psi: WavePacket, t: float) -> WavePacket:
     """Free nonrelativistic propagator exp(-i hbar k^2 t / (2 m))."""
     if t == 0:
@@ -204,10 +212,7 @@ def evolve_schrodinger_free(psi: WavePacket, t: float) -> WavePacket:
     hbar = psi.units.hbar
     k = psi.wavenumbers
     phase = np.exp(-1j * hbar * k * k * t / (2.0 * psi.mass))
-    amp = np.fft.ifft(np.fft.fft(psi.amplitudes) * phase)
-    out = psi.with_amplitudes(amp)
-    _check_boundary(out.density[0], out.density[-1])
-    return out
+    return _evolve_phase(psi, phase)
 
 
 def evolve_relativistic(psi: WavePacket, t: float) -> WavePacket:
@@ -223,10 +228,7 @@ def evolve_relativistic(psi: WavePacket, t: float) -> WavePacket:
         return psi
     k = psi.wavenumbers
     omega = np.sqrt(k * k * c * c + (psi.mass * c * c / hbar) ** 2)
-    amp = np.fft.ifft(np.fft.fft(psi.amplitudes) * np.exp(-1j * omega * t))
-    out = psi.with_amplitudes(amp)
-    _check_boundary(out.density[0], out.density[-1])
-    return out
+    return _evolve_phase(psi, np.exp(-1j * omega * t))
 
 
 def evolve_dirac_1p1(psi: DiracPacket, t: float) -> DiracPacket:

@@ -111,9 +111,14 @@ def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,
     if src.shape[0] == 0:
         return np.zeros(tgt.shape[0], dtype=bool)
     reach = cs.c * (dt + EPS_CAUSAL)
-    diff = tgt[None, :, :] - src[:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.any(dist2 <= reach * reach, axis=0)
+    hit = np.zeros(tgt.shape[0], dtype=bool)
+    # blocks of sources keep the pairwise arrays near 4e6 entries
+    step = max(1, int(4e6 // max(tgt.shape[0], 1)))
+    for start in range(0, src.shape[0], step):
+        diff = tgt[None, :, :] - src[start:start + step, None, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        hit |= np.any(dist2 <= reach * reach, axis=0)
+    return hit
 
 
 def region_precedes_event(region: Region, slice_time: float, e: Event,

@@ -2,16 +2,24 @@
 
 The ordering condition under test: every compact set K in the support of
 the earlier measure must satisfy mu(K) <= nu(future cone of K).  By the
-marriage theorem this holds for all K iff a bipartite flow saturating the
-earlier measure exists, so the decision procedure is a max-flow on the
-atom/cell cone graph; the min cut names a worst offending set.
+marriage theorem (Strassen 1965) this holds for all K iff a bipartite flow
+saturating the earlier measure exists, so the decision procedure is a
+max-flow on the atom/cell cone graph; the min cut names a worst offending
+set.
+
+The max-flow solver follows the geometry: an exact sweep in d = 1, Dinic
+in d >= 2.  In one dimension every cone is an interval of the same radius
+c*dt, so the cone graph is proper convex and filling the leftmost live
+target first is a maximum flow (Glover 1967); no graph is built.  Both
+solvers run on the same exact integer lift of the capacities and take the
+min-cut side from residual reachability, which is the same set for every
+maximum flow, so they name the same worst set.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -66,26 +74,50 @@ class FlowNetwork:
         return int(self.edge_indptr[-1]) if len(self.edge_indptr) else 0
 
 
-def _cone_edges(left_pts: np.ndarray, right_pts: np.ndarray, reach: float,
-                right_grid_1d: tuple[float, float, int] | None):
+def _slice_gap(mu: SliceMeasure, nu: SliceMeasure,
+               cs: CausalStructure) -> float:
+    """Time from mu's slice to nu's, once both fit the causal structure."""
+    if mu.dim != cs.dim or nu.dim != cs.dim:
+        raise ValueError("measure dimension does not match causal structure")
+    dt = nu.time - mu.time
+    if dt < 0:
+        raise ValueError("nu must live on the later slice")
+    return dt
+
+
+def _support(m: SliceMeasure) -> tuple[np.ndarray, tuple]:
+    """Positions and weights of the atoms or cells with positive mass."""
+    pts = m.positions
+    if m.is_atomic:
+        caps = tuple(w for _, w in m.atoms)
+        keep = [i for i, c in enumerate(caps) if c > 0]
+        return pts[keep], tuple(caps[i] for i in keep)
+    w = m.weights_flat
+    keep = np.nonzero(w > 0)[0]
+    return pts[keep], tuple(w[keep].tolist())
+
+
+def _integer_lift(caps) -> tuple[int, list[int]]:
+    """Common denominator and the integer numerators of `caps` over it.
+
+    Floats are dyadic rationals, so the lift is lossless and keeps the flow
+    decision free of rounding and overflow regardless of magnitude.  Their
+    denominators are powers of two, whose lcm is simply the largest;
+    other denominators (from Fraction weights) go through math.lcm.
+    """
+    ratios = [c.as_integer_ratio() if isinstance(c, float)
+              else Fraction(c).as_integer_ratio() for c in caps]
+    dens = {d for _, d in ratios}
+    dyadic = [d for d in dens if d & (d - 1) == 0]
+    den = math.lcm(max(dyadic, default=1), *dens.difference(dyadic))
+    return den, [n * (den // d) for n, d in ratios]
+
+
+def _cone_edges(left_pts: np.ndarray, right_pts: np.ndarray, reach: float):
     """CSR adjacency from each left point to right points within `reach`."""
     n = len(left_pts)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if right_grid_1d is not None:
-        origin, cell, m = right_grid_1d
-        x = left_pts[:, 0]
-        lo = np.ceil((x - reach - origin) / cell - 0.5).astype(np.int64)
-        hi = np.floor((x + reach - origin) / cell - 0.5).astype(np.int64)
-        lo = np.clip(lo, 0, m)
-        hi = np.clip(hi, -1, m - 1)
-        counts = np.maximum(hi - lo + 1, 0)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.concatenate(
-            [np.arange(a, b + 1, dtype=np.int64) for a, b, k in
-             zip(lo, hi, counts) if k > 0]) if indptr[-1] else np.empty(0, dtype=np.int64)
-        return indptr, indices
     chunks = []
     counts = np.zeros(n, dtype=np.int64)
     step = max(1, int(4e6 // max(len(right_pts), 1)))
@@ -106,32 +138,10 @@ def _cone_edges(left_pts: np.ndarray, right_pts: np.ndarray, reach: float,
 def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        cs: CausalStructure) -> FlowNetwork:
     """Cone graph between the supports of mu and nu."""
-    if mu.dim != cs.dim or nu.dim != cs.dim:
-        raise ValueError("measure dimension does not match causal structure")
-    dt = nu.time - mu.time
-    if dt < 0:
-        raise ValueError("nu must live on the later slice")
-    reach = cs.c * (dt + EPS_CAUSAL)
-
-    def support(m: SliceMeasure):
-        pts = m.positions
-        if m.is_atomic:
-            caps = tuple(w for _, w in m.atoms)
-            keep = [i for i, c in enumerate(caps) if c > 0]
-            return pts[keep], tuple(caps[i] for i in keep)
-        w = m.weights_flat
-        keep = np.nonzero(w > 0)[0]
-        return pts[keep], tuple(float(v) for v in w[keep])
-
-    left_pts, left_caps = support(mu)
-    right_pts, right_caps = support(nu)
-
-    # window arithmetic only applies while support indices align with cells
-    right_grid_1d = None
-    if nu.is_grid and cs.dim == 1 and len(right_caps) == len(nu.weights_flat):
-        right_grid_1d = (nu.grid_origin[0], nu.grid_cell,
-                         len(nu.weights_flat))
-    indptr, indices = _cone_edges(left_pts, right_pts, reach, right_grid_1d)
+    reach = cs.c * (_slice_gap(mu, nu, cs) + EPS_CAUSAL)
+    left_pts, left_caps = _support(mu)
+    right_pts, right_caps = _support(nu)
+    indptr, indices = _cone_edges(left_pts, right_pts, reach)
     return FlowNetwork(left_points=left_pts, right_points=right_pts,
                        left_caps=left_caps, right_caps=right_caps,
                        edge_indptr=indptr, edge_indices=indices,
@@ -139,27 +149,15 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        left_cell=mu.grid_cell, right_cell=nu.grid_cell)
 
 
-def _common_denominator(caps) -> int:
-    den = 1
-    for c in caps:
-        f = c if isinstance(c, Fraction) else Fraction(c)
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    return den
-
-
-def _solve_dinic(net: FlowNetwork) -> tuple[Fraction, list[int]]:
-    """Max-flow deficit and min-cut left side, computed exactly.
-
-    Capacities lift to integers over a common denominator (floats are
-    dyadic rationals, so the lift is lossless), which keeps the flow
-    decision free of rounding and overflow regardless of magnitude.
-    """
+def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
+                 cs: CausalStructure) -> tuple[Fraction, np.ndarray]:
+    """Exact max-flow deficit and min-cut left points, by Dinic."""
+    net = build_flow_network(mu, nu, cs)
     nl, nr = net.num_left, net.num_right
     n = nl + nr + 2
     src, snk = 0, n - 1
-    den = _common_denominator(net.left_caps + net.right_caps)
-    lint = [int(Fraction(c) * den) for c in net.left_caps]
-    rint = [int(Fraction(c) * den) for c in net.right_caps]
+    den, caps = _integer_lift(net.left_caps + net.right_caps)
+    lint, rint = caps[:nl], caps[nl:]
     total = sum(lint)
     big = total + 1  # middle edges may never enter a minimum cut
     edges: list[tuple[int, int, int]] = []
@@ -170,36 +168,137 @@ def _solve_dinic(net: FlowNetwork) -> tuple[Fraction, list[int]]:
     edges.extend((1 + nl + j, snk, c) for j, c in enumerate(rint))
     flow, _, side = dinic_max_flow(n, edges, src, snk)
     left_side = [i for i in range(nl) if (1 + i) in side]
-    return Fraction(total - flow, den), left_side
+    return Fraction(total - flow, den), net.left_points[left_side]
 
 
-def _worst_region(net: FlowNetwork, left_side: Sequence[int]) -> Region:
-    pts = net.left_points[list(left_side)]
-    dim = pts.shape[1] if pts.size else (net.left_points.shape[1] or 1)
-    if net.left_is_grid and net.left_cell is not None:
-        return Region.point_boxes(pts, dim, halfwidth=net.left_cell / 2)
-    return Region.point_boxes(pts, dim)
+def _cone_windows(x: np.ndarray, y: np.ndarray,
+                  reach: float) -> tuple[list[int], list[int]]:
+    """Index window [lo, hi) of sorted targets y in the cone of each x.
+
+    searchsorted places the ends; the squared-distance test of
+    point_cone_membership then settles them, so a target is in a window
+    exactly when that test says so.  Rounding is monotone, so the test
+    splits sorted y into left-out, inside and right-out runs, and both
+    ends are nondecreasing in x.
+    """
+    r2 = reach * reach
+    m = len(y)
+
+    def not_left_of_cone(j, i):
+        d = y[j] - x[i]
+        return (d >= 0) | (d * d <= r2)
+
+    def right_of_cone(j, i):
+        d = y[j] - x[i]
+        return (d > 0) & (d * d > r2)
+
+    def settle(end, past):
+        # move each end to the first j where past(j) holds (m if none)
+        while True:
+            i = np.flatnonzero(end > 0)
+            i = i[past(end[i] - 1, i)]
+            if not i.size:
+                break
+            end[i] -= 1
+        while True:
+            i = np.flatnonzero(end < m)
+            i = i[~past(end[i], i)]
+            if not i.size:
+                break
+            end[i] += 1
+        return end.tolist()
+
+    lo = settle(np.searchsorted(y, x - reach, "left"), not_left_of_cone)
+    hi = settle(np.searchsorted(y, x + reach, "right"), right_of_cone)
+    return lo, hi
+
+
+def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
+                    cs: CausalStructure) -> tuple[Fraction, np.ndarray]:
+    """Exact max-flow deficit and min-cut left points in one dimension.
+
+    Sources are taken left to right; each fills the leftmost target of its
+    window that still has room.  A target left of a source's window is
+    out of reach of every later source, so this greedy flow is maximum.
+    The cut side is what the residual graph reaches from leftover supply:
+    a source reaches its window, a target the sources that sent it flow.
+    """
+    reach = cs.c * (_slice_gap(mu, nu, cs) + EPS_CAUSAL)
+    left_pts, left_caps = _support(mu)
+    right_pts, right_caps = _support(nu)
+    x, y = left_pts[:, 0], right_pts[:, 0]
+    left_order = np.argsort(x, kind="stable")
+    right_order = np.argsort(y, kind="stable")
+    lo, hi = _cone_windows(x[left_order], y[right_order], reach)
+    den, caps = _integer_lift(left_caps + right_caps)
+    nl = len(left_caps)
+    supply = [caps[i] for i in left_order.tolist()]
+    room = [caps[nl + j] for j in right_order.tolist()]
+
+    # the sources sending flow into target j are the run first[j]..last[j]
+    m = len(room)
+    first = [0] * m
+    last = [-1] * m
+    p = 0
+    for i, s in enumerate(supply):
+        p = max(p, lo[i])
+        while s and p < hi[i]:
+            if last[p] < 0:
+                first[p] = i
+            last[p] = i
+            r = room[p]
+            if s < r:
+                room[p] = r - s
+                s = 0
+            else:
+                s -= r
+                room[p] = 0
+                p += 1
+        supply[i] = s
+
+    cut = [s > 0 for s in supply]
+    stack = [i for i, c in enumerate(cut) if c]
+    # next target not yet reached: union-find with path halving
+    unreached = list(range(m + 1))
+
+    def next_unreached(j: int) -> int:
+        while unreached[j] != j:
+            unreached[j] = unreached[unreached[j]]
+            j = unreached[j]
+        return j
+
+    while stack:
+        i = stack.pop()
+        j = next_unreached(lo[i])
+        while j < hi[i]:
+            unreached[j] = j + 1
+            for k in range(first[j], last[j] + 1):
+                if not cut[k]:
+                    cut[k] = True
+                    stack.append(k)
+            j = next_unreached(j + 1)
+    return (Fraction(sum(supply), den),
+            left_pts[left_order[np.flatnonzero(cut)]])
 
 
 def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure, cs: CausalStructure,
                      exact: bool | None = None) -> CeVerdict:
     """Flow-based ordering check; min cut names the worst offending set.
 
-    The solver itself is exact for any input; the eps_flow slack on float
-    verdicts only absorbs noise already present in the given weights.
+    The solver is the exact sweep in d = 1 and Dinic in d >= 2.  Either is
+    exact for any input; the eps_flow slack on float verdicts only absorbs
+    noise already present in the given weights.
     """
-    net = build_flow_network(mu, nu, cs)
     if exact is None:
         exact = mu.exact and nu.exact
-    zero = Fraction(0) if exact else 0.0
-    if net.num_left == 0:
-        return CeVerdict(True, zero, None, "maxflow")
-    deficit, left_side = _solve_dinic(net)
+    solve = _solve_sweep_1d if cs.dim == 1 else _solve_dinic
+    deficit, cut_pts = solve(mu, nu, cs)
     if deficit <= (0 if exact else EPS_FLOW):
-        return CeVerdict(True, zero, None, "maxflow")
-    worst = _worst_region(net, left_side)
-    return CeVerdict(False, deficit if exact else float(deficit),
-                     worst, "maxflow")
+        return CeVerdict(True, Fraction(0) if exact else 0.0, None, "maxflow")
+    worst = Region.point_boxes(
+        cut_pts, mu.dim, halfwidth=mu.grid_cell / 2 if mu.is_grid else 0.0)
+    return CeVerdict(False, deficit if exact else float(deficit), worst,
+                     "maxflow")
 
 
 def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
@@ -207,11 +306,7 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
     """Exhaustive subset scan over mu's atoms (capped at 20 atoms)."""
     if not mu.is_atomic:
         raise ValueError("bruteforce check requires an atomic mu")
-    if mu.dim != cs.dim or nu.dim != cs.dim:
-        raise ValueError("measure dimension does not match causal structure")
-    dt = nu.time - mu.time
-    if dt < 0:
-        raise ValueError("nu must live on the later slice")
+    dt = _slice_gap(mu, nu, cs)
     atoms = [(p, w) for p, w in mu.atoms if w > 0]
     n = len(atoms)
     if n > MAX_BRUTEFORCE_ATOMS:

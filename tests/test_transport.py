@@ -1,12 +1,16 @@
 """Mass-ordering checks: flow network build, both solvers, witnesses."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers
+from causal_lab import transport
 from causal_lab.measure import SliceMeasure
+from causal_lab.quantum import (analytic_ce_gaussian, born_measure,
+                                evolve_schrodinger_free, gaussian_packet)
 from causal_lab.region import Region
 from causal_lab.spacetime import CausalStructure, point_cone_membership
 from causal_lab.transport import (build_flow_network, check_ce_bruteforce,
@@ -183,3 +187,130 @@ def test_time_order_enforced():
     nu = _atoms(0.0, [(0.0, 1.0)])
     with pytest.raises(ValueError):
         check_ce_maxflow(mu, nu, CS1)
+
+
+# -- the d = 1 sweep against Dinic and brute force ------------------------
+
+SWEEP_KINDS = ("atoms", "grid", "mixed", "exact")
+
+
+def _dinic_verdict(mu, nu, cs, exact=None):
+    """check_ce_maxflow with Dinic standing in for the d = 1 sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_solve_sweep_1d", transport._solve_dinic)
+        return check_ce_maxflow(mu, nu, cs, exact=exact)
+
+
+def _random_1d_instance(rng, kind):
+    """Seeded 1-D (mu, nu, cs, exact) for the solver cross-checks.
+
+    Positions sit on a lattice whose spacing divides c*dt, so targets tie
+    with the cone edge; dt may be 0 and a quarter of the weights are 0.
+    nu's weights are scaled up by a random gain so that some checks hold.
+    """
+    h = float(rng.choice([0.25, 0.1]))
+    c = float(rng.choice([0.5, 1.0, 2.0]))
+    dt = float(rng.integers(0, 4)) * h / c
+    exact = kind == "exact"
+
+    def weights(n, gain=1):
+        raw = gain * rng.integers(0, 9, n) * (rng.random(n) > 0.25)
+        if exact:
+            return [Fraction(int(v), 24) for v in raw]
+        return list(raw * rng.random(n))
+
+    def atoms(time, n, gain=1):
+        pos = rng.choice(np.arange(-12, 13), size=n, replace=False) * h
+        return SliceMeasure.from_atoms(
+            time, [((float(x),), w) for x, w in zip(pos, weights(n, gain))])
+
+    def grid(time, n, gain=1):
+        return SliceMeasure.from_grid(
+            time, (-12 * h,), h, np.array(weights(n, gain), dtype=float))
+
+    nl, nr = (int(v) for v in rng.integers(1, 11, 2))
+    gain = int(rng.integers(1, 5))
+    if kind in ("atoms", "exact"):
+        mu, nu = atoms(0.0, nl), atoms(dt, nr, gain)
+    elif kind == "grid":
+        mu, nu = grid(0.0, 24), grid(dt, 24, gain)
+    else:
+        mu, nu = atoms(0.0, nl), grid(dt, 24, gain)
+    return mu, nu, CausalStructure(dim=1, c=c), (True if exact else None)
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+@pytest.mark.parametrize("seed", range(25))
+def test_sweep_matches_dinic_and_bruteforce(seed, kind):
+    rng = np.random.default_rng([seed, SWEEP_KINDS.index(kind)])
+    mu, nu, cs, exact = _random_1d_instance(rng, kind)
+    vs = check_ce_maxflow(mu, nu, cs, exact=exact)
+    vd = _dinic_verdict(mu, nu, cs, exact=exact)
+    assert vs.holds == vd.holds
+    assert vs.deficit == vd.deficit
+    assert type(vs.deficit) is type(vd.deficit)
+    assert isinstance(vs.deficit, Fraction) == bool(exact)
+    if vs.holds:
+        assert vs.worst_set is None and vd.worst_set is None
+    else:
+        assert vs.worst_set.boxes == vd.worst_set.boxes
+        again = recompute_deficit(mu, nu, vs.worst_set, cs)
+        if exact:
+            assert again == vs.deficit
+        else:
+            assert abs(float(again) - vs.deficit) <= 1e-9
+    if mu.is_atomic:
+        vb = check_ce_bruteforce(mu, nu, cs)
+        assert vb.holds == vs.holds
+        if exact:
+            assert vb.deficit == vs.deficit
+        else:
+            assert abs(float(vb.deficit) - float(vs.deficit)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cone_windows_match_squared_predicate(seed):
+    # lattice spacing 0.1 is not dyadic, so x +- reach rounds across
+    # targets that the squared test puts on the other side
+    rng = np.random.default_rng(300 + seed)
+    scale = float(rng.choice([0.1, 1e-3, 1e3]))
+    x = np.sort(rng.integers(-30, 31, 40) * scale)
+    y = np.sort(np.unique(rng.integers(-30, 31, 40) * scale))
+    reach = float(rng.integers(0, 6)) * scale
+    lo, hi = transport._cone_windows(x, y, reach)
+    inside = (y[None, :] - x[:, None]) ** 2 <= reach * reach
+    for i in range(len(x)):
+        want = np.flatnonzero(inside[i])
+        got = np.arange(lo[i], hi[i])
+        assert list(got) == list(want)
+    assert lo == sorted(lo) and hi == sorted(hi)
+
+
+def test_solver_follows_dimension(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("dinic_max_flow called")
+
+    monkeypatch.setattr(transport, "dinic_max_flow", refuse)
+    mu = _atoms(0.0, [(0.0, 0.5), (1.5, 0.5)])
+    nu = _atoms(1.0, [(2.2, 1.0)])
+    v = check_ce_maxflow(mu, nu, CS1)
+    assert not v.holds and v.method == "maxflow"
+    cs2 = CausalStructure(dim=2, c=1.0)
+    mu2 = SliceMeasure.from_atoms(0.0, [((0.0, 0.0), 1.0)])
+    nu2 = SliceMeasure.from_atoms(1.0, [((0.5, 0.0), 1.0)])
+    with pytest.raises(RuntimeError, match="dinic_max_flow called"):
+        check_ce_maxflow(mu2, nu2, cs2)
+
+
+def test_born_grid_16384_full_support():
+    # at this size Dinic's cone graph would hold about 1e7 edges
+    n, half = 16384, 24.0
+    psi0 = gaussian_packet(1.0, origin=-half, cell_size=2 * half / n, n=n)
+    mu = born_measure(psi0, 0.0)
+    nu = born_measure(evolve_schrodinger_free(psi0, 1.0), 1.0)
+    v = check_ce_maxflow(mu, nu, CS1)
+    # the support holds windows twice the threshold halfwidth 1 + sqrt 2
+    ell = 2 * (1 + math.sqrt(2))
+    assert v.holds == analytic_ce_gaussian(1.0, 1.0, 1.0, ell)
+    again = recompute_deficit(mu, nu, v.worst_set, CS1)
+    assert float(again) == pytest.approx(v.deficit, rel=1e-9)

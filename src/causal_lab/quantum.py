@@ -46,8 +46,20 @@ def _check_boundary(density_left: float, density_right: float) -> None:
             "the grid is too narrow for this state")
 
 
+class _GridPacket:
+    """Grid geometry of a packet: `n` cells of `cell_size` from `origin`."""
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return self.origin + (np.arange(self.n) + 0.5) * self.cell_size
+
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.cell_size)
+
+
 @dataclass(frozen=True)
-class WavePacket:
+class WavePacket(_GridPacket):
     """Scalar wavefunction sampled at cell centers of a uniform 1d grid."""
 
     amplitudes: np.ndarray
@@ -69,14 +81,6 @@ class WavePacket:
         return len(self.amplitudes)
 
     @cached_property
-    def centers(self) -> np.ndarray:
-        return self.origin + (np.arange(self.n) + 0.5) * self.cell_size
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.cell_size)
-
-    @cached_property
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -90,7 +94,7 @@ class WavePacket:
 
 
 @dataclass(frozen=True)
-class DiracPacket:
+class DiracPacket(_GridPacket):
     """Two-component spinor on a uniform 1d grid."""
 
     upper: np.ndarray
@@ -116,14 +120,6 @@ class DiracPacket:
     @property
     def n(self) -> int:
         return len(self.upper)
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return self.origin + (np.arange(self.n) + 0.5) * self.cell_size
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.cell_size)
 
     @cached_property
     def density(self) -> np.ndarray:

@@ -74,14 +74,58 @@ def _merge_intervals(boxes: Iterable[Box]) -> tuple[Box, ...]:
     return tuple(((a,), (b,)) for a, b in merged)
 
 
+def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.array([b[0] for b in boxes], dtype=float).reshape(-1, dim)
+    hi = np.array([b[1] for b in boxes], dtype=float).reshape(-1, dim)
+    return lo, hi
+
+
+def _carve(box: Box, cutters_lo: np.ndarray, cutters_hi: np.ndarray,
+           cutters: Sequence[Box]) -> list[Box]:
+    """Closed pieces of `box` outside every cutter, cut in cutter order.
+
+    `cutters_lo` / `cutters_hi` hold the corners of `cutters`, one row
+    each.  Only cutters whose closed box meets `box` are applied: every
+    piece lies inside `box`, and `_subtract_box` returns a piece unchanged
+    when its closed box misses the cutter's, so the rest cannot change
+    the pieces or their order.
+    """
+    touching = np.flatnonzero(
+        np.all((cutters_lo <= box[1]) & (cutters_hi >= box[0]), axis=1))
+    frags = [box]
+    for i in touching.tolist():
+        frags = [p for f in frags for p in _subtract_box(f, cutters[i])]
+        if not frags:
+            break
+    return frags
+
+
 def _disjointify(boxes: Sequence[Box]) -> tuple[Box, ...]:
+    """Split `boxes` into closed boxes with pairwise disjoint interiors.
+
+    Each box, in input order, is carved by the fragments accepted before
+    it, in acceptance order.  Exact: `_carve` skips only fragments that
+    `_subtract_box` would pass through unchanged, so the result is the
+    full O(B^2) carve's, box for box and in order.  Cost: the corners of
+    the accepted fragments sit in two arrays that double as they fill, so
+    each box takes one vectorised compare against all of them, and Python
+    carving only against the fragments whose closed box meets it.
+    """
+    if not boxes:
+        return ()
+    dim = len(boxes[0][0])
     out: list[Box] = []
+    lo = np.empty((16, dim))
+    hi = np.empty((16, dim))
     for box in boxes:
-        frags = [box]
-        for existing in out:
-            frags = [p for f in frags for p in _subtract_box(f, existing)]
-            if not frags:
-                break
+        n = len(out)
+        frags = _carve(box, lo[:n], hi[:n], out)
+        m = n + len(frags)
+        if m > len(lo):
+            grow = np.empty((max(2 * len(lo), m) - n, dim))
+            lo = np.concatenate([lo[:n], grow])
+            hi = np.concatenate([hi[:n], grow])
+        lo[n:m], hi[n:m] = _corners(frags, dim)
         out.extend(frags)
     return tuple(out)
 
@@ -211,15 +255,8 @@ class Region:
         """True if every point of `other` lies in this region (exact)."""
         if self.dim != other.dim:
             raise ValueError("region dimensions differ")
-        for box in other.boxes:
-            frags = [box]
-            for mine in self.boxes:
-                frags = [p for f in frags for p in _subtract_box(f, mine)]
-                if not frags:
-                    break
-            if frags:
-                return False
-        return True
+        lo, hi = _corners(self.boxes, self.dim)
+        return not any(_carve(box, lo, hi, self.boxes) for box in other.boxes)
 
     def equals(self, other: "Region") -> bool:
         return self.covers(other) and other.covers(self)

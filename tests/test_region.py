@@ -1,9 +1,14 @@
 """Region algebra: normalization, membership, dilation, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
-from causal_lab.region import Region
+from causal_lab.measure import SliceMeasure
+from causal_lab.region import Region, _as_box, _subtract_box
+from causal_lab.spacetime import CausalStructure
+from causal_lab.transport import check_ce_maxflow, recompute_deficit
 
 
 def test_interval_basic_membership():
@@ -127,3 +132,117 @@ def test_from_json_rejects_mixed_dims():
 def test_inverted_box_rejected():
     with pytest.raises(ValueError):
         Region.from_boxes([((1.0,), (0.0,))])
+
+
+# -- the prefiltered carve against the full O(B^2) carve ----------------------
+
+def _oracle_disjointify(boxes):
+    """The full carve: every box against every fragment accepted before it."""
+    out = []
+    for box in boxes:
+        frags = [box]
+        for existing in out:
+            frags = [p for f in frags for p in _subtract_box(f, existing)]
+            if not frags:
+                break
+        out.extend(frags)
+    return tuple(out)
+
+
+def _oracle_covers(self, other):
+    """The full carve of each of `other`'s boxes by all of `self`'s."""
+    for box in other.boxes:
+        frags = [box]
+        for mine in self.boxes:
+            frags = [p for f in frags for p in _subtract_box(f, mine)]
+            if not frags:
+                break
+        if frags:
+            return False
+    return True
+
+
+_LATTICE = np.arange(7) * 0.5
+
+
+def _random_box(rng, dim, earlier):
+    """One box of a mix that makes degenerate, face-sharing, nested,
+    duplicate and ulp-overlapping boxes common."""
+    kind = rng.integers(6)
+    if kind == 0 or not earlier:  # lattice corners: shared faces, lo == hi
+        ends = np.sort(rng.choice(_LATTICE, size=(dim, 2)), axis=1)
+        return _as_box(ends[:, 0], ends[:, 1])
+    if kind == 1:  # duplicate of an earlier box
+        return earlier[rng.integers(len(earlier))]
+    if kind == 2:  # nested in an earlier box, sometimes flush with a face
+        lo, hi = map(np.asarray, earlier[rng.integers(len(earlier))])
+        t = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0], size=(dim, 2)), axis=1)
+        return _as_box(lo + t[:, 0] * (hi - lo), lo + t[:, 1] * (hi - lo))
+    if kind == 3:  # grid cell v +- h: neighbours overlap or gap by an ulp
+        h = rng.choice([0.1, 1.0 / 3.0, 0.25])
+        v = -0.7 + (rng.integers(0, 6, size=dim) + 0.5) * 2 * h
+        return _as_box(v - h, v + h)
+    if kind == 4:  # a point: a lattice point or a corner of an earlier box
+        if rng.random() < 0.5:
+            p = rng.choice(_LATTICE, size=dim)
+        else:
+            lo, hi = earlier[rng.integers(len(earlier))]
+            p = np.where(rng.random(dim) < 0.5, lo, hi)
+        return _as_box(p, p)
+    lo = rng.uniform(-1.0, 3.0, size=dim)
+    return _as_box(lo, lo + rng.uniform(0.0, 1.5, size=dim))
+
+
+def _random_box_set(rng, dim):
+    boxes = []
+    for _ in range(rng.integers(1, 13)):
+        boxes.append(_random_box(rng, dim, boxes))
+    return boxes
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_carve_matches_full_carve(seed):
+    rng = np.random.default_rng([seed, 31])
+    for trial in range(100):
+        dim = 2 + trial % 2
+        boxes = _random_box_set(rng, dim)
+        region = Region.from_boxes(boxes)
+        assert region.boxes == _oracle_disjointify(boxes)
+        # covers: against itself, a piece of its input, and a fresh set
+        part = [boxes[i] for i in range(len(boxes)) if rng.random() < 0.5]
+        fresh = _random_box_set(rng, dim)
+        for other in (region, Region.from_boxes(part, dim),
+                      Region.from_boxes(fresh, dim), Region.empty(dim)):
+            assert region.covers(other) == _oracle_covers(region, other)
+            assert other.covers(region) == _oracle_covers(other, region)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
+    # the atoms_2d construction: nu is mu pushed inside each atom's cone,
+    # except for 3/4 of the atoms, in a box of their own, whose nu atoms
+    # are sent far away; their cones are empty and every other atom can
+    # ship all its mass, so the min cut is exactly the drained atoms
+    rng = np.random.default_rng([seed, 47])
+    k, k_drained, dt = 400, 300, 0.4
+    # about five cone neighbours per kept atom
+    side = (np.pi * dt ** 2 * (k - k_drained) / 5.0) ** 0.5
+    mu_pts = rng.uniform(-side / 2, side / 2, (k, 2))
+    mu_pts[k - k_drained:, 0] += side + 2.0 * dt
+    step = rng.normal(size=(k, 2))
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    nu_pts = mu_pts + 0.95 * dt * rng.random((k, 1)) * step
+    drained = np.arange(k - k_drained, k)
+    nu_pts[drained, 0] = 1.0e3 + np.arange(k_drained)
+    weights = rng.random(k) + 0.05
+    weights /= weights.sum()
+    mu = SliceMeasure.from_atoms(0.0, zip(mu_pts, weights))
+    nu = SliceMeasure.from_atoms(dt, zip(nu_pts, weights))
+    cs = CausalStructure(dim=2, c=1.0)
+    v = check_ce_maxflow(mu, nu, cs)
+    assert not v.holds
+    drained_pts = [tuple(float(x) for x in p) for p in mu_pts[drained]]
+    assert v.worst_set.boxes == tuple((p, p) for p in drained_pts)
+    assert v.deficit == pytest.approx(math.fsum(weights[drained]), abs=1e-12)
+    assert recompute_deficit(mu, nu, v.worst_set, cs) == pytest.approx(
+        v.deficit, abs=1e-12)

@@ -269,27 +269,9 @@ def _emit(record: dict, args, csv_series: dict[str, str] | None = None) -> None:
             sys.stdout.write(content)
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("CAUSAL_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CliInputError(f"CAUSAL_LAB_THREADS={raw!r} is not an integer") \
-            from exc
-    if cap < 1:
-        raise CliInputError("CAUSAL_LAB_THREADS must be >= 1")
-    return cap
-
-
 def _base_record(args, command: str, digest: str | None) -> dict:
-    rec = {"command": command, "input_digest": digest,
-           "tolerances": _tolerances()}
-    cap = _thread_cap()
-    if cap is not None:
-        rec["thread_cap"] = cap
-    return rec
+    return {"command": command, "input_digest": digest,
+            "tolerances": _tolerances()}
 
 
 # -- commands ----------------------------------------------------------------

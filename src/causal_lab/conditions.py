@@ -110,14 +110,13 @@ def validate(sc: MeasurementScenario) -> list[str]:
         out.append("post-measurement measures live on different slices")
     if sc.mu.time > sc.t_time:
         out.append("slice ordering: mu must not follow the detection slice")
-    norm_tol = 0 if sc.exact else EPS_MASS
     for name, m in (("mu", sc.mu), ("nu0", sc.nu0), ("nu1", sc.nu1)):
-        if abs(m.total - 1) > norm_tol:
+        if abs(m.total - 1) > tol:
             out.append(f"normalization: {name} has total {float(m.total)!r}")
     p = sc.p_plus
-    if p > tol and abs(sc.nu_plus.total - 1) > norm_tol:
+    if p > tol and abs(sc.nu_plus.total - 1) > tol:
         out.append("normalization: nu_plus is not a probability measure")
-    if 1 - p > tol and abs(sc.nu_minus.total - 1) > norm_tol:
+    if 1 - p > tol and abs(sc.nu_minus.total - 1) > tol:
         out.append("normalization: nu_minus is not a probability measure")
     diff = abs(sc.mu.mass(sc.K) - p)
     if diff > tol:
@@ -125,7 +124,7 @@ def validate(sc: MeasurementScenario) -> list[str]:
     try:
         mix = mixture(p, sc.nu_plus, sc.nu_minus)
         err = cellwise_max_difference(sc.nu1, mix)
-        if err > (tol if sc.exact else EPS_MASS):
+        if err > tol:
             out.append("total probability: nu1 must mix nu_plus and nu_minus "
                        f"with weight p_plus (max cell error {float(err):.3e})")
     except ValueError as exc:
@@ -143,13 +142,12 @@ def _a1_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
     m = sc.nu_plus.mass(sc.detector_future)
     if sc.p_plus <= tol:
         return True, True, m
-    return m >= 1 - (tol if sc.exact else EPS_MASS), False, m
+    return m >= 1 - tol, False, m
 
 
 def _ns_detail(sc: MeasurementScenario) -> tuple[bool, Weight]:
     d = restriction_distance(sc.nu1, sc.nu0, outside=sc.detector_future)
-    tol = 0 if sc.exact else EPS_MASS
-    return d <= tol, d
+    return d <= sc.mass_tol, d
 
 
 def _a2_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
@@ -160,7 +158,7 @@ def _a2_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
              else 1.0 / (1.0 - float(sc.p_plus)))
     d = restriction_distance(sc.nu_minus, sc.nu0.scaled(scale),
                              outside=sc.detector_future)
-    return d <= (0 if sc.exact else EPS_MASS), False, d
+    return d <= tol, False, d
 
 
 def check_a1(sc: MeasurementScenario) -> bool:

@@ -20,13 +20,13 @@ from .conditions import MeasurementScenario, ns_gap_support
 from .measure import SliceMeasure
 from .region import Region
 from .spacetime import (
-    EPS_CAUSAL,
     BoostedFrame,
     CausalStructure,
     Event,
     boost,
     causally_precedes,
     chronologically_precedes,
+    cone_blocks,
     inverse,
     region_precedes_event,
 )
@@ -159,15 +159,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     gap, q, sel = best
     c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
 
-    cover_pts = sc.K.sample_points(lattice.cover_resolution)
-    cand_xs = lattice.p_candidates()
-    cand_events = [Event(lattice.p_time, tuple(float(v) for v in x))
-                   for x in cand_xs]
-    reach = _chronological_reach(cand_xs, cover_pts,
-                                 s_time - lattice.p_time, cs)
-    eligible = np.asarray([not causally_precedes(p, q, cs)
-                           for p in cand_events])
-    reach[~eligible, :] = False
+    cand_events, _, cover_pts, reach = _sender_reach(sc, q, lattice)
     senders: list[Event] = []
     covered = np.zeros(len(cover_pts), dtype=bool)
     while not covered.all():
@@ -191,13 +183,25 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     return proto
 
 
-def _chronological_reach(sources: np.ndarray, targets: np.ndarray,
-                         dt: float, cs: CausalStructure) -> np.ndarray:
-    """Boolean (n_sources, n_targets): strictly inside the open cone."""
-    diff = targets[None, :, :] - sources[:, None, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    strict = max(cs.c * (dt - EPS_CAUSAL), 0.0)
-    return d2 < strict * strict
+def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
+    """Sender candidates and which of K's sample points each one reaches.
+
+    Returns the lattice events on the sender slice, whether each may send
+    (it does not causally precede q), K's sample points, and the boolean
+    (candidates, points) matrix of points strictly inside each candidate's
+    chronological future; a candidate that may not send reaches nothing.
+    """
+    cover_pts = sc.K.sample_points(lattice.cover_resolution)
+    cand_xs = lattice.p_candidates()
+    events = [Event(lattice.p_time, tuple(float(v) for v in x))
+              for x in cand_xs]
+    eligible = np.asarray([not causally_precedes(p, q, sc.cs)
+                           for p in events])
+    reach = np.concatenate(list(cone_blocks(
+        cand_xs, sc.s_time - lattice.p_time, sc.cs, cover_pts,
+        open_cone=True)))
+    reach[~eligible, :] = False
+    return events, eligible, cover_pts, reach
 
 
 def find_single_sender(sc: MeasurementScenario, q: Event,
@@ -208,14 +212,9 @@ def find_single_sender(sc: MeasurementScenario, q: Event,
     every sample point of K while not causally preceding q, or None when
     the scan comes up empty.
     """
-    cs = sc.cs
-    cover_pts = sc.K.sample_points(lattice.cover_resolution)
-    cand_xs = lattice.p_candidates()
-    reach = _chronological_reach(cand_xs, cover_pts,
-                                 sc.s_time - lattice.p_time, cs)
-    for x, row in zip(cand_xs, reach):
-        p = Event(lattice.p_time, tuple(float(v) for v in x))
-        if row.all() and not causally_precedes(p, q, cs):
+    events, eligible, _, reach = _sender_reach(sc, q, lattice)
+    for p, ok, row in zip(events, eligible, reach):
+        if ok and row.all():
             return p
     return None
 

@@ -6,6 +6,12 @@ dilate boxes per axis, which over-approximates the Euclidean cone for
 d >= 2 (they agree in d = 1).  Conservative direction: a larger future can
 only make causality checks pass more easily, never flag a spurious
 violation.
+
+Every point-set cone test goes through one kernel, `cone_blocks`: per
+block of point sources it marks the targets in each source's closed cone
+(the causal future, |y - x| <= c*(dt + slack)) or, with `open_cone`, its
+open cone (the chronological future, |y - x| < c*(dt - slack)); the
+radius rule lives in `cone_radius` alone.
 """
 from __future__ import annotations
 
@@ -96,28 +102,55 @@ def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Re
     return region.expand(cs.c * dt)
 
 
+# pairwise entries per kernel block; bounds the kernel's scratch arrays
+CONE_BLOCK_PAIRS = 4_000_000
+
+
+def cone_radius(dt: float, cs: CausalStructure,
+                open_cone: bool = False) -> float:
+    """Radius of a point source's cone on the slice dt later.
+
+    Closed cone: c*(dt + slack).  Open cone: c*(dt - slack), clamped at 0.
+    """
+    if open_cone:
+        return max(cs.c * (dt - EPS_CAUSAL), 0.0)
+    return cs.c * (dt + EPS_CAUSAL)
+
+
+def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
+                targets: np.ndarray, open_cone: bool = False):
+    """Yield, block by block of sources, which targets each one reaches.
+
+    Each block is a boolean (b, n) array with one row per source, in
+    source order: a row marks the targets at squared distance <= radius**2
+    (closed cone) or < radius**2 (open cone) from its source, with the
+    radius of `cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS pairs, so
+    memory stays bounded; an empty source set still yields one (0, n)
+    block.  `sources` is (k, d) and `targets` is (n, d).
+    """
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
+    r = cone_radius(dt, cs, open_cone)
+    r2 = r * r
+    step = max(1, CONE_BLOCK_PAIRS // max(tgt.shape[0], 1))
+    for start in range(0, max(src.shape[0], 1), step):
+        diff = tgt[None, :, :] - src[start:start + step, None, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        yield dist2 < r2 if open_cone else dist2 <= r2
+
+
 def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,
                           targets: np.ndarray) -> np.ndarray:
     """Exact Euclidean cone test for point sources.
 
-    Returns a boolean mask over `targets` marking points within distance
-    c*(dt + slack) of at least one source.  `sources` is (k, d), `targets`
-    is (n, d).
+    Returns a boolean mask over `targets` marking points in the closed cone
+    of at least one source.  `sources` is (k, d), `targets` is (n, d).
     """
     if dt < 0:
         raise ValueError("slice separation must be nonnegative")
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    if src.shape[0] == 0:
-        return np.zeros(tgt.shape[0], dtype=bool)
-    reach = cs.c * (dt + EPS_CAUSAL)
-    hit = np.zeros(tgt.shape[0], dtype=bool)
-    # blocks of sources keep the pairwise arrays near 4e6 entries
-    step = max(1, int(4e6 // max(tgt.shape[0], 1)))
-    for start in range(0, src.shape[0], step):
-        diff = tgt[None, :, :] - src[start:start + step, None, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        hit |= np.any(dist2 <= reach * reach, axis=0)
+    hit = np.zeros(np.atleast_2d(targets).shape[0], dtype=bool)
+    for block in cone_blocks(sources, dt, cs, targets):
+        hit |= block.any(axis=0)
     return hit
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
 from .region import Region
-from .spacetime import EPS_CAUSAL, CausalStructure, point_cone_membership
+from .spacetime import (CausalStructure, cone_blocks, cone_radius,
+                        point_cone_membership)
 
 EPS_FLOW = 1e-9
 MAX_BRUTEFORCE_ATOMS = 20
@@ -51,15 +52,10 @@ class FlowNetwork:
     """Bipartite cone graph: source -> left (mu) -> right (nu) -> sink."""
 
     left_points: np.ndarray
-    right_points: np.ndarray
     left_caps: tuple
     right_caps: tuple
     edge_indptr: np.ndarray   # CSR over left nodes
     edge_indices: np.ndarray  # right-node targets
-    left_is_grid: bool
-    right_is_grid: bool
-    left_cell: float | None
-    right_cell: float | None
 
     @property
     def num_left(self) -> int:
@@ -113,40 +109,22 @@ def _integer_lift(caps) -> tuple[int, list[int]]:
     return den, [n * (den // d) for n, d in ratios]
 
 
-def _cone_edges(left_pts: np.ndarray, right_pts: np.ndarray, reach: float):
-    """CSR adjacency from each left point to right points within `reach`."""
-    n = len(left_pts)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    chunks = []
-    counts = np.zeros(n, dtype=np.int64)
-    step = max(1, int(4e6 // max(len(right_pts), 1)))
-    r2 = reach * reach
-    for start in range(0, n, step):
-        block = left_pts[start:start + step]
-        diff = right_pts[None, :, :] - block[:, None, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        hit = d2 <= r2
-        counts[start:start + step] = hit.sum(axis=1)
-        chunks.append(np.nonzero(hit)[1].astype(np.int64))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return indptr, indices
-
-
 def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        cs: CausalStructure) -> FlowNetwork:
     """Cone graph between the supports of mu and nu."""
-    reach = cs.c * (_slice_gap(mu, nu, cs) + EPS_CAUSAL)
+    dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
-    indptr, indices = _cone_edges(left_pts, right_pts, reach)
-    return FlowNetwork(left_points=left_pts, right_points=right_pts,
-                       left_caps=left_caps, right_caps=right_caps,
-                       edge_indptr=indptr, edge_indices=indices,
-                       left_is_grid=mu.is_grid, right_is_grid=nu.is_grid,
-                       left_cell=mu.grid_cell, right_cell=nu.grid_cell)
+    counts = []
+    indices = [np.empty(0, dtype=np.int64)]
+    for hit in cone_blocks(left_pts, dt, cs, right_pts):
+        counts.append(hit.sum(axis=1))
+        indices.append(np.nonzero(hit)[1])
+    indptr = np.zeros(len(left_pts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return FlowNetwork(left_points=left_pts, left_caps=left_caps,
+                       right_caps=right_caps, edge_indptr=indptr,
+                       edge_indices=np.concatenate(indices))
 
 
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
@@ -175,9 +153,9 @@ def _cone_windows(x: np.ndarray, y: np.ndarray,
                   reach: float) -> tuple[list[int], list[int]]:
     """Index window [lo, hi) of sorted targets y in the cone of each x.
 
-    searchsorted places the ends; the squared-distance test of
-    point_cone_membership then settles them, so a target is in a window
-    exactly when that test says so.  Rounding is monotone, so the test
+    searchsorted places the ends; the closed-cone squared-distance test of
+    spacetime.cone_blocks then settles them, so a target is in a window
+    exactly when that kernel says so.  Rounding is monotone, so the test
     splits sorted y into left-out, inside and right-out runs, and both
     ends are nondecreasing in x.
     """
@@ -223,7 +201,7 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     The cut side is what the residual graph reaches from leftover supply:
     a source reaches its window, a target the sources that sent it flow.
     """
-    reach = cs.c * (_slice_gap(mu, nu, cs) + EPS_CAUSAL)
+    reach = cone_radius(_slice_gap(mu, nu, cs), cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
     x, y = left_pts[:, 0], right_pts[:, 0]
@@ -301,6 +279,15 @@ def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure, cs: CausalStructure,
                      "maxflow")
 
 
+def _cone_bits(sources: np.ndarray, dt: float, cs: CausalStructure,
+               targets: np.ndarray) -> list[int]:
+    """Per source, the targets in its closed cone as an integer bitset."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                           "little")
+            for block in cone_blocks(sources, dt, cs, targets)
+            for row in block]
+
+
 def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
                         cs: CausalStructure) -> CeVerdict:
     """Exhaustive subset scan over mu's atoms (capped at 20 atoms)."""
@@ -322,14 +309,7 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
     else:
         nu_w = [float(v) for v in nu.weights_flat]
     mu_pts = np.array([p for p, _ in atoms], dtype=float)
-    reach_mask = [point_cone_membership(mu_pts[i:i + 1], dt, cs, nu_pts)
-                  for i in range(n)]
-    cone_bits = []
-    for mask in reach_mask:
-        bits = 0
-        for j in np.nonzero(mask)[0]:
-            bits |= 1 << int(j)
-        cone_bits.append(bits)
+    cone_bits = _cone_bits(mu_pts, dt, cs, nu_pts)
 
     nu_mass_cache: dict[int, Weight] = {0: zero}
 

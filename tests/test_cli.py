@@ -368,28 +368,6 @@ def test_exact_rational_rejects_grid_measures(tmp_path, capsys):
     assert "exact-rational" in err
 
 
-def test_thread_cap_env(tmp_path, capsys, monkeypatch):
-    path = write_scenario(tmp_path, abc_payload(0.5, 1.0, 0.0))
-    monkeypatch.setenv("CAUSAL_LAB_THREADS", "4")
-    code, out, _ = run_cli(capsys, "validate", "--scenario", path)
-    assert code == 0
-    assert parse_record(out)["thread_cap"] == 4
-
-    monkeypatch.setenv("CAUSAL_LAB_THREADS", "zero")
-    code, _, err = run_cli(capsys, "validate", "--scenario", path)
-    assert code == 2
-    assert "CAUSAL_LAB_THREADS" in err
-
-    monkeypatch.setenv("CAUSAL_LAB_THREADS", "0")
-    code, _, _ = run_cli(capsys, "validate", "--scenario", path)
-    assert code == 2
-
-    monkeypatch.delenv("CAUSAL_LAB_THREADS")
-    code, out, _ = run_cli(capsys, "validate", "--scenario", path)
-    assert code == 0
-    assert "thread_cap" not in parse_record(out)
-
-
 def test_out_directory_written_atomically(tmp_path, capsys):
     path = write_scenario(tmp_path, abc_payload(0.0, 1.0, 1.0))
     outdir = tmp_path / "nested" / "deeper"

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from causal_lab import spacetime
+from causal_lab.conditions import make_abc_scenario
+from causal_lab.measure import SliceMeasure
+from causal_lab.protocol import (ABC_LATTICE, _sender_reach,
+                                 make_annulus_scenario)
 from causal_lab.region import Region
-from causal_lab.spacetime import (BoostedFrame, CausalStructure, Event, boost,
-                                  causal_future_on_slice, causally_precedes,
-                                  chronologically_precedes, interval_squared,
-                                  inverse, point_cone_membership,
-                                  region_precedes_event, spacelike_separated)
+from causal_lab.spacetime import (EPS_CAUSAL, BoostedFrame, CausalStructure,
+                                  Event, boost, causal_future_on_slice,
+                                  causally_precedes, chronologically_precedes,
+                                  cone_blocks, interval_squared, inverse,
+                                  point_cone_membership, region_precedes_event,
+                                  spacelike_separated)
+from causal_lab.transport import _cone_bits, build_flow_network
 
 CS1 = CausalStructure(dim=1, c=1.0)
 CS2 = CausalStructure(dim=2, c=1.0)
@@ -143,3 +150,173 @@ def test_region_precedes_event():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         causally_precedes(Event.of(0.0, 0.0), Event(1.0, (0.0, 0.0)), CS1)
+
+
+# -- one cone kernel against the separate kernels it replaced ------------------
+# The oracles below are the earlier per-caller cone tests, kept verbatim:
+# the flow graph's CSR builder, the protocol's open-cone reach matrix, the
+# closed-cone mask, and brute force's per-atom bitset loop.
+
+
+def _oracle_cone_edges(left_pts: np.ndarray, right_pts: np.ndarray,
+                       reach: float):
+    """CSR adjacency from each left point to right points within `reach`."""
+    n = len(left_pts)
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    chunks = []
+    counts = np.zeros(n, dtype=np.int64)
+    step = max(1, int(4e6 // max(len(right_pts), 1)))
+    r2 = reach * reach
+    for start in range(0, n, step):
+        block = left_pts[start:start + step]
+        diff = right_pts[None, :, :] - block[:, None, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        hit = d2 <= r2
+        counts[start:start + step] = hit.sum(axis=1)
+        chunks.append(np.nonzero(hit)[1].astype(np.int64))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return indptr, indices
+
+
+def _oracle_chronological_reach(sources: np.ndarray, targets: np.ndarray,
+                                dt: float, cs: CausalStructure) -> np.ndarray:
+    """Boolean (n_sources, n_targets): strictly inside the open cone."""
+    diff = targets[None, :, :] - sources[:, None, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    strict = max(cs.c * (dt - EPS_CAUSAL), 0.0)
+    return d2 < strict * strict
+
+
+def _oracle_point_cone_membership(sources: np.ndarray, dt: float,
+                                  cs: CausalStructure,
+                                  targets: np.ndarray) -> np.ndarray:
+    if dt < 0:
+        raise ValueError("slice separation must be nonnegative")
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
+    if src.shape[0] == 0:
+        return np.zeros(tgt.shape[0], dtype=bool)
+    reach = cs.c * (dt + EPS_CAUSAL)
+    hit = np.zeros(tgt.shape[0], dtype=bool)
+    # blocks of sources keep the pairwise arrays near 4e6 entries
+    step = max(1, int(4e6 // max(tgt.shape[0], 1)))
+    for start in range(0, src.shape[0], step):
+        diff = tgt[None, :, :] - src[start:start + step, None, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        hit |= np.any(dist2 <= reach * reach, axis=0)
+    return hit
+
+
+def _oracle_cone_bits(mu_pts, dt, cs, nu_pts):
+    n = len(mu_pts)
+    reach_mask = [_oracle_point_cone_membership(mu_pts[i:i + 1], dt, cs,
+                                                nu_pts)
+                  for i in range(n)]
+    cone_bits = []
+    for mask in reach_mask:
+        bits = 0
+        for j in np.nonzero(mask)[0]:
+            bits |= 1 << int(j)
+        cone_bits.append(bits)
+    return cone_bits
+
+
+def _point_set(rng, k: int, dim: int, lattice: bool) -> np.ndarray:
+    """k distinct points; quarter-lattice points put many pairs on the edge."""
+    if lattice:
+        side = {1: 81, 2: 17, 3: 7}[dim]
+        cells = rng.choice(side ** dim, size=k, replace=False)
+        idx = np.stack(np.unravel_index(cells, (side,) * dim), axis=1)
+        return (idx - side // 2) / 4.0
+    return rng.uniform(-2.0, 2.0, size=(k, dim))
+
+
+def _with_slack_targets(src: np.ndarray, tgt: np.ndarray, c: float,
+                        dt: float) -> np.ndarray:
+    """Add targets on the cone edge of src[0] and within the slack of it."""
+    if not len(src) or not len(tgt):
+        return tgt
+    offsets = [c * (dt + EPS_CAUSAL), max(c * (dt - EPS_CAUSAL), 0.0), c * dt,
+               c * (dt + EPS_CAUSAL / 2), c * (dt - EPS_CAUSAL / 2)]
+    edge = np.repeat(src[:1], len(offsets), axis=0)
+    edge[:, 0] += offsets
+    return np.unique(np.vstack([tgt, edge]), axis=0)
+
+
+def _atoms(time: float, pts: np.ndarray, dim: int) -> SliceMeasure:
+    return SliceMeasure.from_atoms(time, [(p, 1.0) for p in pts.tolist()],
+                                   dim=dim)
+
+
+SIZES = [(0, 7), (7, 0), (0, 0), (1, 1), (5, 40), (40, 60)]
+
+
+@pytest.mark.parametrize("block", [None, 1, 150])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cone_kernel_matches_replaced_kernels(dim, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(900 + dim)
+    edge_pairs = 0
+    for lattice in (True, False):
+        for c in (1.0, 2.0):
+            cs = CausalStructure(dim=dim, c=c)
+            for dt in (0.0, 0.25, 1.0):
+                for k, n in SIZES:
+                    src = _point_set(rng, k, dim, lattice)
+                    tgt = _with_slack_targets(
+                        src, _point_set(rng, n, dim, lattice), c, dt)
+                    reach = c * (dt + EPS_CAUSAL)
+
+                    net = build_flow_network(_atoms(0.0, src, dim),
+                                             _atoms(dt, tgt, dim), cs)
+                    indptr, indices = _oracle_cone_edges(src, tgt, reach)
+                    assert np.array_equal(net.left_points, src)
+                    assert net.edge_indptr.dtype == indptr.dtype
+                    assert net.edge_indices.dtype == indices.dtype
+                    assert np.array_equal(net.edge_indptr, indptr)
+                    assert np.array_equal(net.edge_indices, indices)
+
+                    assert np.array_equal(
+                        point_cone_membership(src, dt, cs, tgt),
+                        _oracle_point_cone_membership(src, dt, cs, tgt))
+                    assert (_cone_bits(src, dt, cs, tgt)
+                            == _oracle_cone_bits(src, dt, cs, tgt))
+
+                    blocks = list(cone_blocks(src, dt, cs, tgt,
+                                              open_cone=True))
+                    if block == 1 and k > 1 and n > 0:
+                        assert len(blocks) == k
+                    assert np.array_equal(
+                        np.concatenate(blocks),
+                        _oracle_chronological_reach(src, tgt, dt, cs))
+
+                    if lattice and k and n:
+                        d = np.linalg.norm(tgt[None] - src[:, None], axis=2)
+                        edge_pairs += int(np.sum(d == c * dt))
+    assert edge_pairs > 50  # pairs exactly on the cone edge were exercised
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+    cases = [(make_abc_scenario(0.0, 1.0, 1.0), ABC_LATTICE),
+             make_annulus_scenario(16)]
+    for sc, lattice in cases:
+        q = Event(lattice.q_time, tuple(float(v) for v in
+                                        lattice.q_candidates()[-1]))
+        events, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
+        cand_xs = lattice.p_candidates()
+        want = _oracle_chronological_reach(
+            cand_xs, sc.K.sample_points(lattice.cover_resolution),
+            sc.s_time - lattice.p_time, sc.cs)
+        want[~eligible, :] = False
+        assert np.array_equal(reach, want)
+        assert [p.x for p in events] == [tuple(x) for x in cand_xs.tolist()]
+        assert list(eligible) == [not causally_precedes(p, q, sc.cs)
+                                  for p in events]
+        assert reach.any() and eligible.any() and not eligible.all()

@@ -31,7 +31,7 @@ from .measure import (
     restriction_distance,
 )
 from .region import Region
-from .spacetime import CausalStructure, causal_future_on_slice
+from .spacetime import CausalStructure, SliceFuture, causal_future_on_slice
 from .transport import (
     EPS_FLOW,
     MAX_BRUTEFORCE_ATOMS,
@@ -76,9 +76,18 @@ class MeasurementScenario:
 
     @cached_property
     def detector_future(self) -> Region:
-        """Future cone of K intersected with the later slice."""
+        """Future cone of K intersected with the later slice.
+
+        Built on demand, for callers that want the region; the checks
+        below ask `_in_future`, which holds the same point set.
+        """
         return causal_future_on_slice(self.K, self.t_time - self.s_time,
                                       self.cs)
+
+    @cached_property
+    def _in_future(self) -> SliceFuture:
+        """Membership test of `detector_future`, without building it."""
+        return SliceFuture(self.K, self.t_time - self.s_time, self.cs)
 
     @property
     def mass_tol(self) -> Weight:
@@ -139,14 +148,14 @@ def _a1_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
     so the check is vacuously true when p_plus is 0.
     """
     tol = sc.mass_tol
-    m = sc.nu_plus.mass(sc.detector_future)
+    m = sc.nu_plus.mass(sc._in_future)
     if sc.p_plus <= tol:
         return True, True, m
     return m >= 1 - tol, False, m
 
 
 def _ns_detail(sc: MeasurementScenario) -> tuple[bool, Weight]:
-    d = restriction_distance(sc.nu1, sc.nu0, outside=sc.detector_future)
+    d = restriction_distance(sc.nu1, sc.nu0, outside=sc._in_future)
     return d <= sc.mass_tol, d
 
 
@@ -157,7 +166,7 @@ def _a2_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
     scale = (Fraction(1, 1) / (1 - sc.p_plus) if sc.exact
              else 1.0 / (1.0 - float(sc.p_plus)))
     d = restriction_distance(sc.nu_minus, sc.nu0.scaled(scale),
-                             outside=sc.detector_future)
+                             outside=sc._in_future)
     return d <= tol, False, d
 
 
@@ -190,7 +199,7 @@ def check_ce(sc: MeasurementScenario, method: str = "auto") -> CeVerdict:
 
 def _ce_at_detector(sc: MeasurementScenario) -> bool:
     """Ordering inequality for the measured region itself."""
-    short = sc.mu.mass(sc.K) - sc.nu0.mass(sc.detector_future)
+    short = sc.mu.mass(sc.K) - sc.nu0.mass(sc._in_future)
     return short <= sc.mass_tol
 
 
@@ -253,19 +262,18 @@ def ns_gap_support(sc: MeasurementScenario):
 
     Returns (flat indices into nu0's support, positions, gaps nu0-nu1).
     """
-    jk = sc.detector_future
+    off_future = ~sc._in_future.contains_points(sc.nu0.positions)
     if sc.nu0.is_grid:
         if not sc.nu0.grid_compatible(sc.nu1):
             raise ValueError("nu0 and nu1 grids are not comparable")
         pos = sc.nu0.positions
         gaps = sc.nu0.weights_flat - sc.nu1.weights_flat
-        outside = ~jk.contains_points(pos)
-        idx = np.nonzero(outside & (gaps > 0))[0]
+        idx = np.nonzero(off_future & (gaps > 0))[0]
         return idx, pos[idx], gaps[idx]
     w1 = {p: w for p, w in sc.nu1.atoms}
     idx, pts, gaps = [], [], []
-    for i, (p, w0) in enumerate(sc.nu0.atoms):
-        if jk.contains(p):
+    for i, ((p, w0), off) in enumerate(zip(sc.nu0.atoms, off_future.tolist())):
+        if not off:
             continue
         g = w0 - w1.get(p, 0)
         if g > 0:

@@ -156,38 +156,44 @@ class SliceMeasure:
     # -- measure operations --------------------------------------------
 
     def mass(self, region: Region) -> Weight:
-        """Mass carried by atoms in the region / cells whose center is in it."""
+        """Mass carried by atoms in the region / cells whose center is in it.
+
+        `region` may be anything with `dim` and `contains_points`, such as
+        a `spacetime.SliceFuture`; membership is one `contains_points`
+        call, and atom weights are summed in atom order.
+        """
         if region.dim != self.dim:
             raise ValueError("region dimension does not match measure")
+        inside = region.contains_points(self.positions)
         if self.is_atomic:
+            hits = [w for (_, w), h in zip(self.atoms, inside.tolist()) if h]
             if self.exact:
-                return sum((w for p, w in self.atoms if region.contains(p)),
-                           Fraction(0))
-            return float(sum(float(w) for p, w in self.atoms
-                             if region.contains(p)))
-        mask = region.contains_points(self._grid_centers)
-        return float(self.weights_flat[mask].sum())
+                return sum(hits, Fraction(0))
+            return float(sum(float(w) for w in hits))
+        return float(self.weights_flat[inside].sum())
 
     def restrict_and_renormalize(self, region: Region) -> "SliceMeasure":
         m = self.mass(region)
         if m <= EPS_MASS:
             raise ValueError("cannot condition on a region of negligible mass")
+        inside = region.contains_points(self.positions)
         if self.is_atomic:
-            kept = [(p, w / m) for p, w in self.atoms if region.contains(p)]
+            kept = [(p, w / m)
+                    for (p, w), h in zip(self.atoms, inside.tolist()) if h]
             return SliceMeasure.from_atoms(self.time, kept, self.dim)
-        mask = region.contains_points(self._grid_centers)
-        w = np.where(mask.reshape(self.grid_weights.shape),
+        w = np.where(inside.reshape(self.grid_weights.shape),
                      self.grid_weights / m, 0.0)
         return SliceMeasure.from_grid(self.time, self.grid_origin,
                                       self.grid_cell, w)
 
     def restricted(self, region: Region) -> "SliceMeasure":
         """Zero out everything outside the region, keeping weights as-is."""
+        inside = region.contains_points(self.positions)
         if self.is_atomic:
-            kept = [(p, w) for p, w in self.atoms if region.contains(p)]
+            kept = [(p, w)
+                    for (p, w), h in zip(self.atoms, inside.tolist()) if h]
             return SliceMeasure.from_atoms(self.time, kept, self.dim)
-        mask = region.contains_points(self._grid_centers)
-        w = np.where(mask.reshape(self.grid_weights.shape),
+        w = np.where(inside.reshape(self.grid_weights.shape),
                      self.grid_weights, 0.0)
         return SliceMeasure.from_grid(self.time, self.grid_origin,
                                       self.grid_cell, w)

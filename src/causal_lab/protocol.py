@@ -131,7 +131,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
         raise ProtocolSearchError("scenario provides no marginal-gap witness")
 
     idx, pts, gaps = ns_gap_support(sc)
-    keep = [i for i, p in enumerate(pts) if witness.contains(tuple(p))]
+    keep = np.flatnonzero(witness.contains_points(pts)).tolist()
     if not keep:
         raise ProtocolSearchError("witness carries no positive marginal gap")
     cells = [sc.nu0.cell_region([int(idx[i])]) for i in keep]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +79,38 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([b[0] for b in boxes], dtype=float).reshape(-1, dim)
     hi = np.array([b[1] for b in boxes], dtype=float).reshape(-1, dim)
     return lo, hi
+
+
+# entries per block of `points_in_boxes`: its boolean scratch arrays stay
+# near 64 KB, under glibc malloc's mmap threshold; freeing larger ones
+# raised that threshold and left later allocations on the heap (atoms_2d
+# peak RSS +15% at 4M entries)
+BOX_BLOCK_ENTRIES = 65_536
+
+
+def points_in_boxes(points: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Boolean mask of the points that lie in at least one closed box.
+
+    `points` is (n, d), or (n,) in d = 1; `lo` and `hi` are (B, d) box
+    corners.  Runs in blocks of points, so the (points, boxes, d) scratch
+    arrays hold about BOX_BLOCK_ENTRIES entries.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    step = max(1, BOX_BLOCK_ENTRIES // max(lo.size, 1))
+    if len(pts) <= step:
+        return _in_boxes(pts, lo, hi)
+    return np.concatenate([_in_boxes(pts[start:start + step], lo, hi)
+                           for start in range(0, len(pts), step)])
+
+
+def _in_boxes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    p = pts[:, None, :]
+    inside = (p >= lo) & (p <= hi)
+    # ufunc reductions: the ndarray methods add a Python call per use
+    return np.logical_or.reduce(np.logical_and.reduce(inside, axis=2), axis=1)
 
 
 def _carve(box: Box, cutters_lo: np.ndarray, cutters_hi: np.ndarray,
@@ -193,6 +226,13 @@ class Region:
     def is_empty(self) -> bool:
         return not self.boxes
 
+    @cached_property
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (B, d) arrays of the boxes' lo and hi corners."""
+        lo, hi = _corners(self.boxes, self.dim)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
     def contains(self, point: Sequence[float]) -> bool:
         for lo, hi in self.boxes:
             inside = True
@@ -206,26 +246,17 @@ class Region:
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorised membership for an (n, d) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        mask = np.zeros(len(pts), dtype=bool)
-        for lo, hi in self.boxes:
-            mask |= np.all((pts >= np.asarray(lo)) & (pts <= np.asarray(hi)),
-                           axis=1)
-        return mask
+        return points_in_boxes(points, *self.corners)
 
     def sup_distance(self, point: Sequence[float]) -> float:
         """Chebyshev distance from the point to the region (0 if inside)."""
         if self.is_empty:
             return math.inf
-        best = math.inf
-        for lo, hi in self.boxes:
-            d = 0.0
-            for a, b, x in zip(lo, hi, point):
-                d = max(d, a - x, x - b)
-            best = min(best, d)
-        return max(best, 0.0)
+        lo, hi = self.corners
+        x = np.asarray(point, dtype=float)
+        # per box max over axes of (a - x, x - b), then the nearest box
+        best = float(np.maximum(lo - x, x - hi).max(axis=1).min())
+        return best if best > 0.0 else 0.0
 
     def bounding_box(self) -> Box:
         if self.is_empty:
@@ -255,7 +286,7 @@ class Region:
         """True if every point of `other` lies in this region (exact)."""
         if self.dim != other.dim:
             raise ValueError("region dimensions differ")
-        lo, hi = _corners(self.boxes, self.dim)
+        lo, hi = self.corners
         return not any(_carve(box, lo, hi, self.boxes) for box in other.boxes)
 
     def equals(self, other: "Region") -> bool:

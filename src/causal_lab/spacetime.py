@@ -7,6 +7,11 @@ d >= 2 (they agree in d = 1).  Conservative direction: a larger future can
 only make causality checks pass more easily, never flag a spurious
 violation.
 
+The verdict path asks only whether points lie in the future of a slice
+region, and asks it through `SliceFuture`, which tests points against the
+grown boxes directly; `causal_future_on_slice` is its Region-valued view,
+built on demand for callers that want the region itself.
+
 Every point-set cone test goes through one kernel, `cone_blocks`: per
 block of point sources it marks the targets in each source's closed cone
 (the causal future, |y - x| <= c*(dt + slack)) or, with `open_cone`, its
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import Region
+from .region import Region, points_in_boxes
 
 # absolute slack, in time units, on the cone inequality dt >= |dx|/c
 EPS_CAUSAL = 1e-12
@@ -89,17 +94,58 @@ def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
     return not causally_precedes(a, b, cs) and not causally_precedes(b, a, cs)
 
 
-def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Region:
-    """Intersection of the causal future of a slice region with time + dt.
-
-    Boxes dilate by c*dt along every axis.  Exact in d = 1; a conservative
-    over-approximation of the Euclidean cone union for d >= 2.
-    """
+def _check_future_args(region: Region, dt: float, cs: CausalStructure) -> None:
     if region.dim != cs.dim:
         raise ValueError("region dimension does not match causal structure")
     if dt < 0:
         raise ValueError("slice separation must be nonnegative")
+
+
+def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Region:
+    """Intersection of the causal future of a slice region with time + dt.
+
+    Boxes dilate by c*dt along every axis.  Exact in d = 1; a conservative
+    over-approximation of the Euclidean cone union for d >= 2.  The
+    condition checks do not build this region: they ask `SliceFuture`,
+    which holds the same point set.  It is built on demand, for callers
+    that want the region itself.
+    """
+    _check_future_args(region, dt, cs)
     return region.expand(cs.c * dt)
+
+
+class SliceFuture:
+    """Membership test for `causal_future_on_slice(region, dt, cs)`.
+
+    Holds the region's boxes grown by r = c*dt, with corners lo - r and
+    hi + r computed by the float expressions of `Region.expand`, and
+    never carves them.  `contains_points` marks the points in the union
+    of the closed grown boxes, which is bit for bit the membership of the
+    built region: its canonical form only copies these corner values (the
+    d >= 2 carve and the d = 1 interval merge do no arithmetic) and its
+    closed boxes cover exactly that union.  It raises where the region
+    would: on a dimension mismatch, a negative dt, or grown corners that
+    overflow.
+
+    Anything that only reads `dim` and `contains_points` of a region
+    (`SliceMeasure.mass`, `restricted`, `restriction_distance`) accepts
+    it in place of the built region.
+    """
+
+    def __init__(self, region: Region, dt: float, cs: CausalStructure):
+        _check_future_args(region, dt, cs)
+        r = cs.c * dt
+        lo = [a - r for box_lo, _ in region.boxes for a in box_lo]
+        hi = [b + r for _, box_hi in region.boxes for b in box_hi]
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError("box corners must be finite")
+        self.lo = np.array(lo, dtype=float).reshape(-1, region.dim)
+        self.hi = np.array(hi, dtype=float).reshape(-1, region.dim)
+        self.dim = region.dim
+
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask over an (n, d) array of points, like Region's."""
+        return points_in_boxes(points, self.lo, self.hi)
 
 
 # pairwise entries per kernel block; bounds the kernel's scratch arrays

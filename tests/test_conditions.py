@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import helpers
-from causal_lab.conditions import (MeasurementScenario, check_a1, check_a2,
-                                   check_ce, check_ns, evaluate_conditions,
-                                   find_ns_witness, make_abc_scenario,
-                                   ns_gap_support, truth_table, validate)
+from causal_lab.conditions import (TRUTH_TABLE_SAMPLES, MeasurementScenario,
+                                   check_a1, check_a2, check_ce, check_ns,
+                                   evaluate_conditions, find_ns_witness,
+                                   make_abc_scenario, ns_gap_support,
+                                   truth_table, validate)
 from causal_lab.measure import SliceMeasure, mixture
+from causal_lab.protocol import construct_protocol, make_annulus_scenario
 from causal_lab.region import Region
 from causal_lab.spacetime import CausalStructure
 
@@ -229,3 +231,167 @@ def test_family_rejects_out_of_range():
         make_abc_scenario(1.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         make_abc_scenario(0.5, -0.1, 0.0)
+
+
+# -- the verdict path asks the future test, never the built region ----------
+
+
+class _LoopRegion:
+    """The detector-future region asked point by point with `contains`, as
+    the checks asked it before they used the future test."""
+
+    def __init__(self, region):
+        self.region = region
+        self.dim = region.dim
+
+    def contains_points(self, points):
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        return np.array([self.region.contains(tuple(p)) for p in pts],
+                        dtype=bool)
+
+
+def _no_expand(self, radius):
+    raise AssertionError("the verdict path built the dilated region")
+
+
+def _verdict_summary(sc):
+    rep = evaluate_conditions(sc)
+    wit = rep.witnesses
+    values = (wit["ns_distance"], wit["a1_future_mass"], wit["a2_distance"],
+              rep.ce_verdict.deficit)
+    witnesses = (wit["ns_witness"], find_ns_witness(sc))
+    return (rep.as_flags(), rep.a1_vacuous, rep.a2_vacuous, rep.diagnostics,
+            values, tuple(type(v) for v in values),
+            tuple(None if w is None else w.boxes for w in witnesses))
+
+
+def _oracle_ns_gap_support(sc):
+    """`ns_gap_support` as it was, asking the built region atom by atom."""
+    jk = sc.detector_future
+    if sc.nu0.is_grid:
+        pos = sc.nu0.positions
+        gaps = sc.nu0.weights_flat - sc.nu1.weights_flat
+        outside = ~jk.contains_points(pos)
+        idx = np.nonzero(outside & (gaps > 0))[0]
+        return idx, pos[idx], gaps[idx]
+    w1 = {p: w for p, w in sc.nu1.atoms}
+    idx, pts, gaps = [], [], []
+    for i, (p, w0) in enumerate(sc.nu0.atoms):
+        if jk.contains(p):
+            continue
+        g = w0 - w1.get(p, 0)
+        if g > 0:
+            idx.append(i)
+            pts.append(p)
+            gaps.append(g)
+    return (np.asarray(idx, dtype=int),
+            np.asarray(pts, dtype=float).reshape(-1, sc.nu0.dim), gaps)
+
+
+def _same_gap_support(got, want):
+    (gi, gp, gg), (wi, wp, wg) = got, want
+    assert np.array_equal(gi, wi) and np.array_equal(gp, wp)
+    if isinstance(wg, np.ndarray):
+        assert np.array_equal(gg, wg)
+    else:
+        assert gg == wg and [type(g) for g in gg] == [type(g) for g in wg]
+
+
+def _ask_built_region(m):
+    """Make the checks ask the built `detector_future`, point by point."""
+    m.setattr(MeasurementScenario, "_in_future",
+              property(lambda sc: _LoopRegion(sc.detector_future)))
+
+
+def _oracle_summary(monkeypatch, build):
+    with monkeypatch.context() as m:
+        _ask_built_region(m)
+        return _verdict_summary(build())
+
+
+def _scenario_builders():
+    builders = [lambda s=s: make_annulus_scenario(s)[0] for s in (16, 32, 64)]
+    for mode in helpers.GRID_MODES:
+        rng = np.random.default_rng([hash(mode) % 2**32, 5])
+        for _ in range(3):
+            sc, _ = helpers.random_grid_scenario(rng, mode)
+            builders.append(lambda sc=sc: replace(sc))
+    for mode in helpers.ABC_MODES:
+        rng = np.random.default_rng([hash(mode) % 2**32, 6])
+        for _ in range(3):
+            trip = helpers.random_abc_triple(rng, mode)
+            builders.append(lambda t=trip: make_abc_scenario(*t))
+    for trip in (samples[0] for samples in TRUTH_TABLE_SAMPLES):
+        builders.append(lambda t=trip: make_abc_scenario(*t, exact=True))
+    return builders
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verdict_path_never_builds_detector_future(monkeypatch):
+    exact = witnessed = dropped = 0
+    builders = _scenario_builders()
+    for build in builders:
+        want = _oracle_summary(monkeypatch, build)
+        want_gaps = _oracle_ns_gap_support(build())
+        with monkeypatch.context() as m:
+            m.setattr(Region, "expand", _no_expand)
+            got = _verdict_summary(build())
+            got_gaps = ns_gap_support(build())
+        assert got == want
+        _same_gap_support(got_gaps, want_gaps)
+        dropped += len(build().nu0.positions) - len(got_gaps[0])
+        witnessed += got[-1][0] is not None
+        if build().exact:
+            exact += 1
+            assert all(t is Fraction for t in got[5])
+    assert exact == len(TRUTH_TABLE_SAMPLES)
+    assert 0 < witnessed < len(builders) and dropped > 0
+
+
+@pytest.mark.parametrize("segments", [16, 32, 64])
+def test_protocol_never_builds_detector_future(segments, monkeypatch):
+    def protocol():
+        sc, lattice = make_annulus_scenario(segments)
+        proto = construct_protocol(sc, find_ns_witness(sc), lattice)
+        return (proto.C.boxes, proto.q, proto.senders, proto.channel_gap)
+
+    with monkeypatch.context() as m:
+        _ask_built_region(m)
+        want = protocol()
+    monkeypatch.setattr(Region, "expand", _no_expand)
+    assert protocol() == want
+
+
+def test_cli_check_all_never_builds_detector_future(tmp_path, capsys,
+                                                     monkeypatch):
+    import json
+
+    from causal_lab.cli import main
+
+    sc, _ = make_annulus_scenario(32)
+    atoms = {name: {"time": m.time,
+                    "atoms": [list(p) + [float(w)] for p, w in m.atoms]}
+             for name, m in (("mu", sc.mu), ("nu0", sc.nu0), ("nu1", sc.nu1),
+                             ("nup", sc.nu_plus), ("num", sc.nu_minus))}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({
+        "spacetime": {"dim": 2, "c": 1.0},
+        "measures": atoms,
+        "measurement": {"K": sc.K.to_json(), "p_plus": 1.0, "mu": "mu",
+                        "nu0": "nu0", "nu1": "nu1", "nu_plus": "nup",
+                        "nu_minus": "num"}}))
+
+    def check_all():
+        code = main(["check", "all", "--scenario", str(path)])
+        rec = json.loads(capsys.readouterr().out)
+        rec.pop("wall_clock_s")
+        return code, rec
+
+    with monkeypatch.context() as m:
+        _ask_built_region(m)
+        want = check_all()
+    monkeypatch.setattr(Region, "expand", _no_expand)
+    got = check_all()
+    assert got == want
+    assert got[1]["result"]["ns"] is False
+    assert got[1]["result"]["ns_witness"]

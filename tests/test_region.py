@@ -246,3 +246,35 @@ def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
     assert v.deficit == pytest.approx(math.fsum(weights[drained]), abs=1e-12)
     assert recompute_deficit(mu, nu, v.worst_set, cs) == pytest.approx(
         v.deficit, abs=1e-12)
+
+
+def _oracle_sup_distance(region, point):
+    """The per-box loop `sup_distance` used before it was vectorised."""
+    if region.is_empty:
+        return math.inf
+    best = math.inf
+    for lo, hi in region.boxes:
+        d = 0.0
+        for a, b, x in zip(lo, hi, point):
+            d = max(d, a - x, x - b)
+        best = min(best, d)
+    return max(best, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sup_distance_matches_loop(dim):
+    rng = np.random.default_rng([dim, 53])
+    zeros = 0
+    for _ in range(100):
+        region = Region.from_boxes(_random_box_set(rng, dim))
+        lo, hi = region.corners
+        pts = np.concatenate([lo, hi, np.nextafter(lo, -np.inf),
+                              np.nextafter(hi, np.inf),
+                              rng.uniform(-2.0, 4.0, size=(20, dim))])
+        for p in pts.tolist():
+            got, want = region.sup_distance(p), _oracle_sup_distance(region, p)
+            assert got == want and math.copysign(1, got) == 1
+            assert type(got) is float
+            zeros += got == 0.0
+    assert zeros > 500
+    assert Region.empty(dim).sup_distance((0.0,) * dim) == math.inf

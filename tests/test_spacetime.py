@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from causal_lab import region as region_module
 from causal_lab import spacetime
 from causal_lab.conditions import make_abc_scenario
 from causal_lab.measure import SliceMeasure
@@ -10,7 +11,8 @@ from causal_lab.protocol import (ABC_LATTICE, _sender_reach,
                                  make_annulus_scenario)
 from causal_lab.region import Region
 from causal_lab.spacetime import (EPS_CAUSAL, BoostedFrame, CausalStructure,
-                                  Event, boost, causal_future_on_slice,
+                                  Event, SliceFuture, boost,
+                                  causal_future_on_slice,
                                   causally_precedes, chronologically_precedes,
                                   cone_blocks, interval_squared, inverse,
                                   point_cone_membership, region_precedes_event,
@@ -320,3 +322,115 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         assert list(eligible) == [not causally_precedes(p, q, sc.cs)
                                   for p in events]
         assert reach.any() and eligible.any() and not eligible.all()
+
+
+# -- the future test against the region it stands for -------------------------
+
+
+def _grown_boxes(region: Region, r: float):
+    """Region.expand's grown boxes, corner for corner."""
+    return [(tuple(a - r for a in lo), tuple(b + r for b in hi))
+            for lo, hi in region.boxes]
+
+
+def _oracle_contains_points(region: Region, points: np.ndarray) -> np.ndarray:
+    """`Region.contains_points` as it was: one pass per box."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    mask = np.zeros(len(pts), dtype=bool)
+    for lo, hi in region.boxes:
+        mask |= np.all((pts >= np.asarray(lo)) & (pts <= np.asarray(hi)),
+                       axis=1)
+    return mask
+
+
+def _future_queries(rng, grown, dim: int) -> np.ndarray:
+    """Every grown corner, every face midpoint, each of them moved by one
+    ulp up or down along each axis and along all axes, and uniform points."""
+    base = []
+    for lo, hi in grown:
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        for pick in np.ndindex(*(2,) * dim):
+            base.append(np.where(np.asarray(pick) == 1, hi, lo))
+        mid = (lo + hi) / 2
+        for ax in range(dim):
+            for end in (lo, hi):
+                p = mid.copy()
+                p[ax] = end[ax]
+                base.append(p)
+    pts = [np.empty((0, dim))]
+    if base:
+        base = np.asarray(base)
+        pts.append(base)
+        for direction in (np.inf, -np.inf):
+            pts.append(np.nextafter(base, direction))
+            for ax in range(dim):
+                moved = base.copy()
+                moved[:, ax] = np.nextafter(base[:, ax], direction)
+                pts.append(moved)
+    pts.append(rng.uniform(-2.5, 4.5, size=(50, dim)))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("block", [None, 1, 400])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slice_future_matches_built_region(dim, block, monkeypatch):
+    # the box sets of tests/test_region.py: degenerate boxes, shared faces,
+    # nested boxes, duplicates and grid cells that overlap by an ulp
+    from test_region import _random_box_set
+    if block is not None:
+        monkeypatch.setattr(region_module, "BOX_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng([dim, 61])
+    cs = CausalStructure(dim=dim, c=1.0)
+    inside = boundary = 0
+    # small blocks loop in Python point by point, so they get fewer sets
+    for trial in range(60 if block is None else 15):
+        region = Region.from_boxes(_random_box_set(rng, dim))
+        for r in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            pts = _future_queries(rng, _grown_boxes(region, r), dim)
+            future = causal_future_on_slice(region, r, cs)
+            want = _oracle_contains_points(future, pts)
+            got = SliceFuture(region, r, cs).contains_points(pts)
+            assert got.dtype == bool and got.shape == (len(pts),)
+            assert np.array_equal(got, want)
+            assert np.array_equal(future.contains_points(pts), want)
+            assert np.array_equal(region.contains_points(pts),
+                                  _oracle_contains_points(region, pts))
+            inside += int(want.sum())
+            boundary += int(len(pts) - want.sum())
+    assert inside > 200 and boundary > 200
+
+
+@pytest.mark.parametrize("segments", [16, 32])
+def test_slice_future_matches_on_annulus(segments):
+    sc, _ = make_annulus_scenario(segments)
+    rng = np.random.default_rng(segments)
+    dt = sc.t_time - sc.s_time
+    pts = _future_queries(rng, _grown_boxes(sc.K, sc.cs.c * dt), 2)
+    assert np.array_equal(
+        SliceFuture(sc.K, dt, sc.cs).contains_points(pts),
+        _oracle_contains_points(sc.detector_future, pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slice_future_edge_cases(dim):
+    cs = CausalStructure(dim=dim, c=1.0)
+    pts = np.zeros((3, dim))
+    empty = Region.empty(dim)
+    assert not SliceFuture(empty, 1.0, cs).contains_points(pts).any()
+    assert np.array_equal(SliceFuture(empty, 1.0, cs).contains_points(pts),
+                          causal_future_on_slice(empty, 1.0, cs)
+                          .contains_points(pts))
+    box = Region.from_boxes([((0.0,) * dim, (1.0,) * dim)])
+    got = SliceFuture(box, 1.0, cs).contains_points(np.empty((0, dim)))
+    assert got.shape == (0,) and got.dtype == bool
+    # the errors the built region raises, with the same messages
+    huge = Region.from_boxes([((-1e308,) * dim, (1e308,) * dim)])
+    other = CausalStructure(dim=dim % 3 + 1, c=1.0)
+    for args in ((huge, 1e308, cs), (box, -0.5, cs), (box, 1.0, other)):
+        with pytest.raises(ValueError) as built:
+            causal_future_on_slice(*args)
+        with pytest.raises(ValueError) as tested:
+            SliceFuture(*args)
+        assert str(tested.value) == str(built.value)

@@ -357,30 +357,25 @@ def _protocol_json(proto) -> dict:
 
 
 def cmd_protocol(args) -> int:
-    from .protocol import ProtocolSearchError, audit_protocol
+    from .protocol import ProtocolSearchError
 
     sc = Scenario(args.scenario, args.exact_rational)
     rec = _base_record(args, "protocol", sc.digest)
     try:
-        ms, lattice, proto = _build_protocol(sc)
+        _, _, proto = _build_protocol(sc)
     except (LookupError, ProtocolSearchError) as exc:
         rec["result"] = {"constructed": False, "error": str(exc)}
         _emit(rec, args)
         return 1 if args.assert_ else 0
-    problems = audit_protocol(proto, ms, lattice.cover_resolution)
-    audit = ["audit: readout set inside the causal past of the receiver: "
-             + ("ok" if not any("readout" in p for p in problems) else "FAIL"),
-             "audit: sender futures cover the detector region: "
-             + ("ok" if not any("cover" in p for p in problems) else "FAIL"),
-             "audit: no sender causally precedes the receiver: "
-             + ("ok" if not any("precedes the receiver" in p
-                                for p in problems) else "FAIL"),
-             f"audit: channel gap {proto.channel_gap:.6g} > 0: "
-             + ("ok" if not any("gap" in p for p in problems) else "FAIL")]
+    # construct_protocol has run audit_protocol and raised on any problem
+    audit = ["audit: readout set inside the causal past of the receiver: ok",
+             "audit: sender futures cover the detector region: ok",
+             "audit: no sender causally precedes the receiver: ok",
+             f"audit: channel gap {proto.channel_gap:.6g} > 0: ok"]
     rec["result"] = {"constructed": True, "protocol": _protocol_json(proto),
-                     "audit": audit, "problems": problems}
+                     "audit": audit, "problems": []}
     _emit(rec, args)
-    return 1 if problems and args.assert_ else 0
+    return 0
 
 
 def cmd_signal_sim(args) -> int:

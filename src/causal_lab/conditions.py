@@ -76,17 +76,18 @@ class MeasurementScenario:
 
     @cached_property
     def detector_future(self) -> Region:
-        """Future cone of K intersected with the later slice.
+        """Future cone of K intersected with the later slice, in d = 1.
 
-        Built on demand, for callers that want the region; the checks
-        below ask `_in_future`, which holds the same point set.
+        Built on demand, for callers that want the region; in d >= 2 that
+        future is no box region and this raises `ValueError`.  The checks
+        below ask `_in_future`, in every dimension.
         """
         return causal_future_on_slice(self.K, self.t_time - self.s_time,
                                       self.cs)
 
     @cached_property
     def _in_future(self) -> SliceFuture:
-        """Membership test of `detector_future`, without building it."""
+        """Membership test of the detector future, without building it."""
         return SliceFuture(self.K, self.t_time - self.s_time, self.cs)
 
     @property

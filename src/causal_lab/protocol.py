@@ -113,8 +113,8 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     """Build a receiver, a readout set and a greedy sender cover.
 
     The receiver maximizes the channel gap among lattice events outside
-    the (box-dilated) future of K whose chronological past contains part
-    of the witness; ties break toward lexicographically smaller
+    the causal future of K whose chronological past contains part of the
+    witness; ties break toward lexicographically smaller
     coordinates.  C is the witness shrunk to the cells strictly inside
     the receiver's chronological past.  Senders are picked greedily until
     their chronological futures cover K's sample points; candidates that
@@ -228,6 +228,14 @@ def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
         e = Event(sc.t_time, corner)
         if not causally_precedes(e, proto.q, cs):
             out.append(f"readout set leaves the causal past of q at {corner}")
+            break
+    for lo, hi in sc.K.boxes:
+        # the point of the box nearest to q reaches q if any point does
+        nearest = tuple(min(max(x, a), b)
+                        for a, b, x in zip(lo, hi, proto.q.x))
+        if causally_precedes(Event(sc.s_time, nearest), proto.q, cs):
+            out.append(f"receiver lies in the causal future of K at "
+                       f"{nearest}")
             break
     pts = sc.K.sample_points(cover_resolution)
     covered = np.zeros(len(pts), dtype=bool)

@@ -81,29 +81,31 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-# entries per block of `points_in_boxes`: its boolean scratch arrays stay
-# near 64 KB, under glibc malloc's mmap threshold; freeing larger ones
-# raised that threshold and left later allocations on the heap (atoms_2d
-# peak RSS +15% at 4M entries)
+# entries per block of the box kernels: the boolean scratch arrays of
+# `points_in_boxes` stay near 64 KB, under glibc malloc's mmap threshold;
+# freeing larger ones raised that threshold and left later allocations on
+# the heap (atoms_2d peak RSS +15% at 4M entries)
 BOX_BLOCK_ENTRIES = 65_536
 
 
-def points_in_boxes(points: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> np.ndarray:
-    """Boolean mask of the points that lie in at least one closed box.
-
-    `points` is (n, d), or (n,) in d = 1; `lo` and `hi` are (B, d) box
-    corners.  Runs in blocks of points, so the (points, boxes, d) scratch
-    arrays hold about BOX_BLOCK_ENTRIES entries.
-    """
+def _by_blocks(kernel, points: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """`kernel` over blocks of (n, d) or, in d = 1, (n,) points and (B, d)
+    box corners, with about BOX_BLOCK_ENTRIES scratch entries a block."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     step = max(1, BOX_BLOCK_ENTRIES // max(lo.size, 1))
     if len(pts) <= step:
-        return _in_boxes(pts, lo, hi)
-    return np.concatenate([_in_boxes(pts[start:start + step], lo, hi)
+        return kernel(pts, lo, hi)
+    return np.concatenate([kernel(pts[start:start + step], lo, hi)
                            for start in range(0, len(pts), step)])
+
+
+def points_in_boxes(points: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Boolean mask of the points that lie in at least one closed box."""
+    return _by_blocks(_in_boxes, points, lo, hi)
 
 
 def _in_boxes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -111,6 +113,21 @@ def _in_boxes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     inside = (p >= lo) & (p <= hi)
     # ufunc reductions: the ndarray methods add a Python call per use
     return np.logical_or.reduce(np.logical_and.reduce(inside, axis=2), axis=1)
+
+
+def points_box_distance2(points: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each point to its nearest closed box:
+    per box the norm of max(lo - x, 0, x - hi); inf when there are none."""
+    return _by_blocks(_box_distance2, points, lo, hi)
+
+
+def _box_distance2(pts: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    p = pts[:, None, :]
+    gap = np.maximum(np.maximum(lo - p, 0.0), p - hi)
+    dist2 = np.einsum("ijk,ijk->ij", gap, gap)
+    return np.minimum.reduce(dist2, axis=1, initial=np.inf)
 
 
 def _carve(box: Box, cutters_lo: np.ndarray, cutters_hi: np.ndarray,
@@ -248,16 +265,6 @@ class Region:
         """Vectorised membership for an (n, d) array of points."""
         return points_in_boxes(points, *self.corners)
 
-    def sup_distance(self, point: Sequence[float]) -> float:
-        """Chebyshev distance from the point to the region (0 if inside)."""
-        if self.is_empty:
-            return math.inf
-        lo, hi = self.corners
-        x = np.asarray(point, dtype=float)
-        # per box max over axes of (a - x, x - b), then the nearest box
-        best = float(np.maximum(lo - x, x - hi).max(axis=1).min())
-        return best if best > 0.0 else 0.0
-
     def bounding_box(self) -> Box:
         if self.is_empty:
             raise ValueError("empty region has no bounding box")
@@ -266,16 +273,6 @@ class Region:
         return (lo, hi)
 
     # -- algebra -----------------------------------------------------------
-
-    def expand(self, radius: float) -> "Region":
-        """Grow every box by `radius` along every axis (Chebyshev dilation)."""
-        if radius < 0:
-            raise ValueError("expansion radius must be nonnegative")
-        if self.is_empty:
-            return self
-        grown = [(tuple(a - radius for a in lo), tuple(b + radius for b in hi))
-                 for lo, hi in self.boxes]
-        return Region.from_boxes(grown, self.dim)
 
     def union(self, other: "Region") -> "Region":
         if self.dim != other.dim:

@@ -1,22 +1,16 @@
 """Events, causal order and Lorentz boosts on flat spacetime.
 
-Spatial slices are labelled by coordinate time.  The causal order between
-point events uses the exact Euclidean cone; region-valued cone operations
-dilate boxes per axis, which over-approximates the Euclidean cone for
-d >= 2 (they agree in d = 1).  Conservative direction: a larger future can
-only make causality checks pass more easily, never flag a spurious
-violation.
-
-The verdict path asks only whether points lie in the future of a slice
-region, and asks it through `SliceFuture`, which tests points against the
-grown boxes directly; `causal_future_on_slice` is its Region-valued view,
-built on demand for callers that want the region itself.
-
-Every point-set cone test goes through one kernel, `cone_blocks`: per
-block of point sources it marks the targets in each source's closed cone
-(the causal future, |y - x| <= c*(dt + slack)) or, with `open_cone`, its
-open cone (the chronological future, |y - x| < c*(dt - slack)); the
-radius rule lives in `cone_radius` alone.
+Spatial slices are labelled by coordinate time.  There is one cone, the
+exact Euclidean cone, in every dimension; its radius rule lives in
+`cone_radius` alone.  Every point-set cone test goes through one kernel,
+`cone_blocks`: per block of point sources it marks the targets in each
+source's closed cone (the causal future, |y - x| <= c*(dt + slack)) or,
+with `open_cone`, its open cone (the chronological future,
+|y - x| < c*(dt - slack)).  A point is in the future of a slice region
+when it is in the cone of the region's nearest point; `SliceFuture`
+answers that for point sets.  In d = 1 that future is again a union of
+intervals, which `causal_future_on_slice` builds; in d >= 2 it is a union
+of rounded boxes, which no box region holds.
 """
 from __future__ import annotations
 
@@ -25,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import Region, points_in_boxes
+from .region import Region, points_box_distance2, points_in_boxes
 
 # absolute slack, in time units, on the cone inequality dt >= |dx|/c
 EPS_CAUSAL = 1e-12
@@ -94,57 +88,58 @@ def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
     return not causally_precedes(a, b, cs) and not causally_precedes(b, a, cs)
 
 
-def _check_future_args(region: Region, dt: float, cs: CausalStructure) -> None:
-    if region.dim != cs.dim:
-        raise ValueError("region dimension does not match causal structure")
-    if dt < 0:
-        raise ValueError("slice separation must be nonnegative")
-
-
 def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Region:
     """Intersection of the causal future of a slice region with time + dt.
 
-    Boxes dilate by c*dt along every axis.  Exact in d = 1; a conservative
-    over-approximation of the Euclidean cone union for d >= 2.  The
-    condition checks do not build this region: they ask `SliceFuture`,
-    which holds the same point set.  It is built on demand, for callers
-    that want the region itself.
+    In d = 1 this is exact: the region's intervals grown by c*dt at both
+    ends.  In d >= 2 the future is a union of rounded boxes, which a union
+    of boxes cannot hold, so it raises `ValueError`; ask `SliceFuture`.
     """
-    _check_future_args(region, dt, cs)
-    return region.expand(cs.c * dt)
+    future = SliceFuture(region, dt, cs)
+    if region.dim > 1:
+        raise ValueError("the future of a region in d >= 2 is not a box "
+                         "region; test points with SliceFuture")
+    return Region.from_boxes(zip(future.lo.tolist(), future.hi.tolist()), 1)
 
 
 class SliceFuture:
-    """Membership test for `causal_future_on_slice(region, dt, cs)`.
+    """Membership test for the causal future of a slice region, dt later.
 
-    Holds the region's boxes grown by r = c*dt, with corners lo - r and
-    hi + r computed by the float expressions of `Region.expand`, and
-    never carves them.  `contains_points` marks the points in the union
-    of the closed grown boxes, which is bit for bit the membership of the
-    built region: its canonical form only copies these corner values (the
-    d >= 2 carve and the d = 1 interval merge do no arithmetic) and its
-    closed boxes cover exactly that union.  It raises where the region
-    would: on a dimension mismatch, a negative dt, or grown corners that
-    overflow.
-
+    In d >= 2 a point is in it when its squared distance to the nearest
+    box of the region is at most the squared `cone_radius`.  In d = 1 it
+    holds the intervals grown by r = c*dt, ends a - r and b + r, without
+    the slack: the exact region `causal_future_on_slice` builds from them.
     Anything that only reads `dim` and `contains_points` of a region
-    (`SliceMeasure.mass`, `restricted`, `restriction_distance`) accepts
-    it in place of the built region.
+    (`SliceMeasure.mass`, `restricted`, `restriction_distance`) accepts it
+    in place of one.
     """
 
     def __init__(self, region: Region, dt: float, cs: CausalStructure):
-        _check_future_args(region, dt, cs)
+        if region.dim != cs.dim:
+            raise ValueError(
+                "region dimension does not match causal structure")
+        if dt < 0:
+            raise ValueError("slice separation must be nonnegative")
+        self.dim = region.dim
+        if region.dim > 1:
+            self.lo, self.hi = region.corners
+            r = cone_radius(dt, cs)
+            self.r2 = r * r
+            if not math.isfinite(self.r2):
+                raise ValueError("cone radius overflows")
+            return
         r = cs.c * dt
-        lo = [a - r for box_lo, _ in region.boxes for a in box_lo]
-        hi = [b + r for _, box_hi in region.boxes for b in box_hi]
+        lo = [a - r for (a,), _ in region.boxes]
+        hi = [b + r for _, (b,) in region.boxes]
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError("box corners must be finite")
-        self.lo = np.array(lo, dtype=float).reshape(-1, region.dim)
-        self.hi = np.array(hi, dtype=float).reshape(-1, region.dim)
-        self.dim = region.dim
+        self.lo = np.array(lo, dtype=float).reshape(-1, 1)
+        self.hi = np.array(hi, dtype=float).reshape(-1, 1)
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, d) array of points, like Region's."""
+        if self.dim > 1:
+            return points_box_distance2(points, self.lo, self.hi) <= self.r2
         return points_in_boxes(points, self.lo, self.hi)
 
 
@@ -202,13 +197,14 @@ def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,
 
 def region_precedes_event(region: Region, slice_time: float, e: Event,
                           cs: CausalStructure) -> bool:
-    """True if `e` lies in the (box-dilated) causal future of the region."""
+    """True if `e` is in the closed cone of the region's nearest point."""
     if region.dim != cs.dim or len(e.x) != cs.dim:
         raise ValueError("dimension mismatch")
     dt = e.t - slice_time
     if dt < -EPS_CAUSAL:
         return False
-    return region.sup_distance(e.x) <= cs.c * (max(dt, 0.0) + EPS_CAUSAL)
+    r = cone_radius(max(dt, 0.0), cs)
+    return bool(points_box_distance2([e.x], *region.corners)[0] <= r * r)
 
 
 def boost(e: Event, frame: BoostedFrame, cs: CausalStructure) -> Event:

@@ -4,6 +4,7 @@ import numpy as np
 
 from causal_lab.conditions import MeasurementScenario
 from causal_lab.measure import SliceMeasure, mixture
+from causal_lab.protocol import LatticeSpec
 from causal_lab.region import Region
 from causal_lab.spacetime import CausalStructure, causal_future_on_slice
 
@@ -184,3 +185,30 @@ def random_atomic_pair(rng: np.random.Generator, max_atoms: int = 12):
     mu = SliceMeasure.from_atoms(0.0, list(zip(map(tuple, mu_pts), mu_w)))
     nu = SliceMeasure.from_atoms(dt, list(zip(map(tuple, nu_pts), nu_w)))
     return mu, nu, cs
+
+
+def cone_corner_scenario():
+    """2+1 scenario that signals through the corner of a box dilation.
+
+    K = [-0.1, 0.1]^2 and dt = c = 1.  The atom at (0.9, 0.9) lies within
+    c*dt of K along each axis, but 1.13 from K, outside its causal
+    future; the probe moves 0.25 of its mass to the origin.  Returns the
+    scenario and a lattice on which a protocol exists.
+    """
+    cs = CausalStructure(dim=2, c=1.0)
+    origin, corner = (0.0, 0.0), (0.9, 0.9)
+
+    def post(w):
+        return SliceMeasure.from_atoms(1.0, [(origin, 1.0 - w), (corner, w)])
+
+    nu_plus, nu_minus = post(0.0), post(0.5)
+    sc = MeasurementScenario(
+        cs=cs, K=Region.from_boxes([((-0.1, -0.1), (0.1, 0.1))]),
+        mu=SliceMeasure.from_atoms(0.0, [(origin, 0.5), (corner, 0.5)]),
+        nu0=post(0.5), nu1=mixture(0.5, nu_plus, nu_minus),
+        nu_plus=nu_plus, nu_minus=nu_minus, p_plus=0.5)
+    lattice = LatticeSpec(q_time=1.5, q_lo=(1.0, 1.0), q_hi=(1.4, 1.4),
+                          q_points=5, p_time=-1.0, p_lo=(-1.0, -1.0),
+                          p_hi=(1.0, 1.0), p_points=11,
+                          cover_resolution=0.05)
+    return sc, lattice

@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: parsing, records, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causal_lab import protocol
 from causal_lab.cli import main
 
 from helpers import random_grid_scenario
@@ -172,6 +174,22 @@ def test_protocol_command(tmp_path, capsys):
     assert res["protocol"]["channel_gap"] == pytest.approx(1.0)
     assert len(res["audit"]) == 4
     assert all(line.endswith("ok") for line in res["audit"])
+
+
+def test_protocol_command_audits_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    audit = protocol.audit_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return audit(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "audit_protocol", counted)
+    payload = abc_payload(0.0, 1.0, 1.0, protocol={"lattice": LATTICE})
+    path = write_scenario(tmp_path, payload)
+    code, out, _ = run_cli(capsys, "protocol", "--scenario", path, "--assert")
+    assert code == 0 and parse_record(out)["result"]["constructed"] is True
+    assert len(calls) == 1
 
 
 def test_protocol_reports_no_gap(tmp_path, capsys):
@@ -377,3 +395,28 @@ def test_out_directory_written_atomically(tmp_path, capsys):
     saved = (outdir / "check.json").read_text()
     assert saved == out
     assert not [p for p in outdir.iterdir() if ".json." in p.name]
+
+
+# Records of d = 1 scenario files, each the stdout of
+# `causal-lab <command> --scenario tests/data/<file>` without its
+# wall_clock_s line, written when the future of a region in d >= 2 was
+# still a box dilation.  The d = 1 future and every d = 1 record are
+# unchanged since then, byte for byte.
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    "check_all_two_atom": ("check", "all", "two_atom.json"),
+    "protocol_two_atom": ("protocol", "two_atom.json"),
+    "signal_sim_two_atom": ("signal-sim", "two_atom.json"),
+    "check_all_grid_1d": ("check", "all", "grid_1d.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_d1_records_match_golden(name, capsys):
+    *command, scenario = GOLDEN[name]
+    code, out, _ = run_cli(capsys, *command, "--scenario",
+                           str(DATA / scenario))
+    assert code == 0
+    got = "".join(line for line in out.splitlines(keepends=True)
+                  if "wall_clock_s" not in line)
+    assert got == (DATA / f"{name}.out").read_text()

@@ -1,5 +1,6 @@
 """Scenario validation, the four condition checkers, and the family table."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 import helpers
+from causal_lab import conditions
 from causal_lab.conditions import (TRUTH_TABLE_SAMPLES, MeasurementScenario,
                                    check_a1, check_a2, check_ce, check_ns,
                                    evaluate_conditions, find_ns_witness,
                                    make_abc_scenario, ns_gap_support,
                                    truth_table, validate)
 from causal_lab.measure import SliceMeasure, mixture
-from causal_lab.protocol import construct_protocol, make_annulus_scenario
+from causal_lab.protocol import (audit_protocol, construct_protocol,
+                                 make_annulus_scenario)
 from causal_lab.region import Region
-from causal_lab.spacetime import CausalStructure
+from causal_lab.spacetime import EPS_CAUSAL, CausalStructure
 
 
 def test_valid_family_scenario_passes():
@@ -236,22 +239,34 @@ def test_family_rejects_out_of_range():
 # -- the verdict path asks the future test, never the built region ----------
 
 
-class _LoopRegion:
-    """The detector-future region asked point by point with `contains`, as
-    the checks asked it before they used the future test."""
+def _oracle_in_future(sc, points):
+    """Detector-future membership asked point by point: with `contains` on
+    the built region in d = 1; in d >= 2, where no box region holds the
+    future, with math.dist from the point to its clamp into each box of K
+    against the cone radius c*(dt + slack)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, sc.K.dim).tolist()
+    if sc.K.dim == 1:
+        jk = sc.detector_future
+        return np.array([jk.contains(tuple(p)) for p in pts], dtype=bool)
+    reach = sc.cs.c * (sc.t_time - sc.s_time + EPS_CAUSAL)
+    return np.array([
+        any(math.dist(p, [min(max(x, a), b) for a, b, x in zip(lo, hi, p)])
+            <= reach for lo, hi in sc.K.boxes) for p in pts], dtype=bool)
 
-    def __init__(self, region):
-        self.region = region
-        self.dim = region.dim
+
+class _LoopFuture:
+    """Stands in for `SliceFuture`, asking `_oracle_in_future`."""
+
+    def __init__(self, sc):
+        self.sc = sc
+        self.dim = sc.K.dim
 
     def contains_points(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        return np.array([self.region.contains(tuple(p)) for p in pts],
-                        dtype=bool)
+        return _oracle_in_future(self.sc, points)
 
 
-def _no_expand(self, radius):
-    raise AssertionError("the verdict path built the dilated region")
+def _no_future_region(region, dt, cs):
+    raise AssertionError("the verdict path built the detector future")
 
 
 def _verdict_summary(sc):
@@ -266,18 +281,17 @@ def _verdict_summary(sc):
 
 
 def _oracle_ns_gap_support(sc):
-    """`ns_gap_support` as it was, asking the built region atom by atom."""
-    jk = sc.detector_future
+    """`ns_gap_support` as it was, asking the future atom by atom."""
+    outside = ~_oracle_in_future(sc, sc.nu0.positions)
     if sc.nu0.is_grid:
         pos = sc.nu0.positions
         gaps = sc.nu0.weights_flat - sc.nu1.weights_flat
-        outside = ~jk.contains_points(pos)
         idx = np.nonzero(outside & (gaps > 0))[0]
         return idx, pos[idx], gaps[idx]
     w1 = {p: w for p, w in sc.nu1.atoms}
     idx, pts, gaps = [], [], []
-    for i, (p, w0) in enumerate(sc.nu0.atoms):
-        if jk.contains(p):
+    for i, ((p, w0), off) in enumerate(zip(sc.nu0.atoms, outside.tolist())):
+        if not off:
             continue
         g = w0 - w1.get(p, 0)
         if g > 0:
@@ -297,15 +311,15 @@ def _same_gap_support(got, want):
         assert gg == wg and [type(g) for g in gg] == [type(g) for g in wg]
 
 
-def _ask_built_region(m):
-    """Make the checks ask the built `detector_future`, point by point."""
+def _ask_point_loop(m):
+    """Make the checks ask the future point by point (`_oracle_in_future`)."""
     m.setattr(MeasurementScenario, "_in_future",
-              property(lambda sc: _LoopRegion(sc.detector_future)))
+              property(lambda sc: _LoopFuture(sc)))
 
 
 def _oracle_summary(monkeypatch, build):
     with monkeypatch.context() as m:
-        _ask_built_region(m)
+        _ask_point_loop(m)
         return _verdict_summary(build())
 
 
@@ -323,6 +337,7 @@ def _scenario_builders():
             builders.append(lambda t=trip: make_abc_scenario(*t))
     for trip in (samples[0] for samples in TRUTH_TABLE_SAMPLES):
         builders.append(lambda t=trip: make_abc_scenario(*t, exact=True))
+    builders.append(lambda: helpers.cone_corner_scenario()[0])
     return builders
 
 
@@ -334,7 +349,8 @@ def test_verdict_path_never_builds_detector_future(monkeypatch):
         want = _oracle_summary(monkeypatch, build)
         want_gaps = _oracle_ns_gap_support(build())
         with monkeypatch.context() as m:
-            m.setattr(Region, "expand", _no_expand)
+            m.setattr(conditions, "causal_future_on_slice",
+                      _no_future_region)
             got = _verdict_summary(build())
             got_gaps = ns_gap_support(build())
         assert got == want
@@ -356,9 +372,10 @@ def test_protocol_never_builds_detector_future(segments, monkeypatch):
         return (proto.C.boxes, proto.q, proto.senders, proto.channel_gap)
 
     with monkeypatch.context() as m:
-        _ask_built_region(m)
+        _ask_point_loop(m)
         want = protocol()
-    monkeypatch.setattr(Region, "expand", _no_expand)
+    monkeypatch.setattr(conditions, "causal_future_on_slice",
+                        _no_future_region)
     assert protocol() == want
 
 
@@ -388,10 +405,29 @@ def test_cli_check_all_never_builds_detector_future(tmp_path, capsys,
         return code, rec
 
     with monkeypatch.context() as m:
-        _ask_built_region(m)
+        _ask_point_loop(m)
         want = check_all()
-    monkeypatch.setattr(Region, "expand", _no_expand)
+    monkeypatch.setattr(conditions, "causal_future_on_slice",
+                        _no_future_region)
     got = check_all()
     assert got == want
     assert got[1]["result"]["ns"] is False
     assert got[1]["result"]["ns_witness"]
+
+
+def test_ns_sees_a_loss_in_the_corner_of_the_box_dilation():
+    # the atom at (0.9, 0.9) is within c*dt of K on each axis, so a box
+    # dilation of K held it and hid the loss; the cone does not hold it
+    sc, lattice = helpers.cone_corner_scenario()
+    assert validate(sc) == []
+    assert not check_ns(sc)
+    rep = evaluate_conditions(sc)
+    assert rep.as_flags() == (False, True, False, True)
+    assert rep.witnesses["ns_distance"] == pytest.approx(0.25)
+    witness = rep.witnesses["ns_witness"]
+    assert witness.contains((0.9, 0.9))
+    with pytest.raises(ValueError, match="not a box region"):
+        sc.detector_future
+    proto = construct_protocol(sc, witness, lattice)
+    assert proto.channel_gap == pytest.approx(0.25)
+    assert audit_protocol(proto, sc, lattice.cover_resolution) == []

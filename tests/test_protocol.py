@@ -1,10 +1,12 @@
 """Signalling protocol construction, audit, simulation, paradox loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import helpers
 from causal_lab.conditions import find_ns_witness, make_abc_scenario
 from causal_lab.protocol import (ABC_LATTICE, LatticeSpec, ProtocolSearchError,
                                  SignallingProtocol, audit_protocol,
@@ -72,6 +74,21 @@ def test_annulus_needs_multiple_senders():
     assert len(proto.senders) > 1
     assert audit_protocol(proto, sc, lattice.cover_resolution) == []
     assert find_single_sender(sc, proto.q, lattice) is None
+
+
+def test_audit_flags_receiver_in_the_future_of_k():
+    sc, lattice = helpers.cone_corner_scenario()
+    proto = construct_protocol(sc, find_ns_witness(sc), lattice)
+    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+    # (1.0, 1.0) is 1.27 from K, inside its cone 1.5 later
+    moved = replace(proto, q=Event(proto.q.t, (1.0, 1.0)))
+    problems = audit_protocol(moved, sc, lattice.cover_resolution)
+    assert any(p.startswith("receiver lies in the causal future of K")
+               for p in problems)
+    # the clause reads K's own boxes: q just outside the cone passes it
+    outside = replace(proto, q=Event(proto.q.t, (1.2, 1.2)))
+    assert not any("causal future of K" in p for p in
+                   audit_protocol(outside, sc, lattice.cover_resolution))
 
 
 def test_protocol_requires_gap():

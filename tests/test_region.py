@@ -1,4 +1,4 @@
-"""Region algebra: normalization, membership, dilation, serialization."""
+"""Region algebra: normalization, membership, distance, serialization."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from causal_lab.measure import SliceMeasure
-from causal_lab.region import Region, _as_box, _subtract_box
+from causal_lab.region import (Region, _as_box, _subtract_box,
+                               points_box_distance2)
 from causal_lab.spacetime import CausalStructure
 from causal_lab.transport import check_ce_maxflow, recompute_deficit
 
@@ -63,26 +64,12 @@ def test_contains_points_matches_scalar():
         assert m == r.contains(tuple(p))
 
 
-def test_expand_interval_exact():
-    r = Region.interval(-1.0, 1.0).expand(0.25)
-    assert r.bounding_box() == ((-1.25,), (1.25,))
-
-
-def test_expand_merges_nearby_boxes():
-    r = Region.from_boxes([((0.0,), (1.0,)), ((1.5,), (2.0,))]).expand(0.3)
-    assert len(r.boxes) == 1
-
-
-def test_expand_zero_is_identity():
-    r = Region.from_boxes([((0.0, 0.0), (1.0, 2.0))])
-    assert r.expand(0.0).equals(r)
-
-
-def test_sup_distance():
-    r = Region.from_boxes([((0.0, 0.0), (1.0, 1.0))])
-    assert r.sup_distance((0.5, 0.5)) == 0.0
-    assert r.sup_distance((2.0, 0.5)) == pytest.approx(1.0)
-    assert r.sup_distance((2.0, 3.0)) == pytest.approx(2.0)
+def test_box_distance2():
+    lo, hi = Region.from_boxes([((0.0, 0.0), (1.0, 1.0))]).corners
+    pts = [(0.5, 0.5), (2.0, 0.5), (2.0, 3.0), (1.0, 0.0)]
+    assert points_box_distance2(pts, lo, hi).tolist() == [0.0, 1.0, 5.0, 0.0]
+    assert points_box_distance2(pts, *Region.empty(2).corners).tolist() \
+        == [math.inf] * 4
 
 
 def test_union_and_covers():
@@ -248,21 +235,18 @@ def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
         v.deficit, abs=1e-12)
 
 
-def _oracle_sup_distance(region, point):
-    """The per-box loop `sup_distance` used before it was vectorised."""
-    if region.is_empty:
-        return math.inf
+def _oracle_box_distance2(region, point):
+    """Squared distance to the nearest box: math.dist to the clamp of the
+    point into each box, one box at a time."""
     best = math.inf
     for lo, hi in region.boxes:
-        d = 0.0
-        for a, b, x in zip(lo, hi, point):
-            d = max(d, a - x, x - b)
-        best = min(best, d)
-    return max(best, 0.0)
+        nearest = [min(max(x, a), b) for a, b, x in zip(lo, hi, point)]
+        best = min(best, math.dist(point, nearest) ** 2)
+    return best
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_sup_distance_matches_loop(dim):
+def test_box_distance2_matches_loop(dim):
     rng = np.random.default_rng([dim, 53])
     zeros = 0
     for _ in range(100):
@@ -271,10 +255,15 @@ def test_sup_distance_matches_loop(dim):
         pts = np.concatenate([lo, hi, np.nextafter(lo, -np.inf),
                               np.nextafter(hi, np.inf),
                               rng.uniform(-2.0, 4.0, size=(20, dim))])
-        for p in pts.tolist():
-            got, want = region.sup_distance(p), _oracle_sup_distance(region, p)
-            assert got == want and math.copysign(1, got) == 1
-            assert type(got) is float
-            zeros += got == 0.0
+        got = points_box_distance2(pts, lo, hi)
+        assert got.dtype == float and got.shape == (len(pts),)
+        for g, p in zip(got.tolist(), pts.tolist()):
+            want = _oracle_box_distance2(region, p)
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (g == 0.0) == (want == 0.0)
+            # squares of subnormal gaps underflow, so 0 does not mean inside
+            assert g == 0.0 or not region.contains(p)
+            zeros += g == 0.0
     assert zeros > 500
-    assert Region.empty(dim).sup_distance((0.0,) * dim) == math.inf
+    empty = points_box_distance2(pts, *Region.empty(dim).corners)
+    assert empty.tolist() == [math.inf] * len(pts)

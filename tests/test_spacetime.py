@@ -1,5 +1,7 @@
 """Causal order, cones on slices, and boost kinematics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -324,11 +326,11 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         assert reach.any() and eligible.any() and not eligible.all()
 
 
-# -- the future test against the region it stands for -------------------------
+# -- the future test against the cone it stands for ---------------------------
 
 
 def _grown_boxes(region: Region, r: float):
-    """Region.expand's grown boxes, corner for corner."""
+    """The region's boxes grown by r along every axis."""
     return [(tuple(a - r for a in lo), tuple(b + r for b in hi))
             for lo, hi in region.boxes]
 
@@ -343,6 +345,17 @@ def _oracle_contains_points(region: Region, points: np.ndarray) -> np.ndarray:
         mask |= np.all((pts >= np.asarray(lo)) & (pts <= np.asarray(hi)),
                        axis=1)
     return mask
+
+
+def _oracle_in_cone_of_boxes(region: Region, dt: float, cs: CausalStructure,
+                             points: np.ndarray) -> np.ndarray:
+    """Point by point: is the clamp of the point into some box of the
+    region within the closed cone radius c*(dt + slack)?"""
+    reach = cs.c * (dt + EPS_CAUSAL)
+    return np.array([
+        any(math.dist(p, [min(max(x, a), b) for a, b, x in zip(lo, hi, p)])
+            <= reach for lo, hi in region.boxes)
+        for p in np.asarray(points, dtype=float).tolist()], dtype=bool)
 
 
 def _future_queries(rng, grown, dim: int) -> np.ndarray:
@@ -373,33 +386,60 @@ def _future_queries(rng, grown, dim: int) -> np.ndarray:
     return np.concatenate(pts)
 
 
+def _rim_queries(rng, region: Region, r: float, dim: int) -> np.ndarray:
+    """Points just inside and just outside the rounded rim at distance r
+    from a box, off the axes, where a box dilation would keep them all."""
+    out = [np.empty((0, dim))]
+    for lo, hi in region.boxes:
+        corner = np.where(rng.random((8, dim)) < 0.5, lo, hi)
+        u = np.abs(rng.normal(size=(8, dim))) + 0.1
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u = np.where(corner == np.asarray(hi), u, -u)
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            out.append(corner + scale * r * u)
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("block", [None, 1, 400])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_slice_future_matches_built_region(dim, block, monkeypatch):
     # the box sets of tests/test_region.py: degenerate boxes, shared faces,
-    # nested boxes, duplicates and grid cells that overlap by an ulp
+    # nested boxes, duplicates and grid cells that overlap by an ulp; in
+    # d = 1 the oracle is the built region, in d >= 2 a per-point loop
     from test_region import _random_box_set
     if block is not None:
         monkeypatch.setattr(region_module, "BOX_BLOCK_ENTRIES", block)
     rng = np.random.default_rng([dim, 61])
     cs = CausalStructure(dim=dim, c=1.0)
-    inside = boundary = 0
+    inside = boundary = dilated_only = 0
     # small blocks loop in Python point by point, so they get fewer sets
     for trial in range(60 if block is None else 15):
         region = Region.from_boxes(_random_box_set(rng, dim))
         for r in (0.0, 1.0 / 3.0, 0.5, 1.0):
             pts = _future_queries(rng, _grown_boxes(region, r), dim)
-            future = causal_future_on_slice(region, r, cs)
-            want = _oracle_contains_points(future, pts)
             got = SliceFuture(region, r, cs).contains_points(pts)
+            if dim == 1:
+                future = causal_future_on_slice(region, r, cs)
+                want = _oracle_contains_points(future, pts)
+                assert np.array_equal(future.contains_points(pts), want)
+            else:
+                pts = np.concatenate([pts, _rim_queries(rng, region, r, dim)])
+                got = SliceFuture(region, r, cs).contains_points(pts)
+                want = _oracle_in_cone_of_boxes(region, r, cs, pts)
+                reach = spacetime.cone_radius(r, cs)
+                dilated = _oracle_contains_points(
+                    Region(tuple(_grown_boxes(region, reach)), dim), pts)
+                assert not (want & ~dilated).any()
+                dilated_only += int((dilated & ~want).sum())
             assert got.dtype == bool and got.shape == (len(pts),)
             assert np.array_equal(got, want)
-            assert np.array_equal(future.contains_points(pts), want)
             assert np.array_equal(region.contains_points(pts),
                                   _oracle_contains_points(region, pts))
             inside += int(want.sum())
             boundary += int(len(pts) - want.sum())
     assert inside > 200 and boundary > 200
+    # the box dilation holds points that the cone does not
+    assert dim == 1 or dilated_only > 200
 
 
 @pytest.mark.parametrize("segments", [16, 32])
@@ -407,10 +447,43 @@ def test_slice_future_matches_on_annulus(segments):
     sc, _ = make_annulus_scenario(segments)
     rng = np.random.default_rng(segments)
     dt = sc.t_time - sc.s_time
-    pts = _future_queries(rng, _grown_boxes(sc.K, sc.cs.c * dt), 2)
-    assert np.array_equal(
-        SliceFuture(sc.K, dt, sc.cs).contains_points(pts),
-        _oracle_contains_points(sc.detector_future, pts))
+    r = sc.cs.c * dt
+    pts = np.concatenate([_future_queries(rng, _grown_boxes(sc.K, r), 2),
+                          _rim_queries(rng, sc.K, r, 2)])
+    want = _oracle_in_cone_of_boxes(sc.K, dt, sc.cs, pts)
+    assert np.array_equal(SliceFuture(sc.K, dt, sc.cs).contains_points(pts),
+                          want)
+    assert want.sum() > 100 and (~want).sum() > 100
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_slice_future_of_a_point_is_its_cone(dim, seed):
+    # a one-point K: the future test must mark exactly the targets of the
+    # point's row of the cone kernel, at the radius to the last ulp
+    rng = np.random.default_rng([dim, seed, 67])
+    cs = CausalStructure(dim=dim, c=float(rng.uniform(0.5, 2.0)))
+    dt = float(rng.uniform(0.0, 1.5))
+    x = rng.uniform(-1.0, 1.0, size=dim)
+    point = Region.point_boxes([x])
+    u = rng.normal(size=(40, dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    rim = x + spacetime.cone_radius(dt, cs) * u
+    on_axis = np.repeat(x[None], 2 * dim, axis=0)
+    for ax in range(dim):
+        on_axis[2 * ax, ax] += spacetime.cone_radius(dt, cs)
+        on_axis[2 * ax + 1, ax] -= spacetime.cone_radius(dt, cs)
+    edge = np.concatenate([rim, on_axis])
+    tgt = np.concatenate([edge, np.nextafter(edge, np.inf),
+                          np.nextafter(edge, -np.inf),
+                          rng.uniform(-3.0, 3.0, size=(60, dim))])
+    (row,) = next(cone_blocks(x[None], dt, cs, tgt))
+    got = SliceFuture(point, dt, cs).contains_points(tgt)
+    assert np.array_equal(got, row)
+    assert row.any() and not row.all()
+    # the ulp neighbours of the rim fall on both sides of it
+    rim_hits = row[:len(edge) * 3].reshape(3, -1)
+    assert (rim_hits.any(axis=0) & ~rim_hits.all(axis=0)).any()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -419,18 +492,40 @@ def test_slice_future_edge_cases(dim):
     pts = np.zeros((3, dim))
     empty = Region.empty(dim)
     assert not SliceFuture(empty, 1.0, cs).contains_points(pts).any()
-    assert np.array_equal(SliceFuture(empty, 1.0, cs).contains_points(pts),
-                          causal_future_on_slice(empty, 1.0, cs)
-                          .contains_points(pts))
     box = Region.from_boxes([((0.0,) * dim, (1.0,) * dim)])
     got = SliceFuture(box, 1.0, cs).contains_points(np.empty((0, dim)))
     assert got.shape == (0,) and got.dtype == bool
-    # the errors the built region raises, with the same messages
     huge = Region.from_boxes([((-1e308,) * dim, (1e308,) * dim)])
     other = CausalStructure(dim=dim % 3 + 1, c=1.0)
-    for args in ((huge, 1e308, cs), (box, -0.5, cs), (box, 1.0, other)):
-        with pytest.raises(ValueError) as built:
-            causal_future_on_slice(*args)
-        with pytest.raises(ValueError) as tested:
+    bad = ((huge, 1e308, cs), (box, -0.5, cs), (box, 1.0, other))
+    if dim == 1:
+        assert np.array_equal(
+            SliceFuture(empty, 1.0, cs).contains_points(pts),
+            causal_future_on_slice(empty, 1.0, cs).contains_points(pts))
+        # the errors the built region raises, with the same messages
+        for args in bad:
+            with pytest.raises(ValueError) as built:
+                causal_future_on_slice(*args)
+            with pytest.raises(ValueError) as tested:
+                SliceFuture(*args)
+            assert str(tested.value) == str(built.value)
+        return
+    for args in bad:
+        with pytest.raises(ValueError):
             SliceFuture(*args)
-        assert str(tested.value) == str(built.value)
+    # no box region holds the future of a region in d >= 2
+    for region in (empty, box):
+        with pytest.raises(ValueError, match="not a box region"):
+            causal_future_on_slice(region, 1.0, cs)
+
+
+def test_region_future_is_round_in_2d():
+    # the corner of the box dilation: within c*dt of K on each axis, but
+    # farther than c*dt from every point of K
+    k = Region.from_boxes([((-0.1, -0.1), (0.1, 0.1))])
+    pts = np.array([[0.9, 0.9], [0.7, 0.7], [1.1, 0.0], [1.0, 0.6]])
+    want = [False, True, True, False]
+    assert SliceFuture(k, 1.0, CS2).contains_points(pts).tolist() == want
+    assert [region_precedes_event(k, 0.0, Event(1.0, tuple(p)), CS2)
+            for p in pts.tolist()] == want
+    assert not region_precedes_event(k, 0.0, Event(-1.0, (0.0, 0.0)), CS2)

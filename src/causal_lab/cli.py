@@ -296,12 +296,18 @@ def cmd_check(args) -> int:
     rec = _base_record(args, "check", sc.digest)
     rec["condition"] = args.condition
     rec["method"] = args.method
+    try:
+        if args.condition == "ce":
+            verdict = check_ce(ms, method=args.method)
+        else:
+            report = evaluate_conditions(ms, method=args.method)
+    except ValueError as exc:
+        # e.g. nu before mu, or brute force on a grid or too many atoms
+        raise CliInputError(str(exc)) from exc
     if args.condition == "ce":
-        verdict = check_ce(ms, method=args.method)
         rec["result"] = _verdict_json(verdict)
         failed = not verdict.holds
     else:
-        report = evaluate_conditions(ms, method=args.method)
         flags = {"ce": report.ce, "ns": report.ns,
                  "a1": report.a1, "a2": report.a2}
         if args.condition == "all":
@@ -334,15 +340,20 @@ def cmd_truth_table(args) -> int:
 
 def _build_protocol(sc: Scenario):
     from .conditions import find_ns_witness
-    from .protocol import construct_protocol
+    from .protocol import ProtocolSearchError, construct_protocol
 
     ms = sc.measurement_scenario()
     lattice = sc.lattice()
-    witness = find_ns_witness(ms)
-    if witness is None:
-        raise LookupError("find_ns_witness found no marginal gap; "
-                          "the scenario does not signal")
-    return ms, lattice, construct_protocol(ms, witness, lattice)
+    try:
+        witness = find_ns_witness(ms)
+        if witness is None:
+            raise LookupError("find_ns_witness found no marginal gap; "
+                              "the scenario does not signal")
+        return ms, lattice, construct_protocol(ms, witness, lattice)
+    except ProtocolSearchError:
+        raise  # a search that came up empty, reported as a record
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 def _protocol_json(proto) -> dict:

@@ -76,11 +76,13 @@ class MeasurementScenario:
 
     @cached_property
     def detector_future(self) -> Region:
-        """Future cone of K intersected with the later slice, in d = 1.
+        """Future cone of K intersected with the later slice, in d = 1:
+        K's intervals grown by `cone_radius`.
 
         Built on demand, for callers that want the region; in d >= 2 that
         future is no box region and this raises `ValueError`.  The checks
-        below ask `_in_future`, in every dimension.
+        below ask `_in_future`, in every dimension; its squared-distance
+        test may differ from this region's ends by an ulp.
         """
         return causal_future_on_slice(self.K, self.t_time - self.s_time,
                                       self.cs)

@@ -115,10 +115,22 @@ def _in_boxes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce(np.logical_and.reduce(inside, axis=2), axis=1)
 
 
+def sum_squares(parts):
+    """Sum of p * p over the per-axis differences `parts`, left to right:
+    the one squared distance of the cone rule.  Floats and arrays run the
+    same operations in the same order, so scalar and array tests round
+    alike."""
+    total = 0.0
+    for p in parts:
+        total += p * p
+    return total
+
+
 def points_box_distance2(points: np.ndarray, lo: np.ndarray,
                          hi: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from each point to its nearest closed box:
-    per box the norm of max(lo - x, 0, x - hi); inf when there are none."""
+    per box the `sum_squares` of max(lo - x, 0, x - hi); inf when there are
+    none."""
     return _by_blocks(_box_distance2, points, lo, hi)
 
 
@@ -126,7 +138,7 @@ def _box_distance2(pts: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray) -> np.ndarray:
     p = pts[:, None, :]
     gap = np.maximum(np.maximum(lo - p, 0.0), p - hi)
-    dist2 = np.einsum("ijk,ijk->ij", gap, gap)
+    dist2 = sum_squares(gap.transpose(2, 0, 1))
     return np.minimum.reduce(dist2, axis=1, initial=np.inf)
 
 

@@ -1,25 +1,26 @@
 """Events, causal order and Lorentz boosts on flat spacetime.
 
 Spatial slices are labelled by coordinate time.  There is one cone, the
-exact Euclidean cone, in every dimension; its radius rule lives in
-`cone_radius` alone.  Every point-set cone test goes through one kernel,
-`cone_blocks`: per block of point sources it marks the targets in each
-source's closed cone (the causal future, |y - x| <= c*(dt + slack)) or,
-with `open_cone`, its open cone (the chronological future,
-|y - x| < c*(dt - slack)).  A point is in the future of a slice region
-when it is in the cone of the region's nearest point; `SliceFuture`
-answers that for point sets.  In d = 1 that future is again a union of
-intervals, which `causal_future_on_slice` builds; in d >= 2 it is a union
-of rounded boxes, which no box region holds.
+exact Euclidean cone, in every dimension and every form: a target is in
+a source's closed cone (causal future) when their squared distance is
+<= r * r, r = c*(dt + slack), and in its open cone (chronological
+future) when it is < r * r, r = c*(dt - slack) clamped at 0.  The radius
+comes from `cone_radius` alone and the squared distance from
+`region.sum_squares` alone, so the scalar predicates, the point-set
+kernel `cone_blocks` and the future of a slice region (`SliceFuture`,
+`region_precedes_event`: the cone of the region's nearest point) agree
+to the last ulp.  In d = 1 that future is a union of intervals, which
+`causal_future_on_slice` builds; in d >= 2 no box region holds it.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .region import Region, points_box_distance2, points_in_boxes
+from .region import Region, points_box_distance2, sum_squares
 
 # absolute slack, in time units, on the cone inequality dt >= |dx|/c
 EPS_CAUSAL = 1e-12
@@ -61,27 +62,23 @@ class BoostedFrame:
     axis: int = 0
 
 
-def _check_dims(a: Event, b: Event, cs: CausalStructure) -> None:
+def _squared_distance(a: Event, b: Event, cs: CausalStructure) -> float:
     if len(a.x) != cs.dim or len(b.x) != cs.dim:
         raise ValueError("event dimension does not match causal structure")
-
-
-def _spatial_distance(a: Event, b: Event) -> float:
-    return math.dist(a.x, b.x)
+    return sum_squares(map(operator.sub, b.x, a.x))
 
 
 def causally_precedes(a: Event, b: Event, cs: CausalStructure) -> bool:
     """Closed-cone order: b is reachable from a at speed <= c."""
-    _check_dims(a, b, cs)
     dt = b.t - a.t
-    return dt >= _spatial_distance(a, b) / cs.c - EPS_CAUSAL
+    r = cone_radius(dt, cs)
+    return _squared_distance(a, b, cs) <= r * r and dt >= -EPS_CAUSAL
 
 
 def chronologically_precedes(a: Event, b: Event, cs: CausalStructure) -> bool:
     """Open-cone order: b is reachable from a strictly slower than c."""
-    _check_dims(a, b, cs)
-    dt = b.t - a.t
-    return dt > _spatial_distance(a, b) / cs.c + EPS_CAUSAL
+    r = cone_radius(b.t - a.t, cs, open_cone=True)
+    return _squared_distance(a, b, cs) < r * r
 
 
 def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
@@ -91,27 +88,28 @@ def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
 def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Region:
     """Intersection of the causal future of a slice region with time + dt.
 
-    In d = 1 this is exact: the region's intervals grown by c*dt at both
-    ends.  In d >= 2 the future is a union of rounded boxes, which a union
-    of boxes cannot hold, so it raises `ValueError`; ask `SliceFuture`.
+    In d = 1: the intervals grown by `cone_radius` at both ends, which may
+    differ by an ulp at an end from `SliceFuture`, the test the checks ask.
+    In d >= 2 the future is a union of rounded boxes, which a union of
+    boxes cannot hold, so it raises `ValueError`; ask `SliceFuture`.
     """
     future = SliceFuture(region, dt, cs)
     if region.dim > 1:
         raise ValueError("the future of a region in d >= 2 is not a box "
                          "region; test points with SliceFuture")
-    return Region.from_boxes(zip(future.lo.tolist(), future.hi.tolist()), 1)
+    r = cone_radius(dt, cs)
+    return Region.from_boxes(
+        zip((future.lo - r).tolist(), (future.hi + r).tolist()), 1)
 
 
 class SliceFuture:
     """Membership test for the causal future of a slice region, dt later.
 
-    In d >= 2 a point is in it when its squared distance to the nearest
-    box of the region is at most the squared `cone_radius`.  In d = 1 it
-    holds the intervals grown by r = c*dt, ends a - r and b + r, without
-    the slack: the exact region `causal_future_on_slice` builds from them.
-    Anything that only reads `dim` and `contains_points` of a region
-    (`SliceMeasure.mass`, `restricted`, `restriction_distance`) accepts it
-    in place of one.
+    A point is in it when its squared distance to the nearest box of the
+    region is at most the squared `cone_radius`, in every dimension: the
+    closed cone of that box's nearest point.  Anything that only reads
+    `dim` and `contains_points` of a region (`SliceMeasure.mass`,
+    `restricted`, `restriction_distance`) accepts it in place of one.
     """
 
     def __init__(self, region: Region, dt: float, cs: CausalStructure):
@@ -121,26 +119,15 @@ class SliceFuture:
         if dt < 0:
             raise ValueError("slice separation must be nonnegative")
         self.dim = region.dim
-        if region.dim > 1:
-            self.lo, self.hi = region.corners
-            r = cone_radius(dt, cs)
-            self.r2 = r * r
-            if not math.isfinite(self.r2):
-                raise ValueError("cone radius overflows")
-            return
-        r = cs.c * dt
-        lo = [a - r for (a,), _ in region.boxes]
-        hi = [b + r for _, (b,) in region.boxes]
-        if not all(map(math.isfinite, lo + hi)):
-            raise ValueError("box corners must be finite")
-        self.lo = np.array(lo, dtype=float).reshape(-1, 1)
-        self.hi = np.array(hi, dtype=float).reshape(-1, 1)
+        self.lo, self.hi = region.corners
+        r = cone_radius(dt, cs)
+        self.r2 = r * r
+        if not math.isfinite(self.r2):
+            raise ValueError("cone radius overflows")
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, d) array of points, like Region's."""
-        if self.dim > 1:
-            return points_box_distance2(points, self.lo, self.hi) <= self.r2
-        return points_in_boxes(points, self.lo, self.hi)
+        return points_box_distance2(points, self.lo, self.hi) <= self.r2
 
 
 # pairwise entries per kernel block; bounds the kernel's scratch arrays
@@ -163,9 +150,9 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     """Yield, block by block of sources, which targets each one reaches.
 
     Each block is a boolean (b, n) array with one row per source, in
-    source order: a row marks the targets at squared distance <= radius**2
-    (closed cone) or < radius**2 (open cone) from its source, with the
-    radius of `cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS pairs, so
+    source order: a row marks the targets whose `sum_squares` distance
+    from its source is <= r * r (closed cone) or < r * r (open cone), with
+    r from `cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS pairs, so
     memory stays bounded; an empty source set still yields one (0, n)
     block.  `sources` is (k, d) and `targets` is (n, d).
     """
@@ -175,8 +162,10 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     r2 = r * r
     step = max(1, CONE_BLOCK_PAIRS // max(tgt.shape[0], 1))
     for start in range(0, max(src.shape[0], 1), step):
-        diff = tgt[None, :, :] - src[start:start + step, None, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        block = src[start:start + step]
+        # one (b, n) difference per axis: no (b, n, d) temporary
+        dist2 = sum_squares(tgt[:, ax] - block[:, ax, None]
+                            for ax in range(tgt.shape[1]))
         yield dist2 < r2 if open_cone else dist2 <= r2
 
 
@@ -201,10 +190,9 @@ def region_precedes_event(region: Region, slice_time: float, e: Event,
     if region.dim != cs.dim or len(e.x) != cs.dim:
         raise ValueError("dimension mismatch")
     dt = e.t - slice_time
-    if dt < -EPS_CAUSAL:
-        return False
-    r = cone_radius(max(dt, 0.0), cs)
-    return bool(points_box_distance2([e.x], *region.corners)[0] <= r * r)
+    r = cone_radius(dt, cs)
+    return dt >= -EPS_CAUSAL and bool(
+        points_box_distance2([e.x], *region.corners)[0] <= r * r)
 
 
 def boost(e: Event, frame: BoostedFrame, cs: CausalStructure) -> Event:
@@ -231,6 +219,4 @@ def inverse(frame: BoostedFrame) -> BoostedFrame:
 
 def interval_squared(a: Event, b: Event, cs: CausalStructure) -> float:
     """Invariant interval c^2 dt^2 - |dx|^2 between two events."""
-    _check_dims(a, b, cs)
-    dt = b.t - a.t
-    return (cs.c * dt) ** 2 - _spatial_distance(a, b) ** 2
+    return (cs.c * (b.t - a.t)) ** 2 - _squared_distance(a, b, cs)

@@ -336,11 +336,11 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
         if best is None or d > best:
             best = d
             best_subset = s
-    tol = 0 if exact else EPS_FLOW
+    if best <= (0 if exact else EPS_FLOW):
+        return CeVerdict(True, zero, None, "bruteforce")
     worst = Region.point_boxes(
         [atoms[i][0] for i in range(n) if best_subset >> i & 1], mu.dim)
-    deficit = best if best > 0 else zero
-    return CeVerdict(best <= tol, deficit, worst, "bruteforce")
+    return CeVerdict(False, best, worst, "bruteforce")
 
 
 def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,

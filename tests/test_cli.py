@@ -113,18 +113,20 @@ def test_check_single_condition_record(tmp_path, capsys):
 
 
 def test_check_methods_agree(tmp_path, capsys):
-    path = write_scenario(tmp_path, abc_payload(0.0, 1.0, 1.0))
-    records = {}
-    for method in ("bruteforce", "maxflow"):
-        code, out, _ = run_cli(capsys, "check", "ce", "--scenario", path,
-                               "--method", method)
-        assert code == 0
-        records[method] = parse_record(out)
-        assert records[method]["method"] == method
-        assert records[method]["result"]["method"] == method
-    bf, mf = records["bruteforce"], records["maxflow"]
-    assert bf["result"]["holds"] == mf["result"]["holds"]
-    assert bf["result"]["deficit"] == pytest.approx(mf["result"]["deficit"])
+    # a failing and a holding scenario: a holding verdict names no worst set
+    for abc, holds in (((0.0, 1.0, 1.0), False), ((0.7, 1.0, 0.4), True)):
+        path = write_scenario(tmp_path, abc_payload(*abc))
+        results = {}
+        for method in ("bruteforce", "maxflow"):
+            code, out, _ = run_cli(capsys, "check", "ce", "--scenario", path,
+                                   "--method", method)
+            assert code == 0
+            rec = parse_record(out)
+            assert rec["method"] == method
+            results[method] = rec["result"]
+            assert results[method].pop("method") == method
+        assert results["bruteforce"] == results["maxflow"]
+        assert results["maxflow"]["holds"] is holds
 
 
 def test_check_exact_rational_deficit(tmp_path, capsys):
@@ -373,6 +375,39 @@ def test_exit_code_two_on_schema_errors(tmp_path, capsys):
     assert "bad region" in err
 
 
+def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
+    payload = json.loads((DATA / "two_atom.json").read_text())
+    payload["measures"]["mu"]["time"] = 5.0  # after the detector slice
+    late = write_scenario(tmp_path, payload, name="late.json")
+    ring = abc_payload(0.5, 1.0, 0.0)
+    ring["measures"]["mu"]["atoms"] = [[0.1 * i, 1 / 32] for i in range(32)]
+    early_q = abc_payload(0.0, 1.0, 1.0,
+                          protocol={"lattice": dict(LATTICE, q_time=0.5)})
+    cases = [
+        (("protocol",), write_scenario(tmp_path, early_q, name="q.json"),
+         "receiver slice"),
+        (("check", "ce"), late, "later slice"),
+        (("check", "all"), late, "later slice"),
+        (("protocol",), late, "nonnegative"),
+        (("signal-sim",), late, "nonnegative"),
+        (("check", "ce", "--method", "bruteforce"),
+         str(DATA / "grid_1d.json"), "atomic mu"),
+        (("check", "ce", "--method", "bruteforce"),
+         write_scenario(tmp_path, ring, name="ring.json"), "capped"),
+    ]
+    for argv, path, message in cases:
+        code, out, err = run_cli(capsys, *argv, "--scenario", path)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+    # a lattice search that comes up empty is a record, not an input error
+    inside = dict(LATTICE, q_lo=[0.0], q_hi=[0.5])
+    path = write_scenario(tmp_path, abc_payload(
+        0.0, 1.0, 1.0, protocol={"lattice": inside}), name="inside.json")
+    code, out, _ = run_cli(capsys, "protocol", "--scenario", path)
+    assert code == 0
+    assert parse_record(out)["result"]["constructed"] is False
+
+
 def test_exact_rational_rejects_grid_measures(tmp_path, capsys):
     payload = abc_payload(0.5, 1.0, 0.0)
     payload["measures"]["nu0"] = {
@@ -400,8 +435,8 @@ def test_out_directory_written_atomically(tmp_path, capsys):
 # Records of d = 1 scenario files, each the stdout of
 # `causal-lab <command> --scenario tests/data/<file>` without its
 # wall_clock_s line, written when the future of a region in d >= 2 was
-# still a box dilation.  The d = 1 future and every d = 1 record are
-# unchanged since then, byte for byte.
+# still a box dilation and the d = 1 future had no cone slack.  Every
+# d = 1 record is unchanged since then, byte for byte.
 DATA = Path(__file__).parent / "data"
 GOLDEN = {
     "check_all_two_atom": ("check", "all", "two_atom.json"),

@@ -18,7 +18,7 @@ from causal_lab.measure import SliceMeasure, mixture
 from causal_lab.protocol import (audit_protocol, construct_protocol,
                                  make_annulus_scenario)
 from causal_lab.region import Region
-from causal_lab.spacetime import EPS_CAUSAL, CausalStructure
+from causal_lab.spacetime import EPS_CAUSAL, CausalStructure, cone_radius
 
 
 def test_valid_family_scenario_passes():
@@ -226,7 +226,8 @@ def test_scenario_times_and_future():
     sc = make_abc_scenario(0.5, 0.5, 0.5)
     assert sc.s_time == 0.0 and sc.t_time == 1.0
     bb = sc.detector_future.bounding_box()
-    assert bb == ((-1.25,), (1.25,))
+    reach = cone_radius(1.0, sc.cs)
+    assert bb == ((-0.25 - reach,), (0.25 + reach,))
 
 
 def test_family_rejects_out_of_range():
@@ -431,3 +432,31 @@ def test_ns_sees_a_loss_in_the_corner_of_the_box_dilation():
     proto = construct_protocol(sc, witness, lattice)
     assert proto.channel_gap == pytest.approx(0.25)
     assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+
+
+def _rim_loss_scenario(dim):
+    """K = [-0.25, 0.25] (a segment in d = 2), dt = c = 1, and nu1 losing
+    0.2 at 1.25 + 1e-13: inside the cone radius c*(dt + slack) of K's end,
+    so no receiver outside the future of K can see the loss."""
+    pad = (0.0,) * (dim - 1)
+    cs = CausalStructure(dim=dim, c=1.0)
+
+    def post(w_rim):
+        return SliceMeasure.from_atoms(1.0, [((1.25 + 1e-13,) + pad, w_rim),
+                                             ((0.5,) + pad, 1.0 - w_rim)])
+
+    nu0, plus, minus = post(0.6), post(0.5), post(0.3)
+    return MeasurementScenario(
+        cs=cs, K=Region.from_boxes([((-0.25,) + pad, (0.25,) + pad)]),
+        mu=SliceMeasure.from_atoms(0.0, [((0.0,) + pad, 1.0)]), nu0=nu0,
+        nu1=mixture(0.5, plus, minus), nu_plus=plus, nu_minus=minus,
+        p_plus=0.5)
+
+
+def test_ns_on_the_rim_is_the_same_in_d1_and_d2():
+    verdicts = []
+    for dim in (1, 2):
+        sc = _rim_loss_scenario(dim)
+        assert sc._in_future.contains_points(sc.nu0.positions).all()
+        verdicts.append((check_ns(sc), find_ns_witness(sc)))
+    assert verdicts == [(True, None), (True, None)]

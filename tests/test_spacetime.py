@@ -108,14 +108,21 @@ def test_boost_rejects_superluminal_frame():
 
 
 def test_future_on_slice_zero_dt_is_identity():
+    # at dt = 0 only the slack grows the region: by cone_radius(0) = c*slack
     r = Region.from_boxes([((-1.0,), (0.5,)), ((2.0,), (3.0,))])
-    assert causal_future_on_slice(r, 0.0, CS1).equals(r)
+    e = spacetime.cone_radius(0.0, CS1)
+    assert e == EPS_CAUSAL
+    assert causal_future_on_slice(r, 0.0, CS1).boxes == (
+        ((-1.0 - e,), (0.5 + e,)), ((2.0 - e,), (3.0 + e,)))
 
 
 def test_future_on_slice_dilates_by_ct():
     r = Region.interval(-1.0, 1.0)
-    out = causal_future_on_slice(r, 2.0, CausalStructure(dim=1, c=0.5))
-    assert out.bounding_box() == ((-2.0,), (2.0,))
+    cs = CausalStructure(dim=1, c=0.5)
+    out = causal_future_on_slice(r, 2.0, cs)
+    reach = spacetime.cone_radius(2.0, cs)
+    assert reach == 0.5 * (2.0 + EPS_CAUSAL)
+    assert out.bounding_box() == ((-1.0 - reach,), (1.0 + reach,))
 
 
 def test_future_on_slice_merges_boxes():
@@ -529,3 +536,54 @@ def test_region_future_is_round_in_2d():
     assert [region_precedes_event(k, 0.0, Event(1.0, tuple(p)), CS2)
             for p in pts.tolist()] == want
     assert not region_precedes_event(k, 0.0, Event(-1.0, (0.0, 0.0)), CS2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_cone_rule_on_the_rim(dim):
+    # points on the closed and open cone rims of a point and of a box, and
+    # their ulp neighbours: every cone test, scalar or array, decides each
+    # of them alike; in d = 1 this includes the detector future's ends
+    rng = np.random.default_rng([dim, 71])
+    straddles = 0
+    for _ in range(6):
+        cs = CausalStructure(dim=dim, c=float(rng.uniform(0.3, 3.0)))
+        dt = float(rng.uniform(0.0, 2.0))
+        x = rng.uniform(-1.0, 1.0, size=dim)
+        half = rng.uniform(0.0, 0.5, size=dim)
+        lo, hi = x - half, x + half
+        point = Region.point_boxes([x])
+        box = Region.from_boxes([(lo, hi)])
+        u = rng.normal(size=(30, dim))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        rims = []
+        for open_cone in (False, True):
+            r = spacetime.cone_radius(dt, cs, open_cone)
+            rims += [x + r * u, np.where(u > 0, hi, lo) + r * u]
+        base = np.concatenate(rims)
+        pts = np.concatenate([base, np.nextafter(base, np.inf),
+                              np.nextafter(base, -np.inf)])
+        events = [Event(dt, tuple(p)) for p in pts.tolist()]
+        src = Event(0.0, tuple(x.tolist()))
+        (closed,) = next(cone_blocks(x[None], dt, cs, pts))
+        (opened,) = next(cone_blocks(x[None], dt, cs, pts, open_cone=True))
+        assert [causally_precedes(src, e, cs) for e in events] \
+            == closed.tolist()
+        assert [chronologically_precedes(src, e, cs) for e in events] \
+            == opened.tolist()
+        assert np.array_equal(SliceFuture(point, dt, cs).contains_points(pts),
+                              closed)
+        assert [region_precedes_event(point, 0.0, e, cs) for e in events] \
+            == closed.tolist()
+        # a box: the cone of its nearest point, as audit_protocol asks
+        near = np.clip(pts, lo, hi).tolist()
+        want = [causally_precedes(Event(0.0, tuple(q)), e, cs)
+                for q, e in zip(near, events)]
+        assert SliceFuture(box, dt, cs).contains_points(pts).tolist() == want
+        assert [region_precedes_event(box, 0.0, e, cs) for e in events] \
+            == want
+        for hits in (closed, opened, np.array(want)):
+            triples = hits.reshape(3, -1)
+            straddles += int((triples.any(axis=0)
+                              & ~triples.all(axis=0)).sum())
+    # many rim points have ulp neighbours on both sides of the rim
+    assert straddles > 100

@@ -6,7 +6,8 @@ losing set C sits in its chronological past while q stays outside the
 future of K; lattice events whose chronological futures jointly cover K,
 none of them preceding q, act as senders.  Toggling the probe then shifts
 the detection frequency on C by the channel gap, which a thresholding
-decoder reads out.
+decoder reads out.  Every clause is one pass of `spacetime`'s kernels,
+which decide time order and overflow, over whole point sets.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from .spacetime import (
     BoostedFrame,
     CausalStructure,
     Event,
+    SliceFuture,
     boost,
     causally_precedes,
-    chronologically_precedes,
     cone_blocks,
     inverse,
     region_precedes_event,
@@ -96,16 +97,11 @@ class ProtocolSearchError(ValueError):
     """No valid receiver/sender assignment was found on the given lattice."""
 
 
-def _box_corners(region: Region):
-    for lo, hi in region.boxes:
-        yield from itertools.product(*zip(lo, hi))
-
-
-def _chronological_cell(cell: Region, q: Event, slice_time: float,
-                        cs: CausalStructure) -> bool:
-    """Whole cell strictly inside the chronological past of q."""
-    return all(chronologically_precedes(Event(slice_time, corner), q, cs)
-               for corner in _box_corners(cell))
+def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(n * 2**d, d) box corners, box by box, in `itertools.product` order."""
+    sides = itertools.product((False, True), repeat=lo.shape[1])
+    corners = np.stack([np.where(s, hi, lo) for s in sides], axis=1)
+    return corners.reshape(-1, lo.shape[1])
 
 
 def construct_protocol(sc: MeasurementScenario, witness: Region,
@@ -134,29 +130,34 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     keep = np.flatnonzero(witness.contains_points(pts)).tolist()
     if not keep:
         raise ProtocolSearchError("witness carries no positive marginal gap")
-    cells = [sc.nu0.cell_region([int(idx[i])]) for i in keep]
     cell_gaps = np.asarray([float(gaps[i]) for i in keep])
 
-    best: tuple[float, Event, list[int]] | None = None
-    for xq in lattice.q_candidates():
-        q = Event(lattice.q_time, tuple(float(v) for v in xq))
-        if region_precedes_event(sc.K, s_time, q, cs):
-            continue  # receiver must stay outside the future of K
-        sel = [i for i, cell in enumerate(cells)
-               if _chronological_cell(cell, q, t_time, cs)]
+    q_xs = lattice.q_candidates()
+    # a cell is in q's chronological past when all its corners are
+    half = sc.nu0.grid_cell / 2 if sc.nu0.is_grid else 0.0
+    corners = _box_corners(pts[keep] - half, pts[keep] + half)
+    seen = np.concatenate(list(cone_blocks(
+        corners, lattice.q_time - t_time, cs, q_xs, open_cone=True)))
+    seen = seen.reshape(len(keep), -1, len(q_xs)).all(axis=1)
+    # the receiver must stay outside the future of K
+    free = ~SliceFuture(sc.K, lattice.q_time - s_time, cs).contains_points(q_xs)
+    best: tuple[float, int, list[int]] | None = None
+    for j in np.flatnonzero(free).tolist():
+        sel = np.flatnonzero(seen[:, j]).tolist()
         if not sel:
             continue
         gap = float(cell_gaps[sel].sum())
         if gap <= float(sc.mass_tol):
             continue
         if best is None or gap > best[0] + 1e-15:
-            best = (gap, q, sel)
+            best = (gap, j, sel)
     if best is None:
         raise ProtocolSearchError(
             "no receiver event sees the witness gap while avoiding the "
             f"future of K; not found at this resolution (slice "
             f"t={lattice.q_time}, {lattice.q_points} points per axis)")
-    gap, q, sel = best
+    gap, j, sel = best
+    q = Event(lattice.q_time, tuple(float(v) for v in q_xs[j]))
     c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
 
     cand_events, _, cover_pts, reach = _sender_reach(sc, q, lattice)
@@ -195,8 +196,9 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     cand_xs = lattice.p_candidates()
     events = [Event(lattice.p_time, tuple(float(v) for v in x))
               for x in cand_xs]
-    eligible = np.asarray([not causally_precedes(p, q, sc.cs)
-                           for p in events])
+    # the candidates in q's past cone: the same distances, in one block
+    eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
+                                 cand_xs))[0]
     reach = np.concatenate(list(cone_blocks(
         cand_xs, sc.s_time - lattice.p_time, sc.cs, cover_pts,
         open_cone=True)))
@@ -213,37 +215,28 @@ def find_single_sender(sc: MeasurementScenario, q: Event,
     the scan comes up empty.
     """
     events, eligible, _, reach = _sender_reach(sc, q, lattice)
-    for p, ok, row in zip(events, eligible, reach):
-        if ok and row.all():
-            return p
-    return None
+    hits = np.flatnonzero(eligible & reach.all(axis=1))
+    return events[hits[0]] if hits.size else None
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
                    cover_resolution: float = 0.05) -> list[str]:
-    """Re-verify every protocol clause with the causal-order predicates."""
+    """Re-verify every protocol clause with the cone kernels."""
     cs = sc.cs
     out: list[str] = []
-    for corner in _box_corners(proto.C):
-        e = Event(sc.t_time, corner)
-        if not causally_precedes(e, proto.q, cs):
-            out.append(f"readout set leaves the causal past of q at {corner}")
-            break
-    for lo, hi in sc.K.boxes:
-        # the point of the box nearest to q reaches q if any point does
-        nearest = tuple(min(max(x, a), b)
-                        for a, b, x in zip(lo, hi, proto.q.x))
-        if causally_precedes(Event(sc.s_time, nearest), proto.q, cs):
-            out.append(f"receiver lies in the causal future of K at "
-                       f"{nearest}")
-            break
+    corners = _box_corners(*proto.C.corners)
+    late = np.flatnonzero(~next(cone_blocks(  # q's past cone, as above
+        [proto.q.x], proto.q.t - sc.t_time, cs, corners))[0])
+    if late.size:
+        out.append("readout set leaves the causal past of q at "
+                   f"{tuple(corners[late[0]].tolist())}")
+    if region_precedes_event(sc.K, sc.s_time, proto.q, cs):
+        out.append("receiver lies in the causal future of K")
     pts = sc.K.sample_points(cover_resolution)
     covered = np.zeros(len(pts), dtype=bool)
     for p in proto.senders:
-        for i, y in enumerate(pts):
-            if not covered[i] and chronologically_precedes(
-                    p, Event(sc.s_time, tuple(y)), cs):
-                covered[i] = True
+        covered |= next(cone_blocks([p.x], sc.s_time - p.t, cs, pts,
+                                    open_cone=True))[0]
     if not covered.all():
         out.append("sender futures fail to cover K's sample points")
     for p in proto.senders:

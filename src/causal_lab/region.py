@@ -305,20 +305,19 @@ class Region:
         """Cell centers of a per-box grid no coarser than `resolution`."""
         if resolution <= 0:
             raise ValueError("resolution must be positive")
-        chunks = []
-        for lo, hi in self.boxes:
-            axes = []
-            for a, b in zip(lo, hi):
-                width = b - a
-                n = max(1, math.ceil(width / resolution))
-                step = width / n
-                axes.append(a + (np.arange(n) + 0.5) * step if width > 0
-                            else np.array([a]))
-            grids = np.meshgrid(*axes, indexing="ij")
-            chunks.append(np.stack([g.ravel() for g in grids], axis=1))
-        if not chunks:
-            return np.empty((0, self.dim))
-        return np.concatenate(chunks, axis=0)
+        lo, hi = self.corners
+        width = hi - lo
+        n = np.maximum(1, np.ceil(width / resolution)).astype(np.int64)
+        counts = np.array([math.prod(r) for r in n.tolist()], dtype=np.int64)
+        box = np.repeat(np.arange(len(lo)), counts)
+        # each point's index within its box, unravelled last axis first
+        rest = np.arange(len(box)) - (np.cumsum(counts) - counts)[box]
+        out = np.empty((len(box), self.dim))
+        for ax in reversed(range(self.dim)):
+            rest, k = np.divmod(rest, n[box, ax])
+            a, w = lo[box, ax], width[box, ax]
+            out[:, ax] = np.where(w > 0, a + (k + 0.5) * (w / n[box, ax]), a)
+        return out
 
     def to_json(self) -> list:
         return [[list(lo), list(hi)] for lo, hi in self.boxes]

@@ -4,12 +4,12 @@ Spatial slices are labelled by coordinate time.  There is one cone, the
 exact Euclidean cone, in every dimension and every form: a target is in
 a source's closed cone (causal future) when their squared distance is
 <= r * r, r = c*(dt + slack), and in its open cone (chronological
-future) when it is < r * r, r = c*(dt - slack) clamped at 0.  The radius
-comes from `cone_radius` alone and the squared distance from
-`region.sum_squares` alone, so the scalar predicates, the point-set
-kernel `cone_blocks` and the future of a slice region (`SliceFuture`,
-`region_precedes_event`: the cone of the region's nearest point) agree
-to the last ulp.  In d = 1 that future is a union of intervals, which
+future) when it is < r * r, r = c*(dt - slack) clamped at 0.  Each form
+compares `region.sum_squares` with `squared_cone_radius`, which decides
+time order and overflow too, so the scalar predicates, the kernel
+`cone_blocks` and the future of a slice region (`SliceFuture`,
+`region_precedes_event`: the cone of its nearest point) agree to the
+last ulp.  In d = 1 that future is a union of intervals, which
 `causal_future_on_slice` builds; in d >= 2 no box region holds it.
 """
 from __future__ import annotations
@@ -70,15 +70,13 @@ def _squared_distance(a: Event, b: Event, cs: CausalStructure) -> float:
 
 def causally_precedes(a: Event, b: Event, cs: CausalStructure) -> bool:
     """Closed-cone order: b is reachable from a at speed <= c."""
-    dt = b.t - a.t
-    r = cone_radius(dt, cs)
-    return _squared_distance(a, b, cs) <= r * r and dt >= -EPS_CAUSAL
+    return _squared_distance(a, b, cs) <= squared_cone_radius(b.t - a.t, cs)
 
 
 def chronologically_precedes(a: Event, b: Event, cs: CausalStructure) -> bool:
     """Open-cone order: b is reachable from a strictly slower than c."""
-    r = cone_radius(b.t - a.t, cs, open_cone=True)
-    return _squared_distance(a, b, cs) < r * r
+    return _squared_distance(a, b, cs) < squared_cone_radius(
+        b.t - a.t, cs, open_cone=True)
 
 
 def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
@@ -120,10 +118,7 @@ class SliceFuture:
             raise ValueError("slice separation must be nonnegative")
         self.dim = region.dim
         self.lo, self.hi = region.corners
-        r = cone_radius(dt, cs)
-        self.r2 = r * r
-        if not math.isfinite(self.r2):
-            raise ValueError("cone radius overflows")
+        self.r2 = squared_cone_radius(dt, cs)
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, d) array of points, like Region's."""
@@ -145,6 +140,19 @@ def cone_radius(dt: float, cs: CausalStructure,
     return cs.c * (dt + EPS_CAUSAL)
 
 
+def squared_cone_radius(dt: float, cs: CausalStructure,
+                        open_cone: bool = False) -> float:
+    """`cone_radius` squared, the bound of every cone test.  A closed cone
+    more than the slack in the past is -inf, which no distance meets; a
+    square that overflows raises `ValueError`, as inf <= inf is inside."""
+    if not open_cone and dt < -EPS_CAUSAL:
+        return -math.inf  # the radius may underflow to -0.0 for tiny c
+    r = cone_radius(dt, cs, open_cone)
+    if not math.isfinite(r * r):
+        raise ValueError("cone radius overflows")
+    return r * r
+
+
 def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
                 targets: np.ndarray, open_cone: bool = False):
     """Yield, block by block of sources, which targets each one reaches.
@@ -152,14 +160,15 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     Each block is a boolean (b, n) array with one row per source, in
     source order: a row marks the targets whose `sum_squares` distance
     from its source is <= r * r (closed cone) or < r * r (open cone), with
-    r from `cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS pairs, so
-    memory stays bounded; an empty source set still yields one (0, n)
-    block.  `sources` is (k, d) and `targets` is (n, d).
+    r * r from `squared_cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS
+    pairs, so memory stays bounded; one source or none yields one block.
+    `sources` is (k, d), `targets` (n, d); swapped, they ask a past cone.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    r = cone_radius(dt, cs, open_cone)
-    r2 = r * r
+    if src.shape[1] != cs.dim or tgt.shape[1] != cs.dim:
+        raise ValueError("point dimension does not match causal structure")
+    r2 = squared_cone_radius(dt, cs, open_cone)
     step = max(1, CONE_BLOCK_PAIRS // max(tgt.shape[0], 1))
     for start in range(0, max(src.shape[0], 1), step):
         block = src[start:start + step]
@@ -189,10 +198,8 @@ def region_precedes_event(region: Region, slice_time: float, e: Event,
     """True if `e` is in the closed cone of the region's nearest point."""
     if region.dim != cs.dim or len(e.x) != cs.dim:
         raise ValueError("dimension mismatch")
-    dt = e.t - slice_time
-    r = cone_radius(dt, cs)
-    return dt >= -EPS_CAUSAL and bool(
-        points_box_distance2([e.x], *region.corners)[0] <= r * r)
+    r2 = squared_cone_radius(e.t - slice_time, cs)
+    return bool(points_box_distance2([e.x], *region.corners)[0] <= r2)
 
 
 def boost(e: Event, frame: BoostedFrame, cs: CausalStructure) -> Event:

@@ -27,7 +27,7 @@ from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
 from .region import Region
 from .spacetime import (CausalStructure, cone_blocks, cone_radius,
-                        point_cone_membership)
+                        point_cone_membership, squared_cone_radius)
 
 EPS_FLOW = 1e-9
 MAX_BRUTEFORCE_ATOMS = 20
@@ -149,17 +149,16 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     return Fraction(total - flow, den), net.left_points[left_side]
 
 
-def _cone_windows(x: np.ndarray, y: np.ndarray,
-                  reach: float) -> tuple[list[int], list[int]]:
+def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
+                  r2: float) -> tuple[list[int], list[int]]:
     """Index window [lo, hi) of sorted targets y in the cone of each x.
 
-    searchsorted places the ends; the closed-cone squared-distance test of
-    spacetime.cone_blocks then settles them, so a target is in a window
-    exactly when that kernel says so.  Rounding is monotone, so the test
-    splits sorted y into left-out, inside and right-out runs, and both
-    ends are nondecreasing in x.
+    searchsorted places the ends at x -+ reach; the closed-cone test
+    d * d <= r2 of spacetime.cone_blocks then settles them, so a target is
+    in a window exactly when that kernel says so.  Rounding is monotone,
+    so the test splits sorted y into left-out, inside and right-out runs,
+    and both ends are nondecreasing in x.
     """
-    r2 = reach * reach
     m = len(y)
 
     def not_left_of_cone(j, i):
@@ -201,13 +200,14 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     The cut side is what the residual graph reaches from leftover supply:
     a source reaches its window, a target the sources that sent it flow.
     """
-    reach = cone_radius(_slice_gap(mu, nu, cs), cs)
+    dt = _slice_gap(mu, nu, cs)
+    reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
     x, y = left_pts[:, 0], right_pts[:, 0]
     left_order = np.argsort(x, kind="stable")
     right_order = np.argsort(y, kind="stable")
-    lo, hi = _cone_windows(x[left_order], y[right_order], reach)
+    lo, hi = _cone_windows(x[left_order], y[right_order], reach, r2)
     den, caps = _integer_lift(left_caps + right_caps)
     nl = len(left_caps)
     supply = [caps[i] for i in left_order.tolist()]

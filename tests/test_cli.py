@@ -383,9 +383,20 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
     ring["measures"]["mu"]["atoms"] = [[0.1 * i, 1 / 32] for i in range(32)]
     early_q = abc_payload(0.0, 1.0, 1.0,
                           protocol={"lattice": dict(LATTICE, q_time=0.5)})
+    # a cone radius of 1e200 squares to inf
+    far_q = abc_payload(0.0, 1.0, 1.0,
+                        protocol={"lattice": dict(LATTICE, q_time=1e200)})
+    far_nu = abc_payload(0.0, 1.0, 1.0)
+    for name in ("nu0", "nu1", "nup", "num"):
+        far_nu["measures"][name]["time"] = 1e200
+    far_nu = write_scenario(tmp_path, far_nu, name="far_nu.json")
     cases = [
         (("protocol",), write_scenario(tmp_path, early_q, name="q.json"),
          "receiver slice"),
+        (("protocol",), write_scenario(tmp_path, far_q, name="far_q.json"),
+         "cone radius overflows"),
+        (("check", "ce"), far_nu, "cone radius overflows"),
+        (("check", "all"), far_nu, "cone radius overflows"),
         (("check", "ce"), late, "later slice"),
         (("check", "all"), late, "later slice"),
         (("protocol",), late, "nonnegative"),

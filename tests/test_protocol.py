@@ -1,13 +1,17 @@
 """Signalling protocol construction, audit, simulation, paradox loop."""
 
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers
-from causal_lab.conditions import find_ns_witness, make_abc_scenario
+from causal_lab.conditions import (find_ns_witness, make_abc_scenario,
+                                   ns_gap_support)
+from causal_lab.measure import SliceMeasure
 from causal_lab.protocol import (ABC_LATTICE, LatticeSpec, ProtocolSearchError,
                                  SignallingProtocol, audit_protocol,
                                  construct_protocol, find_single_sender,
@@ -15,8 +19,8 @@ from causal_lab.protocol import (ABC_LATTICE, LatticeSpec, ProtocolSearchError,
                                  simulate_signalling)
 from causal_lab.region import Region
 from causal_lab.spacetime import (BoostedFrame, Event, boost,
-                                  causally_precedes, inverse,
-                                  region_precedes_event)
+                                  causally_precedes, chronologically_precedes,
+                                  cone_blocks, inverse, region_precedes_event)
 
 
 def _abc_protocol(a=0.0, b=1.0, c=1.0):
@@ -230,3 +234,234 @@ def test_round_trip_needs_fast_enough_frame():
     # u = 2 needs v above 2u/(1+u^2) = 0.8
     assert not round_trip_check(proto, BoostedFrame(v=0.7), cs)
     assert round_trip_check(proto, BoostedFrame(v=0.81), cs)
+
+
+# -- the per-point predicates the kernels replaced, kept as the oracle --------
+
+
+def _oracle_box_corners(region):
+    for lo, hi in region.boxes:
+        yield from itertools.product(*zip(lo, hi))
+
+
+def _oracle_chronological_cell(cell, q, slice_time, cs):
+    """Whole cell strictly inside the chronological past of q."""
+    return all(chronologically_precedes(Event(slice_time, corner), q, cs)
+               for corner in _oracle_box_corners(cell))
+
+
+def _oracle_construct(sc, witness, lattice):
+    cs = sc.cs
+    s_time, t_time = sc.s_time, sc.t_time
+    if lattice.q_time <= t_time:
+        raise ValueError("receiver slice must come after the readout slice")
+    if lattice.p_time >= s_time:
+        raise ValueError("sender slice must come before the source slice")
+    if witness is None or witness.is_empty:
+        raise ProtocolSearchError("scenario provides no marginal-gap witness")
+
+    idx, pts, gaps = ns_gap_support(sc)
+    keep = np.flatnonzero(witness.contains_points(pts)).tolist()
+    if not keep:
+        raise ProtocolSearchError("witness carries no positive marginal gap")
+    cells = [sc.nu0.cell_region([int(idx[i])]) for i in keep]
+    cell_gaps = np.asarray([float(gaps[i]) for i in keep])
+
+    best = None
+    for xq in lattice.q_candidates():
+        q = Event(lattice.q_time, tuple(float(v) for v in xq))
+        if region_precedes_event(sc.K, s_time, q, cs):
+            continue  # receiver must stay outside the future of K
+        sel = [i for i, cell in enumerate(cells)
+               if _oracle_chronological_cell(cell, q, t_time, cs)]
+        if not sel:
+            continue
+        gap = float(cell_gaps[sel].sum())
+        if gap <= float(sc.mass_tol):
+            continue
+        if best is None or gap > best[0] + 1e-15:
+            best = (gap, q, sel)
+    if best is None:
+        raise ProtocolSearchError(
+            "no receiver event sees the witness gap while avoiding the "
+            f"future of K; not found at this resolution (slice "
+            f"t={lattice.q_time}, {lattice.q_points} points per axis)")
+    gap, q, sel = best
+    c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
+
+    cand_events, _, cover_pts, reach = _oracle_sender_reach(sc, q, lattice)
+    senders = []
+    covered = np.zeros(len(cover_pts), dtype=bool)
+    while not covered.all():
+        gains = (reach & ~covered[None, :]).sum(axis=1)
+        pick = int(np.argmax(gains))
+        if gains[pick] == 0:
+            missing = cover_pts[~covered][0]
+            raise ProtocolSearchError(
+                "no eligible sender reaches the sample point at "
+                f"{tuple(float(v) for v in missing)}; not found at this "
+                f"resolution (slice t={lattice.p_time}, "
+                f"{lattice.p_points} points per axis)")
+        senders.append(cand_events[pick])
+        covered |= reach[pick]
+    proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
+                               senders=tuple(senders), channel_gap=gap)
+    problems = _oracle_audit(proto, sc, lattice.cover_resolution)
+    if problems:
+        raise ProtocolSearchError("constructed protocol failed its audit: "
+                                  + "; ".join(problems))
+    return proto
+
+
+def _oracle_sender_reach(sc, q, lattice):
+    cover_pts = sc.K.sample_points(lattice.cover_resolution)
+    cand_xs = lattice.p_candidates()
+    events = [Event(lattice.p_time, tuple(float(v) for v in x))
+              for x in cand_xs]
+    eligible = np.asarray([not causally_precedes(p, q, sc.cs)
+                           for p in events])
+    reach = np.concatenate(list(cone_blocks(
+        cand_xs, sc.s_time - lattice.p_time, sc.cs, cover_pts,
+        open_cone=True)))
+    reach[~eligible, :] = False
+    return events, eligible, cover_pts, reach
+
+
+def _oracle_single_sender(sc, q, lattice):
+    events, eligible, _, reach = _oracle_sender_reach(sc, q, lattice)
+    for p, ok, row in zip(events, eligible, reach):
+        if ok and row.all():
+            return p
+    return None
+
+
+def _oracle_audit(proto, sc, cover_resolution=0.05):
+    cs = sc.cs
+    out = []
+    for corner in _oracle_box_corners(proto.C):
+        e = Event(sc.t_time, corner)
+        if not causally_precedes(e, proto.q, cs):
+            out.append(f"readout set leaves the causal past of q at {corner}")
+            break
+    for lo, hi in sc.K.boxes:
+        # the point of the box nearest to q reaches q if any point does
+        nearest = tuple(min(max(x, a), b)
+                        for a, b, x in zip(lo, hi, proto.q.x))
+        if causally_precedes(Event(sc.s_time, nearest), proto.q, cs):
+            # the clamp names the point; region_precedes_event does not
+            out.append("receiver lies in the causal future of K")
+            break
+    pts = sc.K.sample_points(cover_resolution)
+    covered = np.zeros(len(pts), dtype=bool)
+    for p in proto.senders:
+        for i, y in enumerate(pts):
+            if not covered[i] and chronologically_precedes(
+                    p, Event(sc.s_time, tuple(y)), cs):
+                covered[i] = True
+    if not covered.all():
+        out.append("sender futures fail to cover K's sample points")
+    for p in proto.senders:
+        if causally_precedes(p, proto.q, cs):
+            out.append(f"sender {p} causally precedes the receiver")
+    gap = float(sc.nu0.mass(proto.C)) - float(sc.nu1.mass(proto.C))
+    if gap <= 0:
+        out.append("channel gap vanishes on re-evaluation")
+    elif abs(gap - proto.channel_gap) > 1e-9:
+        out.append("stored channel gap disagrees with the scenario")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # ProtocolSearchError included
+        return type(exc), str(exc)
+
+
+def _reweighted_annulus(segments, seed):
+    """The annulus with random ring weights, and a probe that leaves part
+    of the centre's mass in place."""
+    sc, lattice = make_annulus_scenario(segments)
+    rng = np.random.default_rng([segments, seed])
+    ring = [p for p, _ in sc.mu.atoms]
+    w = rng.random(segments) + 0.1
+    w /= w.sum()
+    m = float(rng.uniform(0.2, 1.0))
+    mu = SliceMeasure.from_atoms(sc.s_time, list(zip(ring, w)))
+    stay = SliceMeasure.from_atoms(sc.t_time, [((0.0, 0.0), 1.0 - m)]
+                                   + list(zip(ring, m * w)))
+    return replace(sc, mu=mu, nu1=stay, nu_plus=stay, nu_minus=stay), lattice
+
+
+def _oracle_cases():
+    for a in np.linspace(0.0, 1.0, 5):
+        for c in np.linspace(0.0, 1.0, 5):
+            yield make_abc_scenario(float(a), 1.0, float(c)), ABC_LATTICE
+    yield make_abc_scenario(Fraction(1, 4), 1, 0, exact=True), ABC_LATTICE
+    # searches that come up empty: no free receiver, no covering sender
+    for bad in (replace(ABC_LATTICE, q_lo=(0.0,), q_hi=(1.0,), q_points=3),
+                replace(ABC_LATTICE, p_lo=(3.0,), p_points=3)):
+        yield make_abc_scenario(0.0, 1.0, 1.0), bad
+    for segments in (8, 16, 24, 64):
+        yield make_annulus_scenario(segments)
+        yield _reweighted_annulus(segments, 0)
+    yield helpers.cone_corner_scenario()
+    grid_lattice = LatticeSpec(q_time=2.0, q_lo=(-3.5,), q_hi=(3.5,),
+                               q_points=29, p_time=-1.0, p_lo=(-3.0,),
+                               p_hi=(3.0,), p_points=41,
+                               cover_resolution=0.05)
+    rng = np.random.default_rng(5)
+    grids = 0
+    while grids < 3:
+        sc, _ = helpers.random_grid_scenario(rng)
+        if find_ns_witness(sc) is not None:
+            grids += 1
+            yield sc, grid_lattice
+
+
+def _tampered(proto, sc, resolution):
+    """A sender after s, q before t, q inside the future of K; q on the
+    cone rim of a corner of C, and a lone sender with a sample point of K
+    on its cone rim, where the open and the closed cone part ways."""
+    p = proto.senders[0]
+    late = Event(sc.s_time + 0.5, p.x)
+    k_lo, k_hi = sc.K.boxes[0]
+    mid = tuple(0.5 * (a + b) for a, b in zip(k_lo, k_hi))
+    corner = next(_oracle_box_corners(proto.C))
+    rim_q = (corner[0] + sc.cs.c * (proto.q.t - sc.t_time),) + corner[1:]
+    y = min(sc.K.sample_points(resolution).tolist())
+    rim_p = (y[0] + sc.cs.c * (sc.s_time - p.t),) + tuple(y[1:])
+    return (replace(proto, senders=(late,) + proto.senders[1:]),
+            replace(proto, senders=proto.senders + (late,)),
+            replace(proto, q=Event(sc.t_time - 0.25, proto.q.x)),
+            replace(proto, q=Event(proto.q.t, mid)),
+            replace(proto, q=Event(proto.q.t, rim_q)),
+            replace(proto, senders=(Event(p.t, rim_p),)))
+
+
+def test_protocol_matches_per_point_oracle():
+    built = found = failed = 0
+    for sc, lattice in _oracle_cases():
+        witness = find_ns_witness(sc)
+        if witness is None:
+            continue
+        proto = _outcome(construct_protocol, sc, witness, lattice)
+        assert proto == _outcome(_oracle_construct, sc, witness, lattice)
+        if not isinstance(proto, SignallingProtocol):
+            failed += 1
+            continue
+        built += 1
+        assert proto.C.boxes == _oracle_construct(sc, witness, lattice).C.boxes
+        single = find_single_sender(sc, proto.q, lattice)
+        assert single == _oracle_single_sender(sc, proto.q, lattice)
+        found += single is not None
+        res = lattice.cover_resolution
+        tampered = _tampered(proto, sc, res)
+        for t in (proto,) + tampered:
+            assert audit_protocol(t, sc, res) == _oracle_audit(t, sc, res)
+        # every clause fails on some tampered protocol
+        problems = [p for t in tampered for p in audit_protocol(t, sc, res)]
+        for start in ("readout set leaves", "receiver lies in the causal",
+                      "sender Event"):
+            assert any(p.startswith(start) for p in problems), start
+    assert built > 20 and 0 < found < built and failed == 2

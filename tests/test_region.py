@@ -267,3 +267,49 @@ def test_box_distance2_matches_loop(dim):
     assert zeros > 500
     empty = points_box_distance2(pts, *Region.empty(dim).corners)
     assert empty.tolist() == [math.inf] * len(pts)
+
+
+def _oracle_sample_points(region, resolution):
+    """One meshgrid per box, in box order."""
+    chunks = []
+    for lo, hi in region.boxes:
+        axes = []
+        for a, b in zip(lo, hi):
+            width = b - a
+            n = max(1, math.ceil(width / resolution))
+            step = width / n
+            axes.append(a + (np.arange(n) + 0.5) * step if width > 0
+                        else np.array([a]))
+        grids = np.meshgrid(*axes, indexing="ij")
+        chunks.append(np.stack([g.ravel() for g in grids], axis=1))
+    if not chunks:
+        return np.empty((0, region.dim))
+    return np.concatenate(chunks, axis=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_points_match_per_box_grids(dim):
+    rng = np.random.default_rng([dim, 61])
+    flat = 0
+    for _ in range(60):
+        region = Region.from_boxes(_random_box_set(rng, dim))
+        for res in (0.05, 1.0 / 3.0, float(rng.uniform(0.01, 2.0))):
+            got = region.sample_points(res)
+            want = _oracle_sample_points(region, res)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            # bit for bit, the sign of a zero included
+            assert got.tobytes() == want.tobytes()
+        flat += any(a == b for lo, hi in region.boxes
+                    for a, b in zip(lo, hi))
+    assert flat > 5  # width-0 axes were exercised
+    for region in (Region.empty(dim),
+                   Region.from_boxes([((-0.0,) * dim, (-0.0,) * dim)])):
+        assert region.sample_points(0.1).tobytes() \
+            == _oracle_sample_points(region, 0.1).tobytes()
+
+
+def test_sample_points_count_does_not_wrap():
+    # 2**32 cells per axis: 2**64 points, which int64 arithmetic wraps to 0
+    unit = Region.from_boxes([((0.0, 0.0), (1.0, 1.0))])
+    with pytest.raises(OverflowError):
+        unit.sample_points(2.0 ** -32)

@@ -587,3 +587,53 @@ def test_one_cone_rule_on_the_rim(dim):
                               & ~triples.all(axis=0)).sum())
     # many rim points have ulp neighbours on both sides of the rim
     assert straddles > 100
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cone_kernel_keeps_time_order(dim):
+    # targets before the source: only within the slack may the closed cone
+    # reach back; with a tiny c the radius underflows to -0.0, and the
+    # source's own position must still be out of its past
+    rng = np.random.default_rng([dim, 83])
+    for c in (1.0, 2.5, 5e-324):
+        cs = CausalStructure(dim=dim, c=c)
+        for dt in (-1.0, -2 * EPS_CAUSAL, -EPS_CAUSAL / 2):
+            x = rng.uniform(-1.0, 1.0, size=dim)
+            u = rng.normal(size=(12, dim))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            r = abs(cs.c * (dt + EPS_CAUSAL))
+            base = np.concatenate([x[None], x + 0.5 * r * u, x + r * u])
+            pts = np.concatenate([base, np.nextafter(base, np.inf),
+                                  np.nextafter(base, -np.inf)])
+            events = [Event(dt, tuple(p)) for p in pts.tolist()]
+            src = Event(0.0, tuple(x.tolist()))
+            (closed,) = next(cone_blocks(x[None], dt, cs, pts))
+            (opened,) = next(cone_blocks(x[None], dt, cs, pts,
+                                         open_cone=True))
+            want = [causally_precedes(src, e, cs) for e in events]
+            assert closed.tolist() == want
+            assert opened.tolist() == [chronologically_precedes(src, e, cs)
+                                       for e in events]
+            assert [region_precedes_event(Region.point_boxes([x]), 0.0, e,
+                                          cs) for e in events] == want
+            assert not opened.any()
+            assert closed.any() == (dt == -EPS_CAUSAL / 2)
+
+
+def test_cone_radius_overflow_raises():
+    # 1e200 squared is inf, and inf <= inf would put 1e300 inside the cone
+    cs = CausalStructure(dim=1, c=1.0)
+    a, b = Event(0.0, (0.0,)), Event(1e200, (1e300,))
+    k = Region.point_boxes([a.x])
+    asks = (lambda: causally_precedes(a, b, cs),
+            lambda: chronologically_precedes(a, b, cs),
+            lambda: next(cone_blocks([a.x], b.t, cs, [b.x])),
+            lambda: next(cone_blocks([a.x], b.t, cs, [b.x], open_cone=True)),
+            lambda: region_precedes_event(k, a.t, b, cs),
+            lambda: SliceFuture(k, b.t, cs))
+    for ask in asks:
+        with pytest.raises(ValueError, match="^cone radius overflows$"):
+            ask()
+    # below the overflow the cone still decides
+    assert not causally_precedes(a, Event(1e150, (1e300,)), cs)
+    assert causally_precedes(a, Event(1e150, (1e149,)), cs)

@@ -277,7 +277,7 @@ def test_cone_windows_match_squared_predicate(seed):
     x = np.sort(rng.integers(-30, 31, 40) * scale)
     y = np.sort(np.unique(rng.integers(-30, 31, 40) * scale))
     reach = float(rng.integers(0, 6)) * scale
-    lo, hi = transport._cone_windows(x, y, reach)
+    lo, hi = transport._cone_windows(x, y, reach, reach * reach)
     inside = (y[None, :] - x[:, None]) ** 2 <= reach * reach
     for i in range(len(x)):
         want = np.flatnonzero(inside[i])

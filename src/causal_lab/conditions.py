@@ -34,7 +34,6 @@ from .region import Region
 from .spacetime import CausalStructure, SliceFuture, causal_future_on_slice
 from .transport import (
     EPS_FLOW,
-    MAX_BRUTEFORCE_ATOMS,
     CeVerdict,
     check_ce_bruteforce,
     check_ce_maxflow,
@@ -189,13 +188,15 @@ def check_a2(sc: MeasurementScenario) -> bool:
 
 
 def check_ce(sc: MeasurementScenario, method: str = "auto") -> CeVerdict:
-    """Ordering condition between mu and the unconditional nu0."""
-    if method == "auto":
-        method = ("bruteforce" if sc.mu.is_atomic
-                  and len(sc.mu.atoms) <= MAX_BRUTEFORCE_ATOMS else "maxflow")
+    """Ordering condition between mu and the unconditional nu0.
+
+    "auto" is "maxflow", exact and polynomial for every input: the sweep in
+    d = 1, Dinic in d >= 2.  "bruteforce" enumerates mu's atom subsets and
+    stays as an oracle to check the flow against.
+    """
     if method == "bruteforce":
         return check_ce_bruteforce(sc.mu, sc.nu0, sc.cs)
-    if method == "maxflow":
+    if method in ("auto", "maxflow"):
         return check_ce_maxflow(sc.mu, sc.nu0, sc.cs)
     raise ValueError(f"unknown method {method!r}")
 

@@ -87,6 +87,11 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
 # the heap (atoms_2d peak RSS +15% at 4M entries)
 BOX_BLOCK_ENTRIES = 65_536
 
+# most points one `Region.sample_points` call makes: its arrays peak near
+# 100 bytes a point in d = 3, so about 100 MB; a finer request raises
+# ValueError instead of asking numpy for an array that cannot be allocated
+MAX_SAMPLE_POINTS = 1_000_000
+
 
 def _by_blocks(kernel, points: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
@@ -307,8 +312,19 @@ class Region:
             raise ValueError("resolution must be positive")
         lo, hi = self.corners
         width = hi - lo
-        n = np.maximum(1, np.ceil(width / resolution)).astype(np.int64)
-        counts = np.array([math.prod(r) for r in n.tolist()], dtype=np.int64)
+        # per-box counts in Python ints, which cannot wrap; a step count
+        # that overflows a float is past any limit, and math.ceil rejects it
+        steps = [[w / resolution for w in row] for row in width.tolist()]
+        if any(q == math.inf for row in steps for q in row):
+            raise ValueError(
+                f"sampling at resolution {resolution!r} overflows")
+        n = [[max(1, math.ceil(q)) for q in row] for row in steps]
+        counts = [math.prod(row) for row in n]
+        if sum(counts) > MAX_SAMPLE_POINTS:
+            raise ValueError(
+                f"sampling at resolution {resolution!r} takes {sum(counts)} "
+                f"points, above the limit of {MAX_SAMPLE_POINTS}")
+        n = np.array(n, dtype=np.int64).reshape(len(n), self.dim)
         box = np.repeat(np.arange(len(lo)), counts)
         # each point's index within its box, unravelled last axis first
         rest = np.arange(len(box)) - (np.cumsum(counts) - counts)[box]

@@ -13,13 +13,21 @@ c*dt, so the cone graph is proper convex and filling the leftmost live
 target first is a maximum flow (Glover 1967); no graph is built.  Both
 solvers run on the same exact integer lift of the capacities and take the
 min-cut side from residual reachability, which is the same set for every
-maximum flow, so they name the same worst set.
+maximum flow, so they name the same worst set.  Small atomic inputs in
+d = 1 place the sweep's windows on Python lists, large ones and grids with
+numpy; both paths give the same windows.
+
+`conditions.check_ce` with method "auto" always runs this max-flow check.
+The exhaustive subset scan `check_ce_bruteforce` stays for
+`--method bruteforce`, for the truth table and as the test oracle.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +38,13 @@ from .spacetime import (CausalStructure, cone_blocks, cone_radius,
                         point_cone_membership, squared_cone_radius)
 
 EPS_FLOW = 1e-9
+_EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
+# up to this many atoms in mu (with nu atomic too), the d = 1 sweep places
+# its windows on Python lists.  Measured per `_solve_sweep_1d` call on
+# random atoms (best of 9, 2-core VM): lists 20 us against numpy's 113 us
+# at 2 atoms and 190-350 against 260-420 us at 64; the two cross near 100.
+SMALL_SWEEP_ATOMS = 64
 
 
 @dataclass(frozen=True)
@@ -128,8 +142,9 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 
 
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
-                 cs: CausalStructure) -> tuple[Fraction, np.ndarray]:
-    """Exact max-flow deficit and min-cut left points, by Dinic."""
+                 cs: CausalStructure) -> tuple[int, int, np.ndarray]:
+    """Exact max-flow deficit and min-cut left points, by Dinic, with the
+    deficit as leftover supply over the lift's denominator."""
     net = build_flow_network(mu, nu, cs)
     nl, nr = net.num_left, net.num_right
     n = nl + nr + 2
@@ -146,7 +161,7 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     edges.extend((1 + nl + j, snk, c) for j, c in enumerate(rint))
     flow, _, side = dinic_max_flow(n, edges, src, snk)
     left_side = [i for i in range(nl) if (1 + i) in side]
-    return Fraction(total - flow, den), net.left_points[left_side]
+    return total - flow, den, net.left_points[left_side]
 
 
 def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
@@ -190,8 +205,45 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
     return lo, hi
 
 
+def _small_cone_windows(x: list, y: list, reach: float,
+                        r2: float) -> tuple[list[int], list[int]]:
+    """`_cone_windows` on lists: bisect places each end, and the same
+    tests on the same floats settle it, so the windows are identical."""
+    m = len(y)
+    lo, hi = [], []
+    for xi in x:
+        j = bisect_left(y, xi - reach)
+        while j > 0 and ((d := y[j - 1] - xi) >= 0 or d * d <= r2):
+            j -= 1
+        while j < m and not ((d := y[j] - xi) >= 0 or d * d <= r2):
+            j += 1
+        lo.append(j)
+        j = bisect_right(y, xi + reach)
+        while j > 0 and (d := y[j - 1] - xi) > 0 and d * d > r2:
+            j -= 1
+        while j < m and not ((d := y[j] - xi) > 0 and d * d > r2):
+            j += 1
+        hi.append(j)
+    return lo, hi
+
+
+def _sorted_atoms(m: SliceMeasure) -> tuple[list[float], list]:
+    """Positions and weights of the positive atoms of a d = 1 measure, in
+    stable position order (the order of a stable argsort)."""
+    atoms = sorted(((p[0], w) for p, w in m.atoms if w > 0),
+                   key=itemgetter(0))
+    return [p for p, _ in atoms], [w for _, w in atoms]
+
+
+def _sorted_support(m: SliceMeasure) -> tuple[np.ndarray, list]:
+    """`_support` of a d = 1 measure in stable position order."""
+    pts, caps = _support(m)
+    order = np.argsort(pts[:, 0], kind="stable")
+    return pts[order, 0], [caps[i] for i in order.tolist()]
+
+
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
-                    cs: CausalStructure) -> tuple[Fraction, np.ndarray]:
+                    cs: CausalStructure) -> tuple[int, int, list]:
     """Exact max-flow deficit and min-cut left points in one dimension.
 
     Sources are taken left to right; each fills the leftmost target of its
@@ -199,19 +251,24 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     out of reach of every later source, so this greedy flow is maximum.
     The cut side is what the residual graph reaches from leftover supply:
     a source reaches its window, a target the sources that sent it flow.
+    Returns the leftover supply and the lift's denominator as integers.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
-    left_pts, left_caps = _support(mu)
-    right_pts, right_caps = _support(nu)
-    x, y = left_pts[:, 0], right_pts[:, 0]
-    left_order = np.argsort(x, kind="stable")
-    right_order = np.argsort(y, kind="stable")
-    lo, hi = _cone_windows(x[left_order], y[right_order], reach, r2)
+    if (mu.is_atomic and nu.is_atomic
+            and len(mu.atoms) <= SMALL_SWEEP_ATOMS):
+        x, left_caps = _sorted_atoms(mu)
+        y, right_caps = _sorted_atoms(nu)
+        lo, hi = _small_cone_windows(x, y, reach, r2)
+    else:
+        xs, left_caps = _sorted_support(mu)
+        ys, right_caps = _sorted_support(nu)
+        lo, hi = _cone_windows(xs, ys, reach, r2)
+        x = xs.tolist()
     den, caps = _integer_lift(left_caps + right_caps)
     nl = len(left_caps)
-    supply = [caps[i] for i in left_order.tolist()]
-    room = [caps[nl + j] for j in right_order.tolist()]
+    supply = caps[:nl]
+    room = caps[nl:]
 
     # the sources sending flow into target j are the run first[j]..last[j]
     m = len(room)
@@ -255,8 +312,7 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
                     cut[k] = True
                     stack.append(k)
             j = next_unreached(j + 1)
-    return (Fraction(sum(supply), den),
-            left_pts[left_order[np.flatnonzero(cut)]])
+    return sum(supply), den, [(v,) for v, c in zip(x, cut) if c]
 
 
 def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure, cs: CausalStructure,
@@ -265,18 +321,21 @@ def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure, cs: CausalStructure,
 
     The solver is the exact sweep in d = 1 and Dinic in d >= 2.  Either is
     exact for any input; the eps_flow slack on float verdicts only absorbs
-    noise already present in the given weights.
+    noise already present in the given weights.  Both return the leftover
+    supply as an integer over the lift's denominator, so the verdict is
+    decided on integers and a Fraction is built only in exact mode.
     """
     if exact is None:
         exact = mu.exact and nu.exact
     solve = _solve_sweep_1d if cs.dim == 1 else _solve_dinic
-    deficit, cut_pts = solve(mu, nu, cs)
-    if deficit <= (0 if exact else EPS_FLOW):
+    rest, den, cut_pts = solve(mu, nu, cs)
+    if rest == 0 or (not exact and rest * _EPS_DEN <= _EPS_NUM * den):
         return CeVerdict(True, Fraction(0) if exact else 0.0, None, "maxflow")
     worst = Region.point_boxes(
         cut_pts, mu.dim, halfwidth=mu.grid_cell / 2 if mu.is_grid else 0.0)
-    return CeVerdict(False, deficit if exact else float(deficit), worst,
-                     "maxflow")
+    # int true division rounds correctly, as float(Fraction(rest, den)) does
+    return CeVerdict(False, Fraction(rest, den) if exact else rest / den,
+                     worst, "maxflow")
 
 
 def _cone_bits(sources: np.ndarray, dt: float, cs: CausalStructure,
@@ -348,7 +407,10 @@ def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,
     """Re-derive mu(W) - nu(cone(W)) from first principles for a worst set.
 
     Point sources inside W use the exact Euclidean cone, matching the edge
-    rule of the flow network in every dimension.
+    rule of the flow network in every dimension.  In d = 1 each target is
+    tested against its two nearest sources only, found by bisection in
+    the sorted sources: rounding is monotone, so no farther source on the
+    same side has a smaller squared distance.
     """
     dt = nu.time - mu.time
     mu_in = mu.restricted(worst)
@@ -356,10 +418,30 @@ def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,
                if mu_in.is_grid else mu_in.positions)
     if len(src_pts) == 0:
         return Fraction(0) if (mu.exact and nu.exact) else 0.0
-    mask = point_cone_membership(src_pts, dt, cs, nu.positions)
+    if cs.dim == 1 and mu.dim == nu.dim == 1:
+        mask = _nearest_source_membership(src_pts[:, 0], dt, cs,
+                                          nu.positions[:, 0])
+    else:
+        mask = point_cone_membership(src_pts, dt, cs, nu.positions)
     if nu.is_atomic:
         nu_cov = sum((w for (_, w), hit in zip(nu.atoms, mask) if hit),
                      Fraction(0) if nu.exact else 0.0)
     else:
         nu_cov = float(nu.weights_flat[mask].sum())
     return mu_in.total - nu_cov
+
+
+def _nearest_source_membership(sources: np.ndarray, dt: float,
+                               cs: CausalStructure,
+                               targets: np.ndarray) -> np.ndarray:
+    """`point_cone_membership` in d = 1, in O((k + n) log k): a target is
+    in a cone iff it is in that of the nearest source on its left or on
+    its right, under the same squared-distance test."""
+    if dt < 0:
+        raise ValueError("slice separation must be nonnegative")
+    r2 = squared_cone_radius(dt, cs)
+    xs = np.sort(sources)
+    k = np.searchsorted(xs, targets)  # bisect_left, one target at a time
+    left = targets - xs[np.maximum(k - 1, 0)]
+    right = targets - xs[np.minimum(k, len(xs) - 1)]
+    return (left * left <= r2) | (right * right <= r2)

@@ -419,6 +419,18 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
     assert parse_record(out)["result"]["constructed"] is False
 
 
+def test_exit_code_two_on_too_fine_cover_resolution(tmp_path, capsys):
+    # 2**-40 asks for 2**39 cover points on K = [-0.25, 0.25]
+    payload = json.loads((DATA / "two_atom.json").read_text())
+    payload["protocol"]["lattice"]["cover_resolution"] = 2.0 ** -40
+    path = write_scenario(tmp_path, payload, name="fine.json")
+    for command in ("protocol", "signal-sim"):
+        code, out, err = run_cli(capsys, command, "--scenario", path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error:"), command
+        assert f"takes {2 ** 39} points, above the limit" in err, command
+
+
 def test_exact_rational_rejects_grid_measures(tmp_path, capsys):
     payload = abc_payload(0.5, 1.0, 0.0)
     payload["measures"]["nu0"] = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from causal_lab import conditions
+from causal_lab import conditions, transport
 from causal_lab.conditions import (TRUTH_TABLE_SAMPLES, MeasurementScenario,
                                    check_a1, check_a2, check_ce, check_ns,
                                    evaluate_conditions, find_ns_witness,
@@ -210,10 +210,61 @@ def test_check_ce_method_dispatch():
     vm = check_ce(sc, "maxflow")
     va = check_ce(sc, "auto")
     assert vb.holds == vm.holds == va.holds is False
-    assert va.method == "bruteforce"  # two atoms stay under the cap
+    assert va.method == "maxflow"  # auto is max-flow, whatever the size
     assert abs(float(vb.deficit) - float(vm.deficit)) <= 1e-12
     with pytest.raises(ValueError):
         check_ce(sc, "simplex")
+
+
+def _random_ce_scenario(rng, dim, exact):
+    """Seeded atomic scenario for the ordering check, 1 to 14 atoms a side.
+
+    Atoms sit on a lattice of spacing 1/2 and the cone radius is a whole
+    number of half steps, so targets tie with the cone's rim; only mu and
+    nu0 matter to the ordering check.
+    """
+    cs = CausalStructure(dim=dim, c=float(rng.choice([0.5, 1.0, 2.0])))
+    dt = float(rng.integers(0, 4)) * 0.5 / cs.c
+
+    def atoms(time, gain):
+        n = int(rng.integers(1, 15))
+        side = {1: 15, 2: 7, 3: 5}[dim]
+        cells = rng.choice(side ** dim, n, replace=False)
+        pos = (np.stack(np.unravel_index(cells, (side,) * dim), 1)
+               - side // 2) * 0.5
+        raw = gain * rng.integers(0, 9, n) * (rng.random(n) > 0.2)
+        w = ([Fraction(int(v), 24) for v in raw] if exact
+             else (raw * rng.random(n)).tolist())
+        return SliceMeasure.from_atoms(time, zip(pos.tolist(), w), dim)
+
+    mu, nu = atoms(0.0, 1), atoms(dt, int(rng.integers(1, 4)))
+    K = Region.point_boxes([mu.atoms[0][0]], dim)
+    return MeasurementScenario(cs, K, mu, nu, nu, nu, nu, 0)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_auto_matches_bruteforce_oracle(seed, dim, exact):
+    rng = np.random.default_rng([seed, dim, exact])
+    for _ in range(4):
+        sc = _random_ce_scenario(rng, dim, exact)
+        va = check_ce(sc, "auto")
+        vb = transport.check_ce_bruteforce(sc.mu, sc.nu0, sc.cs)
+        assert va.method == "maxflow"
+        assert va.holds == vb.holds
+        if exact:
+            assert va.deficit == vb.deficit
+            assert isinstance(va.deficit, Fraction)
+        else:
+            assert abs(va.deficit - vb.deficit) <= 1e-12
+        if not va.holds:
+            again = transport.recompute_deficit(sc.mu, sc.nu0, va.worst_set,
+                                                sc.cs)
+            if exact:
+                assert again == va.deficit
+            else:
+                assert abs(again - va.deficit) <= 1e-12
 
 
 def test_grid_scenario_uses_maxflow_automatically():

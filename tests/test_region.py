@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from causal_lab import region
 from causal_lab.measure import SliceMeasure
 from causal_lab.region import (Region, _as_box, _subtract_box,
                                points_box_distance2)
@@ -309,7 +310,23 @@ def test_sample_points_match_per_box_grids(dim):
 
 
 def test_sample_points_count_does_not_wrap():
-    # 2**32 cells per axis: 2**64 points, which int64 arithmetic wraps to 0
+    # 2**32 cells per axis: 2**64 points, which int64 arithmetic wraps to 0;
+    # the count is taken in Python ints and refused with its exact value
     unit = Region.from_boxes([((0.0, 0.0), (1.0, 1.0))])
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match=f"takes {2 ** 64} points"):
         unit.sample_points(2.0 ** -32)
+
+
+def test_sample_points_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(region, "MAX_SAMPLE_POINTS", 100)
+    # two boxes of 50 points each meet the limit, a third box passes it
+    two = Region.from_boxes([((0.0,), (1.0,)), ((2.0,), (3.0,))])
+    assert len(two.sample_points(0.02)) == 100
+    three = Region.from_boxes([((0.0,), (1.0,)), ((2.0,), (3.0,)),
+                               ((4.0,), (4.25,))])
+    with pytest.raises(ValueError, match="takes 113 points"):
+        three.sample_points(0.02)
+    # a step count past float range is refused before math.ceil sees it
+    wide = Region.from_boxes([((0.0,), (1e308,))])
+    with pytest.raises(ValueError, match="overflows"):
+        wide.sample_points(1e-10)

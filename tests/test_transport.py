@@ -286,6 +286,108 @@ def test_cone_windows_match_squared_predicate(seed):
     assert lo == sorted(lo) and hi == sorted(hi)
 
 
+def _rim_instance(rng, n, c):
+    """Seeded sorted d = 1 sources and targets for the window tests.
+
+    Targets sit on the cone rims x +- reach of random sources and one ulp
+    either side of them, plus both zeros, so every settle step is taken.
+    """
+    cs = CausalStructure(dim=1, c=c)
+    dt = float(rng.choice([0.0, 0.3, 1.0, 2.5]))
+    reach = transport.cone_radius(dt, cs)
+    # distinct sources, one of them -0.0, two beyond every target
+    lattice = np.r_[-80:0, 1:81] * 0.1
+    x = rng.choice(lattice, n - 3, replace=False).tolist() + [-0.0]
+    y = [-0.0, 0.0]
+    for xi in rng.choice(x, 12):
+        for edge in (xi - reach, xi + reach):
+            y += [edge, np.nextafter(edge, -np.inf),
+                  np.nextafter(edge, np.inf)]
+    y += list(rng.uniform(-6, 6, 2 * n))
+    # stable sorts, as the solver orders both sides
+    x = sorted(x + [-100.0, 100.0])
+    y = sorted(float(v) for v in y)
+    return x, y, reach, transport.squared_cone_radius(dt, cs)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, 3.0])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_small_windows_match_numpy_windows(c, offset):
+    n = transport.SMALL_SWEEP_ATOMS + offset
+    rng = np.random.default_rng([int(c * 10), offset])
+    for _ in range(5):
+        x, y, reach, r2 = _rim_instance(rng, n, c)
+        want = transport._cone_windows(np.array(x), np.array(y), reach, r2)
+        assert transport._small_cone_windows(x, y, reach, r2) == want
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_small_sweep_matches_numpy_sweep(monkeypatch, exact, offset):
+    # the same instances through both window paths, at and around the cutoff
+    n = transport.SMALL_SWEEP_ATOMS + offset
+    rng = np.random.default_rng([n, exact])
+    for _ in range(5):
+        x, y, _, _ = _rim_instance(rng, n, float(rng.choice([0.5, 1.0])))
+        dt = float(rng.choice([0.0, 0.3, 1.0]))
+        w = (rng.integers(0, 9, len(x) + len(y))
+             * (rng.random(len(x) + len(y)) > 0.2))
+        w = ([Fraction(int(v), 12) for v in w] if exact
+             else list(w * rng.random(len(w))))
+        mu = _atoms(0.0, zip(x, w))
+        nu = _atoms(dt, zip(dict.fromkeys(y), w[len(x):]))
+        cs = CausalStructure(dim=1, c=float(rng.choice([0.5, 2.0])))
+        got = []
+        for cutoff in (10**6, -1):
+            monkeypatch.setattr(transport, "SMALL_SWEEP_ATOMS", cutoff)
+            got.append(check_ce_maxflow(mu, nu, cs))
+        small, large = got
+        assert small.holds == large.holds
+        assert small.deficit == large.deficit
+        assert type(small.deficit) is type(large.deficit)
+        if not small.holds:
+            assert small.worst_set.boxes == large.worst_set.boxes
+
+
+def test_float_verdict_decided_on_integers():
+    # a lone source with no target: the deficit is its weight, and the
+    # float verdict holds up to EPS_FLOW and no further
+    nu = _atoms(1.0, [(5.0, 1.0)])
+    at = _atoms(0.0, [(0.0, transport.EPS_FLOW)])
+    assert check_ce_maxflow(at, nu, CS1).holds
+    above = np.nextafter(transport.EPS_FLOW, 1.0)
+    v = check_ce_maxflow(_atoms(0.0, [(0.0, above)]), nu, CS1)
+    assert not v.holds and v.deficit == above
+    # a correctly rounded quotient of the exact leftover
+    thirds = _atoms(0.0, [(0.0, 1 / 3), (4.0, 1 / 3), (9.0, 1 / 3)])
+    v = check_ce_maxflow(thirds, _atoms(1.0, [(0.5, 0.25)]), CS1)
+    assert v.deficit == float(Fraction(1 / 3) * 3 - Fraction(0.25))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recompute_deficit_d1_matches_all_pairs(seed):
+    rng = np.random.default_rng(700 + seed)
+    cs = CausalStructure(dim=1, c=float(rng.choice([0.5, 1.0, 3.0])))
+    dt = float(rng.choice([0.0, 0.1, 1.0]))
+    reach = transport.cone_radius(dt, cs)
+    src = rng.uniform(-5, 5, int(rng.integers(1, 12)))
+    rims = [e for xi in src for e in (xi - reach, xi + reach)]
+    tgt = np.array(rims + [np.nextafter(e, s) for e in rims
+                           for s in (-np.inf, np.inf)]
+                   + list(rng.uniform(-8, 8, 50)) + [0.0, -0.0])
+    want = point_cone_membership(src[:, None], dt, cs, tgt[:, None])
+    got = transport._nearest_source_membership(src, dt, cs, tgt)
+    assert got.tolist() == want.tolist()
+    # and recompute_deficit, on a worst set that holds every source
+    w = rng.random(len(src))
+    mu = _atoms(0.0, zip(src.tolist(), w))
+    nu = _atoms(dt, zip(dict.fromkeys(tgt.tolist()), rng.random(len(tgt))))
+    all_src = Region.point_boxes(src[:, None], 1)
+    hit = point_cone_membership(src[:, None], dt, cs, nu.positions)
+    expect = mu.total - sum(wt for (_, wt), h in zip(nu.atoms, hit) if h)
+    assert recompute_deficit(mu, nu, all_src, cs) == expect
+
+
 def test_solver_follows_dimension(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("dinic_max_flow called")

@@ -46,6 +46,16 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+# names from these four modules are read through the module at call time,
+# so that a wrapper installed on a module attribute (a tracer, a test
+# double) sees the calls the CLI makes
+from . import conditions, protocol, quantum, transport
+from .measure import EPS_MASS, SliceMeasure
+from .region import Region
+from .spacetime import EPS_CAUSAL, CausalStructure
+
 
 class CliInputError(Exception):
     """Scenario file or flag combination is unusable (exit code 2)."""
@@ -115,8 +125,6 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _parse_measure(entry: dict, exact: bool, name: str):
-    from .measure import SliceMeasure
-
     time_v = float(_require(entry, "time", f"measure '{name}'"))
     if "atoms" in entry:
         atoms = []
@@ -132,8 +140,6 @@ def _parse_measure(entry: dict, exact: bool, name: str):
             raise CliInputError("exact-rational mode supports atom measures "
                                 f"only; '{name}' is a grid")
         g = entry["grid"]
-        import numpy as np
-
         return SliceMeasure.from_grid(
             time_v, [float(v) for v in _require(g, "origin", name)],
             float(_require(g, "cell_size", name)),
@@ -142,8 +148,6 @@ def _parse_measure(entry: dict, exact: bool, name: str):
 
 
 def _parse_region(data, dim: int, where: str):
-    from .region import Region
-
     try:
         return Region.from_json(data, dim=dim)
     except (ValueError, TypeError) as exc:
@@ -165,8 +169,6 @@ class Scenario:
             raise CliInputError(f"scenario is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise CliInputError("scenario root must be an object")
-        from .spacetime import CausalStructure
-
         st = _require(data, "spacetime", "the root")
         try:
             self.cs = CausalStructure(dim=int(_require(st, "dim", "spacetime")),
@@ -184,8 +186,6 @@ class Scenario:
         self.protocol = data.get("protocol")
 
     def measurement_scenario(self):
-        from .conditions import MeasurementScenario
-
         if self.measurement is None:
             raise CliInputError("scenario has no 'measurement' section")
         sect = self.measurement
@@ -201,18 +201,17 @@ class Scenario:
                     f"measurement.{role} references unknown measure '{ref}'")
             refs[role] = self.measures[ref]
         try:
-            return MeasurementScenario(cs=self.cs, K=k, p_plus=p_plus, **refs)
+            return conditions.MeasurementScenario(cs=self.cs, K=k,
+                                                  p_plus=p_plus, **refs)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
 
     def lattice(self):
-        from .protocol import LatticeSpec
-
         if self.protocol is None or "lattice" not in self.protocol:
             raise CliInputError("scenario has no protocol.lattice section")
         lat = self.protocol["lattice"]
         try:
-            return LatticeSpec(
+            return protocol.LatticeSpec(
                 q_time=float(_require(lat, "q_time", "lattice")),
                 q_lo=tuple(float(v) for v in _require(lat, "q_lo", "lattice")),
                 q_hi=tuple(float(v) for v in _require(lat, "q_hi", "lattice")),
@@ -246,12 +245,8 @@ def _verdict_json(v):
 
 
 def _tolerances() -> dict:
-    from .measure import EPS_MASS
-    from .spacetime import EPS_CAUSAL
-    from .transport import EPS_FLOW
-
     return {"eps_causal": EPS_CAUSAL, "eps_mass": EPS_MASS,
-            "eps_flow": EPS_FLOW}
+            "eps_flow": transport.EPS_FLOW}
 
 
 def _emit(record: dict, args, csv_series: dict[str, str] | None = None) -> None:
@@ -269,7 +264,7 @@ def _emit(record: dict, args, csv_series: dict[str, str] | None = None) -> None:
             sys.stdout.write(content)
 
 
-def _base_record(args, command: str, digest: str | None) -> dict:
+def _base_record(command: str, digest: str | None) -> dict:
     return {"command": command, "input_digest": digest,
             "tolerances": _tolerances()}
 
@@ -278,29 +273,25 @@ def _base_record(args, command: str, digest: str | None) -> dict:
 
 
 def cmd_validate(args) -> int:
-    from .conditions import validate
-
     sc = Scenario(args.scenario, args.exact_rational)
-    violations = validate(sc.measurement_scenario())
-    rec = _base_record(args, "validate", sc.digest)
+    violations = conditions.validate(sc.measurement_scenario())
+    rec = _base_record("validate", sc.digest)
     rec["result"] = {"valid": not violations, "violations": violations}
     _emit(rec, args)
     return 1 if violations and getattr(args, "assert_", False) else 0
 
 
 def cmd_check(args) -> int:
-    from .conditions import check_ce, evaluate_conditions
-
     sc = Scenario(args.scenario, args.exact_rational)
     ms = sc.measurement_scenario()
-    rec = _base_record(args, "check", sc.digest)
+    rec = _base_record("check", sc.digest)
     rec["condition"] = args.condition
     rec["method"] = args.method
     try:
         if args.condition == "ce":
-            verdict = check_ce(ms, method=args.method)
+            verdict = conditions.check_ce(ms, method=args.method)
         else:
-            report = evaluate_conditions(ms, method=args.method)
+            report = conditions.evaluate_conditions(ms, method=args.method)
     except ValueError as exc:
         # e.g. nu before mu, or brute force on a grid or too many atoms
         raise CliInputError(str(exc)) from exc
@@ -329,28 +320,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_truth_table(args) -> int:
-    from .conditions import truth_table
-
-    rows = truth_table()
-    rec = _base_record(args, "truth-table", None)
+    rows = conditions.truth_table()
+    rec = _base_record("truth-table", None)
     rec["result"] = {"rows": rows, "all_match": all(r["matches"] for r in rows)}
     _emit(rec, args)
     return 1 if not rec["result"]["all_match"] and args.assert_ else 0
 
 
 def _build_protocol(sc: Scenario):
-    from .conditions import find_ns_witness
-    from .protocol import ProtocolSearchError, construct_protocol
-
     ms = sc.measurement_scenario()
     lattice = sc.lattice()
     try:
-        witness = find_ns_witness(ms)
+        witness = conditions.find_ns_witness(ms)
         if witness is None:
             raise LookupError("find_ns_witness found no marginal gap; "
                               "the scenario does not signal")
-        return ms, lattice, construct_protocol(ms, witness, lattice)
-    except ProtocolSearchError:
+        return ms, lattice, protocol.construct_protocol(ms, witness, lattice)
+    except protocol.ProtocolSearchError:
         raise  # a search that came up empty, reported as a record
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
@@ -368,13 +354,11 @@ def _protocol_json(proto) -> dict:
 
 
 def cmd_protocol(args) -> int:
-    from .protocol import ProtocolSearchError
-
     sc = Scenario(args.scenario, args.exact_rational)
-    rec = _base_record(args, "protocol", sc.digest)
+    rec = _base_record("protocol", sc.digest)
     try:
         _, _, proto = _build_protocol(sc)
-    except (LookupError, ProtocolSearchError) as exc:
+    except (LookupError, protocol.ProtocolSearchError) as exc:
         rec["result"] = {"constructed": False, "error": str(exc)}
         _emit(rec, args)
         return 1 if args.assert_ else 0
@@ -390,15 +374,13 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_signal_sim(args) -> int:
-    from .protocol import ProtocolSearchError, simulate_signalling
-
     sc = Scenario(args.scenario, args.exact_rational)
     seed = args.seed if args.seed is not None else sc.seed
-    rec = _base_record(args, "signal-sim", sc.digest)
+    rec = _base_record("signal-sim", sc.digest)
     rec["seed"] = seed
     try:
         ms, _, proto = _build_protocol(sc)
-    except (LookupError, ProtocolSearchError) as exc:
+    except (LookupError, protocol.ProtocolSearchError) as exc:
         raise CliInputError(f"cannot build a protocol to simulate: {exc}") \
             from exc
     sect = sc.protocol or {}
@@ -408,8 +390,8 @@ def cmd_signal_sim(args) -> int:
     lines = ["block_size,error_rate,stderr"]
     for i, block in enumerate(block_sizes):
         try:
-            st = simulate_signalling(proto, ms, trials=trials,
-                                     seed=seed + i, block_size=block)
+            st = protocol.simulate_signalling(proto, ms, trials=trials,
+                                              seed=seed + i, block_size=block)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
         stats.append({"block_size": block, "trials": st.trials,
@@ -426,20 +408,6 @@ def cmd_signal_sim(args) -> int:
 
 
 def cmd_simulate_quantum(args) -> int:
-    import numpy as np
-
-    from .quantum import (
-        NATURAL_UNITS,
-        SI_UNITS,
-        born_measure,
-        bump_spinor_packet,
-        evolve_dirac_1p1,
-        evolve_relativistic,
-        evolve_schrodinger_free,
-        gaussian_packet,
-    )
-    from .transport import check_ce_maxflow
-
     sc = Scenario(args.scenario, args.exact_rational)
     if sc.quantum is None:
         raise CliInputError("scenario has no 'quantum' section")
@@ -449,7 +417,7 @@ def cmd_simulate_quantum(args) -> int:
     q = sc.quantum
     dynamics = _require(q, "dynamics", "quantum")
     grid = _require(q, "grid", "quantum")
-    units = {"natural": NATURAL_UNITS, "si": SI_UNITS}.get(
+    units = {"natural": quantum.NATURAL_UNITS, "si": quantum.SI_UNITS}.get(
         q.get("units", "natural"))
     if units is None:
         raise CliInputError("quantum.units must be 'natural' or 'si'")
@@ -464,23 +432,26 @@ def cmd_simulate_quantum(args) -> int:
         k0 = float(q.get("k0", 0.0))
         k_region = _parse_region(_require(q, "K", "quantum"), 1, "quantum.K")
         if dynamics == "dirac":
-            psi0 = bump_spinor_packet(center=x0, halfwidth=lam, origin=origin,
-                                      cell_size=cell, n=n, mass=m, units=units)
-            evolved = evolve_dirac_1p1(psi0, t)
+            psi0 = quantum.bump_spinor_packet(
+                center=x0, halfwidth=lam, origin=origin, cell_size=cell,
+                n=n, mass=m, units=units)
+            evolved = quantum.evolve_dirac_1p1(psi0, t)
         elif dynamics in ("schrodinger", "relativistic"):
-            psi0 = gaussian_packet(lam, x0=x0, k0=k0, origin=origin,
-                                   cell_size=cell, n=n, mass=m, units=units)
-            evolve = (evolve_schrodinger_free if dynamics == "schrodinger"
-                      else evolve_relativistic)
+            psi0 = quantum.gaussian_packet(lam, x0=x0, k0=k0, origin=origin,
+                                           cell_size=cell, n=n, mass=m,
+                                           units=units)
+            evolve = (quantum.evolve_schrodinger_free
+                      if dynamics == "schrodinger"
+                      else quantum.evolve_relativistic)
             evolved = evolve(psi0, t)
         else:
             raise CliInputError(f"unknown dynamics {dynamics!r}")
-        mu = born_measure(psi0, 0.0).restricted(k_region)
-        nu = born_measure(evolved, t)
-        verdict = check_ce_maxflow(mu, nu, sc.cs)
+        mu = quantum.born_measure(psi0, 0.0).restricted(k_region)
+        nu = quantum.born_measure(evolved, t)
+        verdict = transport.check_ce_maxflow(mu, nu, sc.cs)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rec = _base_record(args, "simulate-quantum", sc.digest)
+    rec = _base_record("simulate-quantum", sc.digest)
     rec["result"] = {
         "dynamics": dynamics,
         "t": t,
@@ -498,16 +469,15 @@ def cmd_simulate_quantum(args) -> int:
 
 
 def cmd_scales(args) -> int:
-    from .quantum import NATURAL_UNITS, SI_UNITS, min_violation_halfwidth
-
-    units = NATURAL_UNITS if args.units == "natural" else SI_UNITS
+    units = (quantum.NATURAL_UNITS if args.units == "natural"
+             else quantum.SI_UNITS)
     t = math.inf if args.t.strip().lower() in ("inf", "infinity") \
         else float(args.t)
     try:
-        report = min_violation_halfwidth(args.m, args.lam, t, units=units)
+        report = quantum.min_violation_halfwidth(args.m, args.lam, t, units=units)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rec = _base_record(args, "scales", None)
+    rec = _base_record("scales", None)
     rec["result"] = {
         "m": report.mass, "lambda": report.lam, "t": report.t,
         "ell_min": report.ell_min,

@@ -26,6 +26,7 @@ from .measure import (
     EPS_MASS,
     SliceMeasure,
     Weight,
+    _aligned_diffs,
     cellwise_max_difference,
     mixture,
     restriction_distance,
@@ -265,27 +266,18 @@ def ns_gap_support(sc: MeasurementScenario):
     """Support points off the detector future where nu0 exceeds nu1.
 
     Returns (flat indices into nu0's support, positions, gaps nu0-nu1).
+    The gaps are the positive part of `_aligned_diffs(nu0, nu1)`, the
+    difference whose one-sided sums give `ns_distance`: a float array for
+    grids, a list in the weights' own type for atoms.  The merged support
+    starts with nu0's own, and only those points can carry a positive gap.
     """
-    off_future = ~sc._in_future.contains_points(sc.nu0.positions)
-    if sc.nu0.is_grid:
-        if not sc.nu0.grid_compatible(sc.nu1):
-            raise ValueError("nu0 and nu1 grids are not comparable")
-        pos = sc.nu0.positions
-        gaps = sc.nu0.weights_flat - sc.nu1.weights_flat
-        idx = np.nonzero(off_future & (gaps > 0))[0]
-        return idx, pos[idx], gaps[idx]
-    w1 = {p: w for p, w in sc.nu1.atoms}
-    idx, pts, gaps = [], [], []
-    for i, ((p, w0), off) in enumerate(zip(sc.nu0.atoms, off_future.tolist())):
-        if not off:
-            continue
-        g = w0 - w1.get(p, 0)
-        if g > 0:
-            idx.append(i)
-            pts.append(p)
-            gaps.append(g)
-    return (np.asarray(idx, dtype=int),
-            np.asarray(pts, dtype=float).reshape(-1, sc.nu0.dim), gaps)
+    points, diffs = _aligned_diffs(sc.nu0, sc.nu1)
+    n = len(sc.nu0.positions)
+    off_future = ~sc._in_future.contains_points(points[:n])
+    idx = np.flatnonzero(off_future & (np.asarray(diffs[:n]) > 0))
+    gaps = (diffs[idx] if isinstance(diffs, np.ndarray)
+            else [diffs[i] for i in idx.tolist()])
+    return idx, points[idx], gaps
 
 
 def find_ns_witness(sc: MeasurementScenario) -> Region | None:

@@ -146,12 +146,15 @@ class SliceMeasure:
                 and self.grid_cell == other.grid_cell
                 and self.grid_weights.shape == other.grid_weights.shape)
 
+    @property
+    def cell_halfwidth(self) -> float:
+        """Half the side of a grid cell; 0.0 for atoms, which are points."""
+        return self.grid_cell / 2 if self.is_grid else 0.0
+
     def cell_region(self, flat_indices: Sequence[int]) -> Region:
         """Region made of the cells (or atom points) at the given indices."""
-        pts = self.positions[list(flat_indices)]
-        if self.is_grid:
-            return Region.point_boxes(pts, self.dim, halfwidth=self.grid_cell / 2)
-        return Region.point_boxes(pts, self.dim)
+        return Region.point_boxes(self.positions[list(flat_indices)],
+                                  self.dim, halfwidth=self.cell_halfwidth)
 
     # -- measure operations --------------------------------------------
 
@@ -209,42 +212,59 @@ class SliceMeasure:
                                       self.grid_weights * float(factor))
 
 
-def mixture(p: Weight, m_plus: SliceMeasure, m_minus: SliceMeasure) -> SliceMeasure:
-    """Convex combination p*m_plus + (1-p)*m_minus on a shared support."""
-    if m_plus.dim != m_minus.dim or m_plus.time != m_minus.time:
-        raise ValueError("mixture components must share slice and dimension")
-    if m_plus.is_grid or m_minus.is_grid:
-        if not m_plus.grid_compatible(m_minus):
-            raise ValueError("mixture of grids requires identical geometry")
-        pf = float(p)
-        return SliceMeasure.from_grid(
-            m_plus.time, m_plus.grid_origin, m_plus.grid_cell,
-            pf * m_plus.grid_weights + (1.0 - pf) * m_minus.grid_weights)
-    acc: dict[tuple[float, ...], Weight] = {}
-    for pos, w in m_plus.atoms:
-        acc[pos] = acc.get(pos, 0) + p * w
-    q = 1 - p
-    for pos, w in m_minus.atoms:
-        acc[pos] = acc.get(pos, 0) + q * w
-    return SliceMeasure.from_atoms(m_plus.time, list(acc.items()), m_plus.dim)
+def _merged_support(m1: SliceMeasure, m2: SliceMeasure):
+    """Both measures' weights on the union of their supports.
 
-
-def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
-    """Pointwise weight differences m1 - m2 on the merged support."""
+    The one place where two slice measures are lined up point by point,
+    and where their dimensions and, if either is a grid, their grid
+    geometry are checked.  Returns (points, w1, w2).  Grids give the
+    shared cell centers and both flat weight arrays.  Atoms give m1's
+    positions in order, then the positions only m2 has, as tuples, and
+    two lists of weights in their own type with 0 where an atom is absent.
+    """
     if m1.dim != m2.dim:
         raise ValueError("measure dimensions differ")
     if m1.is_grid or m2.is_grid:
         if not m1.grid_compatible(m2):
             raise ValueError("grid measures must share geometry to compare")
-        diffs = (m1.grid_weights - m2.grid_weights).reshape(-1)
-        return m1._grid_centers, diffs
-    acc: dict[tuple[float, ...], Weight] = {}
-    for pos, w in m1.atoms:
-        acc[pos] = acc.get(pos, 0) + w
-    for pos, w in m2.atoms:
-        acc[pos] = acc.get(pos, 0) - w
-    positions = np.array(list(acc.keys()), dtype=float).reshape(-1, m1.dim)
-    return positions, list(acc.values())
+        return m1._grid_centers, m1.weights_flat, m2.weights_flat
+    w1, w2 = dict(m1.atoms), dict(m2.atoms)
+    points = [*w1, *(p for p in w2 if p not in w1)]
+    return (points, [w1.get(p, 0) for p in points],
+            [w2.get(p, 0) for p in points])
+
+
+def mixture(p: Weight, m_plus: SliceMeasure, m_minus: SliceMeasure) -> SliceMeasure:
+    """Convex combination p*m_plus + (1-p)*m_minus on a shared support."""
+    if m_plus.dim != m_minus.dim or m_plus.time != m_minus.time:
+        raise ValueError("mixture components must share slice and dimension")
+    points, w_plus, w_minus = _merged_support(m_plus, m_minus)
+    if m_plus.is_grid:
+        pf = float(p)
+        mixed = pf * w_plus + (1.0 - pf) * w_minus
+        return SliceMeasure.from_grid(m_plus.time, m_plus.grid_origin,
+                                      m_plus.grid_cell,
+                                      mixed.reshape(m_plus.grid_weights.shape))
+    q = 1 - p
+    return SliceMeasure.from_atoms(
+        m_plus.time, [(x, p * a + q * b)
+                      for x, a, b in zip(points, w_plus, w_minus)], m_plus.dim)
+
+
+def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
+    """Pointwise weight differences m1 - m2 on the merged support.
+
+    Returns (positions as an (n, d) array, differences): a float array for
+    grids, a list in the weights' own type for atoms.  The support starts
+    with m1's own support in order, so its first points index m1; only
+    they can carry a positive difference.  The ns distance, the ns witness
+    and the protocol's readout gaps all read this one difference.
+    """
+    points, w1, w2 = _merged_support(m1, m2)
+    if m1.is_grid:
+        return points, w1 - w2
+    positions = np.array(points, dtype=float).reshape(-1, m1.dim)
+    return positions, [a - b for a, b in zip(w1, w2)]
 
 
 def restriction_distance(m1: SliceMeasure, m2: SliceMeasure,

@@ -134,7 +134,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
 
     q_xs = lattice.q_candidates()
     # a cell is in q's chronological past when all its corners are
-    half = sc.nu0.grid_cell / 2 if sc.nu0.is_grid else 0.0
+    half = sc.nu0.cell_halfwidth
     corners = _box_corners(pts[keep] - half, pts[keep] + half)
     seen = np.concatenate(list(cone_blocks(
         corners, lattice.q_time - t_time, cs, q_xs, open_cone=True)))

@@ -315,24 +315,23 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     return sum(supply), den, [(v,) for v, c in zip(x, cut) if c]
 
 
-def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure, cs: CausalStructure,
-                     exact: bool | None = None) -> CeVerdict:
+def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
+                     cs: CausalStructure) -> CeVerdict:
     """Flow-based ordering check; min cut names the worst offending set.
 
     The solver is the exact sweep in d = 1 and Dinic in d >= 2.  Either is
     exact for any input; the eps_flow slack on float verdicts only absorbs
     noise already present in the given weights.  Both return the leftover
     supply as an integer over the lift's denominator, so the verdict is
-    decided on integers and a Fraction is built only in exact mode.
+    decided on integers and a Fraction is built only when every weight is
+    rational.
     """
-    if exact is None:
-        exact = mu.exact and nu.exact
+    exact = mu.exact and nu.exact
     solve = _solve_sweep_1d if cs.dim == 1 else _solve_dinic
     rest, den, cut_pts = solve(mu, nu, cs)
     if rest == 0 or (not exact and rest * _EPS_DEN <= _EPS_NUM * den):
         return CeVerdict(True, Fraction(0) if exact else 0.0, None, "maxflow")
-    worst = Region.point_boxes(
-        cut_pts, mu.dim, halfwidth=mu.grid_cell / 2 if mu.is_grid else 0.0)
+    worst = Region.point_boxes(cut_pts, mu.dim, halfwidth=mu.cell_halfwidth)
     # int true division rounds correctly, as float(Fraction(rest, den)) does
     return CeVerdict(False, Fraction(rest, den) if exact else rest / den,
                      worst, "maxflow")

@@ -390,6 +390,12 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
     for name in ("nu0", "nu1", "nup", "num"):
         far_nu["measures"][name]["time"] = 1e200
     far_nu = write_scenario(tmp_path, far_nu, name="far_nu.json")
+    # an atomic nu0 beside a grid nu1 has no pointwise difference
+    mixed = json.loads((DATA / "two_atom.json").read_text())
+    mixed["measures"]["nu1"] = {"time": 1.0, "grid": {
+        "origin": [-4.0], "cell_size": 0.5,
+        "weights": [0.0] * 9 + [1.0] + [0.0] * 6}}
+    mixed = write_scenario(tmp_path, mixed, name="mixed.json")
     cases = [
         (("protocol",), write_scenario(tmp_path, early_q, name="q.json"),
          "receiver slice"),
@@ -401,6 +407,9 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
         (("check", "all"), late, "later slice"),
         (("protocol",), late, "nonnegative"),
         (("signal-sim",), late, "nonnegative"),
+        (("protocol",), mixed, "share geometry"),
+        (("signal-sim",), mixed, "share geometry"),
+        (("check", "all"), mixed, "share geometry"),
         (("check", "ce", "--method", "bruteforce"),
          str(DATA / "grid_1d.json"), "atomic mu"),
         (("check", "ce", "--method", "bruteforce"),

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causal_lab.measure import (SliceMeasure, cellwise_max_difference,
-                                mixture, restriction_distance)
+from causal_lab.measure import (SliceMeasure, _aligned_diffs,
+                                cellwise_max_difference, mixture,
+                                restriction_distance)
 from causal_lab.region import Region
 
 ERF_ONE = 0.8427007929497149  # mass of exp(-x^2)/sqrt(pi) on [-1, 1]
@@ -95,6 +96,108 @@ def test_mixture_time_mismatch_rejected():
         mixture(0.5, a, b)
 
 
+# -- the support merge against the per-function merges it replaced ---------
+
+def _old_mixture(p, m_plus, m_minus):
+    """`mixture`'s weights as its own dict merge computed them."""
+    if m_plus.is_grid:
+        pf = float(p)
+        return pf * m_plus.grid_weights + (1.0 - pf) * m_minus.grid_weights
+    acc = {}
+    for pos, w in m_plus.atoms:
+        acc[pos] = acc.get(pos, 0) + p * w
+    q = 1 - p
+    for pos, w in m_minus.atoms:
+        acc[pos] = acc.get(pos, 0) + q * w
+    return list(acc.items())
+
+
+def _old_aligned_diffs(m1, m2):
+    """`_aligned_diffs` as its own dict merge computed it."""
+    if m1.is_grid:
+        return (m1.positions,
+                (m1.grid_weights - m2.grid_weights).reshape(-1))
+    acc = {}
+    for pos, w in m1.atoms:
+        acc[pos] = acc.get(pos, 0) + w
+    for pos, w in m2.atoms:
+        acc[pos] = acc.get(pos, 0) - w
+    return (np.array(list(acc), dtype=float).reshape(-1, m1.dim),
+            list(acc.values()))
+
+
+def _bits(weights):
+    """Type and value of each weight, floats to the last bit."""
+    return [(type(w), w.hex() if isinstance(w, float) else w)
+            for w in weights]
+
+
+def _random_pair(rng, kind, dim):
+    """Two measures on one slice; atoms share some lattice points."""
+    if kind == "grid":
+        shape = tuple(int(v) for v in rng.integers(1, 6, dim))
+        return [SliceMeasure.from_grid(
+            1.0, (-1.0,) * dim, 0.25,
+            rng.random(shape) * (rng.random(shape) > 0.2)) for _ in "ab"]
+    lattice = [tuple(0.5 * v for v in c)
+               for c in itertools.product(range(-2, 3), repeat=dim)]
+
+    def atoms(exact):
+        n = int(rng.integers(0, min(8, len(lattice)) + 1))
+        chosen = rng.choice(len(lattice), size=n, replace=False).tolist()
+        weights = [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9)))
+                   if exact else float(rng.random()) * (rng.random() > 0.2)
+                   for _ in chosen]
+        return SliceMeasure.from_atoms(
+            1.0, [(lattice[i], w) for i, w in zip(chosen, weights)], dim)
+
+    return atoms(kind == "fraction"), atoms(kind in ("fraction", "mixed"))
+
+
+MERGE_KINDS = ("float", "fraction", "mixed", "grid")
+
+
+@pytest.mark.parametrize("kind", MERGE_KINDS)
+def test_support_merge_is_bit_identical_to_old_merges(kind):
+    shared = unshared = 0
+    for seed in range(40):
+        rng = np.random.default_rng([seed, MERGE_KINDS.index(kind)])
+        dim = 1 + seed % 2
+        m1, m2 = _random_pair(rng, kind, dim)
+        for p in (float(rng.random()), Fraction(int(rng.integers(0, 8)), 7)):
+            mix, want = mixture(p, m1, m2), _old_mixture(p, m1, m2)
+            if kind == "grid":
+                assert mix.grid_weights.shape == want.shape
+                assert mix.grid_weights.tobytes() == want.tobytes()
+            else:
+                assert [x for x, _ in mix.atoms] == [x for x, _ in want]
+                assert _bits(w for _, w in mix.atoms) == _bits(w for _, w in want)
+        (got_pos, got), (want_pos, want) = (_aligned_diffs(m1, m2),
+                                            _old_aligned_diffs(m1, m2))
+        assert got_pos.shape == want_pos.shape
+        assert got_pos.tobytes() == want_pos.tobytes()
+        if kind == "grid":
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert _bits(got) == _bits(want)
+            both = {x for x, _ in m1.atoms} & {x for x, _ in m2.atoms}
+            shared += len(both)
+            unshared += len(got) - len(both)
+    assert kind == "grid" or (shared > 0 and unshared > 0)
+
+
+def test_merge_rejects_mismatched_grid_geometry():
+    atoms = SliceMeasure.from_atoms(1.0, [((0.0,), 1.0)])
+    grid = SliceMeasure.from_grid(1.0, (0.0,), 0.5, np.ones(4))
+    shifted = SliceMeasure.from_grid(1.0, (0.1,), 0.5, np.ones(4))
+    for m1, m2 in ((atoms, grid), (grid, atoms), (grid, shifted)):
+        with pytest.raises(ValueError, match="share geometry"):
+            mixture(0.5, m1, m2)
+        with pytest.raises(ValueError, match="share geometry"):
+            _aligned_diffs(m1, m2)
+
+
 def test_scaled():
     m = SliceMeasure.from_atoms(0.0, [((0.0,), 0.5), ((1.0,), 0.5)])
     assert m.scaled(2.0).total == pytest.approx(2.0)
@@ -106,6 +209,12 @@ def test_cell_region_wraps_grid_cells():
     r = m.cell_region([1, 2])
     assert r.contains((0.75,)) and r.contains((1.25,))
     assert not r.contains((0.25,)) and not r.contains((1.9,))
+
+
+def test_cell_halfwidth():
+    grid = SliceMeasure.from_grid(0.0, (0.0,), 0.5, np.ones(4))
+    atoms = SliceMeasure.from_atoms(0.0, [((0.0,), 1.0)])
+    assert grid.cell_halfwidth == 0.25 and atoms.cell_halfwidth == 0.0
 
 
 def test_cell_region_on_atoms_gives_points():

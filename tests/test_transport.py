@@ -119,13 +119,10 @@ def test_exact_rational_zero_tolerance():
                                        ((3.0,), Fraction(1, 2))])
     nu = SliceMeasure.from_atoms(1.0, [((0.0,), Fraction(1, 2) - tiny),
                                        ((3.0,), Fraction(1, 2) + tiny)])
-    v = check_ce_maxflow(mu, nu, CS1, exact=True)
+    v = check_ce_maxflow(mu, nu, CS1)
     assert not v.holds
     assert v.deficit == tiny
     assert isinstance(v.deficit, Fraction)
-    # the same gap vanishes below the float tolerance
-    vf = check_ce_maxflow(mu, nu, CS1, exact=False)
-    assert vf.holds
 
 
 def test_exact_rational_bruteforce_matches():
@@ -134,7 +131,7 @@ def test_exact_rational_bruteforce_matches():
     nu = SliceMeasure.from_atoms(1.0, [((0.5,), Fraction(1, 3)),
                                        ((2.0,), Fraction(2, 3))])
     vb = check_ce_bruteforce(mu, nu, CS1)  # exactness inferred from weights
-    vm = check_ce_maxflow(mu, nu, CS1, exact=True)
+    vm = check_ce_maxflow(mu, nu, CS1)
     assert vb.holds == vm.holds
     assert vb.deficit == vm.deficit == Fraction(1, 3)
 
@@ -194,15 +191,15 @@ def test_time_order_enforced():
 SWEEP_KINDS = ("atoms", "grid", "mixed", "exact")
 
 
-def _dinic_verdict(mu, nu, cs, exact=None):
+def _dinic_verdict(mu, nu, cs):
     """check_ce_maxflow with Dinic standing in for the d = 1 sweep."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_solve_sweep_1d", transport._solve_dinic)
-        return check_ce_maxflow(mu, nu, cs, exact=exact)
+        return check_ce_maxflow(mu, nu, cs)
 
 
 def _random_1d_instance(rng, kind):
-    """Seeded 1-D (mu, nu, cs, exact) for the solver cross-checks.
+    """Seeded 1-D (mu, nu, cs) for the solver cross-checks.
 
     Positions sit on a lattice whose spacing divides c*dt, so targets tie
     with the cone edge; dt may be 0 and a quarter of the weights are 0.
@@ -236,20 +233,21 @@ def _random_1d_instance(rng, kind):
         mu, nu = grid(0.0, 24), grid(dt, 24, gain)
     else:
         mu, nu = atoms(0.0, nl), grid(dt, 24, gain)
-    return mu, nu, CausalStructure(dim=1, c=c), (True if exact else None)
+    return mu, nu, CausalStructure(dim=1, c=c)
 
 
 @pytest.mark.parametrize("kind", SWEEP_KINDS)
 @pytest.mark.parametrize("seed", range(25))
 def test_sweep_matches_dinic_and_bruteforce(seed, kind):
     rng = np.random.default_rng([seed, SWEEP_KINDS.index(kind)])
-    mu, nu, cs, exact = _random_1d_instance(rng, kind)
-    vs = check_ce_maxflow(mu, nu, cs, exact=exact)
-    vd = _dinic_verdict(mu, nu, cs, exact=exact)
+    mu, nu, cs = _random_1d_instance(rng, kind)
+    exact = kind == "exact"
+    vs = check_ce_maxflow(mu, nu, cs)
+    vd = _dinic_verdict(mu, nu, cs)
     assert vs.holds == vd.holds
     assert vs.deficit == vd.deficit
     assert type(vs.deficit) is type(vd.deficit)
-    assert isinstance(vs.deficit, Fraction) == bool(exact)
+    assert isinstance(vs.deficit, Fraction) == exact
     if vs.holds:
         assert vs.worst_set is None and vd.worst_set is None
     else:

@@ -10,7 +10,6 @@ from .spacetime import (
     causal_future_on_slice,
     causally_precedes,
     chronologically_precedes,
-    spacelike_separated,
 )
 from .measure import EPS_MASS, SliceMeasure, mixture, restriction_distance
 from .transport import (

@@ -278,7 +278,7 @@ def cmd_validate(args) -> int:
     rec = _base_record("validate", sc.digest)
     rec["result"] = {"valid": not violations, "violations": violations}
     _emit(rec, args)
-    return 1 if violations and getattr(args, "assert_", False) else 0
+    return 1 if violations and args.assert_ else 0
 
 
 def cmd_check(args) -> int:
@@ -491,18 +491,22 @@ def cmd_scales(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, scenario: bool = True,
+                assert_: bool = True) -> None:
+    """--out everywhere; the scenario flags where a scenario is read, and
+    --assert where the handler reads it."""
     if scenario:
         p.add_argument("--scenario", required=True,
                        help="path to a JSON scenario file")
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 1 when the checked condition fails")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
+        p.add_argument("--exact-rational", action="store_true",
+                       help="parse weights as exact rationals (atom measures)")
+    if assert_:
+        p.add_argument("--assert", dest="assert_", action="store_true",
+                       help="exit 1 when the checked condition fails")
     p.add_argument("--out", default=None,
                    help="directory for report and CSV files")
-    p.add_argument("--exact-rational", action="store_true",
-                   help="parse weights as exact rationals (atom measures)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_protocol)
 
     p = sub.add_parser("signal-sim", help="Monte Carlo of the one-bit channel")
-    _add_common(p)
+    _add_common(p, assert_=False)
     p.set_defaults(handler=cmd_signal_sim)
 
     p = sub.add_parser("simulate-quantum",
@@ -548,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="inf",
                    help="spreading time; 'inf' for the asymptote")
     p.add_argument("--units", choices=["si", "natural"], default="si")
-    _add_common(p, scenario=False)
+    _add_common(p, scenario=False, assert_=False)
     p.set_defaults(handler=cmd_scales)
 
     return parser

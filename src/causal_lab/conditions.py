@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .measure import (
     SliceMeasure,
     Weight,
     _aligned_diffs,
+    _merged_support,
     cellwise_max_difference,
     mixture,
     restriction_distance,
@@ -34,7 +35,6 @@ from .measure import (
 from .region import Region
 from .spacetime import CausalStructure, SliceFuture, causal_future_on_slice
 from .transport import (
-    EPS_FLOW,
     CeVerdict,
     check_ce_bruteforce,
     check_ce_maxflow,
@@ -141,6 +141,12 @@ def validate(sc: MeasurementScenario) -> list[str]:
                        f"with weight p_plus (max cell error {float(err):.3e})")
     except ValueError as exc:
         out.append(f"total probability: components are not comparable ({exc})")
+    # ns lines up nu0 with nu1, a2 nu0 with nu_minus; nu1 ~ nu_minus is
+    # checked above and grid geometry is transitive, so one check does
+    try:
+        _merged_support(sc.nu0, sc.nu1)
+    except ValueError as exc:
+        out.append(f"marginal: nu0 and nu1 are not comparable ({exc})")
     return out
 
 

@@ -61,7 +61,8 @@ def dinic_max_flow(num_nodes: int, edges: Sequence[tuple[int, int, object]],
             it[u] += 1
         return pushed * 0
 
-    bottleneck_bound = _infinity_like([cap[2 * i] for i in range(len(edges))])
+    # an upper bound on any augmenting-path bottleneck, in the capacity type
+    bottleneck_bound = sum(c for _, _, c in edges) + 1
     flow = total
     while bfs():
         it = [0] * num_nodes
@@ -86,13 +87,3 @@ def dinic_max_flow(num_nodes: int, edges: Sequence[tuple[int, int, object]],
 
     edge_flows = [cap[2 * i + 1] for i in range(len(edges))]
     return flow, edge_flows, source_side
-
-
-def _infinity_like(caps: list):
-    """An upper bound on any augmenting-path bottleneck."""
-    bound = None
-    for c in caps:
-        bound = c if bound is None else bound + c
-    if bound is None:
-        return 1
-    return bound + 1

@@ -115,10 +115,6 @@ class SliceMeasure:
             return float(sum(float(w) for _, w in self.atoms))
         return float(self.grid_weights.sum())
 
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.total - 1) <= EPS_MASS
-
     @cached_property
     def positions(self) -> np.ndarray:
         """(n, d) array of atom positions or grid cell centers."""
@@ -174,20 +170,6 @@ class SliceMeasure:
                 return sum(hits, Fraction(0))
             return float(sum(float(w) for w in hits))
         return float(self.weights_flat[inside].sum())
-
-    def restrict_and_renormalize(self, region: Region) -> "SliceMeasure":
-        m = self.mass(region)
-        if m <= EPS_MASS:
-            raise ValueError("cannot condition on a region of negligible mass")
-        inside = region.contains_points(self.positions)
-        if self.is_atomic:
-            kept = [(p, w / m)
-                    for (p, w), h in zip(self.atoms, inside.tolist()) if h]
-            return SliceMeasure.from_atoms(self.time, kept, self.dim)
-        w = np.where(inside.reshape(self.grid_weights.shape),
-                     self.grid_weights / m, 0.0)
-        return SliceMeasure.from_grid(self.time, self.grid_origin,
-                                      self.grid_cell, w)
 
     def restricted(self, region: Region) -> "SliceMeasure":
         """Zero out everything outside the region, keeping weights as-is."""

@@ -282,19 +282,7 @@ class Region:
         """Vectorised membership for an (n, d) array of points."""
         return points_in_boxes(points, *self.corners)
 
-    def bounding_box(self) -> Box:
-        if self.is_empty:
-            raise ValueError("empty region has no bounding box")
-        lo = tuple(min(b[0][ax] for b in self.boxes) for ax in range(self.dim))
-        hi = tuple(max(b[1][ax] for b in self.boxes) for ax in range(self.dim))
-        return (lo, hi)
-
     # -- algebra -----------------------------------------------------------
-
-    def union(self, other: "Region") -> "Region":
-        if self.dim != other.dim:
-            raise ValueError("region dimensions differ")
-        return Region.from_boxes(self.boxes + other.boxes, self.dim)
 
     def covers(self, other: "Region") -> bool:
         """True if every point of `other` lies in this region (exact)."""
@@ -302,9 +290,6 @@ class Region:
             raise ValueError("region dimensions differ")
         lo, hi = self.corners
         return not any(_carve(box, lo, hi, self.boxes) for box in other.boxes)
-
-    def equals(self, other: "Region") -> bool:
-        return self.covers(other) and other.covers(self)
 
     def sample_points(self, resolution: float) -> np.ndarray:
         """Cell centers of a per-box grid no coarser than `resolution`."""

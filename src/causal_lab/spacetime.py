@@ -79,10 +79,6 @@ def chronologically_precedes(a: Event, b: Event, cs: CausalStructure) -> bool:
         b.t - a.t, cs, open_cone=True)
 
 
-def spacelike_separated(a: Event, b: Event, cs: CausalStructure) -> bool:
-    return not causally_precedes(a, b, cs) and not causally_precedes(b, a, cs)
-
-
 def causal_future_on_slice(region: Region, dt: float, cs: CausalStructure) -> Region:
     """Intersection of the causal future of a slice region with time + dt.
 
@@ -222,8 +218,3 @@ def boost(e: Event, frame: BoostedFrame, cs: CausalStructure) -> Event:
 
 def inverse(frame: BoostedFrame) -> BoostedFrame:
     return BoostedFrame(-frame.v, frame.axis)
-
-
-def interval_squared(a: Event, b: Event, cs: CausalStructure) -> float:
-    """Invariant interval c^2 dt^2 - |dx|^2 between two events."""
-    return (cs.c * (b.t - a.t)) ** 2 - _squared_distance(a, b, cs)

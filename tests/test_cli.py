@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lab import protocol
-from causal_lab.cli import main
+from causal_lab import conditions, protocol
+from causal_lab.cli import Scenario, build_parser, main
 
 from helpers import random_grid_scenario
 
@@ -440,6 +440,25 @@ def test_exit_code_two_on_too_fine_cover_resolution(tmp_path, capsys):
         assert f"takes {2 ** 39} points, above the limit" in err, command
 
 
+@pytest.mark.parametrize("argv, accepted", [
+    # flags no handler of the command reads are not offered
+    (["truth-table", "--seed", "1"], False),
+    (["truth-table", "--exact-rational"], False),
+    (["scales", "--m", "1", "--lambda", "1", "--assert"], False),
+    (["signal-sim", "--scenario", "f", "--assert"], False),
+    (["truth-table", "--assert"], True),
+    (["signal-sim", "--scenario", "f", "--seed", "3"], True),
+])
+def test_flags_offered_only_where_read(argv, accepted, capsys):
+    if accepted:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exact_rational_rejects_grid_measures(tmp_path, capsys):
     payload = abc_payload(0.5, 1.0, 0.0)
     payload["measures"]["nu0"] = {
@@ -487,3 +506,29 @@ def test_d1_records_match_golden(name, capsys):
     got = "".join(line for line in out.splitlines(keepends=True)
                   if "wall_clock_s" not in line)
     assert got == (DATA / f"{name}.out").read_text()
+
+
+def test_validate_flags_atomic_nu0_beside_grid_nu1(tmp_path, capsys):
+    # nu1 and nu_plus / nu_minus as 16-cell grids that mix exactly, with
+    # nu0 left atomic: ns cannot line nu0 up with nu1
+    def grid(cells):
+        weights = [0.0] * 16
+        for i, w in cells.items():
+            weights[i] = w
+        return {"time": 1.0, "grid": {"origin": [0.0], "cell_size": 0.25,
+                                      "weights": weights}}
+
+    payload = json.loads((DATA / "two_atom.json").read_text())
+    payload["measures"].update(nu1=grid({3: 0.8, 8: 0.2}),
+                               nup=grid({3: 1.0}),
+                               num=grid({3: 0.6, 8: 0.4}))
+    path = write_scenario(tmp_path, payload)
+    violations = conditions.validate(Scenario(path).measurement_scenario())
+    assert violations == ["marginal: nu0 and nu1 are not comparable "
+                          "(grid measures must share geometry to compare)"]
+    code, out, _ = run_cli(capsys, "validate", "--scenario", path, "--assert")
+    assert code == 1
+    assert parse_record(out)["result"]["violations"] == violations
+    # the verdicts need that comparison, so check refuses the file
+    code, _, err = run_cli(capsys, "check", "all", "--scenario", path)
+    assert code == 2 and "share geometry" in err

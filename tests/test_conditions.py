@@ -276,9 +276,8 @@ def test_grid_scenario_uses_maxflow_automatically():
 def test_scenario_times_and_future():
     sc = make_abc_scenario(0.5, 0.5, 0.5)
     assert sc.s_time == 0.0 and sc.t_time == 1.0
-    bb = sc.detector_future.bounding_box()
     reach = cone_radius(1.0, sc.cs)
-    assert bb == ((-0.25 - reach,), (0.25 + reach,))
+    assert sc.detector_future.boxes == (((-0.25 - reach,), (0.25 + reach,)),)
 
 
 def test_family_rejects_out_of_range():

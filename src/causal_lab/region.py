@@ -238,7 +238,13 @@ class Region:
     @staticmethod
     def point_boxes(points: Iterable[Sequence[float]], dim: int | None = None,
                     halfwidth: float = 0.0) -> "Region":
-        """Wrap points as (possibly degenerate) boxes of the given halfwidth."""
+        """Wrap points as (possibly degenerate) boxes of the given halfwidth.
+
+        Points are taken once each, first come first kept.  In d >= 2 with
+        halfwidth 0 they are degenerate boxes, no two of which meet, so the
+        carve of `from_boxes` would return them unchanged and is skipped;
+        its checks (finite corners, one dimension) still run.
+        """
         seen: set[tuple[float, ...]] = set()
         boxes = []
         for p in points:
@@ -252,7 +258,15 @@ class Region:
             if dim is None:
                 raise ValueError("dimension required for an empty region")
             return Region.empty(dim)
-        return Region.from_boxes(boxes, dim)
+        if dim is None:
+            dim = len(boxes[0][0])
+        if halfwidth != 0 or dim == 1:
+            return Region.from_boxes(boxes, dim)
+        if not all(math.isfinite(v) for lo, _ in boxes for v in lo):
+            raise ValueError("box corners must be finite")
+        if any(len(lo) != dim for lo, _ in boxes):
+            raise ValueError("boxes have mixed dimensions")
+        return Region(tuple(boxes), dim)
 
     # -- queries -----------------------------------------------------------
 

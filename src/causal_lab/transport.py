@@ -15,7 +15,10 @@ solvers run on the same exact integer lift of the capacities and take the
 min-cut side from residual reachability, which is the same set for every
 maximum flow, so they name the same worst set.  Small atomic inputs in
 d = 1 place the sweep's windows on Python lists, large ones and grids with
-numpy; both paths give the same windows.
+numpy; both paths give the same windows.  In d >= 2 those axis-0 windows
+pick the candidate pairs of the cone graph, and the cone test settles
+each one (Efrat, Itai and Katz 2001 build geometric bipartite graphs from
+neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
 The exhaustive subset scan `check_ce_bruteforce` stays for
@@ -31,9 +34,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import spacetime
 from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
-from .region import Region
+from .region import Region, sum_squares
 from .spacetime import (CausalStructure, cone_blocks, cone_radius,
                         point_cone_membership, squared_cone_radius)
 
@@ -125,24 +129,58 @@ def _integer_lift(caps) -> tuple[int, list[int]]:
 
 def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        cs: CausalStructure) -> FlowNetwork:
-    """Cone graph between the supports of mu and nu."""
+    """Cone graph between the supports of mu and nu.
+
+    Candidate pairs come from axis-0 windows: with the targets in stable
+    axis-0 order, `_cone_windows` gives each source the run of targets
+    whose axis-0 term alone is within r * r.  Outside it that term
+    exceeds r * r, and adding the other axes' squares can only grow the
+    float sum, so no edge is lost.  Each candidate is settled by the
+    `sum_squares` test of `spacetime.cone_blocks` on the same operands,
+    so the edges are that kernel's, each row in ascending target index.
+    Sources go in blocks of about `spacetime.CONE_BLOCK_PAIRS`
+    candidates, which bounds the scratch arrays as that kernel's blocks
+    do.
+    """
     dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
-    counts = []
-    indices = [np.empty(0, dtype=np.int64)]
-    for hit in cone_blocks(left_pts, dt, cs, right_pts):
-        counts.append(hit.sum(axis=1))
-        indices.append(np.nonzero(hit)[1])
-    indptr = np.zeros(len(left_pts) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return FlowNetwork(left_points=left_pts, left_caps=left_caps,
-                       right_caps=right_caps, edge_indptr=indptr,
-                       edge_indices=np.concatenate(indices))
+    r2 = squared_cone_radius(dt, cs)
+    k, n = len(left_pts), len(right_pts)
+    order = np.argsort(right_pts[:, 0], kind="stable")
+    # one row per axis; the targets in axis-0 order
+    sources, targets = left_pts.T, right_pts.T[:, order]
+    lo, hi = _cone_windows(sources[0], targets[0], cone_radius(dt, cs), r2)
+    width = np.subtract(hi, lo)
+    ends = np.cumsum(width)
+    # a candidate's target position: its rank among all candidates plus
+    # its source's shift
+    shift = np.subtract(lo, ends) + width
+    ends = ends.tolist()
+    keys = [np.empty(0, dtype=np.int64)]
+    start = base = 0
+    while start < k:
+        # sources start..stop-1 hold about CONE_BLOCK_PAIRS candidates
+        stop = max(start + 1, bisect_right(
+            ends, base + spacetime.CONE_BLOCK_PAIRS, start))
+        count = width[start:stop]
+        pos = np.arange(base, ends[stop - 1]) + shift[start:stop].repeat(count)
+        diff = targets[:, pos] - sources[:, start:stop].repeat(count, axis=1)
+        hit = sum_squares(diff) <= r2
+        # one int64 key orders the edges by source, then by target index
+        row = np.arange(start, stop, dtype=np.int64).repeat(count)
+        keys.append((row * n + order[pos])[hit])
+        start, base = stop, ends[stop - 1]
+    key = np.concatenate(keys)
+    key.sort()
+    return FlowNetwork(
+        left_points=left_pts, left_caps=left_caps, right_caps=right_caps,
+        edge_indptr=key.searchsorted(np.arange(k + 1, dtype=np.int64) * n),
+        edge_indices=key % max(n, 1))
 
 
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
-                 cs: CausalStructure) -> tuple[int, int, np.ndarray]:
+                 cs: CausalStructure) -> tuple[int, int, list]:
     """Exact max-flow deficit and min-cut left points, by Dinic, with the
     deficit as leftover supply over the lift's denominator."""
     net = build_flow_network(mu, nu, cs)
@@ -155,13 +193,14 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     big = total + 1  # middle edges may never enter a minimum cut
     edges: list[tuple[int, int, int]] = []
     edges.extend((src, 1 + i, c) for i, c in enumerate(lint))
+    indptr = net.edge_indptr.tolist()
+    heads = (net.edge_indices + (1 + nl)).tolist()
     for i in range(nl):
-        for k in range(net.edge_indptr[i], net.edge_indptr[i + 1]):
-            edges.append((1 + i, 1 + nl + int(net.edge_indices[k]), big))
+        edges.extend((1 + i, v, big) for v in heads[indptr[i]:indptr[i + 1]])
     edges.extend((1 + nl + j, snk, c) for j, c in enumerate(rint))
     flow, _, side = dinic_max_flow(n, edges, src, snk)
     left_side = [i for i in range(nl) if (1 + i) in side]
-    return total - flow, den, net.left_points[left_side]
+    return total - flow, den, net.left_points[left_side].tolist()
 
 
 def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
@@ -172,36 +211,28 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
     d * d <= r2 of spacetime.cone_blocks then settles them, so a target is
     in a window exactly when that kernel says so.  Rounding is monotone,
     so the test splits sorted y into left-out, inside and right-out runs,
-    and both ends are nondecreasing in x.
+    and both ends are nondecreasing in x.  The x need not be sorted.
     """
-    m = len(y)
+    # guards at -inf and +inf, outside every cone, stop each end at 0 and m
+    guarded = np.concatenate(([-np.inf], y, [np.inf]))
 
-    def not_left_of_cone(j, i):
-        d = y[j] - x[i]
+    def not_left_of_cone(d):
         return (d >= 0) | (d * d <= r2)
 
-    def right_of_cone(j, i):
-        d = y[j] - x[i]
+    def right_of_cone(d):
         return (d > 0) & (d * d > r2)
 
     def settle(end, past):
-        # move each end to the first j where past(j) holds (m if none)
-        while True:
-            i = np.flatnonzero(end > 0)
-            i = i[past(end[i] - 1, i)]
-            if not i.size:
-                break
-            end[i] -= 1
-        while True:
-            i = np.flatnonzero(end < m)
-            i = i[~past(end[i], i)]
-            if not i.size:
-                break
-            end[i] += 1
+        # move each end to the first j where past(j) holds (m if none);
+        # guarded[end] is y[end - 1]
+        while (step := past(guarded[end] - x)).any():
+            end -= step
+        while not (stay := past(guarded[end + 1] - x)).all():
+            end += ~stay
         return end.tolist()
 
-    lo = settle(np.searchsorted(y, x - reach, "left"), not_left_of_cone)
-    hi = settle(np.searchsorted(y, x + reach, "right"), right_of_cone)
+    lo = settle(y.searchsorted(x - reach, "left"), not_left_of_cone)
+    hi = settle(y.searchsorted(x + reach, "right"), right_of_cone)
     return lo, hi
 
 

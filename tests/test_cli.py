@@ -532,3 +532,23 @@ def test_validate_flags_atomic_nu0_beside_grid_nu1(tmp_path, capsys):
     # the verdicts need that comparison, so check refuses the file
     code, _, err = run_cli(capsys, "check", "all", "--scenario", path)
     assert code == 2 and "share geometry" in err
+
+
+def test_drained_2d_methods_agree(capsys):
+    # the d = 2 file of the console-script smoke step: four atoms whose
+    # cones hold no nu mass are the one worst set, found by both methods
+    path = str(DATA / "drained_2d.json")
+    code, out, _ = run_cli(capsys, "validate", "--assert", "--scenario", path)
+    assert code == 0
+    results = {}
+    for method in ("auto", "bruteforce"):
+        code, out, _ = run_cli(capsys, "check", "ce", "--method", method,
+                               "--scenario", path)
+        assert code == 0
+        results[method] = parse_record(out)["result"]
+        results[method].pop("method")
+    assert results["auto"] == results["bruteforce"]
+    assert results["auto"]["holds"] is False
+    assert results["auto"]["deficit"] == 0.75
+    assert results["auto"]["worst_set"] == [
+        [[x, y], [x, y]] for x, y in ((10, 0), (10, 2), (12, 0), (12, 2))]

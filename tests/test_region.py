@@ -207,6 +207,51 @@ def test_carve_matches_full_carve(seed):
             assert other.covers(region) == _oracle_covers(other, region)
 
 
+def _signed_boxes(region: Region):
+    """The boxes with each coordinate as float.hex, so -0.0 != 0.0."""
+    return [tuple(tuple(v.hex() for v in corner) for corner in box)
+            for box in region.boxes]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_point_boxes_match_carved_boxes(dim, seed):
+    # distinct points are boxes that meet no other, so point_boxes skips the
+    # carve; from_boxes on the same boxes must still give them box for box
+    rng = np.random.default_rng([seed, dim, 61])
+    pts = rng.integers(-3, 4, (int(rng.integers(1, 60)), dim)) / 2.0
+    pts = pts[rng.integers(0, len(pts), 2 * len(pts))]  # duplicates
+    pts[rng.random(pts.shape) < 0.3] *= -1.0  # -0.0 beside 0.0
+    pts = [tuple(p) for p in pts.tolist()]
+    boxes = [(tuple(v - 0.0 for v in p), tuple(v + 0.0 for v in p))
+             for p in pts]
+    got = Region.point_boxes(pts, dim)
+    assert got.dim == dim
+    assert _signed_boxes(got) == _signed_boxes(Region.from_boxes(boxes, dim))
+    assert len(got.boxes) == len(set(pts)) < len(pts)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_boxes_keep_their_checks(dim):
+    zero = (0.0,) * dim
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Region.point_boxes([zero, (bad,) + zero[1:]], dim)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        Region.point_boxes([zero, zero + (1.0,)])
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        Region.point_boxes([zero[1:]], dim)
+    assert Region.point_boxes([], dim) == Region.empty(dim)
+    with pytest.raises(ValueError, match="dimension required"):
+        Region.point_boxes([])
+    # a point seen as -0.0 and then as 0.0 is one box, the first one's:
+    # its lo corner keeps -0.0 and its hi corner is -0.0 + 0.0 = 0.0
+    first = (-0.0,) + zero[1:]
+    got = Region.point_boxes([first, zero], dim)
+    assert _signed_boxes(got) == _signed_boxes(Region((
+        (first, zero),), dim))
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
     # the atoms_2d construction: nu is mu pushed inside each atom's cone,

@@ -309,6 +309,83 @@ def test_cone_kernel_matches_replaced_kernels(dim, block, monkeypatch):
     assert edge_pairs > 50  # pairs exactly on the cone edge were exercised
 
 
+def _window_cases():
+    """(name, sources, targets, cs, dt) on which axis-0 windows are easy
+    to get wrong; points are distinct, on the quarter lattice of
+    `_point_set` unless said otherwise."""
+    rng = np.random.default_rng(77)
+    out = []
+    src = _point_set(rng, 30, 2, True)
+    src = src[np.argsort(-src[:, 0], kind="stable")]  # descending axis 0
+    out.append(("unsorted sources", src, _point_set(rng, 40, 2, True), CS2,
+                0.5))
+    # two source clusters; the second cluster's targets sit near 1e3, as
+    # in a failing atoms_2d cloud, so its cones are empty
+    mu_pts = rng.uniform(-1.0, 1.0, (60, 2))
+    mu_pts[20:, 0] += 3.0
+    nu_pts = mu_pts + rng.uniform(-0.25, 0.25, (60, 2))
+    nu_pts[20:, 0] = 1.0e3 + np.arange(40.0)
+    out.append(("far targets", mu_pts, nu_pts, CS2, 0.4))
+    # many targets per axis-0 value, sources on the same values
+    tgt = _point_set(rng, 120, 2, True)
+    tgt = tgt[np.abs(tgt[:, 0]) <= 0.75]
+    out.append(("ties on axis 0", _point_set(rng, 12, 2, True), tgt, CS2,
+                0.5))
+    # targets on the axis-0 rims x -+ reach of sources on a 0.1 lattice
+    # and one ulp either side, where x -+ reach rounds across targets
+    # that the squared test puts on the other side
+    src = np.unique(rng.integers(-30, 31, (20, 2)), axis=0) * 0.1
+    reach = spacetime.cone_radius(0.3, CS2)
+    edge = np.concatenate([src[:, 0] - reach, src[:, 0] + reach])
+    col = np.concatenate([edge, np.nextafter(edge, -np.inf),
+                          np.nextafter(edge, np.inf)])
+    tgt = np.unique(np.stack([col, np.tile(src[:, 1], 6)], axis=1), axis=0)
+    out.append(("axis-0 rims", src, tgt[rng.permutation(len(tgt))], CS2,
+                0.3))
+    # d = 3 targets exactly on the cone rim of each source: integer
+    # offsets of length 9, scaled by 1/8, so every coordinate is exact
+    cs3 = CausalStructure(dim=3, c=1.0)
+    src = _point_set(rng, 10, 3, True)
+    rims = np.array([(1, 4, 8), (4, 4, -7), (-8, 1, 4), (-4, 7, -4),
+                     (0, 0, 9), (-7, -4, 4)]) / 8.0
+    tgt = np.unique(np.concatenate(
+        [(src[:, None, :] + rims[None]).reshape(-1, 3),
+         _point_set(rng, 40, 3, True)]), axis=0)
+    out.append(("d = 3 rims", src, tgt[rng.permutation(len(tgt))], cs3,
+                1.125))
+    return out
+
+
+def _grid(time: float, n: int, shift: int) -> SliceMeasure:
+    g = np.exp(-np.linspace(-2.0, 2.0, n) ** 2)
+    w = np.roll(np.outer(g, g), shift, axis=0)
+    w[:, n // 2] = 0.0  # a pruned column
+    return SliceMeasure.from_grid(time, (-1.0, -1.0), 2.0 / n, w / w.sum())
+
+
+@pytest.mark.parametrize("block", [None, 1, 37])
+def test_flow_network_windows_match_oracle(block, monkeypatch):
+    # the CSR of the windowed build against the all-pairs oracle, exactly,
+    # with sources split into blocks of about `block` candidate pairs
+    if block is not None:
+        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+    cases = [(name, _atoms(0.0, s, cs.dim), _atoms(dt, t, cs.dim), cs)
+             for name, s, t, cs, dt in _window_cases()]
+    for n, dt in ((8, 0.25), (12, 0.5)):
+        cases.append((f"grid {n}", _grid(0.0, n, 0), _grid(dt, n, 1), CS2))
+    for name, mu, nu, cs in cases:
+        net = build_flow_network(mu, nu, cs)
+        src = mu.positions[np.asarray(mu.weights_flat) > 0]
+        tgt = nu.positions[np.asarray(nu.weights_flat) > 0]
+        indptr, indices = _oracle_cone_edges(
+            src, tgt, cs.c * (nu.time - mu.time + EPS_CAUSAL))
+        assert net.edge_indptr.dtype == indptr.dtype, name
+        assert net.edge_indices.dtype == indices.dtype, name
+        assert np.array_equal(net.edge_indptr, indptr), name
+        assert np.array_equal(net.edge_indices, indices), name
+        assert 0 < net.num_edges < len(src) * len(tgt), name
+
+
 @pytest.mark.parametrize("block", [None, 5])
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     if block is not None:

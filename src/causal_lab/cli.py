@@ -31,7 +31,8 @@ the wall_clock_s field.  --out writes the record (and any CSV series)
 to files atomically.
 
 Exit codes: 0 success; 1 a checked condition failed and --assert was
-passed; 2 invalid input.
+passed; 2 invalid input.  Any ValueError that the library raises is an
+input error: `main` reports it as `error: <message>` and returns 2.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .region import Region
 from .spacetime import EPS_CAUSAL, CausalStructure
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Scenario file or flag combination is unusable (exit code 2)."""
 
 
@@ -125,25 +126,30 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _parse_measure(entry: dict, exact: bool, name: str):
-    time_v = float(_require(entry, "time", f"measure '{name}'"))
-    if "atoms" in entry:
-        atoms = []
-        for row in entry["atoms"]:
-            if len(row) < 2:
-                raise CliInputError(
-                    f"measure '{name}': atom rows need coordinates + weight")
-            w = Fraction(str(row[-1])) if exact else float(row[-1])
-            atoms.append((tuple(float(v) for v in row[:-1]), w))
-        return SliceMeasure.from_atoms(time_v, atoms)
-    if "grid" in entry:
-        if exact:
-            raise CliInputError("exact-rational mode supports atom measures "
-                                f"only; '{name}' is a grid")
-        g = entry["grid"]
-        return SliceMeasure.from_grid(
-            time_v, [float(v) for v in _require(g, "origin", name)],
-            float(_require(g, "cell_size", name)),
-            np.asarray(_require(g, "weights", name), dtype=float))
+    try:
+        time_v = float(_require(entry, "time", f"measure '{name}'"))
+        if "atoms" in entry:
+            atoms = []
+            for row in entry["atoms"]:
+                if len(row) < 2:
+                    raise CliInputError(f"measure '{name}': atom rows need "
+                                        "coordinates + weight")
+                w = Fraction(str(row[-1])) if exact else float(row[-1])
+                atoms.append((tuple(float(v) for v in row[:-1]), w))
+            return SliceMeasure.from_atoms(time_v, atoms)
+        if "grid" in entry:
+            if exact:
+                raise CliInputError("exact-rational mode supports atom "
+                                    f"measures only; '{name}' is a grid")
+            g = entry["grid"]
+            return SliceMeasure.from_grid(
+                time_v, [float(v) for v in _require(g, "origin", name)],
+                float(_require(g, "cell_size", name)),
+                np.asarray(_require(g, "weights", name), dtype=float))
+    except CliInputError:
+        raise  # already says what is wrong
+    except (ValueError, TypeError) as exc:
+        raise CliInputError(f"bad measure '{name}': {exc}") from exc
     raise CliInputError(f"measure '{name}' needs 'atoms' or 'grid'")
 
 
@@ -170,11 +176,8 @@ class Scenario:
         if not isinstance(data, dict):
             raise CliInputError("scenario root must be an object")
         st = _require(data, "spacetime", "the root")
-        try:
-            self.cs = CausalStructure(dim=int(_require(st, "dim", "spacetime")),
-                                      c=float(st.get("c", 1.0)))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        self.cs = CausalStructure(dim=int(_require(st, "dim", "spacetime")),
+                                  c=float(st.get("c", 1.0)))
         self.seed = int(data.get("seed", 0))
         self.exact = exact
         self.measures = {
@@ -200,11 +203,8 @@ class Scenario:
                 raise CliInputError(
                     f"measurement.{role} references unknown measure '{ref}'")
             refs[role] = self.measures[ref]
-        try:
-            return conditions.MeasurementScenario(cs=self.cs, K=k,
-                                                  p_plus=p_plus, **refs)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        return conditions.MeasurementScenario(cs=self.cs, K=k, p_plus=p_plus,
+                                              **refs)
 
     def lattice(self):
         if self.protocol is None or "lattice" not in self.protocol:
@@ -287,18 +287,12 @@ def cmd_check(args) -> int:
     rec = _base_record("check", sc.digest)
     rec["condition"] = args.condition
     rec["method"] = args.method
-    try:
-        if args.condition == "ce":
-            verdict = conditions.check_ce(ms, method=args.method)
-        else:
-            report = conditions.evaluate_conditions(ms, method=args.method)
-    except ValueError as exc:
-        # e.g. nu before mu, or brute force on a grid or too many atoms
-        raise CliInputError(str(exc)) from exc
     if args.condition == "ce":
+        verdict = conditions.check_ce(ms, method=args.method)
         rec["result"] = _verdict_json(verdict)
         failed = not verdict.holds
     else:
+        report = conditions.evaluate_conditions(ms, method=args.method)
         flags = {"ce": report.ce, "ns": report.ns,
                  "a1": report.a1, "a2": report.a2}
         if args.condition == "all":
@@ -330,16 +324,12 @@ def cmd_truth_table(args) -> int:
 def _build_protocol(sc: Scenario):
     ms = sc.measurement_scenario()
     lattice = sc.lattice()
-    try:
-        witness = conditions.find_ns_witness(ms)
-        if witness is None:
-            raise LookupError("find_ns_witness found no marginal gap; "
-                              "the scenario does not signal")
-        return ms, lattice, protocol.construct_protocol(ms, witness, lattice)
-    except protocol.ProtocolSearchError:
-        raise  # a search that came up empty, reported as a record
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    witness = conditions.find_ns_witness(ms)
+    if witness is None:
+        raise protocol.ProtocolSearchError(
+            "find_ns_witness found no marginal gap; "
+            "the scenario does not signal")
+    return ms, lattice, protocol.construct_protocol(ms, witness, lattice)
 
 
 def _protocol_json(proto) -> dict:
@@ -358,7 +348,7 @@ def cmd_protocol(args) -> int:
     rec = _base_record("protocol", sc.digest)
     try:
         _, _, proto = _build_protocol(sc)
-    except (LookupError, protocol.ProtocolSearchError) as exc:
+    except protocol.ProtocolSearchError as exc:
         rec["result"] = {"constructed": False, "error": str(exc)}
         _emit(rec, args)
         return 1 if args.assert_ else 0
@@ -380,7 +370,7 @@ def cmd_signal_sim(args) -> int:
     rec["seed"] = seed
     try:
         ms, _, proto = _build_protocol(sc)
-    except (LookupError, protocol.ProtocolSearchError) as exc:
+    except protocol.ProtocolSearchError as exc:
         raise CliInputError(f"cannot build a protocol to simulate: {exc}") \
             from exc
     sect = sc.protocol or {}
@@ -389,11 +379,8 @@ def cmd_signal_sim(args) -> int:
     stats = []
     lines = ["block_size,error_rate,stderr"]
     for i, block in enumerate(block_sizes):
-        try:
-            st = protocol.simulate_signalling(proto, ms, trials=trials,
-                                              seed=seed + i, block_size=block)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        st = protocol.simulate_signalling(proto, ms, trials=trials,
+                                          seed=seed + i, block_size=block)
         stats.append({"block_size": block, "trials": st.trials,
                       "error_rate": st.error_rate, "stderr": st.stderr,
                       "p_detect_off": st.p_detect_off,
@@ -408,7 +395,7 @@ def cmd_signal_sim(args) -> int:
 
 
 def cmd_simulate_quantum(args) -> int:
-    sc = Scenario(args.scenario, args.exact_rational)
+    sc = Scenario(args.scenario)
     if sc.quantum is None:
         raise CliInputError("scenario has no 'quantum' section")
     if sc.cs.dim != 1:
@@ -421,36 +408,33 @@ def cmd_simulate_quantum(args) -> int:
         q.get("units", "natural"))
     if units is None:
         raise CliInputError("quantum.units must be 'natural' or 'si'")
-    try:
-        m = float(_require(q, "m", "quantum"))
-        lam = float(_require(q, "lambda", "quantum"))
-        t = float(_require(q, "t", "quantum"))
-        origin = float(_require(grid, "origin", "quantum.grid"))
-        cell = float(_require(grid, "cell_size", "quantum.grid"))
-        n = int(_require(grid, "n", "quantum.grid"))
-        x0 = float(q.get("x0", 0.0))
-        k0 = float(q.get("k0", 0.0))
-        k_region = _parse_region(_require(q, "K", "quantum"), 1, "quantum.K")
-        if dynamics == "dirac":
-            psi0 = quantum.bump_spinor_packet(
-                center=x0, halfwidth=lam, origin=origin, cell_size=cell,
-                n=n, mass=m, units=units)
-            evolved = quantum.evolve_dirac_1p1(psi0, t)
-        elif dynamics in ("schrodinger", "relativistic"):
-            psi0 = quantum.gaussian_packet(lam, x0=x0, k0=k0, origin=origin,
-                                           cell_size=cell, n=n, mass=m,
-                                           units=units)
-            evolve = (quantum.evolve_schrodinger_free
-                      if dynamics == "schrodinger"
-                      else quantum.evolve_relativistic)
-            evolved = evolve(psi0, t)
-        else:
-            raise CliInputError(f"unknown dynamics {dynamics!r}")
-        mu = quantum.born_measure(psi0, 0.0).restricted(k_region)
-        nu = quantum.born_measure(evolved, t)
-        verdict = transport.check_ce_maxflow(mu, nu, sc.cs)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    m = float(_require(q, "m", "quantum"))
+    lam = float(_require(q, "lambda", "quantum"))
+    t = float(_require(q, "t", "quantum"))
+    origin = float(_require(grid, "origin", "quantum.grid"))
+    cell = float(_require(grid, "cell_size", "quantum.grid"))
+    n = int(_require(grid, "n", "quantum.grid"))
+    x0 = float(q.get("x0", 0.0))
+    k0 = float(q.get("k0", 0.0))
+    k_region = _parse_region(_require(q, "K", "quantum"), 1, "quantum.K")
+    if dynamics == "dirac":
+        psi0 = quantum.bump_spinor_packet(
+            center=x0, halfwidth=lam, origin=origin, cell_size=cell,
+            n=n, mass=m, units=units)
+        evolved = quantum.evolve_dirac_1p1(psi0, t)
+    elif dynamics in ("schrodinger", "relativistic"):
+        psi0 = quantum.gaussian_packet(lam, x0=x0, k0=k0, origin=origin,
+                                       cell_size=cell, n=n, mass=m,
+                                       units=units)
+        evolve = (quantum.evolve_schrodinger_free
+                  if dynamics == "schrodinger"
+                  else quantum.evolve_relativistic)
+        evolved = evolve(psi0, t)
+    else:
+        raise CliInputError(f"unknown dynamics {dynamics!r}")
+    mu = quantum.born_measure(psi0, 0.0).restricted(k_region)
+    nu = quantum.born_measure(evolved, t)
+    verdict = transport.check_ce_maxflow(mu, nu, sc.cs)
     rec = _base_record("simulate-quantum", sc.digest)
     rec["result"] = {
         "dynamics": dynamics,
@@ -473,10 +457,7 @@ def cmd_scales(args) -> int:
              else quantum.SI_UNITS)
     t = math.inf if args.t.strip().lower() in ("inf", "infinity") \
         else float(args.t)
-    try:
-        report = quantum.min_violation_halfwidth(args.m, args.lam, t, units=units)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    report = quantum.min_violation_halfwidth(args.m, args.lam, t, units=units)
     rec = _base_record("scales", None)
     rec["result"] = {
         "m": report.mass, "lambda": report.lam, "t": report.t,
@@ -491,18 +472,22 @@ def cmd_scales(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True,
-                assert_: bool = True) -> None:
-    """--out everywhere; the scenario flags where a scenario is read, and
-    --assert where the handler reads it."""
-    if scenario:
+def _add_common(p: argparse.ArgumentParser,
+                flags: str = "scenario seed exact assert") -> None:
+    """--out everywhere; each of the other flags where the handler reads
+    it.  `check` and `protocol` read no seed but keep --seed, which
+    scripts pass to every scenario command."""
+    flags = flags.split()
+    if "scenario" in flags:
         p.add_argument("--scenario", required=True,
                        help="path to a JSON scenario file")
+    if "seed" in flags:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
+    if "exact" in flags:
         p.add_argument("--exact-rational", action="store_true",
                        help="parse weights as exact rationals (atom measures)")
-    if assert_:
+    if "assert" in flags:
         p.add_argument("--assert", dest="assert_", action="store_true",
                        help="exit 1 when the checked condition fails")
     p.add_argument("--out", default=None,
@@ -517,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="scenario consistency check")
-    _add_common(p)
+    _add_common(p, "scenario exact assert")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("check", help="evaluate causality conditions")
@@ -529,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truth-table",
                        help="exact verdicts for the canonical two-atom family")
-    _add_common(p, scenario=False)
+    _add_common(p, "assert")
     p.set_defaults(handler=cmd_truth_table)
 
     p = sub.add_parser("protocol", help="construct a signalling protocol")
@@ -537,12 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_protocol)
 
     p = sub.add_parser("signal-sim", help="Monte Carlo of the one-bit channel")
-    _add_common(p, assert_=False)
+    _add_common(p, "scenario seed exact")
     p.set_defaults(handler=cmd_signal_sim)
 
     p = sub.add_parser("simulate-quantum",
                        help="evolve a packet and check the ordering condition")
-    _add_common(p)
+    _add_common(p, "scenario assert")
     p.set_defaults(handler=cmd_simulate_quantum)
 
     p = sub.add_parser("scales", help="closed-form violation scales")
@@ -552,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="inf",
                    help="spreading time; 'inf' for the asymptote")
     p.add_argument("--units", choices=["si", "natural"], default="si")
-    _add_common(p, scenario=False, assert_=False)
+    _add_common(p, "")
     p.set_defaults(handler=cmd_scales)
 
     return parser
@@ -564,7 +549,7 @@ def main(argv=None) -> int:
     args._t0 = time.monotonic()
     try:
         return args.handler(args)
-    except CliInputError as exc:
+    except ValueError as exc:  # CliInputError and what the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

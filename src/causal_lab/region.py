@@ -338,9 +338,7 @@ class Region:
         return [[list(lo), list(hi)] for lo, hi in self.boxes]
 
     @staticmethod
-    def from_json(data: Sequence, dim: int | None = None) -> "Region":
-        if not data and dim is None:
-            raise ValueError("dimension required for an empty region")
-        if not data:
-            return Region.empty(dim)  # type: ignore[arg-type]
-        return Region.from_boxes([(lo, hi) for lo, hi in data], dim)
+    def from_json(data: Sequence | None, dim: int | None = None) -> "Region":
+        """Inverse of `to_json`; null (a holding verdict's worst set) is
+        the empty region."""
+        return Region.from_boxes(data or (), dim)

@@ -428,6 +428,63 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
     assert parse_record(out)["result"]["constructed"] is False
 
 
+def _set(*path_and_value):
+    """Edit of a scenario payload: set the item at `path` to `value`."""
+    *path, key, value = path_and_value
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        payload[key] = value
+    return edit
+
+
+def _grid_nu0(**grid):
+    return _set("measures", "nu0", {"time": 1.0, "grid": {
+        "origin": [-4.0], "cell_size": 0.5,
+        "weights": [0.0] * 9 + [1.0] + [0.0] * 6, **grid}})
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (_set("measures", "nu0", "atoms", 0, [0.9, -0.2]), ("check", "all"),
+     "bad measure 'nu0': weights must be finite and nonnegative"),
+    (_set("measures", "nu0", "atoms", 0, [0.9, -0.2]),
+     ("check", "all", "--assert"),
+     "bad measure 'nu0': weights must be finite and nonnegative"),
+    (_set("measures", "nu0", "atoms", 1, [0.9, 0.8]), ("check", "all"),
+     "bad measure 'nu0': duplicate atom position"),
+    (_set("measures", "mu", "time", "abc"), ("check", "all"),
+     "bad measure 'mu': could not convert string to float: 'abc'"),
+    (_set("measurement", "p_plus", "half"), ("check", "all"),
+     "could not convert string to float: 'half'"),
+    (_set("seed", "x"), ("check", "all"),
+     "invalid literal for int() with base 10: 'x'"),
+    (_grid_nu0(cell_size=-1), ("check", "all"),
+     "bad measure 'nu0': cell size must be positive"),
+    (_grid_nu0(weights="x"), ("check", "all"),
+     "bad measure 'nu0': could not convert string to float: 'x'"),
+    (_set("measures", "mu", "time", None), ("check", "all"),
+     "bad measure 'mu': float() argument must be a string or a"),
+    (_set("measures", "nu0", "atoms", 0, [0.0, None]), ("validate",),
+     "bad measure 'nu0': float() argument must be a string or a"),
+    (None, ("scales", "--m", "1", "--lambda", "1", "--t", "abc"),
+     "could not convert string to float: 'abc'"),
+], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
+        "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
+        "weights_x", "time_null", "weight_null", "scales_t_abc"])
+def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
+                                               capsys):
+    # each of these once escaped main as a traceback with exit code 1
+    if edit is not None:
+        payload = json.loads((DATA / "two_atom.json").read_text())
+        edit(payload)
+        argv += ("--scenario", write_scenario(tmp_path, payload))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_exit_code_two_on_too_fine_cover_resolution(tmp_path, capsys):
     # 2**-40 asks for 2**39 cover points on K = [-0.25, 0.25]
     payload = json.loads((DATA / "two_atom.json").read_text())
@@ -448,6 +505,14 @@ def test_exit_code_two_on_too_fine_cover_resolution(tmp_path, capsys):
     (["signal-sim", "--scenario", "f", "--assert"], False),
     (["truth-table", "--assert"], True),
     (["signal-sim", "--scenario", "f", "--seed", "3"], True),
+    (["validate", "--scenario", "f", "--seed", "1"], False),
+    (["simulate-quantum", "--scenario", "f", "--seed", "1"], False),
+    (["simulate-quantum", "--scenario", "f", "--exact-rational"], False),
+    (["validate", "--scenario", "f", "--exact-rational", "--assert"], True),
+    (["simulate-quantum", "--scenario", "f", "--assert"], True),
+    # scripts pass --seed to every scenario command that takes it
+    (["check", "all", "--scenario", "f", "--seed", "3"], True),
+    (["protocol", "--scenario", "f", "--seed", "3", "--exact-rational"], True),
 ])
 def test_flags_offered_only_where_read(argv, accepted, capsys):
     if accepted:

@@ -112,6 +112,12 @@ def test_json_round_trip():
     r = Region.from_boxes([((0.0, -1.0), (1.0, 1.0)), ((2.0, 2.0), (3.0, 4.0))])
     again = Region.from_json(r.to_json())
     assert again.boxes == r.boxes
+    # empty input, and null (a holding verdict's worst set), in d = 1 and d >= 2
+    for data in ([], None):
+        for dim in (1, 2, 3):
+            assert Region.from_json(data, dim) == Region((), dim)
+        with pytest.raises(ValueError, match="dimension required"):
+            Region.from_json(data)
 
 
 def test_from_json_rejects_mixed_dims():

@@ -125,6 +125,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _scalar(kind, mapping: dict, key: str, where: str, default=None):
+    """kind(mapping[key]), or `default` when the key is absent and has
+    one.  A null, like a missing key without a default, and a value that
+    kind rejects are input errors that name the key."""
+    if key not in mapping and default is not None:
+        return default
+    raw = _require(mapping, key, where)
+    if raw is None:
+        raise CliInputError(f"scenario has null '{key}' in {where}")
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"bad '{key}' in {where}: {exc}") from exc
+
+
 def _parse_measure(entry: dict, exact: bool, name: str):
     try:
         time_v = float(_require(entry, "time", f"measure '{name}'"))
@@ -154,10 +169,17 @@ def _parse_measure(entry: dict, exact: bool, name: str):
 
 
 def _parse_region(data, dim: int, where: str):
+    """A detector region K.  Region.from_json reads null as the empty
+    region; here null and an empty list are input errors, as a missing K
+    is."""
     try:
-        return Region.from_json(data, dim=dim)
+        region = Region.from_json(data, dim=dim)
     except (ValueError, TypeError) as exc:
         raise CliInputError(f"bad region in {where}: {exc}") from exc
+    if region.is_empty:
+        raise CliInputError(f"{where} is empty; the detector region needs "
+                            "at least one box")
+    return region
 
 
 class Scenario:
@@ -176,9 +198,11 @@ class Scenario:
         if not isinstance(data, dict):
             raise CliInputError("scenario root must be an object")
         st = _require(data, "spacetime", "the root")
-        self.cs = CausalStructure(dim=int(_require(st, "dim", "spacetime")),
-                                  c=float(st.get("c", 1.0)))
-        self.seed = int(data.get("seed", 0))
+        if not isinstance(st, dict):
+            raise CliInputError("scenario 'spacetime' must be an object")
+        self.cs = CausalStructure(dim=_scalar(int, st, "dim", "spacetime"),
+                                  c=_scalar(float, st, "c", "spacetime", 1.0))
+        self.seed = _scalar(int, data, "seed", "the root", 0)
         self.exact = exact
         self.measures = {
             name: _parse_measure(m, exact, name)
@@ -194,8 +218,8 @@ class Scenario:
         sect = self.measurement
         k = _parse_region(_require(sect, "K", "measurement"), self.cs.dim,
                           "measurement.K")
-        p_raw = _require(sect, "p_plus", "measurement")
-        p_plus = Fraction(str(p_raw)) if self.exact else float(p_raw)
+        p_plus = _scalar((lambda v: Fraction(str(v))) if self.exact
+                         else float, sect, "p_plus", "measurement")
         refs = {}
         for role in ("mu", "nu0", "nu1", "nu_plus", "nu_minus"):
             ref = _require(sect, role, "measurement")
@@ -374,8 +398,9 @@ def cmd_signal_sim(args) -> int:
         raise CliInputError(f"cannot build a protocol to simulate: {exc}") \
             from exc
     sect = sc.protocol or {}
-    trials = int(sect.get("trials", 10000))
-    block_sizes = [int(b) for b in sect.get("block_sizes", [1])]
+    trials = _scalar(int, sect, "trials", "protocol", 10000)
+    block_sizes = _scalar(lambda v: [int(b) for b in v], sect,
+                          "block_sizes", "protocol", [1])
     stats = []
     lines = ["block_size,error_rate,stderr"]
     for i, block in enumerate(block_sizes):
@@ -404,18 +429,20 @@ def cmd_simulate_quantum(args) -> int:
     q = sc.quantum
     dynamics = _require(q, "dynamics", "quantum")
     grid = _require(q, "grid", "quantum")
+    if not isinstance(grid, dict):
+        raise CliInputError("quantum.grid must be an object")
     units = {"natural": quantum.NATURAL_UNITS, "si": quantum.SI_UNITS}.get(
         q.get("units", "natural"))
     if units is None:
         raise CliInputError("quantum.units must be 'natural' or 'si'")
-    m = float(_require(q, "m", "quantum"))
-    lam = float(_require(q, "lambda", "quantum"))
-    t = float(_require(q, "t", "quantum"))
-    origin = float(_require(grid, "origin", "quantum.grid"))
-    cell = float(_require(grid, "cell_size", "quantum.grid"))
-    n = int(_require(grid, "n", "quantum.grid"))
-    x0 = float(q.get("x0", 0.0))
-    k0 = float(q.get("k0", 0.0))
+    m = _scalar(float, q, "m", "quantum")
+    lam = _scalar(float, q, "lambda", "quantum")
+    t = _scalar(float, q, "t", "quantum")
+    origin = _scalar(float, grid, "origin", "quantum.grid")
+    cell = _scalar(float, grid, "cell_size", "quantum.grid")
+    n = _scalar(int, grid, "n", "quantum.grid")
+    x0 = _scalar(float, q, "x0", "quantum", 0.0)
+    k0 = _scalar(float, q, "k0", "quantum", 0.0)
     k_region = _parse_region(_require(q, "K", "quantum"), 1, "quantum.K")
     if dynamics == "dirac":
         psi0 = quantum.bump_spinor_packet(

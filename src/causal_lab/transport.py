@@ -7,18 +7,19 @@ saturating the earlier measure exists, so the decision procedure is a
 max-flow on the atom/cell cone graph; the min cut names a worst offending
 set.
 
-The max-flow solver follows the geometry: an exact sweep in d = 1, Dinic
-in d >= 2.  In one dimension every cone is an interval of the same radius
-c*dt, so the cone graph is proper convex and filling the leftmost live
-target first is a maximum flow (Glover 1967); no graph is built.  Both
-solvers run on the same exact integer lift of the capacities and take the
-min-cut side from residual reachability, which is the same set for every
-maximum flow, so they name the same worst set.  Small atomic inputs in
-d = 1 place the sweep's windows on Python lists, large ones and grids with
-numpy; both paths give the same windows.  In d >= 2 those axis-0 windows
-pick the candidate pairs of the cone graph, and the cone test settles
-each one (Efrat, Itai and Katz 2001 build geometric bipartite graphs from
-neighbour queries the same way).
+The max-flow solver follows the geometry: an exact sweep in d = 1, and in
+d >= 2 a greedy fill plus bipartite Dinic phases on the cone graph's CSR
+arrays (`maxflow.dinic_max_flow`).  In one dimension every cone is an
+interval of the same radius c*dt, so the cone graph is proper convex and
+filling the leftmost live target first is a maximum flow (Glover 1967); no
+graph is built.  Both solvers run on the same exact integer lift of the
+capacities and take the min-cut side from residual reachability, which is
+the same set for every maximum flow, so they name the same worst set.
+Small atomic inputs in d = 1 place the sweep's windows on Python lists,
+large ones and grids with numpy; both paths give the same windows.  In
+d >= 2 those axis-0 windows pick the candidate pairs of the cone graph,
+and the cone test settles each one (Efrat, Itai and Katz 2001 build geometric
+bipartite graphs from neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
 The exhaustive subset scan `check_ce_bruteforce` stays for
@@ -181,26 +182,14 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
                  cs: CausalStructure) -> tuple[int, int, list]:
-    """Exact max-flow deficit and min-cut left points, by Dinic, with the
-    deficit as leftover supply over the lift's denominator."""
+    """Exact max-flow deficit and min-cut left points on the cone graph,
+    with the deficit as leftover supply over the lift's denominator."""
     net = build_flow_network(mu, nu, cs)
-    nl, nr = net.num_left, net.num_right
-    n = nl + nr + 2
-    src, snk = 0, n - 1
+    nl = net.num_left
     den, caps = _integer_lift(net.left_caps + net.right_caps)
-    lint, rint = caps[:nl], caps[nl:]
-    total = sum(lint)
-    big = total + 1  # middle edges may never enter a minimum cut
-    edges: list[tuple[int, int, int]] = []
-    edges.extend((src, 1 + i, c) for i, c in enumerate(lint))
-    indptr = net.edge_indptr.tolist()
-    heads = (net.edge_indices + (1 + nl)).tolist()
-    for i in range(nl):
-        edges.extend((1 + i, v, big) for v in heads[indptr[i]:indptr[i + 1]])
-    edges.extend((1 + nl + j, snk, c) for j, c in enumerate(rint))
-    flow, _, side = dinic_max_flow(n, edges, src, snk)
-    left_side = [i for i in range(nl) if (1 + i) in side]
-    return total - flow, den, net.left_points[left_side].tolist()
+    rest, cut = dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
+                               net.edge_indptr.tolist(), caps[nl:])
+    return rest, den, net.left_points[cut].tolist()
 
 
 def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
@@ -350,12 +339,13 @@ def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
                      cs: CausalStructure) -> CeVerdict:
     """Flow-based ordering check; min cut names the worst offending set.
 
-    The solver is the exact sweep in d = 1 and Dinic in d >= 2.  Either is
-    exact for any input; the eps_flow slack on float verdicts only absorbs
-    noise already present in the given weights.  Both return the leftover
-    supply as an integer over the lift's denominator, so the verdict is
-    decided on integers and a Fraction is built only when every weight is
-    rational.
+    The solver is the exact sweep in d = 1; in d >= 2 it is a greedy fill
+    plus bipartite Dinic phases on the CSR arrays of the cone graph.
+    Either is exact for any input; the eps_flow slack on float verdicts
+    only absorbs noise already present in the given weights.  Both return
+    the leftover supply as an integer over the lift's denominator, so the
+    verdict is decided on integers and a Fraction is built only when every
+    weight is rational.
     """
     exact = mu.exact and nu.exact
     solve = _solve_sweep_1d if cs.dim == 1 else _solve_dinic

@@ -8,6 +8,7 @@ import pytest
 
 from causal_lab import conditions, protocol
 from causal_lab.cli import Scenario, build_parser, main
+from causal_lab.region import Region
 
 from helpers import random_grid_scenario
 
@@ -485,6 +486,67 @@ def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
     assert err.count("\n") == 1
 
 
+QUANTUM = {
+    "spacetime": {"dim": 1, "c": 1.0},
+    "quantum": {"dynamics": "schrodinger", "m": 1.0, "lambda": 1.0,
+                "t": 1.0, "x0": 0.0, "k0": 0.0,
+                "grid": {"origin": -8.0, "cell_size": 0.0625, "n": 256},
+                "K": [[[-1.0], [1.0]]]},
+}
+
+
+@pytest.mark.parametrize("path, argv", [
+    (("seed",), ("check", "all")),
+    (("measurement", "p_plus"), ("check", "all")),
+    (("spacetime", "c"), ("check", "all")),
+    (("spacetime", "dim"), ("validate",)),
+    (("spacetime",), ("validate",)),
+    (("protocol", "trials"), ("signal-sim",)),
+    (("protocol", "block_sizes"), ("signal-sim",)),
+    (("protocol", "block_sizes", 1), ("signal-sim",)),
+    (("quantum", "m"), ("simulate-quantum",)),
+    (("quantum", "lambda"), ("simulate-quantum",)),
+    (("quantum", "t"), ("simulate-quantum",)),
+    (("quantum", "x0"), ("simulate-quantum",)),
+    (("quantum", "k0"), ("simulate-quantum",)),
+    (("quantum", "grid"), ("simulate-quantum",)),
+    (("quantum", "grid", "origin"), ("simulate-quantum",)),
+    (("quantum", "grid", "cell_size"), ("simulate-quantum",)),
+    (("quantum", "grid", "n"), ("simulate-quantum",)),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v[0], str) else None)
+def test_exit_code_two_on_null_scalar(path, argv, tmp_path, capsys):
+    # each of these once escaped main as a TypeError traceback, exit 1
+    source = QUANTUM if path[0] == "quantum" else json.loads(
+        (DATA / "two_atom.json").read_text())
+    payload = json.loads(json.dumps(source))
+    _set(*path, None)(payload)
+    argv += ("--scenario", write_scenario(tmp_path, payload))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Error" not in err
+
+
+@pytest.mark.parametrize("k", [None, []], ids=["null", "no_boxes"])
+def test_exit_code_two_on_empty_detector_region(k, tmp_path, capsys):
+    # a missing K exits 2, so an empty one does too, in the measurement
+    # and in the quantum section; null still reads as the empty region
+    # where a record holds it (a holding worst set)
+    payload = json.loads((DATA / "two_atom.json").read_text())
+    payload["measurement"]["K"] = k
+    path = write_scenario(tmp_path, payload)
+    for argv in (("check", "all"), ("protocol",)):
+        code, out, err = run_cli(capsys, *argv, "--scenario", path)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "K" in err, argv
+    payload = json.loads(json.dumps(QUANTUM))
+    payload["quantum"]["K"] = k
+    path = write_scenario(tmp_path, payload, name="quantum.json")
+    code, out, err = run_cli(capsys, "simulate-quantum", "--scenario", path)
+    assert (code, out) == (2, "") and "quantum.K is empty" in err
+    assert Region.from_json(None, 2).is_empty
+
+
 def test_exit_code_two_on_too_fine_cover_resolution(tmp_path, capsys):
     # 2**-40 asks for 2**39 cover points on K = [-0.25, 0.25]
     payload = json.loads((DATA / "two_atom.json").read_text())
@@ -599,10 +661,9 @@ def test_validate_flags_atomic_nu0_beside_grid_nu1(tmp_path, capsys):
     assert code == 2 and "share geometry" in err
 
 
-def test_drained_2d_methods_agree(capsys):
-    # the d = 2 file of the console-script smoke step: four atoms whose
-    # cones hold no nu mass are the one worst set, found by both methods
-    path = str(DATA / "drained_2d.json")
+def _methods_agree(capsys, name):
+    """`check ce` auto and bruteforce on a data file: one result."""
+    path = str(DATA / name)
     code, out, _ = run_cli(capsys, "validate", "--assert", "--scenario", path)
     assert code == 0
     results = {}
@@ -613,7 +674,23 @@ def test_drained_2d_methods_agree(capsys):
         results[method] = parse_record(out)["result"]
         results[method].pop("method")
     assert results["auto"] == results["bruteforce"]
-    assert results["auto"]["holds"] is False
-    assert results["auto"]["deficit"] == 0.75
-    assert results["auto"]["worst_set"] == [
+    return results["auto"]
+
+
+def test_drained_2d_methods_agree(capsys):
+    # the d = 2 file of the console-script smoke step: four atoms whose
+    # cones hold no nu mass are the one worst set, found by both methods
+    result = _methods_agree(capsys, "drained_2d.json")
+    assert result["holds"] is False
+    assert result["deficit"] == 0.75
+    assert result["worst_set"] == [
         [[x, y], [x, y]] for x, y in ((10, 0), (10, 2), (12, 0), (12, 2))]
+
+
+def test_drained_3d_methods_agree(capsys):
+    # the d = 3 file of the same smoke step, built the same way
+    result = _methods_agree(capsys, "drained_3d.json")
+    assert result["holds"] is False
+    assert result["deficit"] == 0.75
+    assert result["worst_set"] == [
+        [p, p] for p in ([10, 0, 0], [10, 2, 0], [12, 0, 2], [12, 2, 2])]

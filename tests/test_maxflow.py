@@ -1,4 +1,12 @@
-"""Generic max-flow solver: value, feasibility, and min-cut extraction."""
+"""Max flow: the bipartite cone-graph solver against the generic oracle.
+
+The first group checks the generic Dinic oracle of `oracle_maxflow` on
+its own (value, feasibility, min-cut extraction).  The second holds
+`causal_lab.maxflow.dinic_max_flow` to that oracle's leftover and cut
+side, on random bipartite graphs and on the cone graphs of the ordering
+check in d = 2 and 3, and checks its cut against its flow value without
+the oracle.
+"""
 
 import itertools
 from fractions import Fraction
@@ -6,7 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from causal_lab.maxflow import dinic_max_flow
+from causal_lab import maxflow, transport
+from causal_lab.measure import SliceMeasure
+from causal_lab.spacetime import CausalStructure
+from causal_lab.transport import check_ce_maxflow, recompute_deficit
+from oracle_maxflow import dinic_max_flow, solve_cone_graph
 
 
 def _check_feasible(n, edges, flows, source, sink):
@@ -99,3 +111,166 @@ def test_source_side_unreachable_in_residual():
     value, flows, side = dinic_max_flow(3, edges, 0, 2)
     assert value == 2
     assert side == {0}
+
+
+# -- the bipartite cone-graph solver -----------------------------------------
+
+def _random_bipartite(rng):
+    """Random CSR arcs, each row in random order, and integer supplies and
+    rooms, some of them 0; a third of the instances have unit capacities,
+    on which the greedy fill often needs augmenting paths after it."""
+    nl, nr = (int(v) for v in rng.integers(0, 24, 2))
+    p = rng.uniform(0.05, 0.4)
+    rows = [rng.permutation(np.flatnonzero(rng.random(nr) < p)).tolist()
+            for _ in range(nl)]
+    heads = [j for row in rows for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    top = int(rng.choice([2, 10, 30]))
+    supply = (rng.integers(0, top, nl) * (rng.random(nl) > 0.2)).tolist()
+    room = (rng.integers(0, top, nr) * (rng.random(nr) > 0.2)).tolist()
+    return supply, heads, indptr, room
+
+
+def _certified(supply, heads, indptr, room, leftover, cut):
+    """The cut's capacity, the supply outside it plus the room of every
+    target it reaches, equals the flow the solver placed."""
+    inside = set(cut)
+    reached = {j for i in cut for j in heads[indptr[i]:indptr[i + 1]]}
+    capacity = (sum(c for i, c in enumerate(supply) if i not in inside)
+                + sum(room[j] for j in reached))
+    return sum(supply) - leftover == capacity
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_bipartite_matches_oracle(seed):
+    problem = _random_bipartite(np.random.default_rng([seed, 14]))
+    leftover, cut = maxflow.dinic_max_flow(*problem)
+    assert (leftover, cut) == solve_cone_graph(*problem)
+    assert _certified(*problem, leftover, cut)
+
+
+def test_bipartite_without_arcs():
+    assert maxflow.dinic_max_flow([3, 0, 5], [], [0, 0, 0, 0], [4]) == (
+        8, [0, 2])
+    assert maxflow.dinic_max_flow([], [], [0], [2, 2]) == (0, [])
+    assert maxflow.dinic_max_flow([2], [], [0, 0], []) == (2, [0])
+
+
+def test_bipartite_needs_augmenting_paths():
+    # the greedy fill sends source 0 to target 0, which source 1 needs
+    supply, heads, indptr, room = [1, 1], [0, 1, 0], [0, 2, 3], [1, 1]
+    assert maxflow.dinic_max_flow(supply, heads, indptr, room) == (0, [])
+    # a third source on target 0 alone finds it full: the cut holds it and
+    # source 1, which fills that target; source 0 fills target 1, out of
+    # the cut's reach
+    supply, heads, indptr = [1, 1, 1], [0, 1, 0, 0], [0, 2, 3, 4]
+    assert maxflow.dinic_max_flow(supply, heads, indptr, room) == (1, [1, 2])
+
+
+def test_bipartite_long_augmenting_path():
+    # source i prefers target i + 1, so the greedy fill leaves the last
+    # source blocked and one path through every node frees it
+    n = 50
+    rows = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    heads = [j for row in rows for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    assert maxflow.dinic_max_flow([1] * n, heads, indptr, [1] * n) == (0, [])
+    # with no room at target 0 the path finds no end, and every source
+    # lies on it
+    room = [0] + [1] * (n - 1)
+    assert maxflow.dinic_max_flow([1] * n, heads, indptr, room) == (
+        1, list(range(n)))
+
+
+def test_bipartite_huge_integers_exact():
+    big = 10**30
+    # source 1 reaches both targets and leaves target 0 to source 0
+    problem = ([big, 13], [0, 0, 1], [0, 1, 3], [big - 7, 20])
+    assert maxflow.dinic_max_flow(*problem) == (7, [0])
+    problem = ([big, 13], [0, 0], [0, 1, 2], [big - 7, 20])
+    assert maxflow.dinic_max_flow(*problem) == (20, [0, 1])
+
+
+def _oracle_solve(mu, nu, cs):
+    """`transport._solve_dinic` with the generic oracle as its solver."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "dinic_max_flow", solve_cone_graph)
+        return transport._solve_dinic(mu, nu, cs)
+
+
+def _lattice_instance(rng, dim, exact):
+    """Seeded (mu, nu, cs) on a lattice of spacing h in d = 2 or 3.
+
+    c * dt is 0 or a whole number of cells, up to 5, so targets tie with
+    the cone rim along the axes and, at 5 cells, on the 3-4-5 diagonals.
+    A quarter of the weights are 0; nu's weights carry a random gain so
+    that some checks hold.
+    """
+    h = float(rng.choice([0.25, 0.5]))
+    c = float(rng.choice([0.5, 1.0, 2.0]))
+    dt = float(rng.integers(0, 6)) * h / c
+
+    def atoms(time, n, gain):
+        cells = rng.choice(9 ** dim, size=n, replace=False)
+        pos = (np.stack(np.unravel_index(cells, (9,) * dim), axis=1) - 4) * h
+        raw = gain * rng.integers(0, 9, n) * (rng.random(n) > 0.25)
+        weights = ([Fraction(int(v), 24) for v in raw] if exact
+                   else (raw * rng.random(n)).tolist())
+        return SliceMeasure.from_atoms(
+            time, [(tuple(p), w) for p, w in zip(pos.tolist(), weights)])
+
+    nl, nr = (int(v) for v in rng.integers(1, 25, 2))
+    mu = atoms(0.0, nl, 1)
+    nu = atoms(dt, nr, int(rng.integers(1, 5)))
+    return mu, nu, CausalStructure(dim=dim, c=c)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(40))
+def test_cone_graph_matches_oracle(seed, dim, exact):
+    rng = np.random.default_rng([seed, dim, exact])
+    mu, nu, cs = _lattice_instance(rng, dim, exact)
+    got = transport._solve_dinic(mu, nu, cs)
+    assert got == _oracle_solve(mu, nu, cs)
+    v = check_ce_maxflow(mu, nu, cs)
+    assert isinstance(v.deficit, Fraction) == exact
+    if not v.holds:
+        again = recompute_deficit(mu, nu, v.worst_set, cs)
+        if exact:
+            assert again == v.deficit
+        else:
+            assert abs(float(again) - v.deficit) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cone_graph_grids_match_oracle(seed):
+    rng = np.random.default_rng([seed, 2, 14])
+    n, h = int(rng.integers(4, 13)), 0.25
+    cs = CausalStructure(dim=2, c=1.0)
+    dt = float(rng.integers(0, 4)) * h
+
+    def grid(time, gain):
+        w = gain * rng.random((n, n)) * (rng.random((n, n)) > 0.25)
+        return SliceMeasure.from_grid(time, (-n * h / 2,) * 2, h, w)
+
+    mu, nu = grid(0.0, 1.0), grid(dt, float(rng.uniform(0.5, 3.0)))
+    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    assert (rest, den, cut) == _oracle_solve(mu, nu, cs)
+    net = transport.build_flow_network(mu, nu, cs)
+    _, caps = transport._integer_lift(net.left_caps + net.right_caps)
+    supply, room = caps[:net.num_left], caps[net.num_left:]
+    heads, indptr = net.edge_indices.tolist(), net.edge_indptr.tolist()
+    _, cut_left = maxflow.dinic_max_flow(supply, heads, indptr, room)
+    assert _certified(supply, heads, indptr, room, rest, cut_left)
+
+
+def test_cone_graph_without_edges():
+    cs = CausalStructure(dim=2, c=1.0)
+    mu = SliceMeasure.from_atoms(0.0, [((0.0, 0.0), 0.25), ((1.0, 0.0), 0.0),
+                                       ((0.0, 1.0), 0.75)])
+    nu = SliceMeasure.from_atoms(0.5, [((5.0, 5.0), 1.0)])
+    assert transport.build_flow_network(mu, nu, cs).num_edges == 0
+    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    assert (rest, den, cut) == _oracle_solve(mu, nu, cs)
+    assert rest == den and cut == [[0.0, 0.0], [0.0, 1.0]]

@@ -125,6 +125,18 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _section(mapping: dict, key: str, where: str, required: bool = False):
+    """mapping[key], which must be a JSON object, or None when the key is
+    absent and not required.  A section of any other type, null included,
+    is an input error that names the key."""
+    if key not in mapping and not required:
+        return None
+    sect = _require(mapping, key, where)
+    if not isinstance(sect, dict):
+        raise CliInputError(f"scenario '{key}' in {where} must be an object")
+    return sect
+
+
 def _scalar(kind, mapping: dict, key: str, where: str, default=None):
     """kind(mapping[key]), or `default` when the key is absent and has
     one.  A null, like a missing key without a default, and a value that
@@ -197,20 +209,19 @@ class Scenario:
             raise CliInputError(f"scenario is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise CliInputError("scenario root must be an object")
-        st = _require(data, "spacetime", "the root")
-        if not isinstance(st, dict):
-            raise CliInputError("scenario 'spacetime' must be an object")
+        st = _section(data, "spacetime", "the root", required=True)
         self.cs = CausalStructure(dim=_scalar(int, st, "dim", "spacetime"),
                                   c=_scalar(float, st, "c", "spacetime", 1.0))
         self.seed = _scalar(int, data, "seed", "the root", 0)
         self.exact = exact
         self.measures = {
             name: _parse_measure(m, exact, name)
-            for name, m in data.get("measures", {}).items()
+            for name, m in (_section(data, "measures", "the root")
+                            or {}).items()
         }
-        self.measurement = data.get("measurement")
-        self.quantum = data.get("quantum")
-        self.protocol = data.get("protocol")
+        self.measurement = _section(data, "measurement", "the root")
+        self.quantum = _section(data, "quantum", "the root")
+        self.protocol = _section(data, "protocol", "the root")
 
     def measurement_scenario(self):
         if self.measurement is None:
@@ -223,7 +234,7 @@ class Scenario:
         refs = {}
         for role in ("mu", "nu0", "nu1", "nu_plus", "nu_minus"):
             ref = _require(sect, role, "measurement")
-            if ref not in self.measures:
+            if not isinstance(ref, str) or ref not in self.measures:
                 raise CliInputError(
                     f"measurement.{role} references unknown measure '{ref}'")
             refs[role] = self.measures[ref]
@@ -231,9 +242,9 @@ class Scenario:
                                               **refs)
 
     def lattice(self):
-        if self.protocol is None or "lattice" not in self.protocol:
+        lat = _section(self.protocol or {}, "lattice", "protocol")
+        if lat is None:
             raise CliInputError("scenario has no protocol.lattice section")
-        lat = self.protocol["lattice"]
         try:
             return protocol.LatticeSpec(
                 q_time=float(_require(lat, "q_time", "lattice")),
@@ -428,11 +439,9 @@ def cmd_simulate_quantum(args) -> int:
                             "set spacetime.dim = 1")
     q = sc.quantum
     dynamics = _require(q, "dynamics", "quantum")
-    grid = _require(q, "grid", "quantum")
-    if not isinstance(grid, dict):
-        raise CliInputError("quantum.grid must be an object")
+    grid = _section(q, "grid", "quantum", required=True)
     units = {"natural": quantum.NATURAL_UNITS, "si": quantum.SI_UNITS}.get(
-        q.get("units", "natural"))
+        _scalar(str, q, "units", "quantum", "natural"))
     if units is None:
         raise CliInputError("quantum.units must be 'natural' or 'si'")
     m = _scalar(float, q, "m", "quantum")
@@ -466,7 +475,7 @@ def cmd_simulate_quantum(args) -> int:
     rec["result"] = {
         "dynamics": dynamics,
         "t": t,
-        "norm_final": float(np.sum(evolved.density) * cell),
+        "norm_final": evolved.norm,
         "mass_in_K": float(mu.total),
         "ce": _verdict_json(verdict),
     }

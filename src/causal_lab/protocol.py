@@ -67,6 +67,11 @@ def _lattice(lo: tuple[float, ...], hi: tuple[float, ...],
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _event(t: float, x: np.ndarray) -> Event:
+    """The event at time t over the lattice position x."""
+    return Event(t, tuple(float(v) for v in x))
+
+
 @dataclass(frozen=True)
 class SignallingProtocol:
     K: Region
@@ -157,10 +162,10 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
             f"future of K; not found at this resolution (slice "
             f"t={lattice.q_time}, {lattice.q_points} points per axis)")
     gap, j, sel = best
-    q = Event(lattice.q_time, tuple(float(v) for v in q_xs[j]))
+    q = _event(lattice.q_time, q_xs[j])
     c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
 
-    cand_events, _, cover_pts, reach = _sender_reach(sc, q, lattice)
+    cand_xs, _, cover_pts, reach = _sender_reach(sc, q, lattice)
     senders: list[Event] = []
     covered = np.zeros(len(cover_pts), dtype=bool)
     while not covered.all():
@@ -173,7 +178,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
                 f"{tuple(float(v) for v in missing)}; not found at this "
                 f"resolution (slice t={lattice.p_time}, "
                 f"{lattice.p_points} points per axis)")
-        senders.append(cand_events[pick])
+        senders.append(_event(lattice.p_time, cand_xs[pick]))
         covered |= reach[pick]
     proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
                                senders=tuple(senders), channel_gap=gap)
@@ -187,15 +192,13 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
 def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     """Sender candidates and which of K's sample points each one reaches.
 
-    Returns the lattice events on the sender slice, whether each may send
+    Returns the lattice positions on the sender slice, whether each may send
     (it does not causally precede q), K's sample points, and the boolean
     (candidates, points) matrix of points strictly inside each candidate's
     chronological future; a candidate that may not send reaches nothing.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
     cand_xs = lattice.p_candidates()
-    events = [Event(lattice.p_time, tuple(float(v) for v in x))
-              for x in cand_xs]
     # the candidates in q's past cone: the same distances, in one block
     eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
                                  cand_xs))[0]
@@ -203,7 +206,7 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
         cand_xs, sc.s_time - lattice.p_time, sc.cs, cover_pts,
         open_cone=True)))
     reach[~eligible, :] = False
-    return events, eligible, cover_pts, reach
+    return cand_xs, eligible, cover_pts, reach
 
 
 def find_single_sender(sc: MeasurementScenario, q: Event,
@@ -214,9 +217,9 @@ def find_single_sender(sc: MeasurementScenario, q: Event,
     every sample point of K while not causally preceding q, or None when
     the scan comes up empty.
     """
-    events, eligible, _, reach = _sender_reach(sc, q, lattice)
+    cand_xs, eligible, _, reach = _sender_reach(sc, q, lattice)
     hits = np.flatnonzero(eligible & reach.all(axis=1))
-    return events[hits[0]] if hits.size else None
+    return _event(lattice.p_time, cand_xs[hits[0]]) if hits.size else None
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,

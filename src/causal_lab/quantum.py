@@ -11,13 +11,15 @@ the free-particle density width obeys lam_t^2 = lam^2 + (hbar t / (m lam))^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .measure import EPS_MASS, SliceMeasure
+from .conditions import MeasurementScenario
+from .measure import EPS_MASS, SliceMeasure, mixture
 from .region import Region
+from .spacetime import CausalStructure
 
 BOUNDARY_DENSITY_TOL = 1e-12
 RELATIVISTIC_CUTOFF_FACTOR = 20.0
@@ -38,20 +40,67 @@ def _check_grid(n: int) -> None:
         raise ValueError("grid size must be a power of two")
 
 
-def _check_boundary(density_left: float, density_right: float) -> None:
-    worst = max(density_left, density_right)
+def _check_boundary(psi: _GridPacket) -> _GridPacket:
+    """`psi`, unless its density at either grid end reaches the tolerance."""
+    worst = max(psi.density[0], psi.density[-1])
     if worst >= BOUNDARY_DENSITY_TOL:
         raise ValueError(
             f"boundary density {worst:.3e} exceeds {BOUNDARY_DENSITY_TOL:.0e}; "
             "the grid is too narrow for this state")
+    return psi
+
+
+def _cell_centers(origin: float, cell_size: float, n: int) -> np.ndarray:
+    return origin + (np.arange(n) + 0.5) * cell_size
 
 
 class _GridPacket:
-    """Grid geometry of a packet: `n` cells of `cell_size` from `origin`."""
+    """Complex components sampled at the `n` cell centers of a uniform 1d
+    grid of `cell_size` from `origin`, normalized to 1.
+
+    A subclass is a frozen dataclass that declares its fields and names
+    its complex components in `component_names`; the checks, the
+    density and every rebuilt packet are shared.
+    """
+
+    component_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        first, *rest = self.components
+        _check_grid(len(first))
+        if any(len(c) != len(first) for c in rest):
+            raise ValueError("spinor components differ in length")
+        for name, c in zip(self.component_names, self.components):
+            arr = np.ascontiguousarray(c, dtype=complex)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if abs(self.norm - 1.0) > EPS_MASS:
+            raise ValueError(f"packet norm {self.norm!r} is not 1")
+
+    @property
+    def components(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, c) for c in self.component_names)
+
+    def with_components(self, *arrays: np.ndarray) -> _GridPacket:
+        """The same packet on the same grid with new component arrays."""
+        return replace(self, **dict(zip(self.component_names, arrays,
+                                        strict=True)))
+
+    @property
+    def n(self) -> int:
+        return len(self.components[0])
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        return sum(np.abs(c) ** 2 for c in self.components)
+
+    @property
+    def norm(self) -> float:
+        return float(np.sum(self.density) * self.cell_size)
 
     @cached_property
     def centers(self) -> np.ndarray:
-        return self.origin + (np.arange(self.n) + 0.5) * self.cell_size
+        return _cell_centers(self.origin, self.cell_size, self.n)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -68,29 +117,7 @@ class WavePacket(_GridPacket):
     mass: float
     units: Constants = NATURAL_UNITS
 
-    def __post_init__(self) -> None:
-        _check_grid(len(self.amplitudes))
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-        if abs(self.norm - 1.0) > EPS_MASS:
-            raise ValueError(f"packet norm {self.norm!r} is not 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.amplitudes)
-
-    @cached_property
-    def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_size)
-
-    def with_amplitudes(self, amp: np.ndarray) -> "WavePacket":
-        return WavePacket(amp, self.origin, self.cell_size, self.mass,
-                          self.units)
+    component_names = ("amplitudes",)
 
 
 @dataclass(frozen=True)
@@ -104,30 +131,7 @@ class DiracPacket(_GridPacket):
     mass: float
     units: Constants = NATURAL_UNITS
 
-    def __post_init__(self) -> None:
-        _check_grid(len(self.upper))
-        if len(self.upper) != len(self.lower):
-            raise ValueError("spinor components differ in length")
-        up = np.ascontiguousarray(self.upper, dtype=complex)
-        lo = np.ascontiguousarray(self.lower, dtype=complex)
-        up.flags.writeable = False
-        lo.flags.writeable = False
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
-        if abs(self.norm - 1.0) > EPS_MASS:
-            raise ValueError(f"packet norm {self.norm!r} is not 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.upper)
-
-    @cached_property
-    def density(self) -> np.ndarray:
-        return np.abs(self.upper) ** 2 + np.abs(self.lower) ** 2
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(self.density) * self.cell_size)
+    component_names = ("upper", "lower")
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def gaussian_packet(lam: float, x0: float = 0.0, k0: float = 0.0, *,
     if lam <= 0:
         raise ValueError("packet width must be positive")
     _check_grid(n)
-    x = origin + (np.arange(n) + 0.5) * cell_size
+    x = _cell_centers(origin, cell_size, n)
     amp = np.exp(-((x - x0) ** 2) / (2.0 * lam * lam) + 1j * k0 * x)
     nrm = math.sqrt(float(np.sum(np.abs(amp) ** 2) * cell_size))
     if nrm <= 0:
@@ -176,7 +180,7 @@ def bump_spinor_packet(center: float, halfwidth: float, *, origin: float,
     if halfwidth <= 0:
         raise ValueError("support halfwidth must be positive")
     _check_grid(n)
-    x = origin + (np.arange(n) + 0.5) * cell_size
+    x = _cell_centers(origin, cell_size, n)
     u = (x - center) / halfwidth
     prof = np.zeros(n)
     inside = np.abs(u) < 1.0
@@ -193,10 +197,8 @@ def bump_spinor_packet(center: float, halfwidth: float, *, origin: float,
 
 def _evolve_phase(psi: WavePacket, phase: np.ndarray) -> WavePacket:
     """Multiply each momentum mode by exp(-i omega(k) t), given as `phase`."""
-    amp = np.fft.ifft(np.fft.fft(psi.amplitudes) * phase)
-    out = psi.with_amplitudes(amp)
-    _check_boundary(out.density[0], out.density[-1])
-    return out
+    return _check_boundary(
+        psi.with_components(np.fft.ifft(np.fft.fft(psi.amplitudes) * phase)))
 
 
 def evolve_schrodinger_free(psi: WavePacket, t: float) -> WavePacket:
@@ -250,10 +252,8 @@ def evolve_dirac_1p1(psi: DiracPacket, t: float) -> DiracPacket:
     v = np.fft.fft(psi.lower)
     u_new = (cos_t - 1j * sin_t * n3) * u + (-1j * sin_t * n1) * v
     v_new = (-1j * sin_t * n1) * u + (cos_t + 1j * sin_t * n3) * v
-    out = DiracPacket(np.fft.ifft(u_new), np.fft.ifft(v_new), psi.origin,
-                      psi.cell_size, psi.mass, psi.units)
-    _check_boundary(out.density[0], out.density[-1])
-    return out
+    return _check_boundary(
+        psi.with_components(np.fft.ifft(u_new), np.fft.ifft(v_new)))
 
 
 # -- measurement -------------------------------------------------------------
@@ -279,11 +279,8 @@ def collapse(psi: WavePacket | DiracPacket, region: Region,
     if captured <= EPS_MASS:
         raise ValueError("conditioning on an outcome of negligible probability")
     scale = 1.0 / math.sqrt(captured)
-    if isinstance(psi, DiracPacket):
-        return DiracPacket(np.where(keep, psi.upper, 0.0) * scale,
-                           np.where(keep, psi.lower, 0.0) * scale,
-                           psi.origin, psi.cell_size, psi.mass, psi.units)
-    return psi.with_amplitudes(np.where(keep, psi.amplitudes, 0.0) * scale)
+    return psi.with_components(*(np.where(keep, c, 0.0) * scale
+                                 for c in psi.components))
 
 
 # -- scale formulas -----------------------------------------------------------
@@ -343,10 +340,6 @@ def measurement_scenario_from_collapse(psi: WavePacket | DiracPacket,
     At dt = 0 the positive branch sits entirely inside the region by
     construction.
     """
-    from .conditions import MeasurementScenario
-    from .measure import mixture
-    from .spacetime import CausalStructure
-
     if dt < 0:
         raise ValueError("detection slice must not precede the state")
     if cs is None:

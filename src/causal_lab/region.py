@@ -282,15 +282,7 @@ class Region:
         return lo, hi
 
     def contains(self, point: Sequence[float]) -> bool:
-        for lo, hi in self.boxes:
-            inside = True
-            for a, b, x in zip(lo, hi, point):
-                if x < a or x > b:
-                    inside = False
-                    break
-            if inside:
-                return True
-        return False
+        return bool(self.contains_points(np.asarray([point], dtype=float))[0])
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorised membership for an (n, d) array of points."""

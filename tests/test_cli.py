@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: parsing, records, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -470,9 +471,24 @@ def _grid_nu0(**grid):
      "bad measure 'nu0': float() argument must be a string or a"),
     (None, ("scales", "--m", "1", "--lambda", "1", "--t", "abc"),
      "could not convert string to float: 'abc'"),
+    (_set("measures", []), ("check", "all"),
+     "scenario 'measures' in the root must be an object"),
+    (_set("measurement", 5), ("check", "all"),
+     "scenario 'measurement' in the root must be an object"),
+    (_set("protocol", 5), ("protocol",),
+     "scenario 'protocol' in the root must be an object"),
+    (_set("quantum", 5), ("simulate-quantum",),
+     "scenario 'quantum' in the root must be an object"),
+    (_set("measurement", "mu", [1]), ("check", "all"),
+     "measurement.mu references unknown measure '[1]'"),
+    (lambda payload: payload.update(
+        quantum=dict(QUANTUM["quantum"], units=[])), ("simulate-quantum",),
+     "quantum.units must be 'natural' or 'si'"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
-        "weights_x", "time_null", "weight_null", "scales_t_abc"])
+        "weights_x", "time_null", "weight_null", "scales_t_abc",
+        "measures_list", "measurement_number", "protocol_number",
+        "quantum_number", "reference_list", "units_list"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
     # each of these once escaped main as a traceback with exit code 1
@@ -633,6 +649,30 @@ def test_d1_records_match_golden(name, capsys):
     got = "".join(line for line in out.splitlines(keepends=True)
                   if "wall_clock_s" not in line)
     assert got == (DATA / f"{name}.out").read_text()
+
+
+# stdout of `simulate-quantum` (record, then density.csv) on
+# tests/data/quantum_1d.json with its dynamics rewritten, without the
+# wall_clock_s line, written before the two packet classes shared one
+# base.  FFTs and transcendentals round differently across numpy builds
+# and CPUs, so the numbers match to 1e-9 and the text around them exactly.
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+@pytest.mark.parametrize("dynamics", ["relativistic", "dirac"])
+def test_simulate_quantum_records_match_golden(dynamics, tmp_path, capsys):
+    payload = json.loads((DATA / "quantum_1d.json").read_text())
+    payload["quantum"]["dynamics"] = dynamics
+    path = write_scenario(tmp_path, payload)
+    code, out, _ = run_cli(capsys, "simulate-quantum", "--scenario", path)
+    assert code == 0
+    got = "".join(line for line in out.splitlines(keepends=True)
+                  if "wall_clock_s" not in line)
+    want = (DATA / f"simulate_quantum_{dynamics}.out").read_text()
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want)
+    assert ([float(v) for v in NUMBER.findall(got)]
+            == pytest.approx([float(v) for v in NUMBER.findall(want)],
+                             rel=1e-9, abs=1e-13))
 
 
 def test_validate_flags_atomic_nu0_beside_grid_nu1(tmp_path, capsys):

@@ -395,16 +395,17 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     for sc, lattice in cases:
         q = Event(lattice.q_time, tuple(float(v) for v in
                                         lattice.q_candidates()[-1]))
-        events, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
+        xs, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
         cand_xs = lattice.p_candidates()
         want = _oracle_chronological_reach(
             cand_xs, sc.K.sample_points(lattice.cover_resolution),
             sc.s_time - lattice.p_time, sc.cs)
         want[~eligible, :] = False
         assert np.array_equal(reach, want)
-        assert [p.x for p in events] == [tuple(x) for x in cand_xs.tolist()]
-        assert list(eligible) == [not causally_precedes(p, q, sc.cs)
-                                  for p in events]
+        assert np.array_equal(xs, cand_xs)
+        assert list(eligible) == [
+            not causally_precedes(Event(lattice.p_time, tuple(x)), q, sc.cs)
+            for x in cand_xs.tolist()]
         assert reach.any() and eligible.any() and not eligible.all()
 
 

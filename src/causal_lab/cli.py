@@ -454,6 +454,9 @@ def cmd_simulate_quantum(args) -> int:
     k0 = _scalar(float, q, "k0", "quantum", 0.0)
     k_region = _parse_region(_require(q, "K", "quantum"), 1, "quantum.K")
     if dynamics == "dirac":
+        if k0 != 0:
+            raise CliInputError("quantum.k0 is not supported with dynamics "
+                                "'dirac': the spinor bump has no wavenumber")
         psi0 = quantum.bump_spinor_packet(
             center=x0, halfwidth=lam, origin=origin, cell_size=cell,
             n=n, mass=m, units=units)

@@ -65,14 +65,48 @@ def _subtract_box(box: Box, cutter: Box) -> list[Box]:
 
 
 def _merge_intervals(boxes: Iterable[Box]) -> tuple[Box, ...]:
-    ivs = sorted(((b[0][0], b[1][0]) for b in boxes))
-    merged: list[list[float]] = []
+    return _merge_sorted(sorted(((b[0][0], b[1][0]) for b in boxes)))
+
+
+def _merge_sorted(ivs: Iterable[tuple[float, float]]) -> tuple[Box, ...]:
+    """Runs of intervals (a, b), given in (a, b) order, that meet or touch,
+    each as one d = 1 box."""
+    ivs = iter(ivs)
+    first = next(ivs, None)
+    if first is None:
+        return ()
+    lo, hi = first
+    runs = []
     for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
+        if a <= hi:
+            if b > hi:  # max(hi, b), which keeps hi on a tie
+                hi = b
         else:
-            merged.append([a, b])
-    return tuple(((a,), (b,)) for a, b in merged)
+            runs.append(((lo,), (hi,)))
+            lo, hi = a, b
+    runs.append(((lo,), (hi,)))
+    return tuple(runs)
+
+
+def _point_intervals(points: Sequence[Sequence[float]],
+                     halfwidth: float) -> tuple[Box, ...]:
+    """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points."""
+    if set(map(len, points)) - {1}:
+        raise ValueError("boxes have mixed dimensions")
+    # the sort is stable and the merge keeps the first of equal ends, so a
+    # repeated point adds nothing, and of -0.0 and 0.0 the first given
+    # counts, as when the points are taken once each
+    xs = sorted([float(p[0]) for p in points])
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("box corners must be finite")
+    if halfwidth < 0:
+        raise ValueError(f"empty box: negative halfwidth {halfwidth!r}")
+    boxes = _merge_sorted((x - halfwidth, x + halfwidth) for x in xs)
+    # both ends are monotone in x, so the outermost corners are the extremes
+    if boxes and not (math.isfinite(boxes[0][0][0])
+                      and math.isfinite(boxes[-1][1][0])):
+        raise ValueError("box corners must be finite")
+    return boxes
 
 
 def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,11 +274,23 @@ class Region:
                     halfwidth: float = 0.0) -> "Region":
         """Wrap points as (possibly degenerate) boxes of the given halfwidth.
 
-        Points are taken once each, first come first kept.  In d >= 2 with
-        halfwidth 0 they are degenerate boxes, no two of which meet, so the
-        carve of `from_boxes` would return them unchanged and is skipped;
-        its checks (finite corners, one dimension) still run.
+        Points are taken once each, first come first kept.  In d = 1 the
+        coordinates are sorted once and the intervals [x - h, x + h]
+        merged in one pass by the rule of `from_boxes`: both ends are
+        nondecreasing in x, so this is the order in which `from_boxes`
+        would sort the boxes, and the runs are its boxes.  In d >= 2 with
+        halfwidth 0 they are degenerate boxes, no two of which meet, so
+        the carve of `from_boxes` would return them unchanged and is
+        skipped.  Either way its checks (finite corners, one dimension)
+        still run.
         """
+        points = list(points)
+        if dim is None:
+            if not points:
+                raise ValueError("dimension required for an empty region")
+            dim = len(points[0])
+        if dim == 1:
+            return Region(_point_intervals(points, halfwidth), 1)
         seen: set[tuple[float, ...]] = set()
         boxes = []
         for p in points:
@@ -255,12 +301,8 @@ class Region:
             boxes.append((tuple(v - halfwidth for v in key),
                           tuple(v + halfwidth for v in key)))
         if not boxes:
-            if dim is None:
-                raise ValueError("dimension required for an empty region")
             return Region.empty(dim)
-        if dim is None:
-            dim = len(boxes[0][0])
-        if halfwidth != 0 or dim == 1:
+        if halfwidth != 0:
             return Region.from_boxes(boxes, dim)
         if not all(math.isfinite(v) for lo, _ in boxes for v in lo):
             raise ValueError("box corners must be finite")

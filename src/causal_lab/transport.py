@@ -12,9 +12,11 @@ d >= 2 a greedy fill plus bipartite Dinic phases on the cone graph's CSR
 arrays (`maxflow.dinic_max_flow`).  In one dimension every cone is an
 interval of the same radius c*dt, so the cone graph is proper convex and
 filling the leftmost live target first is a maximum flow (Glover 1967); no
-graph is built.  Both solvers run on the same exact integer lift of the
-capacities and take the min-cut side from residual reachability, which is
-the same set for every maximum flow, so they name the same worst set.
+graph is built, and targets outside every window, which take no flow and
+never join the cut, are not lifted.  Both solvers run on an exact integer
+lift of the capacities and take the min-cut side from residual
+reachability, which is the same set for every maximum flow, so they name
+the same worst set.
 Small atomic inputs in d = 1 place the sweep's windows on Python lists,
 large ones and grids with numpy; both paths give the same windows.  In
 d >= 2 those axis-0 windows pick the candidate pairs of the cone graph,
@@ -116,15 +118,20 @@ def _integer_lift(caps) -> tuple[int, list[int]]:
     """Common denominator and the integer numerators of `caps` over it.
 
     Floats are dyadic rationals, so the lift is lossless and keeps the flow
-    decision free of rounding and overflow regardless of magnitude.  Their
-    denominators are powers of two, whose lcm is simply the largest;
-    other denominators (from Fraction weights) go through math.lcm.
+    decision free of rounding and overflow regardless of magnitude.  When
+    every denominator is a power of two (one set bit each), the lcm is
+    simply the largest and each numerator is lifted by a shift; other
+    denominators (from Fraction weights) go through math.lcm and a
+    division per capacity.
     """
     ratios = [c.as_integer_ratio() if isinstance(c, float)
               else Fraction(c).as_integer_ratio() for c in caps]
-    dens = {d for _, d in ratios}
-    dyadic = [d for d in dens if d & (d - 1) == 0]
-    den = math.lcm(max(dyadic, default=1), *dens.difference(dyadic))
+    dens = [d for _, d in ratios]
+    if sum(map(int.bit_count, dens)) == len(dens):
+        bits = max(map(int.bit_length, dens), default=1)
+        return 1 << (bits - 1), [n << (bits - d.bit_length())
+                                 for n, d in ratios]
+    den = math.lcm(*set(dens))
     return den, [n * (den // d) for n, d in ratios]
 
 
@@ -271,7 +278,10 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     out of reach of every later source, so this greedy flow is maximum.
     The cut side is what the residual graph reaches from leftover supply:
     a source reaches its window, a target the sources that sent it flow.
-    Returns the leftover supply and the lift's denominator as integers.
+    Only the targets from the lowest window start to the highest window
+    end are lifted; the others are outside every window.  Returns the
+    leftover supply and the lift's denominator as integers; dropping
+    targets may change the denominator, but not their quotient.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
@@ -285,7 +295,10 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
         ys, right_caps = _sorted_support(nu)
         lo, hi = _cone_windows(xs, ys, reach, r2)
         x = xs.tolist()
-    den, caps = _integer_lift(left_caps + right_caps)
+    a, b = min(lo, default=0), max(hi, default=0)
+    lo = [j - a for j in lo]
+    hi = [j - a for j in hi]
+    den, caps = _integer_lift(left_caps + right_caps[a:b])
     nl = len(left_caps)
     supply = caps[:nl]
     room = caps[nl:]

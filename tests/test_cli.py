@@ -654,8 +654,9 @@ def test_d1_records_match_golden(name, capsys):
 # stdout of `simulate-quantum` (record, then density.csv) on
 # tests/data/quantum_1d.json with its dynamics rewritten, without the
 # wall_clock_s line, written before the two packet classes shared one
-# base.  FFTs and transcendentals round differently across numpy builds
-# and CPUs, so the numbers match to 1e-9 and the text around them exactly.
+# base; for dirac k0 is dropped, which changes only input_digest.  FFTs
+# and transcendentals round differently across numpy builds and CPUs, so
+# the numbers match to 1e-9 and the text around them exactly.
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -663,6 +664,9 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 def test_simulate_quantum_records_match_golden(dynamics, tmp_path, capsys):
     payload = json.loads((DATA / "quantum_1d.json").read_text())
     payload["quantum"]["dynamics"] = dynamics
+    if dynamics == "dirac":
+        # the spinor bump takes no wavenumber
+        del payload["quantum"]["k0"]
     path = write_scenario(tmp_path, payload)
     code, out, _ = run_cli(capsys, "simulate-quantum", "--scenario", path)
     assert code == 0
@@ -673,6 +677,32 @@ def test_simulate_quantum_records_match_golden(dynamics, tmp_path, capsys):
     assert ([float(v) for v in NUMBER.findall(got)]
             == pytest.approx([float(v) for v in NUMBER.findall(want)],
                              rel=1e-9, abs=1e-13))
+
+
+def test_simulate_quantum_dirac_rejects_k0(tmp_path, capsys):
+    # the spinor bump takes no wavenumber: a nonzero k0 is an input error,
+    # and k0 = 0 gives the record and density of an absent k0
+    outputs = {}
+    for k0 in (0.5, -1e-300, 0.0, None):
+        payload = json.loads(json.dumps(QUANTUM))
+        payload["quantum"]["dynamics"] = "dirac"
+        if k0 is None:
+            del payload["quantum"]["k0"]
+        else:
+            payload["quantum"]["k0"] = k0
+        path = write_scenario(tmp_path, payload)
+        code, out, err = run_cli(capsys, "simulate-quantum", "--scenario",
+                                 path)
+        if k0:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "quantum.k0" in err
+            assert err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            outputs[k0] = [line for line in out.splitlines()
+                           if "input_digest" not in line
+                           and "wall_clock_s" not in line]
+    assert outputs[0.0] == outputs[None]
 
 
 def test_validate_flags_atomic_nu0_beside_grid_nu1(tmp_path, capsys):

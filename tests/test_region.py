@@ -219,25 +219,30 @@ def _signed_boxes(region: Region):
             for box in region.boxes]
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(6))
 def test_point_boxes_match_carved_boxes(dim, seed):
     # distinct points are boxes that meet no other, so point_boxes skips the
-    # carve; from_boxes on the same boxes must still give them box for box
+    # carve in d >= 2, and in d = 1 merges the sorted points' intervals in
+    # one pass; from_boxes on the same boxes must still give them box for
+    # box.  Points sit half a unit apart, so cells of halfwidth 0.25 touch.
     rng = np.random.default_rng([seed, dim, 61])
     pts = rng.integers(-3, 4, (int(rng.integers(1, 60)), dim)) / 2.0
     pts = pts[rng.integers(0, len(pts), 2 * len(pts))]  # duplicates
     pts[rng.random(pts.shape) < 0.3] *= -1.0  # -0.0 beside 0.0
     pts = [tuple(p) for p in pts.tolist()]
-    boxes = [(tuple(v - 0.0 for v in p), tuple(v + 0.0 for v in p))
-             for p in pts]
-    got = Region.point_boxes(pts, dim)
-    assert got.dim == dim
-    assert _signed_boxes(got) == _signed_boxes(Region.from_boxes(boxes, dim))
-    assert len(got.boxes) == len(set(pts)) < len(pts)
+    for h in (0.0, 0.25):
+        boxes = [(tuple(v - h for v in p), tuple(v + h for v in p))
+                 for p in pts]
+        got = Region.point_boxes(pts, dim, halfwidth=h)
+        assert got.dim == dim
+        assert (_signed_boxes(got)
+                == _signed_boxes(Region.from_boxes(boxes, dim)))
+        if h == 0 and dim > 1:
+            assert len(got.boxes) == len(set(pts)) < len(pts)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_point_boxes_keep_their_checks(dim):
     zero = (0.0,) * dim
     for bad in (math.nan, math.inf, -math.inf):
@@ -256,6 +261,13 @@ def test_point_boxes_keep_their_checks(dim):
     got = Region.point_boxes([first, zero], dim)
     assert _signed_boxes(got) == _signed_boxes(Region((
         (first, zero),), dim))
+    # corners that overflow, a NaN or negative halfwidth
+    big = (1.7976931348623157e308,) + zero[1:]
+    for h in (1e308, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Region.point_boxes([zero, big], dim, halfwidth=h)
+    with pytest.raises(ValueError, match="empty box"):
+        Region.point_boxes([zero], dim, halfwidth=-0.5)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -266,6 +266,116 @@ def test_sweep_matches_dinic_and_bruteforce(seed, kind):
             assert abs(float(vb.deficit) - float(vs.deficit)) <= 1e-9
 
 
+PRUNE_KINDS = ("atoms", "exact", "grid", "unreached")
+
+
+def _localised_instance(rng, kind):
+    """Seeded 1-D (mu, nu, cs) with mu near 0 and nu spread over [-40, 40].
+
+    The cone reach is at most 1, so the windows cover a few of nu's
+    points.  Positions sit on a dyadic lattice whose spacing divides c*dt,
+    so targets tie with the cone edge.  For "unreached", nu keeps away
+    from mu by more than the reach, so every source is out of reach.
+    """
+    h = 0.25
+    cs = CausalStructure(dim=1, c=float(rng.choice([0.5, 1.0])))
+    dt = float(rng.integers(0, 5)) * h / cs.c
+    exact = kind in ("exact", "unreached")
+
+    def weights(n, gain=1):
+        raw = gain * rng.integers(0, 9, n) * (rng.random(n) > 0.2)
+        if exact:
+            return [Fraction(int(v), 24) for v in raw]
+        return list(raw * rng.random(n))
+
+    near = np.arange(-8, 9)
+    wide = np.arange(-160, 161)
+    if kind == "unreached":
+        wide = wide[np.abs(wide) > 16]
+    pos = rng.choice(wide, size=int(rng.integers(20, 120)), replace=False)
+    nu = SliceMeasure.from_atoms(dt, [((float(x) * h,), w) for x, w in
+                                      zip(pos, weights(len(pos), 3))])
+    if kind == "grid":
+        w = np.zeros(320)
+        w[152:169] = weights(17)
+        return SliceMeasure.from_grid(0.0, (-40.0,), h, w), nu, cs
+    pos = rng.choice(near, size=int(rng.integers(1, 12)), replace=False)
+    mu = SliceMeasure.from_atoms(0.0, [((float(x) * h,), w) for x, w in
+                                       zip(pos, weights(len(pos)))])
+    return mu, nu, cs
+
+
+@pytest.mark.parametrize("kind", PRUNE_KINDS)
+@pytest.mark.parametrize("seed", range(12))
+def test_sweep_lifts_only_reachable_targets(monkeypatch, seed, kind):
+    # nu's points outside every window are not lifted; Dinic on the whole
+    # cone graph must still give the same verdict, deficit and worst set
+    rng = np.random.default_rng([seed, PRUNE_KINDS.index(kind), 83])
+    mu, nu, cs = _localised_instance(rng, kind)
+    lifted = []
+    lift = transport._integer_lift
+
+    def recorded(caps):
+        lifted.append(len(caps))
+        return lift(caps)
+
+    monkeypatch.setattr(transport, "_integer_lift", recorded)
+    vs = check_ce_maxflow(mu, nu, cs)
+    monkeypatch.setattr(transport, "_integer_lift", lift)
+    vd = _dinic_verdict(mu, nu, cs)
+    sources = len(transport._support(mu)[1])
+    targets = len(transport._support(nu)[1])
+    assert lifted[0] - sources < targets / 2
+    assert vs.holds == vd.holds
+    assert vs.deficit == vd.deficit
+    assert type(vs.deficit) is type(vd.deficit)
+    if vs.holds:
+        assert vs.worst_set is None and vd.worst_set is None
+    else:
+        assert vs.worst_set.boxes == vd.worst_set.boxes
+    if kind == "unreached":
+        assert lifted[0] == sources
+        assert vs.deficit == mu.total
+        assert vs.holds == (mu.total == 0)
+
+
+_LIFT_MIXES = {
+    "subnormal": [5e-324, 2.2e-308, 1.0],
+    "extremes": [5e-324, 1.7976931348623157e308, 0.0],
+    "ints": [3, 0, 7, 2.5],
+    "numpy": [np.float64(0.1), np.float64(5e-324), 0.75],
+    "fraction": [Fraction(1, 24)],
+    "float_fraction": [0.1, Fraction(1, 24), 5e-324, Fraction(3, 8), 2],
+    "huge_fraction": [1.7976931348623157e308, Fraction(5, 3), 2.2e-308],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("mix", sorted(_LIFT_MIXES))
+def test_integer_lift_is_exact(mix):
+    caps = _LIFT_MIXES[mix]
+    den, nums = transport._integer_lift(caps)
+    assert den == math.lcm(*(Fraction(c).denominator for c in caps))
+    assert len(nums) == len(caps)
+    for c, n in zip(caps, nums):
+        assert type(n) is int
+        assert Fraction(c) * den == n
+
+
+def test_integer_lift_matches_fractions_on_random_mixes():
+    rng = np.random.default_rng(91)
+    pool = [5e-324, 2.2e-308, 1.7976931348623157e308, 0, 1, 12,
+            np.float64(0.3), Fraction(1, 24), Fraction(7, 9)]
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        caps = [pool[i] for i in rng.integers(0, len(pool), n)]
+        caps += list(rng.random(int(rng.integers(0, 4)))
+                     * 2.0 ** rng.integers(-1070, 1000))
+        den, nums = transport._integer_lift(caps)
+        assert den == math.lcm(*(Fraction(c).denominator for c in caps))
+        assert nums == [Fraction(c) * den for c in caps]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_cone_windows_match_squared_predicate(seed):
     # lattice spacing 0.1 is not dyadic, so x +- reach rounds across

@@ -400,7 +400,7 @@ def truth_table() -> list[dict]:
         verdicts = []
         for trip in samples:
             sc = make_abc_scenario(*trip, exact=True)
-            rep = evaluate_conditions(sc, method="bruteforce")
+            rep = evaluate_conditions(sc)
             verdicts.append(rep.as_flags())
         row = {
             "row": i,

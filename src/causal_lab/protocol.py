@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import region
 from .conditions import MeasurementScenario, ns_gap_support
 from .measure import SliceMeasure
 from .region import Region
@@ -50,6 +51,13 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.q_points < 1 or self.p_points < 1:
             raise ValueError("lattices need at least one point per axis")
+        # checked before any lattice is built, with sample_points' limit
+        for name, n, lo in (("receiver", self.q_points, self.q_lo),
+                            ("sender", self.p_points, self.p_lo)):
+            if n ** len(lo) > region.MAX_SAMPLE_POINTS:
+                raise ValueError(
+                    f"the {name} lattice takes {n ** len(lo)} points, "
+                    f"above the limit of {region.MAX_SAMPLE_POINTS}")
         if self.cover_resolution <= 0:
             raise ValueError("cover resolution must be positive")
 

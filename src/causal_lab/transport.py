@@ -17,15 +17,16 @@ never join the cut, are not lifted.  Both solvers run on an exact integer
 lift of the capacities and take the min-cut side from residual
 reachability, which is the same set for every maximum flow, so they name
 the same worst set.
-Small atomic inputs in d = 1 place the sweep's windows on Python lists,
-large ones and grids with numpy; both paths give the same windows.  In
-d >= 2 those axis-0 windows pick the candidate pairs of the cone graph,
-and the cone test settles each one (Efrat, Itai and Katz 2001 build geometric
-bipartite graphs from neighbour queries the same way).
+The d = 1 sweep places its windows on Python lists when mu's positive
+support is small, atoms or grid cells alike, and with numpy otherwise;
+both paths give the same windows.  In d >= 2 those axis-0 windows pick
+the candidate pairs of the cone graph, and the cone test settles each one
+(Efrat, Itai and Katz 2001 build geometric bipartite graphs from
+neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
 The exhaustive subset scan `check_ce_bruteforce` stays for
-`--method bruteforce`, for the truth table and as the test oracle.
+`--method bruteforce` and as the test oracle.
 """
 from __future__ import annotations
 
@@ -47,11 +48,12 @@ from .spacetime import (CausalStructure, cone_blocks, cone_radius,
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
-# up to this many atoms in mu (with nu atomic too), the d = 1 sweep places
-# its windows on Python lists.  Measured per `_solve_sweep_1d` call on
-# random atoms (best of 9, 2-core VM): lists 20 us against numpy's 113 us
-# at 2 atoms and 190-350 against 260-420 us at 64; the two cross near 100.
-SMALL_SWEEP_ATOMS = 64
+# up to this many points in mu's positive support, atoms or grid cells,
+# the d = 1 sweep places its windows on Python lists, above it with numpy.
+# Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
+# targets a window): lists 16-37 us against numpy's 42-86 us at 2 points,
+# about even at 32 to 40, and 170-370 against 142-338 us at 64.
+SMALL_SWEEP_ATOMS = 32
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,16 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     return rest, den, net.left_points[cut].tolist()
 
 
+# the rim tests that settle the window ends of both kernels, on a target's
+# offset d from a source: elementwise on arrays, a bool on floats
+def _not_left_of_cone(d, r2: float):
+    return (d >= 0) | (d * d <= r2)
+
+
+def _right_of_cone(d, r2: float):
+    return (d > 0) & (d * d > r2)
+
+
 def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
                   r2: float) -> tuple[list[int], list[int]]:
     """Index window [lo, hi) of sorted targets y in the cone of each x.
@@ -212,23 +224,17 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
     # guards at -inf and +inf, outside every cone, stop each end at 0 and m
     guarded = np.concatenate(([-np.inf], y, [np.inf]))
 
-    def not_left_of_cone(d):
-        return (d >= 0) | (d * d <= r2)
-
-    def right_of_cone(d):
-        return (d > 0) & (d * d > r2)
-
     def settle(end, past):
         # move each end to the first j where past(j) holds (m if none);
         # guarded[end] is y[end - 1]
-        while (step := past(guarded[end] - x)).any():
+        while (step := past(guarded[end] - x, r2)).any():
             end -= step
-        while not (stay := past(guarded[end + 1] - x)).all():
+        while not (stay := past(guarded[end + 1] - x, r2)).all():
             end += ~stay
         return end.tolist()
 
-    lo = settle(y.searchsorted(x - reach, "left"), not_left_of_cone)
-    hi = settle(y.searchsorted(x + reach, "right"), right_of_cone)
+    lo = settle(y.searchsorted(x - reach, "left"), _not_left_of_cone)
+    hi = settle(y.searchsorted(x + reach, "right"), _right_of_cone)
     return lo, hi
 
 
@@ -240,33 +246,30 @@ def _small_cone_windows(x: list, y: list, reach: float,
     lo, hi = [], []
     for xi in x:
         j = bisect_left(y, xi - reach)
-        while j > 0 and ((d := y[j - 1] - xi) >= 0 or d * d <= r2):
+        while j > 0 and _not_left_of_cone(y[j - 1] - xi, r2):
             j -= 1
-        while j < m and not ((d := y[j] - xi) >= 0 or d * d <= r2):
+        while j < m and not _not_left_of_cone(y[j] - xi, r2):
             j += 1
         lo.append(j)
         j = bisect_right(y, xi + reach)
-        while j > 0 and (d := y[j - 1] - xi) > 0 and d * d > r2:
+        while j > 0 and _right_of_cone(y[j - 1] - xi, r2):
             j -= 1
-        while j < m and not ((d := y[j] - xi) > 0 and d * d > r2):
+        while j < m and not _right_of_cone(y[j] - xi, r2):
             j += 1
         hi.append(j)
     return lo, hi
 
 
-def _sorted_atoms(m: SliceMeasure) -> tuple[list[float], list]:
-    """Positions and weights of the positive atoms of a d = 1 measure, in
-    stable position order (the order of a stable argsort)."""
-    atoms = sorted(((p[0], w) for p, w in m.atoms if w > 0),
-                   key=itemgetter(0))
-    return [p for p, _ in atoms], [w for _, w in atoms]
-
-
-def _sorted_support(m: SliceMeasure) -> tuple[np.ndarray, list]:
-    """`_support` of a d = 1 measure in stable position order."""
-    pts, caps = _support(m)
-    order = np.argsort(pts[:, 0], kind="stable")
-    return pts[order, 0], [caps[i] for i in order.tolist()]
+def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, list]:
+    """Positions and weights of a d = 1 measure's positive support in stable
+    position order: grid cell centres already increase, atoms are sorted."""
+    if m.is_atomic:
+        atoms = sorted(((p[0], w) for p, w in m.atoms if w > 0),
+                       key=itemgetter(0))
+        return np.array([p for p, _ in atoms]), [w for _, w in atoms]
+    w = m.weights_flat
+    keep = np.flatnonzero(w > 0)
+    return m.positions[keep, 0], w[keep].tolist()
 
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
@@ -285,16 +288,13 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
-    if (mu.is_atomic and nu.is_atomic
-            and len(mu.atoms) <= SMALL_SWEEP_ATOMS):
-        x, left_caps = _sorted_atoms(mu)
-        y, right_caps = _sorted_atoms(nu)
-        lo, hi = _small_cone_windows(x, y, reach, r2)
+    xs, left_caps = _support_1d(mu)
+    ys, right_caps = _support_1d(nu)
+    x = xs.tolist()
+    if len(x) <= SMALL_SWEEP_ATOMS:
+        lo, hi = _small_cone_windows(x, ys.tolist(), reach, r2)
     else:
-        xs, left_caps = _sorted_support(mu)
-        ys, right_caps = _sorted_support(nu)
         lo, hi = _cone_windows(xs, ys, reach, r2)
-        x = xs.tolist()
     a, b = min(lo, default=0), max(hi, default=0)
     lo = [j - a for j in lo]
     hi = [j - a for j in hi]

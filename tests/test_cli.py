@@ -114,6 +114,21 @@ def test_check_single_condition_record(tmp_path, capsys):
     assert parse_record(out)["result"] == {"ns": False}
 
 
+@pytest.mark.parametrize("condition", ["ns", "a1", "a2"])
+def test_single_condition_check_ignores_method(condition, capsys):
+    # ns, a1 and a2 run no ordering check, so a method that cannot take
+    # a grid mu changes nothing
+    path = str(DATA / "grid_1d.json")
+    results = []
+    for method in ("bruteforce", "auto"):
+        code, out, _ = run_cli(capsys, "check", condition, "--method", method,
+                               "--scenario", path)
+        assert code == 0, method
+        results.append(parse_record(out)["result"])
+    assert results[0] == results[1]
+    assert list(results[0]) == [condition]
+
+
 def test_check_methods_agree(tmp_path, capsys):
     # a failing and a holding scenario: a holding verdict names no worst set
     for abc, holds in (((0.0, 1.0, 1.0), False), ((0.7, 1.0, 0.4), True)):
@@ -484,11 +499,36 @@ def _grid_nu0(**grid):
     (lambda payload: payload.update(
         quantum=dict(QUANTUM["quantum"], units=[])), ("simulate-quantum",),
      "quantum.units must be 'natural' or 'si'"),
+    # counts and lists are read whole, never truncated or split
+    (_set("spacetime", "dim", 1.9), ("check", "all"),
+     "bad 'dim' in spacetime: expected an integer, got 1.9"),
+    (_set("spacetime", "dim", True), ("check", "all"),
+     "bad 'dim' in spacetime: expected an integer, got True"),
+    (_set("seed", 2.7), ("check", "all"),
+     "bad 'seed' in the root: expected an integer, got 2.7"),
+    (_set("protocol", "trials", 2000.9), ("signal-sim",),
+     "bad 'trials' in protocol: expected an integer, got 2000.9"),
+    (_set("protocol", "block_sizes", "12"), ("signal-sim",),
+     "bad 'block_sizes' in protocol: expected a list, got '12'"),
+    (_set("protocol", "lattice", "q_points", 13.7), ("protocol",),
+     "bad 'q_points' in protocol.lattice: expected an integer, got 13.7"),
+    (_set("protocol", "lattice", "p_points", True), ("protocol",),
+     "bad 'p_points' in protocol.lattice: expected an integer, got True"),
+    (_set("protocol", "lattice", "q_lo", "2"), ("protocol",),
+     "bad 'q_lo' in protocol.lattice: expected a list, got '2'"),
+    # rejected before numpy is asked for 10**12 lattice points
+    (_set("protocol", "lattice", "q_points", 10 ** 12), ("protocol",),
+     f"the receiver lattice takes {10 ** 12} points, above the limit"),
+    (_set("protocol", "lattice", "p_points", 10 ** 12), ("signal-sim",),
+     f"the sender lattice takes {10 ** 12} points, above the limit"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "weight_null", "scales_t_abc",
         "measures_list", "measurement_number", "protocol_number",
-        "quantum_number", "reference_list", "units_list"])
+        "quantum_number", "reference_list", "units_list", "dim_fraction",
+        "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",
+        "q_points_fraction", "p_points_bool", "q_lo_str", "q_points_huge",
+        "p_points_huge"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
     # each of these once escaped main as a traceback with exit code 1

@@ -445,16 +445,22 @@ def test_small_sweep_matches_numpy_sweep(monkeypatch, exact, offset):
         mu = _atoms(0.0, zip(x, w))
         nu = _atoms(dt, zip(dict.fromkeys(y), w[len(x):]))
         cs = CausalStructure(dim=1, c=float(rng.choice([0.5, 2.0])))
-        got = []
-        for cutoff in (10**6, -1):
-            monkeypatch.setattr(transport, "SMALL_SWEEP_ATOMS", cutoff)
-            got.append(check_ce_maxflow(mu, nu, cs))
-        small, large = got
-        assert small.holds == large.holds
-        assert small.deficit == large.deficit
-        assert type(small.deficit) is type(large.deficit)
-        if not small.holds:
-            assert small.worst_set.boxes == large.worst_set.boxes
+        # the same weights on grids; with cells of 0.1, which is not
+        # dyadic, and centres offset by 0.05, cone rims round across them
+        cells = np.array(w, dtype=float)
+        grids = (SliceMeasure.from_grid(0.0, (-4.0,), 0.1, cells[:len(x)]),
+                 SliceMeasure.from_grid(dt, (-3.95,), 0.1, cells[len(x):]))
+        for mu, nu in ((mu, nu), grids):
+            got = []
+            for cutoff in (10**6, -1):
+                monkeypatch.setattr(transport, "SMALL_SWEEP_ATOMS", cutoff)
+                got.append(check_ce_maxflow(mu, nu, cs))
+            small, large = got
+            assert small.holds == large.holds
+            assert small.deficit == large.deficit
+            assert type(small.deficit) is type(large.deficit)
+            if not small.holds:
+                assert small.worst_set.boxes == large.worst_set.boxes
 
 
 def test_float_verdict_decided_on_integers():

@@ -197,10 +197,11 @@ def check_a2(sc: MeasurementScenario) -> bool:
 def check_ce(sc: MeasurementScenario, method: str = "auto") -> CeVerdict:
     """Ordering condition between mu and the unconditional nu0.
 
-    "auto" is "maxflow", exact and polynomial for every input: the sweep in
-    d = 1; in d >= 2 a greedy fill plus bipartite Dinic phases on the cone
-    graph's CSR arrays.  "bruteforce" enumerates mu's atom subsets and
-    stays as an oracle to check the flow against.
+    "auto" is "maxflow", exact and polynomial for every input: a prefix
+    scan over runs of sources in d = 1; in d >= 2 a greedy fill plus
+    bipartite Dinic phases on the cone graph's CSR arrays.  "bruteforce"
+    enumerates mu's atom subsets and stays as an oracle to check the flow
+    against.
     """
     if method == "bruteforce":
         return check_ce_bruteforce(sc.mu, sc.nu0, sc.cs)

@@ -33,6 +33,14 @@ from .spacetime import (
     region_precedes_event,
 )
 
+# `simulate_signalling` holds a few numpy arrays of one entry a trial, about
+# 34 bytes a trial at its peak (tracemalloc, 10**6 trials), so this many
+# take about 340 MB; a larger count raises ValueError instead of asking
+# numpy for the arrays
+MAX_TRIALS = 10_000_000
+# the largest block size `rng.binomial` takes (a C long)
+MAX_BLOCK_SIZE = int(np.iinfo(np.int_).max)
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -273,6 +281,12 @@ def simulate_signalling(proto: SignallingProtocol, sc: MeasurementScenario,
     """
     if trials <= 0 or block_size <= 0:
         raise ValueError("trials and block size must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials are above the limit of "
+                         f"{MAX_TRIALS}")
+    if block_size > MAX_BLOCK_SIZE:
+        raise ValueError(f"block size {block_size} is above the limit of "
+                         f"{MAX_BLOCK_SIZE}")
     p_off = float(sc.nu0.mass(proto.C))   # bit 0: probe absent
     p_on = float(sc.nu1.mass(proto.C))    # bit 1: probe present
     if p_off - p_on <= 0:

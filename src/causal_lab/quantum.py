@@ -23,6 +23,11 @@ from .spacetime import CausalStructure
 
 BOUNDARY_DENSITY_TOL = 1e-12
 RELATIVISTIC_CUTOFF_FACTOR = 20.0
+# packet grids hold 2**20 cells at most: `simulate-quantum` peaks at about
+# 270 bytes a cell (tracemalloc, 2**14 and 2**16 cells), so about 300 MB
+# there; a finer grid raises ValueError instead of asking numpy for arrays
+# that cannot be allocated
+MAX_GRID_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,9 @@ SI_UNITS = Constants(hbar=1.054571817e-34, c=2.99792458e8)
 def _check_grid(n: int) -> None:
     if n < 2 or n & (n - 1):
         raise ValueError("grid size must be a power of two")
+    if n > MAX_GRID_CELLS:
+        raise ValueError(f"grid size {n} is above the limit of "
+                         f"{MAX_GRID_CELLS} cells")
 
 
 def _check_boundary(psi: _GridPacket) -> _GridPacket:

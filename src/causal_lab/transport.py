@@ -7,17 +7,17 @@ saturating the earlier measure exists, so the decision procedure is a
 max-flow on the atom/cell cone graph; the min cut names a worst offending
 set.
 
-The max-flow solver follows the geometry: an exact sweep in d = 1, and in
-d >= 2 a greedy fill plus bipartite Dinic phases on the cone graph's CSR
-arrays (`maxflow.dinic_max_flow`).  In one dimension every cone is an
-interval of the same radius c*dt, so the cone graph is proper convex and
-filling the leftmost live target first is a maximum flow (Glover 1967); no
-graph is built, and targets outside every window, which take no flow and
-never join the cut, are not lifted.  Both solvers run on an exact integer
-lift of the capacities and take the min-cut side from residual
-reachability, which is the same set for every maximum flow, so they name
-the same worst set.
-The d = 1 sweep places its windows on Python lists when mu's positive
+The solver follows the geometry.  In one dimension every cone is an
+interval of the same radius c*dt, so a worst set is a union of runs of
+consecutive sources, and one prefix scan over the runs finds the largest
+deficit mu(S) - nu(J+(S)) directly (the deficiency form of Hall's
+theorem, Ore 1955); no graph is built, and targets outside every window,
+which no set reaches, are not lifted.  In d >= 2 a greedy fill plus
+bipartite Dinic phases on the cone graph's CSR arrays
+(`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
+the min-cut side.  Both run on an exact integer lift of the capacities and
+name the same worst set: the inclusion-minimal one of greatest deficit.
+The d = 1 scan places its windows on Python lists when mu's positive
 support is small, atoms or grid cells alike, and with numpy otherwise;
 both paths give the same windows.  In d >= 2 those axis-0 windows pick
 the candidate pairs of the cone graph, and the cone test settles each one
@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -49,7 +50,7 @@ EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
 # up to this many points in mu's positive support, atoms or grid cells,
-# the d = 1 sweep places its windows on Python lists, above it with numpy.
+# the d = 1 scan places its windows on Python lists, above it with numpy.
 # Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
 # targets a window): lists 16-37 us against numpy's 42-86 us at 2 points,
 # about even at 32 to 40, and 170-370 against 142-338 us at 64.
@@ -274,17 +275,24 @@ def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, list]:
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
                     cs: CausalStructure) -> tuple[int, int, list]:
-    """Exact max-flow deficit and min-cut left points in one dimension.
+    """Exact deficit and worst-set points of the ordering check in d = 1.
 
-    Sources are taken left to right; each fills the leftmost target of its
-    window that still has room.  A target left of a source's window is
-    out of reach of every later source, so this greedy flow is maximum.
-    The cut side is what the residual graph reaches from leftover supply:
-    a source reaches its window, a target the sources that sent it flow.
-    Only the targets from the lowest window start to the highest window
-    end are lifted; the others are outside every window.  Returns the
-    leftover supply and the lift's denominator as integers; dropping
-    targets may change the denominator, but not their quotient.
+    The deficit is the largest mu(S) - nu(J+(S)) over source sets S, the
+    leftover supply of a maximum flow (Ore 1955).  Window ends rise with
+    the sources, so a source between two members of S whose windows meet
+    reaches nothing new: a worst set is a union of runs of consecutive
+    sources, each reaching the targets from its first window's start to
+    its last window's end, no two the same target.  One left-to-right scan
+    over prefix sums finds the best union; a run from source i may follow
+    only runs that end before the first source whose window ends past
+    lo[i].  Each source counts w = k + 1 times its supply less one, so
+    ties go to the fewest sources: the maximisers of this supermodular
+    score form a lattice, so that is the inclusion-minimal worst set, the
+    one that residual reachability names.  Only the targets from the
+    lowest window start to the highest window end are lifted; the others
+    are outside every window.  Returns the deficit and the lift's
+    denominator as integers; dropping targets may change the denominator,
+    but not their quotient.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
@@ -296,64 +304,51 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
     a, b = min(lo, default=0), max(hi, default=0)
-    lo = [j - a for j in lo]
-    hi = [j - a for j in hi]
     den, caps = _integer_lift(left_caps + right_caps[a:b])
-    nl = len(left_caps)
-    supply = caps[:nl]
-    room = caps[nl:]
-
-    # the sources sending flow into target j are the run first[j]..last[j]
-    m = len(room)
-    first = [0] * m
-    last = [-1] * m
-    p = 0
-    for i, s in enumerate(supply):
-        p = max(p, lo[i])
-        while s and p < hi[i]:
-            if last[p] < 0:
-                first[p] = i
-            last[p] = i
-            r = room[p]
-            if s < r:
-                room[p] = r - s
-                s = 0
-            else:
-                s -= r
-                room[p] = 0
-                p += 1
-        supply[i] = s
-
-    cut = [s > 0 for s in supply]
-    stack = [i for i, c in enumerate(cut) if c]
-    # next target not yet reached: union-find with path halving
-    unreached = list(range(m + 1))
-
-    def next_unreached(j: int) -> int:
-        while unreached[j] != j:
-            unreached[j] = unreached[unreached[j]]
-            j = unreached[j]
-        return j
-
-    while stack:
-        i = stack.pop()
-        j = next_unreached(lo[i])
-        while j < hi[i]:
-            unreached[j] = j + 1
-            for k in range(first[j], last[j] + 1):
-                if not cut[k]:
-                    cut[k] = True
-                    stack.append(k)
-            j = next_unreached(j + 1)
-    return sum(supply), den, [(v,) for v, c in zip(x, cut) if c]
+    k = len(x)
+    w = k + 1
+    # room[t]: w times the room of the lifted targets before t
+    room = list(accumulate((w * c for c in caps[k:]), initial=0))
+    best = [0]    # best[j]: the top score of a union of runs before j
+    start = []    # start[j]: where the run ending at j starts, -1 if none
+    prev = []     # prev[i]: runs before one from i use sources before it
+    # top: the max of best[prev[i]] + room[lo[i]] - gain over i so far
+    top, arg = -math.inf, 0
+    p = gain = 0  # gain: the summed w * supply - 1 of the sources before i
+    for i, (s, lo_i, hi_i) in enumerate(zip(caps, lo, hi)):
+        while p < i and hi[p] <= lo_i:
+            p += 1
+        prev.append(p)
+        here = best[p] + room[lo_i - a] - gain
+        if here > top:
+            top, arg = here, i
+        gain += w * s - 1
+        score = top + gain - room[hi_i - a]
+        if score > best[i]:
+            start.append(arg)
+            best.append(score)
+        else:
+            start.append(-1)
+            best.append(best[i])
+    runs, j = [], k
+    while j:
+        i = start[j - 1]
+        if i < 0:
+            j -= 1
+        else:
+            runs.append(x[i:j])
+            j = prev[i]
+    return (-(-best[k] // w), den,
+            [(v,) for run in reversed(runs) for v in run])
 
 
 def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
                      cs: CausalStructure) -> CeVerdict:
     """Flow-based ordering check; min cut names the worst offending set.
 
-    The solver is the exact sweep in d = 1; in d >= 2 it is a greedy fill
-    plus bipartite Dinic phases on the CSR arrays of the cone graph.
+    The solver is the exact prefix scan over runs in d = 1; in d >= 2 it
+    is a greedy fill plus bipartite Dinic phases on the CSR arrays of the
+    cone graph.
     Either is exact for any input; the eps_flow slack on float verdicts
     only absorbs noise already present in the given weights.  Both return
     the leftover supply as an integer over the lift's denominator, so the

@@ -521,6 +521,16 @@ def _grid_nu0(**grid):
      f"the receiver lattice takes {10 ** 12} points, above the limit"),
     (_set("protocol", "lattice", "p_points", 10 ** 12), ("signal-sim",),
      f"the sender lattice takes {10 ** 12} points, above the limit"),
+    # rejected before numpy is asked for 10**12 trials, a block size that
+    # rng.binomial cannot take or a 2**40-cell packet grid
+    (_set("protocol", "trials", 10 ** 12), ("signal-sim",),
+     f"{10 ** 12} trials are above the limit of"),
+    (_set("protocol", "block_sizes", [10 ** 30]), ("signal-sim",),
+     f"block size {10 ** 30} is above the limit of"),
+    (lambda payload: payload.update(quantum=dict(
+        QUANTUM["quantum"], grid=dict(QUANTUM["quantum"]["grid"],
+                                      n=2 ** 40))), ("simulate-quantum",),
+     f"grid size {2 ** 40} is above the limit of"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "weight_null", "scales_t_abc",
@@ -528,7 +538,7 @@ def _grid_nu0(**grid):
         "quantum_number", "reference_list", "units_list", "dim_fraction",
         "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",
         "q_points_fraction", "p_points_bool", "q_lo_str", "q_points_huge",
-        "p_points_huge"])
+        "p_points_huge", "trials_huge", "block_size_huge", "grid_n_huge"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
     # each of these once escaped main as a traceback with exit code 1

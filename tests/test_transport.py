@@ -262,8 +262,26 @@ def test_sweep_matches_dinic_and_bruteforce(seed, kind):
         assert vb.holds == vs.holds
         if exact:
             assert vb.deficit == vs.deficit
+            # brute force keeps the first maximiser in subset-bitmask
+            # order, which in exact arithmetic is the inclusion-minimal one
+            if not vs.holds:
+                assert vs.worst_set.boxes == vb.worst_set.boxes
         else:
             assert abs(float(vb.deficit) - float(vs.deficit)) <= 1e-9
+
+
+def test_zero_gain_atom_stays_out_of_worst_set():
+    # the atom at 1.5 adds 1/4 of supply and reaches 1/4 more of nu, so
+    # {0} and {0, 1.5} both fall 1/4 short; the worst set is the smaller
+    mu = _atoms(0.0, [(0.0, Fraction(1, 2)), (1.5, Fraction(1, 4)),
+                      (9.0, Fraction(1, 4))])
+    nu = _atoms(1.0, [(0.5, Fraction(1, 4)), (2.5, Fraction(1, 4)),
+                      (9.0, Fraction(1, 2))])
+    for v in (check_ce_maxflow(mu, nu, CS1), _dinic_verdict(mu, nu, CS1),
+              check_ce_bruteforce(mu, nu, CS1)):
+        assert not v.holds
+        assert v.deficit == Fraction(1, 4)
+        assert v.worst_set.boxes == Region.point_boxes([(0.0,)], 1).boxes
 
 
 PRUNE_KINDS = ("atoms", "exact", "grid", "unreached")

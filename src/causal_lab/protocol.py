@@ -29,9 +29,12 @@ from .spacetime import (
     boost,
     causally_precedes,
     cone_blocks,
+    cone_radius,
     inverse,
     region_precedes_event,
+    squared_cone_radius,
 )
+from .transport import _cone_windows
 
 # `simulate_signalling` holds a few numpy arrays of one entry a trial, about
 # 34 bytes a trial at its peak (tracemalloc, 10**6 trials), so this many
@@ -40,6 +43,13 @@ from .spacetime import (
 MAX_TRIALS = 10_000_000
 # the largest block size `rng.binomial` takes (a C long)
 MAX_BLOCK_SIZE = int(np.iinfo(np.int_).max)
+# candidate-point pairs that one `cone_blocks` call of `_sender_reach` takes
+# before the next lattice column starts a call of its own.  On a 2-core VM
+# a call costs about 17 us and a pair 4-14 ns; `_sender_reach` on the 16- to
+# 64-segment annulus and on a 2001-point d = 1 lattice timed about the same
+# from 4096 to 16384, and up to 35x slower with one call for all columns
+# (their windows unused) or one call a column
+RUN_PAIRS = 8_192
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,13 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.q_points < 1 or self.p_points < 1:
             raise ValueError("lattices need at least one point per axis")
+        # zipped corners of different lengths would drop axes unseen
+        for name, lo, hi in (("q", self.q_lo, self.q_hi),
+                             ("p", self.p_lo, self.p_hi)):
+            if len(lo) != len(hi):
+                raise ValueError(
+                    f"{name}_lo and {name}_hi differ in length "
+                    f"({len(lo)} and {len(hi)})")
         # checked before any lattice is built, with sample_points' limit
         for name, n, lo in (("receiver", self.q_points, self.q_lo),
                             ("sender", self.p_points, self.p_lo)):
@@ -134,9 +151,12 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     witness; ties break toward lexicographically smaller
     coordinates.  C is the witness shrunk to the cells strictly inside
     the receiver's chronological past.  Senders are picked greedily until
-    their chronological futures cover K's sample points; candidates that
-    causally precede the receiver are never eligible.  Lattice exhaustion
-    means "not found at this resolution", not nonexistence.
+    their chronological futures cover K's sample points: each time the
+    candidate that reaches the most points not yet covered, the first one
+    on a tie.  Those counts are taken once and, after each pick, lowered
+    by the newly covered points alone.  Candidates that causally precede
+    the receiver are never eligible.  Lattice exhaustion means "not found
+    at this resolution", not nonexistence.
     """
     cs = sc.cs
     s_time, t_time = sc.s_time, sc.t_time
@@ -184,8 +204,9 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     cand_xs, _, cover_pts, reach = _sender_reach(sc, q, lattice)
     senders: list[Event] = []
     covered = np.zeros(len(cover_pts), dtype=bool)
+    # each candidate's count of the points it reaches that are not covered
+    gains = np.count_nonzero(reach, axis=1)
     while not covered.all():
-        gains = (reach & ~covered[None, :]).sum(axis=1)
         pick = int(np.argmax(gains))
         if gains[pick] == 0:
             missing = cover_pts[~covered][0]
@@ -195,7 +216,9 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
                 f"resolution (slice t={lattice.p_time}, "
                 f"{lattice.p_points} points per axis)")
         senders.append(_event(lattice.p_time, cand_xs[pick]))
-        covered |= reach[pick]
+        new = reach[pick] & ~covered
+        covered |= new
+        gains -= np.count_nonzero(reach[:, new], axis=1)
     proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
                                senders=tuple(senders), channel_gap=gap)
     problems = audit_protocol(proto, sc, lattice.cover_resolution)
@@ -212,17 +235,58 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     (it does not causally precede q), K's sample points, and the boolean
     (candidates, points) matrix of points strictly inside each candidate's
     chronological future; a candidate that may not send reaches nothing.
+
+    The lattice's columns share their axis-0 coordinate, so the eligible
+    candidates go in groups by it.  With the points in stable axis-0
+    order, `transport._cone_windows` at the open r * r gives each column
+    the run of points whose axis-0 term alone is within it; past the run
+    that term exceeds r * r, and the other axes' squares only grow the
+    float sum.  Consecutive columns share one `cone_blocks` call over the
+    union of their windows until it holds about RUN_PAIRS pairs, so thin
+    columns (one candidate each in d = 1) do not each pay a call, and
+    when all pairs fit in one call it takes them without windows.  That
+    kernel settles every pair with the same `sum_squares` on the same
+    operands, so the matrix is its own over all pairs, bit for bit.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
     cand_xs = lattice.p_candidates()
     # the candidates in q's past cone: the same distances, in one block
     eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
                                  cand_xs))[0]
-    reach = np.concatenate(list(cone_blocks(
-        cand_xs, sc.s_time - lattice.p_time, sc.cs, cover_pts,
-        open_cone=True)))
-    reach[~eligible, :] = False
-    return cand_xs, eligible, cover_pts, reach
+    dt = sc.s_time - lattice.p_time
+    rows = np.flatnonzero(eligible)
+    if len(rows) * len(cover_pts) <= RUN_PAIRS:
+        # every pair fits in one call, which needs no windows
+        reach = np.zeros((len(cand_xs), len(cover_pts)), dtype=bool)
+        reach[rows] = np.concatenate(list(cone_blocks(
+            cand_xs[rows], dt, sc.cs, cover_pts, open_cone=True)))
+        return cand_xs, eligible, cover_pts, reach
+    order = np.argsort(cover_pts[:, 0], kind="stable")
+    targets = cover_pts[order]
+    column_x, column, size = np.unique(cand_xs[rows, 0], return_inverse=True,
+                                       return_counts=True)
+    rows = rows[np.argsort(column, kind="stable")]  # column by column
+    lo, hi = map(np.asarray, _cone_windows(
+        column_x, targets[:, 0], cone_radius(dt, sc.cs, open_cone=True),
+        squared_cone_radius(dt, sc.cs, open_cone=True)))
+    # windows grow with the column, so a run of columns g..h takes the
+    # points lo[g]:hi[h]; a run starts where the pair count before its
+    # first column passes a multiple of RUN_PAIRS
+    pairs = size * (hi - lo)
+    run = (np.cumsum(pairs) - pairs) // RUN_PAIRS
+    first = np.flatnonzero(np.diff(run, prepend=-1))
+    last = np.append(first[1:], len(run)) - 1
+    ends = np.cumsum(size)
+    # one row a point, in axis-0 order; put back by one row gather
+    reach = np.zeros((len(cover_pts), len(cand_xs)), dtype=bool)
+    for g, h in zip(first.tolist(), last.tolist()):
+        a, b = lo[g], hi[h]
+        if a < b:
+            members = rows[ends[g] - size[g]:ends[h]]
+            reach[a:b, members] = np.concatenate(list(cone_blocks(
+                cand_xs[members], dt, sc.cs, targets[a:b],
+                open_cone=True))).T
+    return cand_xs, eligible, cover_pts, reach[np.argsort(order)].T
 
 
 def find_single_sender(sc: MeasurementScenario, q: Event,

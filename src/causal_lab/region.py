@@ -134,6 +134,10 @@ def _by_blocks(kernel, points: np.ndarray, lo: np.ndarray,
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    # `_in_boxes` takes one axis at a time, so it would not broadcast a
+    # mismatch into an error of its own
+    if pts.shape[1] != lo.shape[1]:
+        raise ValueError("point dimension does not match the boxes")
     step = max(1, BOX_BLOCK_ENTRIES // max(lo.size, 1))
     if len(pts) <= step:
         return kernel(pts, lo, hi)
@@ -148,10 +152,15 @@ def points_in_boxes(points: np.ndarray, lo: np.ndarray,
 
 
 def _in_boxes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    p = pts[:, None, :]
-    inside = (p >= lo) & (p <= hi)
-    # ufunc reductions: the ndarray methods add a Python call per use
-    return np.logical_or.reduce(np.logical_and.reduce(inside, axis=2), axis=1)
+    # one (n, B) compare per axis, AND-ed in place: no (n, B, d) temporary,
+    # and no reduction over its short last axis
+    x = pts.T[:, :, None]
+    inside = (x[0] >= lo[:, 0]) & (x[0] <= hi[:, 0])
+    for ax in range(1, lo.shape[1]):
+        inside &= x[ax] >= lo[:, ax]
+        inside &= x[ax] <= hi[:, ax]
+    # a ufunc reduction: the ndarray method adds a Python call per use
+    return np.logical_or.reduce(inside, axis=1)
 
 
 def sum_squares(parts):
@@ -201,26 +210,59 @@ def _carve(box: Box, cutters_lo: np.ndarray, cutters_hi: np.ndarray,
     return frags
 
 
+def _cut_by_earlier(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the boxes, given by (B, d) corners, that some earlier box
+    cuts: their interiors overlap, or the earlier box holds the box (a
+    repeat, a face, a point).  These are the two cases in which
+    `_subtract_box` does not return a box unchanged.  One vectorised pass
+    in blocks of rows against all earlier boxes, one axis at a time."""
+    n, dim = lo.shape
+    cut = np.zeros(n, dtype=bool)
+    step = max(1, BOX_BLOCK_ENTRIES // max(n, 1))
+    for start in range(1, n, step):
+        stop = min(n, start + step)
+        # rows: the boxes start..stop-1; columns: the boxes before stop
+        overlap = np.arange(stop) < np.arange(start, stop)[:, None]
+        holds = overlap.copy()
+        for ax in range(dim):
+            b_lo, b_hi = lo[start:stop, ax, None], hi[start:stop, ax, None]
+            e_lo, e_hi = lo[:stop, ax], hi[:stop, ax]
+            overlap &= e_lo < b_hi
+            overlap &= b_lo < e_hi
+            holds &= e_lo <= b_lo
+            holds &= b_hi <= e_hi
+        cut[start:stop] = np.logical_or.reduce(overlap | holds, axis=1)
+    return cut
+
+
 def _disjointify(boxes: Sequence[Box]) -> tuple[Box, ...]:
     """Split `boxes` into closed boxes with pairwise disjoint interiors.
 
     Each box, in input order, is carved by the fragments accepted before
-    it, in acceptance order.  Exact: `_carve` skips only fragments that
-    `_subtract_box` would pass through unchanged, so the result is the
-    full O(B^2) carve's, box for box and in order.  Cost: the corners of
-    the accepted fragments sit in two arrays that double as they fill, so
-    each box takes one vectorised compare against all of them, and Python
-    carving only against the fragments whose closed box meets it.
+    it, in acceptance order.  Every accepted fragment lies inside an
+    earlier input box, so a box that no earlier input box cuts
+    (`_cut_by_earlier`, one vectorised pass) is accepted as it stands:
+    no fragment can cut it either.  A region none of whose boxes an
+    earlier one cuts, such as a scenario's detector region, is therefore
+    read without a carve.  Exact: `_carve` skips only fragments that `_subtract_box`
+    would pass through unchanged, so the result is the full O(B^2)
+    carve's, box for box and in order.  Cost: the corners of the
+    accepted fragments sit in two arrays that double as they fill, so
+    each cut box takes one vectorised compare against all of them, and
+    Python carving only against the fragments whose closed box meets it.
     """
     if not boxes:
         return ()
     dim = len(boxes[0][0])
+    cut = _cut_by_earlier(*_corners(boxes, dim)).tolist()
+    if not any(cut):
+        return tuple(boxes)
     out: list[Box] = []
     lo = np.empty((16, dim))
     hi = np.empty((16, dim))
-    for box in boxes:
+    for box, is_cut in zip(boxes, cut):
         n = len(out)
-        frags = _carve(box, lo[:n], hi[:n], out)
+        frags = _carve(box, lo[:n], hi[:n], out) if is_cut else [box]
         m = n + len(frags)
         if m > len(lo):
             grow = np.empty((max(2 * len(lo), m) - n, dim))

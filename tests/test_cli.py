@@ -516,6 +516,11 @@ def _grid_nu0(**grid):
      "bad 'p_points' in protocol.lattice: expected an integer, got True"),
     (_set("protocol", "lattice", "q_lo", "2"), ("protocol",),
      "bad 'q_lo' in protocol.lattice: expected a list, got '2'"),
+    # corners of different lengths, once zipped down to the shorter one
+    (_set("protocol", "lattice", "q_hi", [4.5, 9.0]), ("protocol",),
+     "bad lattice: q_lo and q_hi differ in length (1 and 2)"),
+    (_set("protocol", "lattice", "p_lo", [-4.0, -4.0]), ("signal-sim",),
+     "bad lattice: p_lo and p_hi differ in length (2 and 1)"),
     # rejected before numpy is asked for 10**12 lattice points
     (_set("protocol", "lattice", "q_points", 10 ** 12), ("protocol",),
      f"the receiver lattice takes {10 ** 12} points, above the limit"),
@@ -537,7 +542,8 @@ def _grid_nu0(**grid):
         "measures_list", "measurement_number", "protocol_number",
         "quantum_number", "reference_list", "units_list", "dim_fraction",
         "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",
-        "q_points_fraction", "p_points_bool", "q_lo_str", "q_points_huge",
+        "q_points_fraction", "p_points_bool", "q_lo_str", "q_hi_longer",
+        "p_lo_longer", "q_points_huge",
         "p_points_huge", "trials_huge", "block_size_huge", "grid_n_huge"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):

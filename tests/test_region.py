@@ -7,6 +7,7 @@ import pytest
 
 from causal_lab import region
 from causal_lab.measure import SliceMeasure
+from causal_lab.protocol import make_annulus_scenario
 from causal_lab.region import (Region, _as_box, _subtract_box,
                                points_box_distance2)
 from causal_lab.spacetime import CausalStructure
@@ -211,6 +212,99 @@ def test_carve_matches_full_carve(seed):
                       Region.from_boxes(fresh, dim), Region.empty(dim)):
             assert region.covers(other) == _oracle_covers(region, other)
             assert other.covers(region) == _oracle_covers(other, region)
+
+
+def _cuts(boxes):
+    """Per box, whether `_subtract_box` changes it against an earlier one."""
+    return [any(_subtract_box(box, earlier) != [box]
+                for earlier in boxes[:i])
+            for i, box in enumerate(boxes)]
+
+
+def _carved_regions():
+    """Seeded carved regions (degenerate, point and repeated boxes among
+    their inputs) in d = 2 and 3, and the annulus detector regions."""
+    rng = np.random.default_rng(53)
+    for trial in range(200):
+        yield Region.from_boxes(_random_box_set(rng, 2 + trial % 2))
+    for segments in (8, 12, 16, 32, 64):
+        yield make_annulus_scenario(segments)[0].K
+
+
+def test_canonical_region_reads_back_unchanged():
+    # a region none of whose boxes an earlier one cuts is read back box
+    # for box.  The carve can leave a flat sliver on the faces of earlier
+    # fragments (a degenerate input box split around a cutter's plane);
+    # such a region is read back as the full carve reads it, sliver gone
+    canonical = 0
+    for r in _carved_regions():
+        again = Region.from_boxes(r.boxes, r.dim)
+        assert again.boxes == _oracle_disjointify(r.boxes)
+        if not any(_cuts(r.boxes)):
+            canonical += 1
+            assert again.boxes == r.boxes
+            assert Region.from_json(r.to_json(), r.dim) == r
+    assert canonical > 180
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cut_mask_matches_subtract_box(seed, monkeypatch):
+    # a box is marked exactly when `_subtract_box` would not return it
+    # unchanged from some earlier input box; blocks of one to a few rows
+    rng = np.random.default_rng([seed, 47])
+    for trial in range(60):
+        dim = 2 + trial % 2
+        boxes = _random_box_set(rng, dim)
+        lo, hi = region._corners(boxes, dim)
+        for entries in (region.BOX_BLOCK_ENTRIES, 1, 3 * len(boxes)):
+            monkeypatch.setattr(region, "BOX_BLOCK_ENTRIES", entries)
+            assert region._cut_by_earlier(lo, hi).tolist() == _cuts(boxes)
+
+
+def test_canonical_region_is_read_without_a_carve(monkeypatch):
+    # reading back a region none of whose boxes an earlier one cuts makes
+    # no `_carve` call; raw overlapping boxes are still carved
+    regions = [r for r in _carved_regions() if not any(_cuts(r.boxes))]
+    calls = []
+    carve = region._carve
+
+    def counted(*args):
+        calls.append(args[0])
+        return carve(*args)
+
+    monkeypatch.setattr(region, "_carve", counted)
+    for r in regions:
+        Region.from_json(r.to_json(), r.dim)
+    assert calls == []
+    Region.from_boxes([((0.0, 0.0), (2.0, 2.0)), ((1.0, 1.0), (3.0, 3.0))])
+    assert calls == [((1.0, 1.0), (3.0, 3.0))]
+    assert sum(len(r.boxes) for r in regions) > 1000
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_in_boxes_matches_reduce_over_axes(dim, monkeypatch):
+    # the per-axis membership kernel against the (n, B, d) compare reduced
+    # over its last axis, which it replaced; points on faces and corners,
+    # degenerate and repeated boxes, no boxes, and blocks of a few points
+    rng = np.random.default_rng([dim, 59])
+    for trial in range(40):
+        lo = rng.choice(_LATTICE, size=(int(rng.integers(0, 30)), dim))
+        hi = lo + rng.choice([0.0, 0.5, 1.0], size=lo.shape)
+        if len(lo) > 1:
+            lo[-1], hi[-1] = lo[0], hi[0]
+        pts = np.concatenate([rng.choice(_LATTICE, size=(50, dim)),
+                              rng.uniform(-0.5, 4.0, size=(50, dim))])
+        p = pts[:, None, :]
+        want = np.logical_or.reduce(
+            np.logical_and.reduce((p >= lo) & (p <= hi), axis=2), axis=1)
+        for entries in (region.BOX_BLOCK_ENTRIES, 7 * lo.size + 1):
+            monkeypatch.setattr(region, "BOX_BLOCK_ENTRIES", entries)
+            got = region.points_in_boxes(pts, lo, hi)
+            assert got.dtype == bool and np.array_equal(got, want)
+    # a point of another dimension is an error, not a broadcast
+    for kernel in (region.points_in_boxes, points_box_distance2):
+        with pytest.raises(ValueError, match="point dimension"):
+            kernel(np.zeros((3, dim + 1)), lo, hi)
 
 
 def _signed_boxes(region: Region):

@@ -1,10 +1,13 @@
 """Causal order, cones on slices, and boost kinematics."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from causal_lab import protocol
 from causal_lab import region as region_module
 from causal_lab import spacetime
 from causal_lab.conditions import make_abc_scenario
@@ -386,27 +389,74 @@ def test_flow_network_windows_match_oracle(block, monkeypatch):
         assert 0 < net.num_edges < len(src) * len(tgt), name
 
 
+def _rim_annulus():
+    """The 16-segment annulus with point boxes added to K on the rim of the
+    open cone of the corner columns x = -3.5 and 3.5, at y = -3.5: one ulp
+    inside it, one ulp past it, and exactly c * dt away, where the open and
+    the closed cone part ways.  Returns the scenario, its lattice and the
+    (source, target, open, closed) positions and verdicts."""
+    sc, lattice = make_annulus_scenario(16)
+    dt = sc.s_time - lattice.p_time
+    r_open = spacetime.cone_radius(dt, sc.cs, open_cone=True)
+    rims = []
+    for x, side in ((-3.5, 1.0), (3.5, -1.0)):
+        inside = x + side * r_open
+        for t, reached in ((inside, True),
+                           (float(np.nextafter(inside, side * np.inf)), False),
+                           (x + side * sc.cs.c * dt, False)):
+            rims.append(((x, -3.5), (t, -3.5), reached, True))
+    boxes = list(sc.K.boxes) + [(t, t) for _, t, _, _ in rims]
+    sc = replace(sc, K=Region.from_boxes(boxes, 2))
+    return sc, lattice, rims
+
+
 @pytest.mark.parametrize("block", [None, 5])
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
+    # the windowed reach against the einsum oracle and against the dense
+    # open-cone kernel over all pairs, bit for bit: kernel blocks of one
+    # source or more, runs of one lattice column or more, and the one call
+    # without windows that the two-atom lattice's few pairs take
     if block is not None:
         monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
-    cases = [(make_abc_scenario(0.0, 1.0, 1.0), ABC_LATTICE),
-             make_annulus_scenario(16)]
-    for sc, lattice in cases:
+    rim_sc, rim_lattice, rims = _rim_annulus()
+    abc = make_abc_scenario(0.0, 1.0, 1.0)
+    cases = [(abc, ABC_LATTICE), (abc, replace(ABC_LATTICE, p_points=2001)),
+             make_annulus_scenario(16), make_annulus_scenario(32),
+             make_annulus_scenario(64), (rim_sc, rim_lattice)]
+    for run, (sc, lattice) in itertools.product(
+            (64, 1, protocol.RUN_PAIRS), cases):
+        monkeypatch.setattr(protocol, "RUN_PAIRS", run)
         q = Event(lattice.q_time, tuple(float(v) for v in
                                         lattice.q_candidates()[-1]))
         xs, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
         cand_xs = lattice.p_candidates()
+        dt = sc.s_time - lattice.p_time
         want = _oracle_chronological_reach(
-            cand_xs, sc.K.sample_points(lattice.cover_resolution),
-            sc.s_time - lattice.p_time, sc.cs)
+            cand_xs, sc.K.sample_points(lattice.cover_resolution), dt, sc.cs)
         want[~eligible, :] = False
         assert np.array_equal(reach, want)
+        dense = np.concatenate(list(cone_blocks(
+            cand_xs, dt, sc.cs, cover_pts, open_cone=True)))
+        dense[~eligible, :] = False
+        assert np.array_equal(reach, dense)
         assert np.array_equal(xs, cand_xs)
         assert list(eligible) == [
             not causally_precedes(Event(lattice.p_time, tuple(x)), q, sc.cs)
             for x in cand_xs.tolist()]
         assert reach.any() and eligible.any() and not eligible.all()
+    # the rim points sit where they were meant to, and the reach says so
+    q = Event(rim_lattice.q_time, tuple(rim_lattice.q_candidates()[-1]))
+    xs, eligible, cover_pts, reach = _sender_reach(rim_sc, q, rim_lattice)
+    row = {tuple(x): i for i, x in enumerate(xs.tolist())}
+    col = {tuple(p): j for j, p in enumerate(cover_pts.tolist())}
+    for source, target, reached, closed in rims:
+        i, j = row[source], col[target]
+        assert eligible[i]
+        assert reach[i, j] == reached
+        p, t = (Event(rim_lattice.p_time, source),
+                Event(rim_sc.s_time, target))
+        assert chronologically_precedes(p, t, rim_sc.cs) == reached
+        assert causally_precedes(p, t, rim_sc.cs) == closed
 
 
 # -- the future test against the cone it stands for ---------------------------

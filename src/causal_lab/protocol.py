@@ -43,12 +43,12 @@ from .transport import _cone_windows
 MAX_TRIALS = 10_000_000
 # the largest block size `rng.binomial` takes (a C long)
 MAX_BLOCK_SIZE = int(np.iinfo(np.int_).max)
-# candidate-point pairs that one `cone_blocks` call of `_sender_reach` takes
-# before the next lattice column starts a call of its own.  On a 2-core VM
-# a call costs about 17 us and a pair 4-14 ns; `_sender_reach` on the 16- to
-# 64-segment annulus and on a 2001-point d = 1 lattice timed about the same
-# from 4096 to 16384, and up to 35x slower with one call for all columns
-# (their windows unused) or one call a column
+# window pairs that one `cone_blocks` call of `_sender_reach` takes before
+# the next candidate starts a call of its own.  On a 2-core VM the reach on
+# the 64-segment annulus took 3.7-4.5 ms from 4096 to 32768, 5.4 ms at
+# 1024, and 13.3 ms as one call over all pairs (a bound of
+# CONE_BLOCK_PAIRS); `cli_protocol` read 141.5 ops/s at 8192 against
+# 111.7 as one call (6 alternating pairs, BENCH_19.json)
 RUN_PAIRS = 8_192
 
 
@@ -236,15 +236,12 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     (candidates, points) matrix of points strictly inside each candidate's
     chronological future; a candidate that may not send reaches nothing.
 
-    The lattice's columns share their axis-0 coordinate, so the eligible
-    candidates go in groups by it.  With the points in stable axis-0
-    order, `transport._cone_windows` at the open r * r gives each column
+    With the points and the eligible candidates each in stable axis-0
+    order, `transport._cone_windows` at the open r * r gives each candidate
     the run of points whose axis-0 term alone is within it; past the run
     that term exceeds r * r, and the other axes' squares only grow the
-    float sum.  Consecutive columns share one `cone_blocks` call over the
-    union of their windows until it holds about RUN_PAIRS pairs, so thin
-    columns (one candidate each in d = 1) do not each pay a call, and
-    when all pairs fit in one call it takes them without windows.  That
+    float sum.  Consecutive candidates share one `cone_blocks` call over
+    the union of their windows until it holds about RUN_PAIRS pairs.  That
     kernel settles every pair with the same `sum_squares` on the same
     operands, so the matrix is its own over all pairs, bit for bit.
     """
@@ -254,35 +251,27 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
                                  cand_xs))[0]
     dt = sc.s_time - lattice.p_time
-    rows = np.flatnonzero(eligible)
-    if len(rows) * len(cover_pts) <= RUN_PAIRS:
-        # every pair fits in one call, which needs no windows
-        reach = np.zeros((len(cand_xs), len(cover_pts)), dtype=bool)
-        reach[rows] = np.concatenate(list(cone_blocks(
-            cand_xs[rows], dt, sc.cs, cover_pts, open_cone=True)))
-        return cand_xs, eligible, cover_pts, reach
     order = np.argsort(cover_pts[:, 0], kind="stable")
     targets = cover_pts[order]
-    column_x, column, size = np.unique(cand_xs[rows, 0], return_inverse=True,
-                                       return_counts=True)
-    rows = rows[np.argsort(column, kind="stable")]  # column by column
+    rows = np.flatnonzero(eligible)
+    rows = rows[np.argsort(cand_xs[rows, 0], kind="stable")]
     lo, hi = map(np.asarray, _cone_windows(
-        column_x, targets[:, 0], cone_radius(dt, sc.cs, open_cone=True),
+        cand_xs[rows, 0], targets[:, 0],
+        cone_radius(dt, sc.cs, open_cone=True),
         squared_cone_radius(dt, sc.cs, open_cone=True)))
-    # windows grow with the column, so a run of columns g..h takes the
-    # points lo[g]:hi[h]; a run starts where the pair count before its
-    # first column passes a multiple of RUN_PAIRS
-    pairs = size * (hi - lo)
+    # windows grow with the candidate, so a run of candidates g..h takes
+    # the points lo[g]:hi[h]; a run starts where the pair count before its
+    # first candidate passes a multiple of RUN_PAIRS
+    pairs = hi - lo
     run = (np.cumsum(pairs) - pairs) // RUN_PAIRS
     first = np.flatnonzero(np.diff(run, prepend=-1))
     last = np.append(first[1:], len(run)) - 1
-    ends = np.cumsum(size)
     # one row a point, in axis-0 order; put back by one row gather
     reach = np.zeros((len(cover_pts), len(cand_xs)), dtype=bool)
     for g, h in zip(first.tolist(), last.tolist()):
         a, b = lo[g], hi[h]
         if a < b:
-            members = rows[ends[g] - size[g]:ends[h]]
+            members = rows[g:h + 1]
             reach[a:b, members] = np.concatenate(list(cone_blocks(
                 cand_xs[members], dt, sc.cs, targets[a:b],
                 open_cone=True))).T

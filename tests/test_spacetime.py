@@ -414,8 +414,7 @@ def _rim_annulus():
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     # the windowed reach against the einsum oracle and against the dense
     # open-cone kernel over all pairs, bit for bit: kernel blocks of one
-    # source or more, runs of one lattice column or more, and the one call
-    # without windows that the two-atom lattice's few pairs take
+    # source or more, and runs of one candidate or more
     if block is not None:
         monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
     rim_sc, rim_lattice, rims = _rim_annulus()
@@ -424,7 +423,7 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
              make_annulus_scenario(16), make_annulus_scenario(32),
              make_annulus_scenario(64), (rim_sc, rim_lattice)]
     for run, (sc, lattice) in itertools.product(
-            (64, 1, protocol.RUN_PAIRS), cases):
+            (64, 1, protocol.RUN_PAIRS, 10**9), cases):
         monkeypatch.setattr(protocol, "RUN_PAIRS", run)
         q = Event(lattice.q_time, tuple(float(v) for v in
                                         lattice.q_candidates()[-1]))

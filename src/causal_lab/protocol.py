@@ -26,6 +26,7 @@ from .spacetime import (
     CausalStructure,
     Event,
     SliceFuture,
+    _cone_windows,
     boost,
     causally_precedes,
     cone_blocks,
@@ -33,8 +34,8 @@ from .spacetime import (
     inverse,
     region_precedes_event,
     squared_cone_radius,
+    window_runs,
 )
-from .transport import _cone_windows
 
 # `simulate_signalling` holds a few numpy arrays of one entry a trial, about
 # 34 bytes a trial at its peak (tracemalloc, 10**6 trials), so this many
@@ -43,13 +44,6 @@ from .transport import _cone_windows
 MAX_TRIALS = 10_000_000
 # the largest block size `rng.binomial` takes (a C long)
 MAX_BLOCK_SIZE = int(np.iinfo(np.int_).max)
-# window pairs that one `cone_blocks` call of `_sender_reach` takes before
-# the next candidate starts a call of its own.  On a 2-core VM the reach on
-# the 64-segment annulus took 3.7-4.5 ms from 4096 to 32768, 5.4 ms at
-# 1024, and 13.3 ms as one call over all pairs (a bound of
-# CONE_BLOCK_PAIRS); `cli_protocol` read 141.5 ops/s at 8192 against
-# 111.7 as one call (6 alternating pairs, BENCH_19.json)
-RUN_PAIRS = 8_192
 
 
 @dataclass(frozen=True)
@@ -237,13 +231,14 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     chronological future; a candidate that may not send reaches nothing.
 
     With the points and the eligible candidates each in stable axis-0
-    order, `transport._cone_windows` at the open r * r gives each candidate
+    order, `spacetime._cone_windows` at the open r * r gives each candidate
     the run of points whose axis-0 term alone is within it; past the run
     that term exceeds r * r, and the other axes' squares only grow the
-    float sum.  Consecutive candidates share one `cone_blocks` call over
-    the union of their windows until it holds about RUN_PAIRS pairs.  That
-    kernel settles every pair with the same `sum_squares` on the same
-    operands, so the matrix is its own over all pairs, bit for bit.
+    float sum.  The candidates of one run of `spacetime.window_runs`,
+    about `region.BLOCK_PAIRS` window pairs, share one `cone_blocks` call
+    over the union of their windows.  That kernel settles every pair with
+    the same `sum_squares` on the same operands, so the matrix is its own
+    over all pairs, bit for bit.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
     cand_xs = lattice.p_candidates()
@@ -255,23 +250,17 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     targets = cover_pts[order]
     rows = np.flatnonzero(eligible)
     rows = rows[np.argsort(cand_xs[rows, 0], kind="stable")]
-    lo, hi = map(np.asarray, _cone_windows(
+    lo, hi = _cone_windows(
         cand_xs[rows, 0], targets[:, 0],
         cone_radius(dt, sc.cs, open_cone=True),
-        squared_cone_radius(dt, sc.cs, open_cone=True)))
-    # windows grow with the candidate, so a run of candidates g..h takes
-    # the points lo[g]:hi[h]; a run starts where the pair count before its
-    # first candidate passes a multiple of RUN_PAIRS
-    pairs = hi - lo
-    run = (np.cumsum(pairs) - pairs) // RUN_PAIRS
-    first = np.flatnonzero(np.diff(run, prepend=-1))
-    last = np.append(first[1:], len(run)) - 1
+        squared_cone_radius(dt, sc.cs, open_cone=True))
     # one row a point, in axis-0 order; put back by one row gather
     reach = np.zeros((len(cover_pts), len(cand_xs)), dtype=bool)
-    for g, h in zip(first.tolist(), last.tolist()):
-        a, b = lo[g], hi[h]
+    for g, h in window_runs(np.subtract(hi, lo)):
+        # windows grow with the candidate, so the run takes lo[g]:hi[h - 1]
+        a, b = lo[g], hi[h - 1]
         if a < b:
-            members = rows[g:h + 1]
+            members = rows[g:h]
             reach[a:b, members] = np.concatenate(list(cone_blocks(
                 cand_xs[members], dt, sc.cs, targets[a:b],
                 open_cone=True))).T

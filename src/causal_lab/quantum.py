@@ -82,7 +82,7 @@ class _GridPacket:
             arr = np.ascontiguousarray(c, dtype=complex)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if abs(self.norm - 1.0) > EPS_MASS:
+        if not abs(self.norm - 1.0) <= EPS_MASS:  # NaN included
             raise ValueError(f"packet norm {self.norm!r} is not 1")
 
     @property
@@ -160,8 +160,8 @@ def gaussian_packet(lam: float, x0: float = 0.0, k0: float = 0.0, *,
                     mass: float = 1.0,
                     units: Constants = NATURAL_UNITS) -> WavePacket:
     """Normalized Gaussian, amplitude ~ exp(-(x-x0)^2/(2 lam^2) + i k0 x)."""
-    if lam <= 0:
-        raise ValueError("packet width must be positive")
+    if not (0 < lam < math.inf and math.isfinite(x0) and math.isfinite(k0)):
+        raise ValueError("width, centre and k0 must be finite, width > 0")
     _check_grid(n)
     x = _cell_centers(origin, cell_size, n)
     amp = np.exp(-((x - x0) ** 2) / (2.0 * lam * lam) + 1j * k0 * x)
@@ -182,11 +182,12 @@ def bump_spinor_packet(center: float, halfwidth: float, *, origin: float,
     """Compactly supported smooth spinor (upper component only).
 
     The profile exp(-1/(1-u^2)) vanishes with all derivatives at the
-    support edge, keeping spectral leakage far below the light-cone test
-    tolerances.
+    support edge, yet the spectral propagator still leaks at grid scale,
+    above the light-cone test tolerances; the leak decays with n.
     """
-    if halfwidth <= 0:
-        raise ValueError("support halfwidth must be positive")
+    if not (0 < halfwidth < math.inf and math.isfinite(center)):
+        raise ValueError("support centre and halfwidth must be finite, "
+                         "halfwidth > 0")
     _check_grid(n)
     x = _cell_centers(origin, cell_size, n)
     u = (x - center) / halfwidth
@@ -308,8 +309,9 @@ def min_violation_halfwidth(m: float, lam: float, t: float,
     Closed form (c m lam^2 / (t hbar^2)) (m lam^2 + sqrt(m^2 lam^4 + t^2 hbar^2));
     equals c lam t / (lam_t - lam) and decreases toward c m lam^2 / hbar.
     """
-    if m <= 0 or lam <= 0 or t <= 0:
-        raise ValueError("mass, width and time must be positive")
+    # NaN fails every comparison; t = inf is the asymptote
+    if not (0 < m < math.inf and 0 < lam < math.inf and t > 0):
+        raise ValueError("m and lambda must be finite and > 0, t > 0")
     hbar, c = units.hbar, units.c
     asym = c * m * lam * lam / hbar
     if math.isinf(t):

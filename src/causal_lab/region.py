@@ -115,11 +115,14 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-# entries per block of the box kernels: the boolean scratch arrays of
-# `points_in_boxes` stay near 64 KB, under glibc malloc's mmap threshold;
-# freeing larger ones raised that threshold and left later allocations on
-# the heap (atoms_2d peak RSS +15% at 4M entries)
-BOX_BLOCK_ENTRIES = 65_536
+# pairs per block of every blocked kernel, read at call time: point x box
+# in `_by_blocks`, box x box in `_cut_by_earlier`, source x target in
+# `spacetime.cone_blocks`, window pairs a run in `spacetime.window_runs`.
+# Against the former bounds (4M-pair graph blocks, 65,536-entry box blocks,
+# 8192-pair reach runs), 5 alternating 8 s pairs on a 2-core VM read
+# atoms_2d peak RSS 55.3 -> 44.1 MB and 339 -> 382 ops/s, and cli_protocol
+# 141 -> 145 ops/s; 16384 cut atoms_2d from 376 to 349 ops/s (4 pairs)
+BLOCK_PAIRS = 8_192
 
 # most points one `Region.sample_points` call makes: its arrays peak near
 # 100 bytes a point in d = 3, so about 100 MB; a finer request raises
@@ -130,7 +133,7 @@ MAX_SAMPLE_POINTS = 1_000_000
 def _by_blocks(kernel, points: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
     """`kernel` over blocks of (n, d) or, in d = 1, (n,) points and (B, d)
-    box corners, with about BOX_BLOCK_ENTRIES scratch entries a block."""
+    box corners, with about BLOCK_PAIRS point x box pairs a block."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -138,7 +141,7 @@ def _by_blocks(kernel, points: np.ndarray, lo: np.ndarray,
     # mismatch into an error of its own
     if pts.shape[1] != lo.shape[1]:
         raise ValueError("point dimension does not match the boxes")
-    step = max(1, BOX_BLOCK_ENTRIES // max(lo.size, 1))
+    step = max(1, BLOCK_PAIRS // max(len(lo), 1))
     if len(pts) <= step:
         return kernel(pts, lo, hi)
     return np.concatenate([kernel(pts[start:start + step], lo, hi)
@@ -218,7 +221,7 @@ def _cut_by_earlier(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     in blocks of rows against all earlier boxes, one axis at a time."""
     n, dim = lo.shape
     cut = np.zeros(n, dtype=bool)
-    step = max(1, BOX_BLOCK_ENTRIES // max(n, 1))
+    step = max(1, BLOCK_PAIRS // max(n, 1))
     for start in range(1, n, step):
         stop = min(n, start + step)
         # rows: the boxes start..stop-1; columns: the boxes before stop

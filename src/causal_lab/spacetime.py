@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import region
 from .region import Region, points_box_distance2, sum_squares
 
 # absolute slack, in time units, on the cone inequality dt >= |dx|/c
@@ -121,10 +123,6 @@ class SliceFuture:
         return points_box_distance2(points, self.lo, self.hi) <= self.r2
 
 
-# pairwise entries per kernel block; bounds the kernel's scratch arrays
-CONE_BLOCK_PAIRS = 4_000_000
-
-
 def cone_radius(dt: float, cs: CausalStructure,
                 open_cone: bool = False) -> float:
     """Radius of a point source's cone on the slice dt later.
@@ -156,8 +154,8 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     Each block is a boolean (b, n) array with one row per source, in
     source order: a row marks the targets whose `sum_squares` distance
     from its source is <= r * r (closed cone) or < r * r (open cone), with
-    r * r from `squared_cone_radius`.  Blocks hold about CONE_BLOCK_PAIRS
-    pairs, so memory stays bounded; one source or none yields one block.
+    r * r from `squared_cone_radius`.  Blocks of about `region.BLOCK_PAIRS`
+    pairs bound memory; one source or none yields one block.
     `sources` is (k, d), `targets` (n, d); swapped, they ask a past cone.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -165,13 +163,85 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     if src.shape[1] != cs.dim or tgt.shape[1] != cs.dim:
         raise ValueError("point dimension does not match causal structure")
     r2 = squared_cone_radius(dt, cs, open_cone)
-    step = max(1, CONE_BLOCK_PAIRS // max(tgt.shape[0], 1))
+    step = max(1, region.BLOCK_PAIRS // max(tgt.shape[0], 1))
     for start in range(0, max(src.shape[0], 1), step):
         block = src[start:start + step]
         # one (b, n) difference per axis: no (b, n, d) temporary
         dist2 = sum_squares(tgt[:, ax] - block[:, ax, None]
                             for ax in range(tgt.shape[1]))
         yield dist2 < r2 if open_cone else dist2 <= r2
+
+
+# the rim tests that settle the window ends of both kernels, on a target's
+# offset d from a source: elementwise on arrays, a bool on floats
+def _not_left_of_cone(d, r2: float):
+    return (d >= 0) | (d * d <= r2)
+
+
+def _right_of_cone(d, r2: float):
+    return (d > 0) & (d * d > r2)
+
+
+def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
+                  r2: float) -> tuple[list[int], list[int]]:
+    """Index window [lo, hi) of sorted targets y in the cone of each x.
+
+    searchsorted places the ends at x -+ reach; the closed-cone test
+    d * d <= r2 of `cone_blocks` then settles them, so a target is in a
+    window exactly when that kernel says so.  Rounding is monotone, so
+    the test splits sorted y into left-out, inside and right-out runs,
+    and both ends are nondecreasing in x.  The x need not be sorted.
+    """
+    # guards at -inf and +inf, outside every cone, stop each end at 0 and m
+    guarded = np.concatenate(([-np.inf], y, [np.inf]))
+
+    def settle(end, past):
+        # move each end to the first j where past(j) holds (m if none);
+        # guarded[end] is y[end - 1]
+        while (step := past(guarded[end] - x, r2)).any():
+            end -= step
+        while not (stay := past(guarded[end + 1] - x, r2)).all():
+            end += ~stay
+        return end.tolist()
+
+    lo = settle(y.searchsorted(x - reach, "left"), _not_left_of_cone)
+    hi = settle(y.searchsorted(x + reach, "right"), _right_of_cone)
+    return lo, hi
+
+
+def _small_cone_windows(x: list, y: list, reach: float,
+                        r2: float) -> tuple[list[int], list[int]]:
+    """`_cone_windows` on lists: bisect places each end, and the same
+    tests on the same floats settle it, so the windows are identical."""
+    m = len(y)
+    lo, hi = [], []
+    for xi in x:
+        j = bisect_left(y, xi - reach)
+        while j > 0 and _not_left_of_cone(y[j - 1] - xi, r2):
+            j -= 1
+        while j < m and not _not_left_of_cone(y[j] - xi, r2):
+            j += 1
+        lo.append(j)
+        j = bisect_right(y, xi + reach)
+        while j > 0 and _right_of_cone(y[j - 1] - xi, r2):
+            j -= 1
+        while j < m and not _right_of_cone(y[j] - xi, r2):
+            j += 1
+        hi.append(j)
+    return lo, hi
+
+
+def window_runs(width) -> list[tuple[int, int]]:
+    """Rows 0..k-1, row i with width[i] window pairs, cut in order into
+    runs [start, stop): each takes rows while their summed width stays
+    within `region.BLOCK_PAIRS`, and at least one, so only a run of one
+    row holds more."""
+    ends = [0, *np.cumsum(width, dtype=np.int64).tolist()]
+    starts = [0]
+    while (start := starts[-1]) < len(ends) - 1:
+        starts.append(max(start + 1, bisect_right(
+            ends, ends[start] + region.BLOCK_PAIRS, start) - 1))
+    return list(zip(starts, starts[1:]))
 
 
 def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,

@@ -31,7 +31,6 @@ The exhaustive subset scan `check_ce_bruteforce` stays for
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -39,12 +38,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import spacetime
 from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
 from .region import Region, sum_squares
-from .spacetime import (CausalStructure, cone_blocks, cone_radius,
-                        point_cone_membership, squared_cone_radius)
+from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
+                        cone_blocks, cone_radius, point_cone_membership,
+                        squared_cone_radius, window_runs)
 
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
@@ -143,15 +142,15 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
     """Cone graph between the supports of mu and nu.
 
     Candidate pairs come from axis-0 windows: with the targets in stable
-    axis-0 order, `_cone_windows` gives each source the run of targets
-    whose axis-0 term alone is within r * r.  Outside it that term
+    axis-0 order, `spacetime._cone_windows` gives each source the run of
+    targets whose axis-0 term alone is within r * r.  Outside it that term
     exceeds r * r, and adding the other axes' squares can only grow the
     float sum, so no edge is lost.  Each candidate is settled by the
     `sum_squares` test of `spacetime.cone_blocks` on the same operands,
     so the edges are that kernel's, each row in ascending target index.
-    Sources go in blocks of about `spacetime.CONE_BLOCK_PAIRS`
-    candidates, which bounds the scratch arrays as that kernel's blocks
-    do.
+    Sources go in the runs of `spacetime.window_runs`, about
+    `region.BLOCK_PAIRS` candidates each, which bounds the scratch arrays
+    as that kernel's blocks do.
     """
     dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
@@ -167,21 +166,16 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
     # a candidate's target position: its rank among all candidates plus
     # its source's shift
     shift = np.subtract(lo, ends) + width
-    ends = ends.tolist()
     keys = [np.empty(0, dtype=np.int64)]
-    start = base = 0
-    while start < k:
-        # sources start..stop-1 hold about CONE_BLOCK_PAIRS candidates
-        stop = max(start + 1, bisect_right(
-            ends, base + spacetime.CONE_BLOCK_PAIRS, start))
+    for start, stop in window_runs(width):
         count = width[start:stop]
-        pos = np.arange(base, ends[stop - 1]) + shift[start:stop].repeat(count)
+        pos = (np.arange(ends[start] - count[0], ends[stop - 1])
+               + shift[start:stop].repeat(count))
         diff = targets[:, pos] - sources[:, start:stop].repeat(count, axis=1)
         hit = sum_squares(diff) <= r2
         # one int64 key orders the edges by source, then by target index
         row = np.arange(start, stop, dtype=np.int64).repeat(count)
         keys.append((row * n + order[pos])[hit])
-        start, base = stop, ends[stop - 1]
     key = np.concatenate(keys)
     key.sort()
     return FlowNetwork(
@@ -200,65 +194,6 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     rest, cut = dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
                                net.edge_indptr.tolist(), caps[nl:])
     return rest, den, net.left_points[cut].tolist()
-
-
-# the rim tests that settle the window ends of both kernels, on a target's
-# offset d from a source: elementwise on arrays, a bool on floats
-def _not_left_of_cone(d, r2: float):
-    return (d >= 0) | (d * d <= r2)
-
-
-def _right_of_cone(d, r2: float):
-    return (d > 0) & (d * d > r2)
-
-
-def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
-                  r2: float) -> tuple[list[int], list[int]]:
-    """Index window [lo, hi) of sorted targets y in the cone of each x.
-
-    searchsorted places the ends at x -+ reach; the closed-cone test
-    d * d <= r2 of spacetime.cone_blocks then settles them, so a target is
-    in a window exactly when that kernel says so.  Rounding is monotone,
-    so the test splits sorted y into left-out, inside and right-out runs,
-    and both ends are nondecreasing in x.  The x need not be sorted.
-    """
-    # guards at -inf and +inf, outside every cone, stop each end at 0 and m
-    guarded = np.concatenate(([-np.inf], y, [np.inf]))
-
-    def settle(end, past):
-        # move each end to the first j where past(j) holds (m if none);
-        # guarded[end] is y[end - 1]
-        while (step := past(guarded[end] - x, r2)).any():
-            end -= step
-        while not (stay := past(guarded[end + 1] - x, r2)).all():
-            end += ~stay
-        return end.tolist()
-
-    lo = settle(y.searchsorted(x - reach, "left"), _not_left_of_cone)
-    hi = settle(y.searchsorted(x + reach, "right"), _right_of_cone)
-    return lo, hi
-
-
-def _small_cone_windows(x: list, y: list, reach: float,
-                        r2: float) -> tuple[list[int], list[int]]:
-    """`_cone_windows` on lists: bisect places each end, and the same
-    tests on the same floats settle it, so the windows are identical."""
-    m = len(y)
-    lo, hi = [], []
-    for xi in x:
-        j = bisect_left(y, xi - reach)
-        while j > 0 and _not_left_of_cone(y[j - 1] - xi, r2):
-            j -= 1
-        while j < m and not _not_left_of_cone(y[j] - xi, r2):
-            j += 1
-        lo.append(j)
-        j = bisect_right(y, xi + reach)
-        while j > 0 and _right_of_cone(y[j - 1] - xi, r2):
-            j -= 1
-        while j < m and not _right_of_cone(y[j] - xi, r2):
-            j += 1
-        hi.append(j)
-    return lo, hi
 
 
 def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, list]:

@@ -486,6 +486,17 @@ def _grid_nu0(**grid):
      "bad measure 'nu0': float() argument must be a string or a"),
     (None, ("scales", "--m", "1", "--lambda", "1", "--t", "abc"),
      "could not convert string to float: 'abc'"),
+    # NaN passed every positivity check; inf made ell_min inf, compton 0
+    (None, ("scales", "--m", "nan", "--lambda", "1"),
+     "m and lambda must be finite and > 0, t > 0"),
+    (None, ("scales", "--m", "inf", "--lambda", "1"),
+     "m and lambda must be finite and > 0, t > 0"),
+    (None, ("scales", "--m", "1", "--lambda", "nan"),
+     "m and lambda must be finite and > 0, t > 0"),
+    (None, ("scales", "--m", "1", "--lambda", "inf"),
+     "m and lambda must be finite and > 0, t > 0"),
+    (None, ("scales", "--m", "1", "--lambda", "1", "--t", "nan"),
+     "m and lambda must be finite and > 0, t > 0"),
     (_set("measures", []), ("check", "all"),
      "scenario 'measures' in the root must be an object"),
     (_set("measurement", 5), ("check", "all"),
@@ -539,6 +550,8 @@ def _grid_nu0(**grid):
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "weight_null", "scales_t_abc",
+        "scales_m_nan", "scales_m_inf", "scales_lambda_nan",
+        "scales_lambda_inf", "scales_t_nan",
         "measures_list", "measurement_number", "protocol_number",
         "quantum_number", "reference_list", "units_list", "dim_fraction",
         "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",

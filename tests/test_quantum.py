@@ -225,6 +225,38 @@ def test_scale_rejects_nonpositive_inputs():
         min_violation_halfwidth(1.0, 1.0, -1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("m, lam, t", [
+    (NAN, 1.0, 1.0), (INF, 1.0, 1.0), (1.0, NAN, 1.0), (1.0, INF, 1.0),
+    (1.0, 1.0, NAN), (-INF, 1.0, INF)])
+def test_scale_rejects_non_finite_inputs(m, lam, t):
+    # once a record of NaN fields, or ell_min inf and compton 0 at m = inf
+    with pytest.raises(ValueError, match="finite"):
+        min_violation_halfwidth(m, lam, t)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_packets_reject_non_finite_parameters(bad):
+    # once a packet whose norm was NaN, as NaN passed every check
+    for kw in (dict(lam=bad), dict(lam=1.0, x0=bad), dict(lam=1.0, k0=bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            gaussian_packet(**kw, **GRID)
+    for kw in (dict(center=bad, halfwidth=1.0),
+               dict(center=0.0, halfwidth=bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            bump_spinor_packet(**kw, **GRID)
+
+
+def test_packet_rejects_nan_norm():
+    psi = gaussian_packet(1.0, **GRID)
+    with pytest.raises(ValueError, match="packet norm nan is not 1"):
+        psi.with_components(np.full(psi.n, np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="is not 1"):
+        psi.with_components(2 * psi.amplitudes)
+
+
 def test_analytic_verdict_flips_at_threshold():
     rep = min_violation_halfwidth(1.0, 1.0, 1.0, units=NATURAL_UNITS)
     ell = rep.ell_min

@@ -256,8 +256,8 @@ def test_cut_mask_matches_subtract_box(seed, monkeypatch):
         dim = 2 + trial % 2
         boxes = _random_box_set(rng, dim)
         lo, hi = region._corners(boxes, dim)
-        for entries in (region.BOX_BLOCK_ENTRIES, 1, 3 * len(boxes)):
-            monkeypatch.setattr(region, "BOX_BLOCK_ENTRIES", entries)
+        for pairs in (region.BLOCK_PAIRS, 1, 3 * len(boxes)):
+            monkeypatch.setattr(region, "BLOCK_PAIRS", pairs)
             assert region._cut_by_earlier(lo, hi).tolist() == _cuts(boxes)
 
 
@@ -297,8 +297,8 @@ def test_in_boxes_matches_reduce_over_axes(dim, monkeypatch):
         p = pts[:, None, :]
         want = np.logical_or.reduce(
             np.logical_and.reduce((p >= lo) & (p <= hi), axis=2), axis=1)
-        for entries in (region.BOX_BLOCK_ENTRIES, 7 * lo.size + 1):
-            monkeypatch.setattr(region, "BOX_BLOCK_ENTRIES", entries)
+        for pairs in (region.BLOCK_PAIRS, 7 * len(lo) + 1):
+            monkeypatch.setattr(region, "BLOCK_PAIRS", pairs)
             got = region.points_in_boxes(pts, lo, hi)
             assert got.dtype == bool and np.array_equal(got, want)
     # a point of another dimension is an error, not a broadcast

@@ -1,13 +1,11 @@
 """Causal order, cones on slices, and boost kinematics."""
 
-import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from causal_lab import protocol
 from causal_lab import region as region_module
 from causal_lab import spacetime
 from causal_lab.conditions import make_abc_scenario
@@ -270,7 +268,7 @@ SIZES = [(0, 7), (7, 0), (0, 0), (1, 1), (5, 40), (40, 60)]
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cone_kernel_matches_replaced_kernels(dim, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     rng = np.random.default_rng(900 + dim)
     edge_pairs = 0
     for lattice in (True, False):
@@ -371,7 +369,7 @@ def test_flow_network_windows_match_oracle(block, monkeypatch):
     # the CSR of the windowed build against the all-pairs oracle, exactly,
     # with sources split into blocks of about `block` candidate pairs
     if block is not None:
-        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     cases = [(name, _atoms(0.0, s, cs.dim), _atoms(dt, t, cs.dim), cs)
              for name, s, t, cs, dt in _window_cases()]
     for n, dt in ((8, 0.25), (12, 0.5)):
@@ -410,21 +408,19 @@ def _rim_annulus():
     return sc, lattice, rims
 
 
-@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("block", [None, 1, 5, 64, 10**9])
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     # the windowed reach against the einsum oracle and against the dense
-    # open-cone kernel over all pairs, bit for bit: kernel blocks of one
-    # source or more, and runs of one candidate or more
+    # open-cone kernel over all pairs, bit for bit: runs of one candidate
+    # (and kernel blocks of one source) up to one run over all candidates
     if block is not None:
-        monkeypatch.setattr(spacetime, "CONE_BLOCK_PAIRS", block)
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     rim_sc, rim_lattice, rims = _rim_annulus()
     abc = make_abc_scenario(0.0, 1.0, 1.0)
     cases = [(abc, ABC_LATTICE), (abc, replace(ABC_LATTICE, p_points=2001)),
              make_annulus_scenario(16), make_annulus_scenario(32),
              make_annulus_scenario(64), (rim_sc, rim_lattice)]
-    for run, (sc, lattice) in itertools.product(
-            (64, 1, protocol.RUN_PAIRS, 10**9), cases):
-        monkeypatch.setattr(protocol, "RUN_PAIRS", run)
+    for sc, lattice in cases:
         q = Event(lattice.q_time, tuple(float(v) for v in
                                         lattice.q_candidates()[-1]))
         xs, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
@@ -456,6 +452,30 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
                 Event(rim_sc.s_time, target))
         assert chronologically_precedes(p, t, rim_sc.cs) == reached
         assert causally_precedes(p, t, rim_sc.cs) == closed
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_window_runs_cover_rows_in_order(block, monkeypatch):
+    # the runs cover rows 0..k-1 in order; a run of two or more rows holds
+    # at most the bound, and the next row would pass it; no rows, zero
+    # widths and rows wider than the bound
+    if block is not None:
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
+    bound = region_module.BLOCK_PAIRS
+    rng = np.random.default_rng(71)
+    widths = [[], [0], [0, 0, 0], [bound + 1], [bound, 0, 1, bound, 0]]
+    for _ in range(60):
+        k = int(rng.integers(1, 40))
+        widths.append(rng.integers(0, bound + bound // 2 + 2, k)
+                      * (rng.random(k) < 0.8))
+    for width in widths:
+        runs = spacetime.window_runs(width)
+        assert ([i for start, stop in runs for i in range(start, stop)]
+                == list(range(len(width))))
+        for start, stop in runs:
+            assert stop - start == 1 or sum(width[start:stop]) <= bound
+            if stop < len(width):
+                assert sum(width[start:stop + 1]) > bound
 
 
 # -- the future test against the cone it stands for ---------------------------
@@ -540,7 +560,7 @@ def test_slice_future_matches_built_region(dim, block, monkeypatch):
     # d = 1 the oracle is the built region, in d >= 2 a per-point loop
     from test_region import _random_box_set
     if block is not None:
-        monkeypatch.setattr(region_module, "BOX_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     rng = np.random.default_rng([dim, 61])
     cs = CausalStructure(dim=dim, c=1.0)
     inside = boundary = dilated_only = 0

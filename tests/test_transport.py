@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from causal_lab import transport
+from causal_lab import spacetime, transport
 from causal_lab.measure import SliceMeasure
 from causal_lab.quantum import (analytic_ce_gaussian, born_measure,
                                 evolve_schrodinger_free, gaussian_packet)
@@ -403,7 +403,7 @@ def test_cone_windows_match_squared_predicate(seed):
     x = np.sort(rng.integers(-30, 31, 40) * scale)
     y = np.sort(np.unique(rng.integers(-30, 31, 40) * scale))
     reach = float(rng.integers(0, 6)) * scale
-    lo, hi = transport._cone_windows(x, y, reach, reach * reach)
+    lo, hi = spacetime._cone_windows(x, y, reach, reach * reach)
     inside = (y[None, :] - x[:, None]) ** 2 <= reach * reach
     for i in range(len(x)):
         want = np.flatnonzero(inside[i])
@@ -443,8 +443,8 @@ def test_small_windows_match_numpy_windows(c, offset):
     rng = np.random.default_rng([int(c * 10), offset])
     for _ in range(5):
         x, y, reach, r2 = _rim_instance(rng, n, c)
-        want = transport._cone_windows(np.array(x), np.array(y), reach, r2)
-        assert transport._small_cone_windows(x, y, reach, r2) == want
+        want = spacetime._cone_windows(np.array(x), np.array(y), reach, r2)
+        assert spacetime._small_cone_windows(x, y, reach, r2) == want
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -308,6 +308,9 @@ def min_violation_halfwidth(m: float, lam: float, t: float,
 
     Closed form (c m lam^2 / (t hbar^2)) (m lam^2 + sqrt(m^2 lam^4 + t^2 hbar^2));
     equals c lam t / (lam_t - lam) and decreases toward c m lam^2 / hbar.
+    Raises ValueError when an input is not finite and positive (t may be
+    inf, the asymptote), or when a result is not, through overflow or
+    underflow.
     """
     # NaN fails every comparison; t = inf is the asymptote
     if not (0 < m < math.inf and 0 < lam < math.inf and t > 0):
@@ -319,9 +322,14 @@ def min_violation_halfwidth(m: float, lam: float, t: float,
     else:
         ell = (c * m * lam * lam / (t * hbar * hbar)) * (
             m * lam * lam + math.hypot(m * lam * lam, t * hbar))
+    compton = hbar / (m * c)
+    # finite inputs may still overflow to inf or underflow to 0
+    if not all(0 < v < math.inf for v in (ell, asym, compton)):
+        raise ValueError("the scales overflow or underflow a float: "
+                         f"ell_min {ell!r}, ell_min_asymptotic {asym!r}, "
+                         f"compton {compton!r}")
     return ScaleReport(mass=m, lam=lam, t=t, ell_min=ell,
-                       ell_min_asymptotic=asym,
-                       compton=hbar / (m * c))
+                       ell_min_asymptotic=asym, compton=compton)
 
 
 def analytic_ce_gaussian(m: float, lam: float, t: float, ell: float,

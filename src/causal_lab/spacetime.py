@@ -183,7 +183,7 @@ def _right_of_cone(d, r2: float):
 
 
 def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
-                  r2: float) -> tuple[list[int], list[int]]:
+                  r2: float) -> tuple[np.ndarray, np.ndarray]:
     """Index window [lo, hi) of sorted targets y in the cone of each x.
 
     searchsorted places the ends at x -+ reach; the closed-cone test
@@ -191,6 +191,7 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
     window exactly when that kernel says so.  Rounding is monotone, so
     the test splits sorted y into left-out, inside and right-out runs,
     and both ends are nondecreasing in x.  The x need not be sorted.
+    Both ends come back as int arrays.
     """
     # guards at -inf and +inf, outside every cone, stop each end at 0 and m
     guarded = np.concatenate(([-np.inf], y, [np.inf]))
@@ -202,7 +203,7 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
             end -= step
         while not (stay := past(guarded[end + 1] - x, r2)).all():
             end += ~stay
-        return end.tolist()
+        return end
 
     lo = settle(y.searchsorted(x - reach, "left"), _not_left_of_cone)
     hi = settle(y.searchsorted(x + reach, "right"), _right_of_cone)

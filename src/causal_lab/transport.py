@@ -12,8 +12,15 @@ interval of the same radius c*dt, so a worst set is a union of runs of
 consecutive sources, and one prefix scan over the runs finds the largest
 deficit mu(S) - nu(J+(S)) directly (the deficiency form of Hall's
 theorem, Ore 1955); no graph is built, and targets outside every window,
-which no set reaches, are not lifted.  In d >= 2 a greedy fill plus
-bipartite Dinic phases on the cone graph's CSR arrays
+which no set reaches, are not lifted.  With float weights and more than
+`SMALL_SWEEP_ATOMS` sources, the scan first drops the leading and
+trailing sources that no worst set can hold: the leading t go when every
+run i..j before t has mu(i..j) < nu([lo_i, min(hi_j, lo_t))), strictly,
+which float prefix sums decide soundly once each run's value is raised
+by a bound on its own rounding error (`_solve_sweep_1d`).  So the far
+tails of a Born grid, cells of 1e-200 beside cells of 0.1, are mostly
+neither lifted nor scanned.  In d >= 2 a greedy fill plus bipartite
+Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side.  Both run on an exact integer lift of the capacities and
 name the same worst set: the inclusion-minimal one of greatest deficit.
@@ -196,16 +203,88 @@ def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
     return rest, den, net.left_points[cut].tolist()
 
 
-def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, list]:
+def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, np.ndarray | list]:
     """Positions and weights of a d = 1 measure's positive support in stable
-    position order: grid cell centres already increase, atoms are sorted."""
+    position order: grid cell centres already increase, atoms are sorted.
+    A grid's weights stay a float array, atoms' weights a list."""
     if m.is_atomic:
         atoms = sorted(((p[0], w) for p, w in m.atoms if w > 0),
                        key=itemgetter(0))
         return np.array([p for p, _ in atoms]), [w for _, w in atoms]
     w = m.weights_flat
     keep = np.flatnonzero(w > 0)
-    return m.positions[keep, 0], w[keep].tolist()
+    return m.positions[keep, 0], w[keep]
+
+
+def _listed(w) -> list:
+    return w.tolist() if isinstance(w, np.ndarray) else w
+
+
+def _float_weights(*ws) -> tuple[np.ndarray, ...] | None:
+    """The weight sequences as float arrays when every weight is a binary
+    float, else None."""
+    if all(isinstance(w, np.ndarray)
+           or all(isinstance(v, float) for v in w) for w in ws):
+        return tuple(np.asarray(w, dtype=float) for w in ws)
+    return None
+
+
+def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
+    """`_integer_lift` of an array of finite nonnegative floats: each weight
+    is its 53-bit mantissa times a power of two, read from np.frexp, with
+    the mantissa's trailing zeros moved into the exponent, so the lowest
+    exponent (or 0, the exponent of 0.0 and the integers) gives the same
+    reduced denominator and numerators."""
+    frac, exp = np.frexp(w)
+    mant = np.ldexp(frac, 53).astype(np.int64)
+    nonzero = mant > 0
+    # the lowest set bit is exact in a float; np.frexp(0) gives exponent 0
+    zeros = np.frexp((mant & -mant).astype(float))[1] - 1
+    zeros[~nonzero] = 0
+    exp = np.where(nonzero, exp - 53 + zeros, 0)
+    low = int(exp.min(initial=0))
+    return 1 << -low, [v << e for v, e in zip((mant >> zeros).tolist(),
+                                               (exp - low).tolist())]
+
+
+def _droppable(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> int:
+    """The most leading sources that no worst set holds, as certified in
+    floats; the certificate and its rounding bound are `_trim_1d`'s."""
+    k, m = len(s), len(c)
+    supply = np.concatenate(([0.0], np.cumsum(s)))  # before each source
+    room = np.concatenate(([0.0], np.cumsum(c)))    # before each target
+    # best[j]: the largest room[lo_i] - supply[i] over the sources i <= j
+    best = np.maximum.accumulate(room[lo] - supply[:-1])
+    tol, ulps = 8 * (k + m) * 2.0 ** -52, (k + m) * 2.0 ** -1074
+
+    def excess(end):
+        # per j, the largest mu(i..j) - nu([lo_i, end_j)) over i <= j,
+        # raised by a bound on its own rounding error
+        top, past = supply[1:], room[end]
+        return (top + best) - past + (tol * (top + past) + ulps)
+
+    # cut t keeps sources t.. and their targets from lo_t on (m if t = k)
+    cut = np.append(lo[1:], m)
+    # runs that end before cut t with their windows: a prefix of the j,
+    # hi_j <= lo_t; the others count up to lo_t, most at j = t - 1
+    whole = np.maximum.accumulate(excess(hi))
+    short = np.minimum(hi.searchsorted(cut, "right"), np.arange(1, k + 1))
+    ok = (excess(np.minimum(hi, cut)) < 0) & (
+        (short == 0) | (whole[short - 1] < 0))
+    # NaN from an overflowed sum fails every test above
+    return int(np.flatnonzero(ok)[-1]) + 1 if ok.any() else 0
+
+
+def _trim_1d(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> tuple[int, int]:
+    """Sources [t0, t1) of the d = 1 scan outside of which no worst set
+    holds a source, for float supplies s, float rooms c and the windows."""
+    k, m = len(s), len(c)
+    t0 = _droppable(s, c, lo, hi)
+    # the trailing side in mirror image: tail sums from their own end
+    t1 = k - _droppable(s[::-1], c[::-1], m - hi[::-1], m - lo[::-1])
+    return t0, max(t0, t1)
 
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
@@ -228,18 +307,46 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     are outside every window.  Returns the deficit and the lift's
     denominator as integers; dropping targets may change the denominator,
     but not their quotient.
+
+    Above `SMALL_SWEEP_ATOMS` sources with float weights, the scan first
+    drops the leading and trailing sources that no worst set holds
+    (`_trim_1d`), and lifts the rest by `_frexp_lift`.  The leading t
+    sources go if every run i..j < t has mu(i..j) < nu([lo_i, min(hi_j,
+    lo_t))): kept sources reach nothing before lo_t, and the dropped
+    members of a set split into groups whose windows chain, each reaching
+    [lo of its first, hi of its last), so adding them to any set lowers
+    its deficit strictly, and no maximiser holds one.  The trailing side
+    is the mirror image.  The test runs on float prefix sums: for each j,
+    the worst run ending there is M[j+1] + max_{i<=j}(R[lo_i] - M[i]) -
+    R[end], which `np.cumsum`'s sequential sums and three more roundings
+    get within (3 max(k, m) + 4) 2**-53 (M[j+1] + R[end]) to first order,
+    additions being exact in the subnormal range.  Raised by 8 (k + m)
+    2**-52 of that sum plus k + m subnormal ulps, a value still below 0
+    proves the strict inequality; the largest t so proved is taken.  The
+    deficit, its quotient and the worst set are those of the whole scan.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
     xs, left_caps = _support_1d(mu)
     ys, right_caps = _support_1d(nu)
-    x = xs.tolist()
-    if len(x) <= SMALL_SWEEP_ATOMS:
-        lo, hi = _small_cone_windows(x, ys.tolist(), reach, r2)
+    floats = None
+    if len(xs) <= SMALL_SWEEP_ATOMS:
+        lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
+        floats = _float_weights(left_caps, right_caps)
+        if floats is not None:
+            keep = slice(*_trim_1d(*floats, lo, hi))
+            xs, lo, hi = xs[keep], lo[keep], hi[keep]
+            floats = floats[0][keep], floats[1]
+        lo, hi = lo.tolist(), hi.tolist()
+    x = xs.tolist()
     a, b = min(lo, default=0), max(hi, default=0)
-    den, caps = _integer_lift(left_caps + right_caps[a:b])
+    if floats is None:
+        den, caps = _integer_lift(_listed(left_caps)
+                                  + _listed(right_caps[a:b]))
+    else:
+        den, caps = _frexp_lift(np.concatenate((floats[0], floats[1][a:b])))
     k = len(x)
     w = k + 1
     # room[t]: w times the room of the lifted targets before t

@@ -497,6 +497,11 @@ def _grid_nu0(**grid):
      "m and lambda must be finite and > 0, t > 0"),
     (None, ("scales", "--m", "1", "--lambda", "1", "--t", "nan"),
      "m and lambda must be finite and > 0, t > 0"),
+    # finite inputs whose scales overflow or underflow a float
+    (None, ("scales", "--m", "1e300", "--lambda", "1e10"),
+     "the scales overflow or underflow a float: ell_min inf"),
+    (None, ("scales", "--m", "1", "--lambda", "1e-200", "--t", "1"),
+     "the scales overflow or underflow a float: ell_min 0.0"),
     (_set("measures", []), ("check", "all"),
      "scenario 'measures' in the root must be an object"),
     (_set("measurement", 5), ("check", "all"),
@@ -551,7 +556,8 @@ def _grid_nu0(**grid):
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "weight_null", "scales_t_abc",
         "scales_m_nan", "scales_m_inf", "scales_lambda_nan",
-        "scales_lambda_inf", "scales_t_nan",
+        "scales_lambda_inf", "scales_t_nan", "scales_overflow",
+        "scales_underflow",
         "measures_list", "measurement_number", "protocol_number",
         "quantum_number", "reference_list", "units_list", "dim_fraction",
         "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",

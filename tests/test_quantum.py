@@ -237,6 +237,15 @@ def test_scale_rejects_non_finite_inputs(m, lam, t):
         min_violation_halfwidth(m, lam, t)
 
 
+@pytest.mark.parametrize("m, lam, t", [
+    (1e300, 1e10, INF), (1e300, 1e10, 1.0), (1.0, 1e-200, 1.0),
+    (1.0, 1e-200, INF)])
+def test_scale_rejects_results_out_of_float_range(m, lam, t):
+    # finite inputs once gave ell_min inf and compton 0, or ell_min 0
+    with pytest.raises(ValueError, match="overflow or underflow"):
+        min_violation_halfwidth(m, lam, t)
+
+
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])
 def test_packets_reject_non_finite_parameters(bad):
     # once a packet whose norm was NaN, as NaN passed every check

@@ -15,6 +15,7 @@ from causal_lab.region import Region
 from causal_lab.spacetime import CausalStructure, point_cone_membership
 from causal_lab.transport import (build_flow_network, check_ce_bruteforce,
                                   check_ce_maxflow, recompute_deficit)
+from oracle_maxflow import solve_cone_graph
 
 CS1 = CausalStructure(dim=1, c=1.0)
 
@@ -366,6 +367,9 @@ _LIFT_MIXES = {
     "float_fraction": [0.1, Fraction(1, 24), 5e-324, Fraction(3, 8), 2],
     "huge_fraction": [1.7976931348623157e308, Fraction(5, 3), 2.2e-308],
     "empty": [],
+    "one_zero": [1.0, 0.0],
+    "zeros": [0.0, 0.0],
+    "integral": [3.0, 4.0, 1024.0, 2.0 ** 60, 0.0],
 }
 
 
@@ -378,6 +382,9 @@ def test_integer_lift_is_exact(mix):
     for c, n in zip(caps, nums):
         assert type(n) is int
         assert Fraction(c) * den == n
+    if all(isinstance(c, float) for c in caps):
+        # the trimmed d = 1 scan lifts its float arrays from np.frexp
+        assert transport._frexp_lift(np.array(caps)) == (den, nums)
 
 
 def test_integer_lift_matches_fractions_on_random_mixes():
@@ -409,7 +416,7 @@ def test_cone_windows_match_squared_predicate(seed):
         want = np.flatnonzero(inside[i])
         got = np.arange(lo[i], hi[i])
         assert list(got) == list(want)
-    assert lo == sorted(lo) and hi == sorted(hi)
+    assert lo.tolist() == sorted(lo) and hi.tolist() == sorted(hi)
 
 
 def _rim_instance(rng, n, c):
@@ -443,7 +450,8 @@ def test_small_windows_match_numpy_windows(c, offset):
     rng = np.random.default_rng([int(c * 10), offset])
     for _ in range(5):
         x, y, reach, r2 = _rim_instance(rng, n, c)
-        want = spacetime._cone_windows(np.array(x), np.array(y), reach, r2)
+        lo, hi = spacetime._cone_windows(np.array(x), np.array(y), reach, r2)
+        want = lo.tolist(), hi.tolist()
         assert spacetime._small_cone_windows(x, y, reach, r2) == want
 
 
@@ -548,3 +556,218 @@ def test_born_grid_16384_full_support():
     assert v.holds == analytic_ce_gaussian(1.0, 1.0, 1.0, ell)
     again = recompute_deficit(mu, nu, v.worst_set, CS1)
     assert float(again) == pytest.approx(v.deficit, rel=1e-9)
+
+
+# -- the d = 1 trim ----------------------------------------------------------
+
+TRIM_KINDS = ("born", "restricted", "zeros", "gaps", "subnormal")
+
+
+def _trim_instance(rng, kind, n=None):
+    """Seeded d = 1 (mu, nu, cs), mostly above `SMALL_SWEEP_ATOMS` sources.
+
+    mu and nu are Gaussian grids of a free packet's widths before and
+    after spreading, with tails down to the subnormal range and below.
+    "born": a packet's Born grids, spread by the FFT engine; "restricted":
+    mu cut to an interval about the centre; "zeros": a random third of
+    both grids' cells emptied; "gaps": nu as atoms at random positions and
+    a cone reach of a fifth of mu's cell, so windows hold a few targets or
+    none, with gaps between them; "subnormal": O(1) weights mixed with
+    subnormal ones on both grids.
+    """
+    n = n or int(rng.choice([64, 256, 1024]))
+    half = float(rng.choice([6.0, 12.0, 24.0]))
+    cell = 2 * half / n
+    lam, x0 = float(rng.uniform(0.5, 1.5)), float(rng.uniform(-1.0, 1.0))
+    t = float(rng.uniform(0.2, 1.5))
+    cs = CausalStructure(dim=1, c=float(rng.choice([0.5, 1.0, 2.0])))
+    x = -half + (np.arange(n) + 0.5) * cell
+
+    def grid(time, w):
+        return SliceMeasure.from_grid(time, (-half,), cell, w)
+
+    def gauss(width):
+        w = np.exp(-((x - x0) / width) ** 2)
+        return w / w.sum()
+
+    mu, nu = grid(0.0, gauss(lam)), grid(t, gauss(math.hypot(lam, t / lam)))
+    if kind == "born":
+        psi = gaussian_packet(lam, x0=x0, origin=-24.0, cell_size=48 / 1024,
+                              n=1024)
+        mu = born_measure(psi, 0.0)
+        nu = born_measure(evolve_schrodinger_free(psi, t), t)
+    elif kind == "restricted":
+        ell = float(rng.uniform(0.3, 3.0)) * lam
+        mu = mu.restricted(Region.interval(x0 - ell, x0 + ell))
+    elif kind == "zeros":
+        mu = grid(0.0, mu.weights_flat * (rng.random(n) > 1 / 3))
+        nu = grid(t, nu.weights_flat * (rng.random(n) > 1 / 3))
+    elif kind == "gaps":
+        dt = cell / 5 / cs.c
+        pos = np.unique(rng.uniform(-half, half, 2 * n))
+        cells = ((pos + half) // cell).astype(int)
+        gain = rng.uniform(0.0, 4.0, len(pos))
+        nu = SliceMeasure.from_atoms(dt, [((p,), w) for p, w in zip(
+            pos.tolist(), (mu.weights_flat[cells] * gain).tolist())])
+    elif kind == "subnormal":
+        def weights():
+            tiny = rng.random(n) * 10.0 ** -rng.integers(300, 316, n)
+            return np.where(rng.random(n) < 0.5, rng.random(n), tiny)
+
+        mu, nu = grid(0.0, weights()), grid(t, 2.0 * weights())
+    return mu, nu, cs
+
+
+def _untrimmed(mu, nu, cs):
+    """check_ce_maxflow with the d = 1 trim keeping every source."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_trim_1d", lambda s, c, lo, hi: (0, len(s)))
+        return check_ce_maxflow(mu, nu, cs)
+
+
+def _spy_trim(monkeypatch):
+    """Record each `_trim_1d` call as (sources, kept)."""
+    calls = []
+    trim = transport._trim_1d
+
+    def recorded(s, c, lo, hi):
+        t0, t1 = trim(s, c, lo, hi)
+        calls.append((len(s), t1 - t0))
+        return t0, t1
+
+    monkeypatch.setattr(transport, "_trim_1d", recorded)
+    return calls
+
+
+def _same_verdict(v, u):
+    assert v.holds == u.holds
+    assert v.deficit == u.deficit
+    assert type(v.deficit) is type(u.deficit)
+    if v.holds:
+        assert v.worst_set is None and u.worst_set is None
+    else:
+        assert v.worst_set.boxes == u.worst_set.boxes
+
+
+@pytest.mark.parametrize("kind", TRIM_KINDS)
+def test_trimmed_scan_matches_untrimmed(monkeypatch, kind):
+    calls = _spy_trim(monkeypatch)
+    for seed in range(16):
+        rng = np.random.default_rng([seed, TRIM_KINDS.index(kind), 211])
+        mu, nu, cs = _trim_instance(rng, kind)
+        _same_verdict(check_ce_maxflow(mu, nu, cs), _untrimmed(mu, nu, cs))
+    # instances above SMALL_SWEEP_ATOMS sources took the trim, and it
+    # dropped sources in some
+    assert len(calls) >= 4
+    assert any(kept < sources for sources, kept in calls)
+
+
+def test_trim_drops_every_source_of_holding_checks(monkeypatch):
+    # nu holds twice mu on the same grid, or mu is cut well inside the
+    # threshold halfwidth 1 + sqrt 2: no set falls short, and the trim
+    # certifies it for every source
+    calls = _spy_trim(monkeypatch)
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 223])
+        mu, _, _ = _trim_instance(rng, "zeros", n=int(rng.choice([256, 1024])))
+        doubled = SliceMeasure.from_grid(
+            0.5, mu.grid_origin, mu.grid_cell, 2.0 * mu.weights_flat)
+        ell = float(rng.uniform(0.2, 0.8)) * (1 + math.sqrt(2))
+        psi = gaussian_packet(1.0, origin=-24.0, cell_size=48 / 2048, n=2048)
+        cut = born_measure(psi, 0.0).restricted(Region.interval(-ell, ell))
+        spread = born_measure(evolve_schrodinger_free(psi, 1.0), 1.0)
+        for a, b in ((mu, doubled), (cut, spread)):
+            v = check_ce_maxflow(a, b, CS1)
+            assert v.holds and v.deficit == 0.0
+            _same_verdict(v, _untrimmed(a, b, CS1))
+    assert len(calls) == 12
+    assert all(kept == 0 for _, kept in calls)
+
+
+def test_trim_keeps_a_source_that_rounding_hides():
+    # source 1 holds 11 * 2**-55 and reaches 10 * 2**-55, so it falls
+    # 2**-55 short; in the prefix sums 1 + its supply rounds down by
+    # 3 * 2**-55 and 2 + its room rounds up by 6 * 2**-55, so its run reads
+    # -2**-52 in floats.  Only the rounding bound keeps it.
+    supply, room = 11 * 2.0 ** -55, 10 * 2.0 ** -55
+    assert (1.0 + supply) - 1.0 == 2.0 ** -52
+    assert (2.0 + room) - 2.0 == 2.0 ** -51
+    far = [float(20 + 10 * i) for i in range(transport.SMALL_SWEEP_ATOMS)]
+    mu = _atoms(0.0, [(0.0, 1.0), (10.0, supply)] + [(x, 1.0) for x in far])
+    nu = _atoms(0.5, [(0.0, 2.0), (10.0, room)] + [(x, 2.0) for x in far])
+    rest, den, cut = transport._solve_sweep_1d(mu, nu, CS1)
+    assert Fraction(rest, den) == 2.0 ** -55
+    assert cut == [(10.0,)]
+
+
+@pytest.mark.parametrize("kind", TRIM_KINDS)
+def test_trimmed_scan_matches_oracle_maxflow(kind):
+    # exact leftover and inclusion-minimal cut of the generic Dinic oracle
+    # on the cone graph, over Fractions of the float weights
+    for seed in range(3):
+        rng = np.random.default_rng([seed, TRIM_KINDS.index(kind), 227])
+        mu, nu, cs = _trim_instance(rng, kind, n=64)
+        v = check_ce_maxflow(mu, nu, cs)
+        net = build_flow_network(mu, nu, cs)
+        rest, cut = solve_cone_graph(
+            [Fraction(c) for c in net.left_caps],
+            net.edge_indices.tolist(), net.edge_indptr.tolist(),
+            [Fraction(c) for c in net.right_caps])
+        assert v.holds == (rest <= Fraction(transport.EPS_FLOW))
+        if not v.holds:
+            assert v.deficit == float(rest)
+            want = Region.point_boxes(net.left_points[cut].tolist(), 1,
+                                      halfwidth=mu.cell_halfwidth)
+            assert v.worst_set.boxes == want.boxes
+
+
+def test_float_atoms_take_the_trim(monkeypatch):
+    # more than SMALL_SWEEP_ATOMS float atoms take the trim, as grids do;
+    # one Fraction weight keeps the whole scan
+    calls = _spy_trim(monkeypatch)
+    rng = np.random.default_rng(229)
+    mu, nu, cs = _trim_instance(rng, "born")
+    pts = mu.positions[:, 0].tolist()
+    w = mu.weights_flat.tolist()
+    atoms = _atoms(0.0, zip(pts, w))
+    assert len(calls) == 0
+    _same_verdict(check_ce_maxflow(atoms, nu, cs),
+                  check_ce_maxflow(mu, nu, cs))
+    assert len(calls) == 2
+    mixed = _atoms(0.0, zip(pts, w[:-1] + [Fraction(1, 3)]))
+    _same_verdict(check_ce_maxflow(mixed, nu, cs), _untrimmed(mixed, nu, cs))
+    assert len(calls) == 2
+
+
+def test_frexp_lift_matches_integer_lift_on_random_floats():
+    rng = np.random.default_rng(233)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        caps = (rng.random(n) * 2.0 ** rng.integers(-1074, 1000, n)
+                * (rng.random(n) > 0.2))
+        caps = np.append(caps, rng.choice([0.0, 1.0, 5e-324], 2))
+        assert (transport._frexp_lift(caps)
+                == transport._integer_lift(caps.tolist()))
+
+
+def test_full_support_born_scan_keeps_few_sources(monkeypatch):
+    # the n = 4096 full-support Born pair: 2,995 of mu's cells weigh under
+    # 2**-60 of the largest, so lifting them all took 925 bits; the trim
+    # keeps the few hundred sources about the worst set
+    psi0 = gaussian_packet(1.0, origin=-24.0, cell_size=48 / 4096, n=4096)
+    mu = born_measure(psi0, 0.0)
+    nu = born_measure(evolve_schrodinger_free(psi0, 1.0), 1.0)
+    calls = _spy_trim(monkeypatch)
+    lifts = []
+    lift = transport._frexp_lift
+
+    def recorded(w):
+        den, nums = lift(w)
+        lifts.append(max([den, *nums]).bit_length())
+        return den, nums
+
+    monkeypatch.setattr(transport, "_frexp_lift", recorded)
+    v = check_ce_maxflow(mu, nu, CS1)
+    assert not v.holds
+    assert calls == [(4096, calls[0][1])] and calls[0][1] <= 500
+    assert len(lifts) == 1 and lifts[0] < 128

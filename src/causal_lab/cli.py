@@ -73,6 +73,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _float_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
+    """CSV rows "x,y" of two float arrays, each value as `_fmt_float`
+    writes it, in one pass: .17g spells the non-finite values nan, inf
+    and -inf, which no finite value's digits contain, so they are then
+    respelled NaN, Infinity and -Infinity."""
+    text = "".join(map("{:.17g},{:.17g}\n".format, xs.tolist(), ys.tolist()))
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def canonical_json(obj, indent: int = 0) -> str:
     """Recursive writer: sorted keys, 17-significant-digit floats."""
     pad = " " * indent
@@ -497,12 +506,8 @@ def cmd_simulate_quantum(args) -> int:
         "mass_in_K": float(mu.total),
         "ce": _verdict_json(verdict),
     }
-    xs = psi0.centers
-    dens = evolved.density
-    lines = ["x,density"]
-    lines.extend(f"{_fmt_float(float(x))},{_fmt_float(float(d))}"
-                 for x, d in zip(xs, dens))
-    _emit(rec, args, csv_series={"density.csv": "\n".join(lines) + "\n"})
+    csv = "x,density\n" + _float_pairs(psi0.centers, evolved.density)
+    _emit(rec, args, csv_series={"density.csv": csv})
     return 1 if not verdict.holds and args.assert_ else 0
 
 

@@ -108,6 +108,14 @@ class SliceMeasure:
         return self.is_atomic and all(_is_exact_weight(w) for _, w in self.atoms)
 
     @cached_property
+    def all_float(self) -> bool:
+        """True when every weight is a binary float: always for a grid, and
+        for atoms when no weight is a Fraction, int or bool, so that
+        `weights_flat` holds the weights exactly."""
+        return not self.is_atomic or all(isinstance(w, float)
+                                         for _, w in self.atoms)
+
+    @cached_property
     def total(self) -> Weight:
         if self.is_atomic:
             if self.exact:

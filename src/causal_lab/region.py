@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -319,15 +320,19 @@ class Region:
                     halfwidth: float = 0.0) -> "Region":
         """Wrap points as (possibly degenerate) boxes of the given halfwidth.
 
-        Points are taken once each, first come first kept.  In d = 1 the
-        coordinates are sorted once and the intervals [x - h, x + h]
-        merged in one pass by the rule of `from_boxes`: both ends are
-        nondecreasing in x, so this is the order in which `from_boxes`
-        would sort the boxes, and the runs are its boxes.  In d >= 2 with
-        halfwidth 0 they are degenerate boxes, no two of which meet, so
-        the carve of `from_boxes` would return them unchanged and is
-        skipped.  Either way its checks (finite corners, one dimension)
-        still run.
+        Points are taken once each, first come first kept, and a point p
+        is the box [p - h, p + h].  In d = 1 the coordinates are sorted
+        once and the intervals merged in one pass by the rule of
+        `from_boxes`: both ends are nondecreasing in x, so this is the
+        order in which `from_boxes` would sort the boxes, and the runs are
+        its boxes.  In d >= 2 one dict pass keeps the first of equal
+        points (of -0.0 and 0.0 the first given).  With halfwidth 0 the
+        boxes are degenerate, no two of which meet, so the carve of
+        `from_boxes` would return them unchanged and is skipped; and
+        p - h and p + h are p itself unless p has a zero coordinate
+        (-0.0 + 0.0 is 0.0), so only such a point is worked out one
+        coordinate at a time.  Either way the checks of `from_boxes`
+        (finite corners, one dimension) still run.
         """
         points = list(points)
         if dim is None:
@@ -336,24 +341,20 @@ class Region:
             dim = len(points[0])
         if dim == 1:
             return Region(_point_intervals(points, halfwidth), 1)
-        seen: set[tuple[float, ...]] = set()
-        boxes = []
-        for p in points:
-            key = tuple(float(v) for v in p)
-            if key in seen:
-                continue
-            seen.add(key)
-            boxes.append((tuple(v - halfwidth for v in key),
-                          tuple(v + halfwidth for v in key)))
-        if not boxes:
-            return Region.empty(dim)
+        keys = dict.fromkeys([tuple(map(float, p)) for p in points])
+
+        def box(p):
+            return (tuple(v - halfwidth for v in p),
+                    tuple(v + halfwidth for v in p))
+
         if halfwidth != 0:
-            return Region.from_boxes(boxes, dim)
-        if not all(math.isfinite(v) for lo, _ in boxes for v in lo):
+            return Region.from_boxes(map(box, keys), dim)
+        if not all(map(math.isfinite, chain.from_iterable(keys))):
             raise ValueError("box corners must be finite")
-        if any(len(lo) != dim for lo, _ in boxes):
+        if set(map(len, keys)) - {dim}:
             raise ValueError("boxes have mixed dimensions")
-        return Region(tuple(boxes), dim)
+        return Region(tuple([(p, p) if 0.0 not in p else box(p)
+                             for p in keys]), dim)
 
     # -- queries -----------------------------------------------------------
 

@@ -24,6 +24,14 @@ Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side.  Both run on an exact integer lift of the capacities and
 name the same worst set: the inclusion-minimal one of greatest deficit.
+In either geometry, when every weight is a binary float and there are
+more than `SMALL_SWEEP_ATOMS` sources, the capacities are lifted from
+np.frexp in one numpy pass (`_frexp_lift`); Fraction, int and bool
+weights, mixes of them with floats, and smaller supports are lifted one
+capacity at a time (`_integer_lift`), to the same denominator and
+numerators.  In d >= 2 the float weights of more than
+`SMALL_SWEEP_ATOMS` atoms are read from the measure's cached
+`weights_flat` (`_support`).
 The d = 1 scan places its windows on Python lists when mu's positive
 support is small, atoms or grid cells alike, and with numpy otherwise;
 both paths give the same windows.  In d >= 2 those axis-0 windows pick
@@ -59,7 +67,12 @@ MAX_BRUTEFORCE_ATOMS = 20
 # the d = 1 scan places its windows on Python lists, above it with numpy.
 # Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
 # targets a window): lists 16-37 us against numpy's 42-86 us at 2 points,
-# about even at 32 to 40, and 170-370 against 142-338 us at 64.
+# about even at 32 to 40, and 170-370 against 142-338 us at 64.  Above it,
+# float weights are lifted from np.frexp in both geometries (the d = 1
+# scan's kept slice, the d >= 2 cone graph's capacities), and d >= 2 atom
+# weights are read from the measure's weight array; at or below it they
+# keep the lists, as a frexp lift on 2-16 atoms slowed scenario_sweep by
+# 8-10%, and the array read cost 3-5 us more a fresh measure of 2-16 atoms.
 SMALL_SWEEP_ATOMS = 32
 
 
@@ -112,9 +125,16 @@ def _slice_gap(mu: SliceMeasure, nu: SliceMeasure,
 
 
 def _support(m: SliceMeasure) -> tuple[np.ndarray, tuple]:
-    """Positions and weights of the atoms or cells with positive mass."""
+    """Positions and weights of the atoms or cells with positive mass.
+
+    A grid's weights, and those of more than `SMALL_SWEEP_ATOMS` atoms
+    that are all binary floats (`SliceMeasure.all_float`), are read from
+    the measure's cached `weights_flat` in one numpy pass.  Other atom
+    weights keep their own type, and fewer atoms, whose array would cost
+    more to build than the loop, are read one at a time."""
     pts = m.positions
-    if m.is_atomic:
+    if m.is_atomic and (len(m.atoms) <= SMALL_SWEEP_ATOMS
+                        or not m.all_float):
         caps = tuple(w for _, w in m.atoms)
         keep = [i for i, c in enumerate(caps) if c > 0]
         return pts[keep], tuple(caps[i] for i in keep)
@@ -194,10 +214,19 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
                  cs: CausalStructure) -> tuple[int, int, list]:
     """Exact max-flow deficit and min-cut left points on the cone graph,
-    with the deficit as leftover supply over the lift's denominator."""
+    with the deficit as leftover supply over the lift's denominator.
+
+    The capacities are lifted by the rule of the d = 1 scan: from np.frexp
+    (`_frexp_lift`) when every weight is a binary float and there are more
+    than `SMALL_SWEEP_ATOMS` sources, else by `_integer_lift`; both give
+    the same denominator and numerators."""
     net = build_flow_network(mu, nu, cs)
     nl = net.num_left
-    den, caps = _integer_lift(net.left_caps + net.right_caps)
+    caps = net.left_caps + net.right_caps
+    if nl > SMALL_SWEEP_ATOMS and mu.all_float and nu.all_float:
+        den, caps = _frexp_lift(np.array(caps))
+    else:
+        den, caps = _integer_lift(caps)
     rest, cut = dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
                                net.edge_indptr.tolist(), caps[nl:])
     return rest, den, net.left_points[cut].tolist()
@@ -218,15 +247,6 @@ def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, np.ndarray | list]:
 
 def _listed(w) -> list:
     return w.tolist() if isinstance(w, np.ndarray) else w
-
-
-def _float_weights(*ws) -> tuple[np.ndarray, ...] | None:
-    """The weight sequences as float arrays when every weight is a binary
-    float, else None."""
-    if all(isinstance(w, np.ndarray)
-           or all(isinstance(v, float) for v in w) for w in ws):
-        return tuple(np.asarray(w, dtype=float) for w in ws)
-    return None
 
 
 def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
@@ -334,8 +354,9 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
         lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
-        floats = _float_weights(left_caps, right_caps)
-        if floats is not None:
+        if mu.all_float and nu.all_float:
+            floats = (np.asarray(left_caps, dtype=float),
+                      np.asarray(right_caps, dtype=float))
             keep = slice(*_trim_1d(*floats, lo, hi))
             xs, lo, hi = xs[keep], lo[keep], hi[keep]
             floats = floats[0][keep], floats[1]

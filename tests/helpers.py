@@ -187,6 +187,30 @@ def random_atomic_pair(rng: np.random.Generator, max_atoms: int = 12):
     return mu, nu, cs
 
 
+def drained_cloud(rng: np.random.Generator, k: int, dt: float = 0.4):
+    """The failing atom clouds of the atoms_2d benchmark, in d = 2.
+
+    nu is mu pushed inside each atom's cone, except for 3/4 of the atoms,
+    in a box of their own, whose nu atoms are sent far away; their cones
+    are empty and every other atom can ship all its mass, so the min cut
+    is exactly the drained atoms.  Returns (mu_pts, nu_pts, weights,
+    drained indices); the weights are float64 and sum to 1.
+    """
+    k_drained = 3 * k // 4
+    # about five cone neighbours per kept atom
+    side = (np.pi * dt ** 2 * (k - k_drained) / 5.0) ** 0.5
+    mu_pts = rng.uniform(-side / 2, side / 2, (k, 2))
+    mu_pts[k - k_drained:, 0] += side + 2.0 * dt
+    step = rng.normal(size=(k, 2))
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    nu_pts = mu_pts + 0.95 * dt * rng.random((k, 1)) * step
+    drained = np.arange(k - k_drained, k)
+    nu_pts[drained, 0] = 1.0e3 + np.arange(k_drained)
+    weights = rng.random(k) + 0.05
+    weights /= weights.sum()
+    return mu_pts, nu_pts, weights, drained
+
+
 def cone_corner_scenario():
     """2+1 scenario that signals through the corner of a box dilation.
 

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: parsing, records, exit codes, determinism."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from causal_lab import conditions, protocol
-from causal_lab.cli import Scenario, build_parser, main
+from causal_lab.cli import (Scenario, _float_pairs, _fmt_float,
+                            build_parser, main)
 from causal_lab.region import Region
 
 from helpers import random_grid_scenario
@@ -288,6 +290,21 @@ def test_simulate_quantum_violation(tmp_path, capsys):
     density = (outdir / "density.csv").read_text().splitlines()
     assert density[0] == "x,density"
     assert len(density) == 1 + 4096
+
+
+def test_float_pairs_spell_each_value_as_fmt_float():
+    # the density CSV is formatted in one pass; each value must read as
+    # `_fmt_float` writes it, non-finite spellings and signed zeros included
+    rng = np.random.default_rng(59)
+    odd = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+           -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]
+    xs = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
+        -300, 300, 40), odd])
+    ys = rng.permutation(xs)
+    want = "".join(f"{_fmt_float(x)},{_fmt_float(y)}\n"
+                   for x, y in zip(xs.tolist(), ys.tolist()))
+    assert _float_pairs(xs, ys) == want
+    assert _float_pairs(np.empty(0), np.empty(0)) == ""
 
 
 def test_simulate_quantum_narrow_region_holds(tmp_path, capsys):

@@ -243,6 +243,85 @@ def test_cone_graph_matches_oracle(seed, dim, exact):
             assert abs(float(again) - v.deficit) <= 1e-9
 
 
+def _float_cloud(rng, dim, odd=None):
+    """Seeded (mu, nu, cs) of 33 to 150 positive atoms a side in d = 2 or
+    3: above `SMALL_SWEEP_ATOMS` sources, so float weights are lifted from
+    np.frexp.
+
+    The atoms sit on a lattice of spacing 0.25, and c * dt is a whole
+    number of cells, up to 5, so targets tie with the cone rim.  A third
+    as many atoms again weigh 0.0, and a sixth of the others are
+    subnormal, so the lift spans more than 1074 bits; nu's weights carry
+    a gain of 1/2 to 2 so that some checks hold.  `odd` puts a Fraction
+    and an int 0 ("mu") or a bool ("nu") among the floats.
+    """
+    side = 15 if dim == 2 else 7
+    cs = CausalStructure(dim=dim, c=1.0)
+    dt = float(rng.integers(0, 6)) * 0.25
+
+    def atoms(time, gain):
+        n = int(rng.integers(33, 151))
+        cells = rng.choice(side ** dim, size=n + n // 3, replace=False)
+        pos = (np.stack(np.unravel_index(cells, (side,) * dim), axis=1)
+               - side // 2) * 0.25
+        w = gain * rng.random(len(cells))
+        tiny = rng.random(len(cells)) < 1 / 6
+        w[tiny] = rng.integers(1, 1 << 20, int(tiny.sum())) * 5e-324
+        w[n:] = 0.0  # the cells come in random order
+        return [(tuple(p), v) for p, v in zip(pos.tolist(), w.tolist())]
+
+    mu_atoms = atoms(0.0, 1.0)
+    nu_atoms = atoms(dt, float(rng.uniform(0.5, 2.0)))
+    if odd == "mu":
+        mu_atoms[0] = (mu_atoms[0][0], Fraction(1, 3))
+        mu_atoms[1] = (mu_atoms[1][0], 0)
+    elif odd == "nu":
+        nu_atoms[0] = (nu_atoms[0][0], True)
+    return (SliceMeasure.from_atoms(0.0, mu_atoms),
+            SliceMeasure.from_atoms(dt, nu_atoms), cs)
+
+
+def _spy(monkeypatch, name):
+    """Record the argument lengths of the calls to transport.<name>."""
+    calls, real = [], getattr(transport, name)
+
+    def spy(caps):
+        calls.append(len(caps))
+        return real(caps)
+
+    monkeypatch.setattr(transport, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_frexp_lifted_cone_graph_matches_oracle(monkeypatch, seed, dim):
+    # float clouds above SMALL_SWEEP_ATOMS sources are lifted from
+    # np.frexp; the leftover, denominator and cut must be the generic
+    # oracle's, and those of the list lift that smaller clouds take
+    rng = np.random.default_rng([seed, dim, 22])
+    mu, nu, cs = _float_cloud(rng, dim)
+    frexp = _spy(monkeypatch, "_frexp_lift")
+    got = transport._solve_dinic(mu, nu, cs)
+    assert frexp and got == _oracle_solve(mu, nu, cs)
+    monkeypatch.setattr(transport, "SMALL_SWEEP_ATOMS", 10 ** 9)
+    listed = _spy(monkeypatch, "_integer_lift")
+    assert transport._solve_dinic(mu, nu, cs) == got and listed
+
+
+@pytest.mark.parametrize("odd", ["mu", "nu"])
+def test_mixed_weights_keep_the_list_lift(monkeypatch, odd):
+    # a Fraction, an int or a bool among float weights: the capacities
+    # are not all binary floats, so they keep `_integer_lift`
+    mu, nu, cs = _float_cloud(np.random.default_rng(23), 2, odd)
+    assert not (mu.all_float and nu.all_float)
+    frexp = _spy(monkeypatch, "_frexp_lift")
+    listed = _spy(monkeypatch, "_integer_lift")
+    got = transport._solve_dinic(mu, nu, cs)
+    assert listed and not frexp
+    assert got == _oracle_solve(mu, nu, cs)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_cone_graph_grids_match_oracle(seed):
     rng = np.random.default_rng([seed, 2, 14])

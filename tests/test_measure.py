@@ -272,3 +272,16 @@ def test_exact_totals_stay_fractions():
     assert m.exact
     assert m.total == Fraction(1)
     assert isinstance(m.mass(Region.interval(-1, 2)), Fraction)
+
+
+def test_all_float_means_every_weight_is_a_binary_float():
+    def atoms(*ws):
+        return SliceMeasure.from_atoms(
+            0.0, [((float(i),), w) for i, w in enumerate(ws)], dim=1)
+
+    assert atoms(0.5, 0.0, np.float64(0.25)).all_float
+    assert atoms().all_float
+    grid = SliceMeasure.from_grid(0.0, (0.0,), 1.0, np.array([1, 0]))
+    assert grid.all_float and not grid.exact
+    for odd in (Fraction(1, 2), 0, True):
+        assert not atoms(0.5, odd).all_float

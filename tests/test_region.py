@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from causal_lab import region
 from causal_lab.measure import SliceMeasure
 from causal_lab.protocol import make_annulus_scenario
@@ -366,23 +367,10 @@ def test_point_boxes_keep_their_checks(dim):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
-    # the atoms_2d construction: nu is mu pushed inside each atom's cone,
-    # except for 3/4 of the atoms, in a box of their own, whose nu atoms
-    # are sent far away; their cones are empty and every other atom can
-    # ship all its mass, so the min cut is exactly the drained atoms
-    rng = np.random.default_rng([seed, 47])
-    k, k_drained, dt = 400, 300, 0.4
-    # about five cone neighbours per kept atom
-    side = (np.pi * dt ** 2 * (k - k_drained) / 5.0) ** 0.5
-    mu_pts = rng.uniform(-side / 2, side / 2, (k, 2))
-    mu_pts[k - k_drained:, 0] += side + 2.0 * dt
-    step = rng.normal(size=(k, 2))
-    step /= np.linalg.norm(step, axis=1)[:, None]
-    nu_pts = mu_pts + 0.95 * dt * rng.random((k, 1)) * step
-    drained = np.arange(k - k_drained, k)
-    nu_pts[drained, 0] = 1.0e3 + np.arange(k_drained)
-    weights = rng.random(k) + 0.05
-    weights /= weights.sum()
+    # the atoms_2d construction, whose min cut is exactly the drained atoms
+    dt = 0.4
+    mu_pts, nu_pts, weights, drained = helpers.drained_cloud(
+        np.random.default_rng([seed, 47]), 400, dt)
     mu = SliceMeasure.from_atoms(0.0, zip(mu_pts, weights))
     nu = SliceMeasure.from_atoms(dt, zip(nu_pts, weights))
     cs = CausalStructure(dim=2, c=1.0)

@@ -771,3 +771,34 @@ def test_full_support_born_scan_keeps_few_sources(monkeypatch):
     assert not v.holds
     assert calls == [(4096, calls[0][1])] and calls[0][1] <= 500
     assert len(lifts) == 1 and lifts[0] < 128
+
+
+def test_drained_cloud_takes_no_list_lift(monkeypatch):
+    # an 800-atom float cloud of the atoms_2d construction in d = 2: its
+    # capacities are lifted from np.frexp, never by `_integer_lift`, and
+    # its worst set is the drained atoms as per-point boxes, first come
+    # first kept; a drained atom on an axis-1 zero keeps the sign in its
+    # lo corner, and its hi corner has -0.0 + 0.0 = 0.0
+    dt = 0.4
+    mu_pts, nu_pts, weights, drained = helpers.drained_cloud(
+        np.random.default_rng(241), 800, dt)
+    mu_pts[drained[:3], 1] = -0.0
+    mu_pts[drained[3:5], 1] = 0.0
+
+    def unlifted(caps):
+        raise AssertionError("float capacities took _integer_lift")
+
+    monkeypatch.setattr(transport, "_integer_lift", unlifted)
+    cs = CausalStructure(dim=2, c=1.0)
+    v = check_ce_maxflow(SliceMeasure.from_atoms(0.0, zip(mu_pts, weights)),
+                         SliceMeasure.from_atoms(dt, zip(nu_pts, weights)),
+                         cs)
+    assert not v.holds
+    want = [(p, tuple(x + 0.0 for x in p))
+            for p in map(tuple, mu_pts[drained].tolist())]
+
+    def signed(boxes):
+        return [tuple(tuple(x.hex() for x in corner) for corner in box)
+                for box in boxes]
+
+    assert signed(v.worst_set.boxes) == signed(want)

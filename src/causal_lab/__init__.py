@@ -55,7 +55,6 @@ from .protocol import (
     SignallingStats,
     audit_protocol,
     construct_protocol,
-    find_single_sender,
     make_annulus_scenario,
     round_trip_check,
     simulate_signalling,

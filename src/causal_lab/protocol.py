@@ -26,15 +26,12 @@ from .spacetime import (
     CausalStructure,
     Event,
     SliceFuture,
-    _cone_windows,
     boost,
     causally_precedes,
     cone_blocks,
-    cone_radius,
     inverse,
     region_precedes_event,
-    squared_cone_radius,
-    window_runs,
+    window_blocks,
 )
 
 # `simulate_signalling` holds a few numpy arrays of one entry a trial, about
@@ -230,14 +227,10 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     (candidates, points) matrix of points strictly inside each candidate's
     chronological future; a candidate that may not send reaches nothing.
 
-    With the points and the eligible candidates each in stable axis-0
-    order, `spacetime._cone_windows` at the open r * r gives each candidate
-    the run of points whose axis-0 term alone is within it; past the run
-    that term exceeds r * r, and the other axes' squares only grow the
-    float sum.  The candidates of one run of `spacetime.window_runs`,
-    about `region.BLOCK_PAIRS` window pairs, share one `cone_blocks` call
-    over the union of their windows.  That kernel settles every pair with
-    the same `sum_squares` on the same operands, so the matrix is its own
+    The eligible candidates and the points go in stable axis-0 order
+    through `spacetime.window_blocks`, which settles every pair of each
+    candidate's open axis-0 window by the `sum_squares` test of
+    `cone_blocks` on the same operands, so the matrix is that kernel's
     over all pairs, bit for bit.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
@@ -247,37 +240,14 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
                                  cand_xs))[0]
     dt = sc.s_time - lattice.p_time
     order = np.argsort(cover_pts[:, 0], kind="stable")
-    targets = cover_pts[order]
     rows = np.flatnonzero(eligible)
     rows = rows[np.argsort(cand_xs[rows, 0], kind="stable")]
-    lo, hi = _cone_windows(
-        cand_xs[rows, 0], targets[:, 0],
-        cone_radius(dt, sc.cs, open_cone=True),
-        squared_cone_radius(dt, sc.cs, open_cone=True))
     # one row a point, in axis-0 order; put back by one row gather
     reach = np.zeros((len(cover_pts), len(cand_xs)), dtype=bool)
-    for g, h in window_runs(np.subtract(hi, lo)):
-        # windows grow with the candidate, so the run takes lo[g]:hi[h - 1]
-        a, b = lo[g], hi[h - 1]
-        if a < b:
-            members = rows[g:h]
-            reach[a:b, members] = np.concatenate(list(cone_blocks(
-                cand_xs[members], dt, sc.cs, targets[a:b],
-                open_cone=True))).T
+    for g, a, block in window_blocks(cand_xs[rows], dt, sc.cs,
+                                     cover_pts[order], open_cone=True):
+        reach[a:a + block.shape[1], rows[g:g + len(block)]] = block.T
     return cand_xs, eligible, cover_pts, reach[np.argsort(order)].T
-
-
-def find_single_sender(sc: MeasurementScenario, q: Event,
-                       lattice: LatticeSpec) -> Event | None:
-    """Exhaustive lattice scan for one sender covering all of K alone.
-
-    Returns the first lattice event whose chronological future contains
-    every sample point of K while not causally preceding q, or None when
-    the scan comes up empty.
-    """
-    cand_xs, eligible, _, reach = _sender_reach(sc, q, lattice)
-    hits = np.flatnonzero(eligible & reach.all(axis=1))
-    return _event(lattice.p_time, cand_xs[hits[0]]) if hits.size else None
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,

@@ -118,7 +118,8 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 # pairs per block of every blocked kernel, read at call time: point x box
 # in `_by_blocks`, box x box in `_cut_by_earlier`, source x target in
-# `spacetime.cone_blocks`, window pairs a run in `spacetime.window_runs`.
+# `spacetime.cone_blocks`, which `spacetime.window_blocks` asks once a run
+# of axis-0 windows.
 # Against the former bounds (4M-pair graph blocks, 65,536-entry box blocks,
 # 8192-pair reach runs), 5 alternating 8 s pairs on a 2-core VM read
 # atoms_2d peak RSS 55.3 -> 44.1 MB and 339 -> 382 ops/s, and cli_protocol

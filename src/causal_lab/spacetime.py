@@ -154,8 +154,10 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     Each block is a boolean (b, n) array with one row per source, in
     source order: a row marks the targets whose `sum_squares` distance
     from its source is <= r * r (closed cone) or < r * r (open cone), with
-    r * r from `squared_cone_radius`.  Blocks of about `region.BLOCK_PAIRS`
-    pairs bound memory; one source or none yields one block.
+    r * r from `squared_cone_radius`.  Blocks of at most
+    `region.BLOCK_PAIRS` pairs, or of one source, bound memory; a call
+    within that bound, or with one source or none, yields one block, as
+    each run of `window_blocks` does.
     `sources` is (k, d), `targets` (n, d); swapped, they ask a past cone.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -232,17 +234,36 @@ def _small_cone_windows(x: list, y: list, reach: float,
     return lo, hi
 
 
-def window_runs(width) -> list[tuple[int, int]]:
-    """Rows 0..k-1, row i with width[i] window pairs, cut in order into
-    runs [start, stop): each takes rows while their summed width stays
-    within `region.BLOCK_PAIRS`, and at least one, so only a run of one
-    row holds more."""
-    ends = [0, *np.cumsum(width, dtype=np.int64).tolist()]
-    starts = [0]
-    while (start := starts[-1]) < len(ends) - 1:
-        starts.append(max(start + 1, bisect_right(
-            ends, ends[start] + region.BLOCK_PAIRS, start) - 1))
-    return list(zip(starts, starts[1:]))
+def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
+                  targets: np.ndarray, open_cone: bool = False):
+    """`cone_blocks` over the axis-0 windows of sorted point sets.
+
+    `sources` (k, d) and `targets` (n, d) each come in stable axis-0
+    order.  `_cone_windows` gives source i the targets [lo_i, hi_i) whose
+    axis-0 term alone is within r * r; past them that term exceeds it, and
+    the other axes' squares only grow the float sum.  The rows are cut in
+    order into runs g..h-1 whose dense rectangle, (h - g) * (hi_{h-1} -
+    lo_g) pairs, stays within `region.BLOCK_PAIRS`, or that hold one row.
+    For each run with a target, yields (g, a, block): the one
+    `cone_blocks` block of sources g..h-1 against targets a = lo_g ..
+    hi_{h-1}, so every pair is settled by that kernel, bit for bit.
+    """
+    r2 = squared_cone_radius(dt, cs, open_cone)
+    lo, hi = _cone_windows(sources[:, 0], targets[:, 0],
+                           cone_radius(dt, cs, open_cone), r2)
+    lo, hi = lo.tolist(), hi.tolist()
+    k, g = len(lo), 0
+    while g < k:
+        # both ends rise with the row, so the area only grows with h
+        h = g + max(1, bisect_right(
+            range(g + 1, k + 1), region.BLOCK_PAIRS,
+            key=lambda j: (j - g) * (hi[j - 1] - lo[g])))
+        a, b = lo[g], hi[h - 1]
+        if a < b:
+            block, = cone_blocks(sources[g:h], dt, cs, targets[a:b],
+                                 open_cone)
+            yield g, a, block
+        g = h
 
 
 def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,

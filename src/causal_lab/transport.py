@@ -34,10 +34,11 @@ numerators.  In d >= 2 the float weights of more than
 `weights_flat` (`_support`).
 The d = 1 scan places its windows on Python lists when mu's positive
 support is small, atoms or grid cells alike, and with numpy otherwise;
-both paths give the same windows.  In d >= 2 those axis-0 windows pick
-the candidate pairs of the cone graph, and the cone test settles each one
-(Efrat, Itai and Katz 2001 build geometric bipartite graphs from
-neighbour queries the same way).
+both paths give the same windows.  In d >= 2 those axis-0 windows, on
+sources and targets sorted by axis 0, pick the candidate pairs of the
+cone graph, and `spacetime.window_blocks` settles them a run of sources
+at a time with the one cone kernel (Efrat, Itai and Katz 2001 build
+geometric bipartite graphs from neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
 The exhaustive subset scan `check_ce_bruteforce` stays for
@@ -55,10 +56,10 @@ import numpy as np
 
 from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
-from .region import Region, sum_squares
+from .region import Region
 from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
                         cone_blocks, cone_radius, point_cone_membership,
-                        squared_cone_radius, window_runs)
+                        squared_cone_radius, window_blocks)
 
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
@@ -168,41 +169,25 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        cs: CausalStructure) -> FlowNetwork:
     """Cone graph between the supports of mu and nu.
 
-    Candidate pairs come from axis-0 windows: with the targets in stable
-    axis-0 order, `spacetime._cone_windows` gives each source the run of
-    targets whose axis-0 term alone is within r * r.  Outside it that term
-    exceeds r * r, and adding the other axes' squares can only grow the
-    float sum, so no edge is lost.  Each candidate is settled by the
-    `sum_squares` test of `spacetime.cone_blocks` on the same operands,
-    so the edges are that kernel's, each row in ascending target index.
-    Sources go in the runs of `spacetime.window_runs`, about
-    `region.BLOCK_PAIRS` candidates each, which bounds the scratch arrays
-    as that kernel's blocks do.
+    Sources and targets go in stable axis-0 order through
+    `spacetime.window_blocks`, which settles every pair of each source's
+    axis-0 window by the `sum_squares` test of `spacetime.cone_blocks`,
+    in blocks of at most `region.BLOCK_PAIRS` pairs (or one source); no
+    edge lies outside the windows, so the edges are that kernel's over all
+    pairs, each row in ascending target index.
     """
     dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
-    r2 = squared_cone_radius(dt, cs)
     k, n = len(left_pts), len(right_pts)
+    rows = np.argsort(left_pts[:, 0], kind="stable")
     order = np.argsort(right_pts[:, 0], kind="stable")
-    # one row per axis; the targets in axis-0 order
-    sources, targets = left_pts.T, right_pts.T[:, order]
-    lo, hi = _cone_windows(sources[0], targets[0], cone_radius(dt, cs), r2)
-    width = np.subtract(hi, lo)
-    ends = np.cumsum(width)
-    # a candidate's target position: its rank among all candidates plus
-    # its source's shift
-    shift = np.subtract(lo, ends) + width
     keys = [np.empty(0, dtype=np.int64)]
-    for start, stop in window_runs(width):
-        count = width[start:stop]
-        pos = (np.arange(ends[start] - count[0], ends[stop - 1])
-               + shift[start:stop].repeat(count))
-        diff = targets[:, pos] - sources[:, start:stop].repeat(count, axis=1)
-        hit = sum_squares(diff) <= r2
+    for g, a, block in window_blocks(left_pts[rows], dt, cs,
+                                     right_pts[order]):
+        r, c = np.nonzero(block)
         # one int64 key orders the edges by source, then by target index
-        row = np.arange(start, stop, dtype=np.int64).repeat(count)
-        keys.append((row * n + order[pos])[hit])
+        keys.append(rows[g + r] * n + order[a + c])
     key = np.concatenate(keys)
     key.sort()
     return FlowNetwork(

@@ -13,8 +13,8 @@ from helpers import GRID_MODES, random_abc_triple, random_atomic_pair, \
 from causal_lab.conditions import (evaluate_conditions, find_ns_witness,
                                    make_abc_scenario, truth_table)
 from causal_lab.protocol import (ABC_LATTICE, SignallingProtocol,
-                                 audit_protocol, construct_protocol,
-                                 find_single_sender, make_annulus_scenario,
+                                 _sender_reach, audit_protocol,
+                                 construct_protocol, make_annulus_scenario,
                                  round_trip_check)
 from causal_lab.quantum import (NATURAL_UNITS, analytic_ce_gaussian,
                                 born_measure, bump_spinor_packet,
@@ -218,7 +218,8 @@ def test_criterion_08_sender_counts():
     assert len(proto2.senders) > 1
     assert audit_protocol(proto2, sc2, lat2.cover_resolution) == []
     _verify_protocol_clauses(sc2, proto2, lat2.cover_resolution)
-    assert find_single_sender(sc2, proto2.q, lat2) is None
+    _, eligible, _, reach = _sender_reach(sc2, proto2.q, lat2)
+    assert not (eligible & reach.all(axis=1)).any()
 
     # exhaustive: no lattice event both covers the ring and avoids q
     samples = [Event(sc2.s_time, tuple(x))

@@ -14,7 +14,7 @@ from causal_lab.conditions import (find_ns_witness, make_abc_scenario,
 from causal_lab.measure import SliceMeasure
 from causal_lab.protocol import (ABC_LATTICE, LatticeSpec, ProtocolSearchError,
                                  SignallingProtocol, audit_protocol,
-                                 construct_protocol, find_single_sender,
+                                 _sender_reach, construct_protocol,
                                  make_annulus_scenario, round_trip_check,
                                  simulate_signalling)
 from causal_lab.region import Region
@@ -62,13 +62,22 @@ def test_protocol_readout_inside_witness():
     assert witness.covers(proto.C)
 
 
+def _single_senders(sc, q, lattice):
+    """The lattice events that may send and cover K's sample points alone,
+    in lattice order."""
+    xs, eligible, _, reach = _sender_reach(sc, q, lattice)
+    return [Event(lattice.p_time, tuple(x))
+            for x in xs[eligible & reach.all(axis=1)].tolist()]
+
+
 def test_single_sender_found_on_family():
     sc, proto = _abc_protocol()
-    p = find_single_sender(sc, proto.q, ABC_LATTICE)
-    assert p is not None
-    assert not causally_precedes(p, proto.q, sc.cs)
-    for x in sc.K.sample_points(ABC_LATTICE.cover_resolution):
-        assert causally_precedes(p, Event(sc.s_time, tuple(x)), sc.cs)
+    singles = _single_senders(sc, proto.q, ABC_LATTICE)
+    assert singles
+    for p in singles:
+        assert not causally_precedes(p, proto.q, sc.cs)
+        for x in sc.K.sample_points(ABC_LATTICE.cover_resolution):
+            assert causally_precedes(p, Event(sc.s_time, tuple(x)), sc.cs)
 
 
 def test_annulus_needs_multiple_senders():
@@ -77,7 +86,7 @@ def test_annulus_needs_multiple_senders():
     proto = construct_protocol(sc, witness, lattice)
     assert len(proto.senders) > 1
     assert audit_protocol(proto, sc, lattice.cover_resolution) == []
-    assert find_single_sender(sc, proto.q, lattice) is None
+    assert _single_senders(sc, proto.q, lattice) == []
 
 
 def test_audit_flags_receiver_in_the_future_of_k():
@@ -327,12 +336,10 @@ def _oracle_sender_reach(sc, q, lattice):
     return events, eligible, cover_pts, reach
 
 
-def _oracle_single_sender(sc, q, lattice):
+def _oracle_single_senders(sc, q, lattice):
     events, eligible, _, reach = _oracle_sender_reach(sc, q, lattice)
-    for p, ok, row in zip(events, eligible, reach):
-        if ok and row.all():
-            return p
-    return None
+    return [p for p, ok, row in zip(events, eligible, reach)
+            if ok and row.all()]
 
 
 def _oracle_audit(proto, sc, cover_resolution=0.05):
@@ -452,9 +459,9 @@ def test_protocol_matches_per_point_oracle():
             continue
         built += 1
         assert proto.C.boxes == _oracle_construct(sc, witness, lattice).C.boxes
-        single = find_single_sender(sc, proto.q, lattice)
-        assert single == _oracle_single_sender(sc, proto.q, lattice)
-        found += single is not None
+        singles = _single_senders(sc, proto.q, lattice)
+        assert singles == _oracle_single_senders(sc, proto.q, lattice)
+        found += bool(singles)
         res = lattice.cover_resolution
         tampered = _tampered(proto, sc, res)
         for t in (proto,) + tampered:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from causal_lab import region as region_module
 from causal_lab import spacetime
 from causal_lab.conditions import make_abc_scenario
@@ -454,28 +455,97 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         assert causally_precedes(p, t, rim_sc.cs) == closed
 
 
+def _sorted(pts: np.ndarray) -> np.ndarray:
+    return pts[np.argsort(pts[:, 0], kind="stable")]
+
+
 @pytest.mark.parametrize("block", [None, 1, 7, 64])
 def test_window_runs_cover_rows_in_order(block, monkeypatch):
-    # the runs cover rows 0..k-1 in order; a run of two or more rows holds
-    # at most the bound, and the next row would pass it; no rows, zero
-    # widths and rows wider than the bound
+    # the runs of `window_blocks` take the rows in order, and the rows
+    # between them reach no target; a run of two or more rows has a dense
+    # rectangle within the bound, and the next row would pass it; the
+    # blocks put together are the dense kernel's reach.  No rows, no
+    # targets, empty windows and rows wider than the bound
     if block is not None:
         monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     bound = region_module.BLOCK_PAIRS
     rng = np.random.default_rng(71)
-    widths = [[], [0], [0, 0, 0], [bound + 1], [bound, 0, 1, bound, 0]]
-    for _ in range(60):
-        k = int(rng.integers(1, 40))
-        widths.append(rng.integers(0, bound + bound // 2 + 2, k)
-                      * (rng.random(k) < 0.8))
-    for width in widths:
-        runs = spacetime.window_runs(width)
-        assert ([i for start, stop in runs for i in range(start, stop)]
-                == list(range(len(width))))
-        for start, stop in runs:
-            assert stop - start == 1 or sum(width[start:stop]) <= bound
-            if stop < len(width):
-                assert sum(width[start:stop + 1]) > bound
+    strip = np.stack([rng.uniform(-0.5, 0.5, bound + 9),
+                      np.zeros(bound + 9)], axis=1)
+    cases = [(np.empty((0, 2)), _point_set(rng, 5, 2, True), 1.0),
+             (_point_set(rng, 5, 2, True), np.empty((0, 2)), 1.0),
+             (_point_set(rng, 3, 2, False), strip, 4.0)]
+    for _ in range(40):
+        k, n = rng.integers(1, 120, 2)
+        src = _point_set(rng, int(k), 2, bool(rng.random() < 0.5))
+        src[rng.random(len(src)) < 0.2, 0] += 9.0  # some empty windows
+        cases.append((src, _point_set(rng, int(n), 2, False),
+                      float(rng.choice([0.0, 0.1, 0.5, 2.0]))))
+    for src, tgt, dt in cases:
+        src, tgt = _sorted(src), _sorted(tgt)
+        for open_cone in (False, True):
+            lo, hi = spacetime._cone_windows(
+                src[:, 0], tgt[:, 0],
+                spacetime.cone_radius(dt, CS2, open_cone),
+                spacetime.squared_cone_radius(dt, CS2, open_cone))
+            got = np.zeros((len(src), len(tgt)), dtype=bool)
+            last = 0
+            for g, a, blk in spacetime.window_blocks(src, dt, CS2, tgt,
+                                                     open_cone):
+                h, b = g + len(blk), a + blk.shape[1]
+                assert (g >= last and a == lo[g] and b == hi[h - 1]
+                        and a < b)
+                assert (lo[last:g] == hi[last:g]).all()
+                assert h - g == 1 or (h - g) * (b - a) <= bound
+                if h < len(src):
+                    assert (h + 1 - g) * (hi[h] - a) > bound
+                got[g:h, a:b] = blk
+                last = h
+            assert (lo[last:] == hi[last:]).all()
+            want = np.zeros_like(got)
+            if len(src) and len(tgt):
+                want = np.concatenate(list(cone_blocks(
+                    src, dt, CS2, tgt, open_cone)))
+            assert np.array_equal(got, want)
+
+
+def _spy_cone_blocks(monkeypatch) -> list:
+    """Record the blocks of each `spacetime.cone_blocks` call."""
+    calls = []
+    kernel = spacetime.cone_blocks
+
+    def spy(*args, **kwargs):
+        calls.append(list(kernel(*args, **kwargs)))
+        yield from calls[-1]
+
+    monkeypatch.setattr(spacetime, "cone_blocks", spy)
+    return calls
+
+
+def _one_bounded_block(calls) -> None:
+    assert calls
+    for blocks in calls:
+        assert len(blocks) == 1
+        assert len(blocks[0]) == 1 or blocks[0].size <= (
+            region_module.BLOCK_PAIRS)
+
+
+def test_window_blocks_take_one_bounded_block(monkeypatch):
+    # both windowed callers ask the kernel once a run, and each call is
+    # one block of at most `region.BLOCK_PAIRS` pairs or of one row
+    calls = _spy_cone_blocks(monkeypatch)
+    sc, lattice = make_annulus_scenario(64)
+    q = Event(lattice.q_time, tuple(lattice.q_candidates()[-1].tolist()))
+    _sender_reach(sc, q, lattice)
+    _one_bounded_block(calls)
+    calls.clear()
+    dt = 0.4
+    mu_pts, nu_pts, weights, _ = helpers.drained_cloud(
+        np.random.default_rng(241), 800, dt)
+    build_flow_network(SliceMeasure.from_atoms(0.0, zip(mu_pts, weights)),
+                       SliceMeasure.from_atoms(dt, zip(nu_pts, weights)),
+                       CS2)
+    _one_bounded_block(calls)
 
 
 # -- the future test against the cone it stands for ---------------------------

@@ -185,9 +185,10 @@ def _parse_measure(entry: dict, exact: bool, name: str):
         if "atoms" in entry:
             atoms = []
             for row in entry["atoms"]:
-                if len(row) < 2:
-                    raise CliInputError(f"measure '{name}': atom rows need "
-                                        "coordinates + weight")
+                # a string row would be read character by character
+                if not isinstance(row, list) or len(row) < 2:
+                    raise ValueError("atom rows are lists of coordinates "
+                                     f"and a weight, got {row!r}")
                 w = Fraction(str(row[-1])) if exact else float(row[-1])
                 atoms.append((tuple(float(v) for v in row[:-1]), w))
             return SliceMeasure.from_atoms(time_v, atoms)

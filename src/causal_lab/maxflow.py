@@ -3,12 +3,11 @@ atoms -> sink.
 
 The graph comes as the CSR arrays of `transport.build_flow_network`: the
 arcs of source atom i are heads[indptr[i]:indptr[i + 1]].  The supply of
-each source atom and the room of each target atom are exact integers,
-lifted by `transport._frexp_lift` from the all-float weights of more than
-`SMALL_SWEEP_ATOMS` sources and by `transport._integer_lift` otherwise;
-the middle arcs have no capacity limit.  So the solver keeps one integer
-flow per arc and nothing else: no reverse arcs, no source or sink arcs
-and no stand-in for an infinite capacity.
+each source atom and the room of each target atom arrive as exact
+integers, lifted from the weights by `transport`; the middle arcs have no
+capacity limit.  So the solver keeps one integer flow per arc and nothing
+else: no reverse arcs, no source or sink arcs and no stand-in for an
+infinite capacity.
 
 A greedy fill in source order comes first.  Dinic phases (Dinic 1970;
 the layered multi-source search of Hopcroft and Karp 1973) then finish

@@ -60,6 +60,11 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.q_points < 1 or self.p_points < 1:
             raise ValueError("lattices need at least one point per axis")
+        for name in ("q_time", "q_lo", "q_hi", "p_time", "p_lo", "p_hi",
+                     "cover_resolution"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # zipped corners of different lengths would drop axes unseen
         for name, lo, hi in (("q", self.q_lo, self.q_hi),
                              ("p", self.p_lo, self.p_hi)):
@@ -227,11 +232,11 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     (candidates, points) matrix of points strictly inside each candidate's
     chronological future; a candidate that may not send reaches nothing.
 
-    The eligible candidates and the points go in stable axis-0 order
-    through `spacetime.window_blocks`, which settles every pair of each
+    The eligible candidates and the points go in any order through
+    `spacetime.window_blocks`, which settles every pair of each
     candidate's open axis-0 window by the `sum_squares` test of
-    `cone_blocks` on the same operands, so the matrix is that kernel's
-    over all pairs, bit for bit.
+    `cone_blocks` on the same operands and names the rows and columns of
+    each block, so the matrix is that kernel's over all pairs, bit for bit.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
     cand_xs = lattice.p_candidates()
@@ -239,15 +244,14 @@ def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
     eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
                                  cand_xs))[0]
     dt = sc.s_time - lattice.p_time
-    order = np.argsort(cover_pts[:, 0], kind="stable")
     rows = np.flatnonzero(eligible)
-    rows = rows[np.argsort(cand_xs[rows, 0], kind="stable")]
-    # one row a point, in axis-0 order; put back by one row gather
-    reach = np.zeros((len(cover_pts), len(cand_xs)), dtype=bool)
-    for g, a, block in window_blocks(cand_xs[rows], dt, sc.cs,
-                                     cover_pts[order], open_cone=True):
-        reach[a:a + block.shape[1], rows[g:g + len(block)]] = block.T
-    return cand_xs, eligible, cover_pts, reach[np.argsort(order)].T
+    # column-major, as the greedy cover of `construct_protocol` gathers
+    # the columns of newly covered points
+    reach = np.zeros((len(cand_xs), len(cover_pts)), dtype=bool, order="F")
+    for r, c, block in window_blocks(cand_xs[rows], dt, sc.cs, cover_pts,
+                                     open_cone=True):
+        reach[rows[r, None], c] = block
+    return cand_xs, eligible, cover_pts, reach
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,

@@ -236,20 +236,25 @@ def _small_cone_windows(x: list, y: list, reach: float,
 
 def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
                   targets: np.ndarray, open_cone: bool = False):
-    """`cone_blocks` over the axis-0 windows of sorted point sets.
+    """`cone_blocks` over the axis-0 windows of two point sets.
 
-    `sources` (k, d) and `targets` (n, d) each come in stable axis-0
-    order.  `_cone_windows` gives source i the targets [lo_i, hi_i) whose
-    axis-0 term alone is within r * r; past them that term exceeds it, and
-    the other axes' squares only grow the float sum.  The rows are cut in
-    order into runs g..h-1 whose dense rectangle, (h - g) * (hi_{h-1} -
-    lo_g) pairs, stays within `region.BLOCK_PAIRS`, or that hold one row.
-    For each run with a target, yields (g, a, block): the one
-    `cone_blocks` block of sources g..h-1 against targets a = lo_g ..
-    hi_{h-1}, so every pair is settled by that kernel, bit for bit.
+    `sources` (k, d) and `targets` (n, d) may come in any order; each is
+    sorted stably on axis 0 here.  `_cone_windows` gives source i the
+    targets [lo_i, hi_i) whose axis-0 term alone is within r * r; past
+    them that term exceeds it, and the other axes' squares only grow the
+    float sum.  The sorted rows are cut in order into runs g..h-1 whose
+    dense rectangle, (h - g) * (hi_{h-1} - lo_g) pairs, stays within
+    `region.BLOCK_PAIRS`, or that hold one row.  For each run with a
+    target, yields (rows, cols, block): the indices into `sources` and
+    `targets` of the run and of its targets lo_g .. hi_{h-1}, each in
+    axis-0 order, and the one `cone_blocks` block of those rows against
+    those columns, so every pair is settled by that kernel, bit for bit.
     """
+    rows = np.argsort(sources[:, 0], kind="stable")
+    cols = np.argsort(targets[:, 0], kind="stable")
+    src, tgt = sources[rows], targets[cols]
     r2 = squared_cone_radius(dt, cs, open_cone)
-    lo, hi = _cone_windows(sources[:, 0], targets[:, 0],
+    lo, hi = _cone_windows(src[:, 0], tgt[:, 0],
                            cone_radius(dt, cs, open_cone), r2)
     lo, hi = lo.tolist(), hi.tolist()
     k, g = len(lo), 0
@@ -260,9 +265,8 @@ def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
             key=lambda j: (j - g) * (hi[j - 1] - lo[g])))
         a, b = lo[g], hi[h - 1]
         if a < b:
-            block, = cone_blocks(sources[g:h], dt, cs, targets[a:b],
-                                 open_cone)
-            yield g, a, block
+            block, = cone_blocks(src[g:h], dt, cs, tgt[a:b], open_cone)
+            yield rows[g:h], cols[a:b], block
         g = h
 
 

@@ -24,20 +24,20 @@ Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side.  Both run on an exact integer lift of the capacities and
 name the same worst set: the inclusion-minimal one of greatest deficit.
-In either geometry, when every weight is a binary float and there are
-more than `SMALL_SWEEP_ATOMS` sources, the capacities are lifted from
-np.frexp in one numpy pass (`_frexp_lift`); Fraction, int and bool
-weights, mixes of them with floats, and smaller supports are lifted one
+Both solvers read the positive supports through `_support` and lift
+their capacities through `_lift`: when every weight is a binary float
+and there are more than `SMALL_SWEEP_ATOMS` sources (in d = 1, those the
+trim keeps), from np.frexp in one numpy pass (`_frexp_lift`); Fraction,
+int and bool weights, mixes of them with floats, and fewer sources one
 capacity at a time (`_integer_lift`), to the same denominator and
-numerators.  In d >= 2 the float weights of more than
-`SMALL_SWEEP_ATOMS` atoms are read from the measure's cached
-`weights_flat` (`_support`).
+numerators.
 The d = 1 scan places its windows on Python lists when mu's positive
 support is small, atoms or grid cells alike, and with numpy otherwise;
-both paths give the same windows.  In d >= 2 those axis-0 windows, on
-sources and targets sorted by axis 0, pick the candidate pairs of the
-cone graph, and `spacetime.window_blocks` settles them a run of sources
-at a time with the one cone kernel (Efrat, Itai and Katz 2001 build
+both paths give the same windows.  In d >= 2 the same axis-0 windows
+pick the candidate pairs of the cone graph: `spacetime.window_blocks`
+takes sources and targets in any order, sorts them on axis 0 itself,
+settles the windows a run of sources at a time with the one cone kernel
+and names each block's rows and columns (Efrat, Itai and Katz 2001 build
 geometric bipartite graphs from neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 
 import numpy as np
 
@@ -69,9 +68,8 @@ MAX_BRUTEFORCE_ATOMS = 20
 # Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
 # targets a window): lists 16-37 us against numpy's 42-86 us at 2 points,
 # about even at 32 to 40, and 170-370 against 142-338 us at 64.  Above it,
-# float weights are lifted from np.frexp in both geometries (the d = 1
-# scan's kept slice, the d >= 2 cone graph's capacities), and d >= 2 atom
-# weights are read from the measure's weight array; at or below it they
+# float weights are lifted from np.frexp (`_lift`) and atom weights are
+# read from the measure's weight array (`_support`); at or below it they
 # keep the lists, as a frexp lift on 2-16 atoms slowed scenario_sweep by
 # 8-10%, and the array read cost 3-5 us more a fresh measure of 2-16 atoms.
 SMALL_SWEEP_ATOMS = 32
@@ -125,23 +123,49 @@ def _slice_gap(mu: SliceMeasure, nu: SliceMeasure,
     return dt
 
 
-def _support(m: SliceMeasure) -> tuple[np.ndarray, tuple]:
+def _support(m: SliceMeasure, ordered: bool = False):
     """Positions and weights of the atoms or cells with positive mass.
 
     A grid's weights, and those of more than `SMALL_SWEEP_ATOMS` atoms
     that are all binary floats (`SliceMeasure.all_float`), are read from
-    the measure's cached `weights_flat` in one numpy pass.  Other atom
-    weights keep their own type, and fewer atoms, whose array would cost
-    more to build than the loop, are read one at a time."""
-    pts = m.positions
+    the measure's cached `weights_flat` in one numpy pass and stay a float
+    array.  Other atom weights keep their own type, and fewer atoms, whose
+    array would cost more to build than the loop, are read one at a time
+    into a list.  `ordered` puts atoms in stable axis-0 order; grid cells
+    come in it."""
     if m.is_atomic and (len(m.atoms) <= SMALL_SWEEP_ATOMS
                         or not m.all_float):
-        caps = tuple(w for _, w in m.atoms)
-        keep = [i for i, c in enumerate(caps) if c > 0]
-        return pts[keep], tuple(caps[i] for i in keep)
-    w = m.weights_flat
-    keep = np.nonzero(w > 0)[0]
-    return pts[keep], tuple(w[keep].tolist())
+        atoms = [a for a in m.atoms if a[1] > 0]
+        if ordered:
+            atoms.sort(key=lambda a: a[0][0])
+        pts = np.array([p for p, _ in atoms], dtype=float)
+        return pts.reshape(-1, m.dim), [w for _, w in atoms]
+    pts, w = m.positions, m.weights_flat
+    keep = np.flatnonzero(w > 0)
+    if ordered and m.is_atomic:
+        keep = keep[np.argsort(pts[keep, 0], kind="stable")]
+    return pts[keep], w[keep]
+
+
+def _listed(w) -> list:
+    return w.tolist() if isinstance(w, np.ndarray) else list(w)
+
+
+def _lift(left, right, mu: SliceMeasure,
+          nu: SliceMeasure) -> tuple[int, list[int]]:
+    """Common denominator and integer numerators of the capacities of mu's
+    sources `left` and then of nu's targets `right`.
+
+    When there are more than `SMALL_SWEEP_ATOMS` sources and every weight
+    of mu and nu is a binary float (`SliceMeasure.all_float`, read only
+    then, as its first read is a pass over fresh atoms), they are lifted
+    from np.frexp in one numpy pass (`_frexp_lift`); fewer sources, and
+    Fraction, int and bool weights or mixes of them with floats, are
+    lifted one capacity at a time (`_integer_lift`).  Both give the same
+    denominator and numerators."""
+    if len(left) > SMALL_SWEEP_ATOMS and mu.all_float and nu.all_float:
+        return _frexp_lift(np.concatenate((left, right)))
+    return _integer_lift(_listed(left) + _listed(right))
 
 
 def _integer_lift(caps) -> tuple[int, list[int]]:
@@ -169,29 +193,28 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
                        cs: CausalStructure) -> FlowNetwork:
     """Cone graph between the supports of mu and nu.
 
-    Sources and targets go in stable axis-0 order through
+    Sources and targets go in any order through
     `spacetime.window_blocks`, which settles every pair of each source's
     axis-0 window by the `sum_squares` test of `spacetime.cone_blocks`,
-    in blocks of at most `region.BLOCK_PAIRS` pairs (or one source); no
-    edge lies outside the windows, so the edges are that kernel's over all
-    pairs, each row in ascending target index.
+    in blocks of at most `region.BLOCK_PAIRS` pairs (or one source), and
+    names the rows and columns of each block; no edge lies outside the
+    windows, so the edges are that kernel's over all pairs, each row in
+    ascending target index.
     """
     dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
     right_pts, right_caps = _support(nu)
     k, n = len(left_pts), len(right_pts)
-    rows = np.argsort(left_pts[:, 0], kind="stable")
-    order = np.argsort(right_pts[:, 0], kind="stable")
     keys = [np.empty(0, dtype=np.int64)]
-    for g, a, block in window_blocks(left_pts[rows], dt, cs,
-                                     right_pts[order]):
+    for rows, cols, block in window_blocks(left_pts, dt, cs, right_pts):
         r, c = np.nonzero(block)
         # one int64 key orders the edges by source, then by target index
-        keys.append(rows[g + r] * n + order[a + c])
+        keys.append(rows[r] * n + cols[c])
     key = np.concatenate(keys)
     key.sort()
     return FlowNetwork(
-        left_points=left_pts, left_caps=left_caps, right_caps=right_caps,
+        left_points=left_pts, left_caps=tuple(_listed(left_caps)),
+        right_caps=tuple(_listed(right_caps)),
         edge_indptr=key.searchsorted(np.arange(k + 1, dtype=np.int64) * n),
         edge_indices=key % max(n, 1))
 
@@ -199,39 +222,13 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
                  cs: CausalStructure) -> tuple[int, int, list]:
     """Exact max-flow deficit and min-cut left points on the cone graph,
-    with the deficit as leftover supply over the lift's denominator.
-
-    The capacities are lifted by the rule of the d = 1 scan: from np.frexp
-    (`_frexp_lift`) when every weight is a binary float and there are more
-    than `SMALL_SWEEP_ATOMS` sources, else by `_integer_lift`; both give
-    the same denominator and numerators."""
+    with the deficit as leftover supply over the lift's denominator."""
     net = build_flow_network(mu, nu, cs)
     nl = net.num_left
-    caps = net.left_caps + net.right_caps
-    if nl > SMALL_SWEEP_ATOMS and mu.all_float and nu.all_float:
-        den, caps = _frexp_lift(np.array(caps))
-    else:
-        den, caps = _integer_lift(caps)
+    den, caps = _lift(net.left_caps, net.right_caps, mu, nu)
     rest, cut = dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
                                net.edge_indptr.tolist(), caps[nl:])
     return rest, den, net.left_points[cut].tolist()
-
-
-def _support_1d(m: SliceMeasure) -> tuple[np.ndarray, np.ndarray | list]:
-    """Positions and weights of a d = 1 measure's positive support in stable
-    position order: grid cell centres already increase, atoms are sorted.
-    A grid's weights stay a float array, atoms' weights a list."""
-    if m.is_atomic:
-        atoms = sorted(((p[0], w) for p, w in m.atoms if w > 0),
-                       key=itemgetter(0))
-        return np.array([p for p, _ in atoms]), [w for _, w in atoms]
-    w = m.weights_flat
-    keep = np.flatnonzero(w > 0)
-    return m.positions[keep, 0], w[keep]
-
-
-def _listed(w) -> list:
-    return w.tolist() if isinstance(w, np.ndarray) else w
 
 
 def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
@@ -315,7 +312,7 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
 
     Above `SMALL_SWEEP_ATOMS` sources with float weights, the scan first
     drops the leading and trailing sources that no worst set holds
-    (`_trim_1d`), and lifts the rest by `_frexp_lift`.  The leading t
+    (`_trim_1d`), and lifts the rest by `_lift`.  The leading t
     sources go if every run i..j < t has mu(i..j) < nu([lo_i, min(hi_j,
     lo_t))): kept sources reach nothing before lo_t, and the dropped
     members of a set split into groups whose windows chain, each reaching
@@ -332,27 +329,21 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
-    xs, left_caps = _support_1d(mu)
-    ys, right_caps = _support_1d(nu)
-    floats = None
+    xs, left_caps = _support(mu, ordered=True)
+    ys, right_caps = _support(nu, ordered=True)
+    xs, ys = xs[:, 0], ys[:, 0]
     if len(xs) <= SMALL_SWEEP_ATOMS:
         lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
         if mu.all_float and nu.all_float:
-            floats = (np.asarray(left_caps, dtype=float),
-                      np.asarray(right_caps, dtype=float))
-            keep = slice(*_trim_1d(*floats, lo, hi))
+            keep = slice(*_trim_1d(left_caps, right_caps, lo, hi))
             xs, lo, hi = xs[keep], lo[keep], hi[keep]
-            floats = floats[0][keep], floats[1]
+            left_caps = left_caps[keep]
         lo, hi = lo.tolist(), hi.tolist()
     x = xs.tolist()
     a, b = min(lo, default=0), max(hi, default=0)
-    if floats is None:
-        den, caps = _integer_lift(_listed(left_caps)
-                                  + _listed(right_caps[a:b]))
-    else:
-        den, caps = _frexp_lift(np.concatenate((floats[0], floats[1][a:b])))
+    den, caps = _lift(left_caps, right_caps[a:b], mu, nu)
     k = len(x)
     w = k + 1
     # room[t]: w times the room of the lifted targets before t

@@ -6,7 +6,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import pytest
 
 from helpers import GRID_MODES, random_abc_triple, random_atomic_pair, \
     random_grid_scenario
@@ -16,11 +15,10 @@ from causal_lab.protocol import (ABC_LATTICE, SignallingProtocol,
                                  _sender_reach, audit_protocol,
                                  construct_protocol, make_annulus_scenario,
                                  round_trip_check)
-from causal_lab.quantum import (NATURAL_UNITS, analytic_ce_gaussian,
-                                born_measure, bump_spinor_packet,
-                                evolve_dirac_1p1, evolve_relativistic,
-                                evolve_schrodinger_free, gaussian_packet,
-                                min_violation_halfwidth)
+from causal_lab.quantum import (analytic_ce_gaussian, born_measure,
+                                bump_spinor_packet, evolve_dirac_1p1,
+                                evolve_relativistic, evolve_schrodinger_free,
+                                gaussian_packet, min_violation_halfwidth)
 from causal_lab.region import Region
 from causal_lab.spacetime import (BoostedFrame, CausalStructure, Event, boost,
                                   causal_future_on_slice, causally_precedes,

@@ -501,6 +501,17 @@ def _grid_nu0(**grid):
      "bad measure 'mu': float() argument must be a string or a"),
     (_set("measures", "nu0", "atoms", 0, [0.0, None]), ("validate",),
      "bad measure 'nu0': float() argument must be a string or a"),
+    # an object row once raised KeyError: -1; a string row was read
+    # character by character, "12" as an atom at x = 1 of weight 2
+    (_set("measures", "mu", "atoms", 0, {"x": 0.0}), ("check", "all"),
+     "bad measure 'mu': atom rows are lists of coordinates and a weight, "
+     "got {'x': 0.0}"),
+    (_set("measures", "nu0", "atoms", 1, "12"), ("check", "all"),
+     "bad measure 'nu0': atom rows are lists of coordinates and a weight, "
+     "got '12'"),
+    (_set("measures", "nu1", "atoms", 0, [0.5]), ("validate",),
+     "bad measure 'nu1': atom rows are lists of coordinates and a weight, "
+     "got [0.5]"),
     (None, ("scales", "--m", "1", "--lambda", "1", "--t", "abc"),
      "could not convert string to float: 'abc'"),
     # NaN passed every positivity check; inf made ell_min inf, compton 0
@@ -554,6 +565,22 @@ def _grid_nu0(**grid):
      "bad lattice: q_lo and q_hi differ in length (1 and 2)"),
     (_set("protocol", "lattice", "p_lo", [-4.0, -4.0]), ("signal-sim",),
      "bad lattice: p_lo and p_hi differ in length (2 and 1)"),
+    # non-finite fields once raised IndexError tracebacks, built a
+    # lattice of NaNs or blamed the cone radius or an int conversion
+    (_set("protocol", "lattice", "p_lo", [-math.inf]), ("protocol",),
+     "bad lattice: p_lo must be finite, got (-inf,)"),
+    (_set("protocol", "lattice", "p_lo", [math.nan]), ("signal-sim",),
+     "bad lattice: p_lo must be finite, got (nan,)"),
+    (_set("protocol", "lattice", "p_hi", [math.inf]), ("protocol",),
+     "bad lattice: p_hi must be finite, got (inf,)"),
+    (_set("protocol", "lattice", "q_lo", [math.inf]), ("protocol",),
+     "bad lattice: q_lo must be finite, got (inf,)"),
+    (_set("protocol", "lattice", "q_time", math.nan), ("protocol",),
+     "bad lattice: q_time must be finite, got nan"),
+    (_set("protocol", "lattice", "p_time", math.nan), ("signal-sim",),
+     "bad lattice: p_time must be finite, got nan"),
+    (_set("protocol", "lattice", "cover_resolution", math.nan),
+     ("protocol",), "bad lattice: cover_resolution must be finite, got nan"),
     # rejected before numpy is asked for 10**12 lattice points
     (_set("protocol", "lattice", "q_points", 10 ** 12), ("protocol",),
      f"the receiver lattice takes {10 ** 12} points, above the limit"),
@@ -571,7 +598,8 @@ def _grid_nu0(**grid):
      f"grid size {2 ** 40} is above the limit of"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
-        "weights_x", "time_null", "weight_null", "scales_t_abc",
+        "weights_x", "time_null", "weight_null", "atom_row_object",
+        "atom_row_str", "atom_row_short", "scales_t_abc",
         "scales_m_nan", "scales_m_inf", "scales_lambda_nan",
         "scales_lambda_inf", "scales_t_nan", "scales_overflow",
         "scales_underflow",
@@ -579,7 +607,8 @@ def _grid_nu0(**grid):
         "quantum_number", "reference_list", "units_list", "dim_fraction",
         "dim_bool", "seed_fraction", "trials_fraction", "block_sizes_str",
         "q_points_fraction", "p_points_bool", "q_lo_str", "q_hi_longer",
-        "p_lo_longer", "q_points_huge",
+        "p_lo_longer", "p_lo_neg_inf", "p_lo_nan", "p_hi_inf", "q_lo_inf",
+        "q_time_nan", "p_time_nan", "cover_resolution_nan", "q_points_huge",
         "p_points_huge", "trials_huge", "block_size_huge", "grid_n_huge"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):

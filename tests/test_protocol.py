@@ -132,6 +132,17 @@ def test_protocol_rejects_bad_slice_order():
         construct_protocol(sc, witness, bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("q_time", math.nan), ("p_time", math.inf), ("q_lo", (math.inf,)),
+    ("q_hi", (math.nan,)), ("p_lo", (-math.inf,)), ("p_hi", (math.inf,)),
+    ("cover_resolution", math.nan), ("cover_resolution", math.inf)])
+def test_lattice_rejects_non_finite_fields(field, value):
+    # each once ran on into an IndexError, a numpy RuntimeWarning or a
+    # message about something else; the error names the field
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        replace(ABC_LATTICE, **{field: value})
+
+
 def test_audit_detects_tampered_sender():
     sc, proto = _abc_protocol()
     inside = SignallingProtocol(K=proto.K, C=proto.C, q=proto.q,

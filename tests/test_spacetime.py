@@ -455,17 +455,18 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         assert causally_precedes(p, t, rim_sc.cs) == closed
 
 
-def _sorted(pts: np.ndarray) -> np.ndarray:
-    return pts[np.argsort(pts[:, 0], kind="stable")]
+def _axis0_order(pts: np.ndarray) -> np.ndarray:
+    return np.argsort(pts[:, 0], kind="stable")
 
 
 @pytest.mark.parametrize("block", [None, 1, 7, 64])
 def test_window_runs_cover_rows_in_order(block, monkeypatch):
-    # the runs of `window_blocks` take the rows in order, and the rows
-    # between them reach no target; a run of two or more rows has a dense
-    # rectangle within the bound, and the next row would pass it; the
-    # blocks put together are the dense kernel's reach.  No rows, no
-    # targets, empty windows and rows wider than the bound
+    # the runs of `window_blocks` take the rows in stable axis-0 order,
+    # and the rows between them reach no target; a run of two or more
+    # rows has a dense rectangle within the bound, and the next row would
+    # pass it; the blocks put together at their (rows, cols) are the dense
+    # kernel's reach.  No rows, no targets, empty windows, rows wider than
+    # the bound, and point sets given in any order, ties on axis 0 included
     if block is not None:
         monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
     bound = region_module.BLOCK_PAIRS
@@ -481,25 +482,32 @@ def test_window_runs_cover_rows_in_order(block, monkeypatch):
         src[rng.random(len(src)) < 0.2, 0] += 9.0  # some empty windows
         cases.append((src, _point_set(rng, int(n), 2, False),
                       float(rng.choice([0.0, 0.1, 0.5, 2.0]))))
-    for src, tgt, dt in cases:
-        src, tgt = _sorted(src), _sorted(tgt)
+    sorted_cases = [(src[_axis0_order(src)], tgt[_axis0_order(tgt)], dt)
+                    for src, tgt, dt in cases]
+    for src, tgt, dt in cases + sorted_cases:
+        order, cols_order = _axis0_order(src), _axis0_order(tgt)
+        place = np.argsort(order)  # each row's place in axis-0 order
         for open_cone in (False, True):
             lo, hi = spacetime._cone_windows(
-                src[:, 0], tgt[:, 0],
+                src[order, 0], tgt[cols_order, 0],
                 spacetime.cone_radius(dt, CS2, open_cone),
                 spacetime.squared_cone_radius(dt, CS2, open_cone))
             got = np.zeros((len(src), len(tgt)), dtype=bool)
             last = 0
-            for g, a, blk in spacetime.window_blocks(src, dt, CS2, tgt,
-                                                     open_cone):
-                h, b = g + len(blk), a + blk.shape[1]
-                assert (g >= last and a == lo[g] and b == hi[h - 1]
-                        and a < b)
+            for rows, cols, blk in spacetime.window_blocks(
+                    src, dt, CS2, tgt, open_cone):
+                g = int(place[rows[0]])
+                h = g + len(rows)
+                a, b = lo[g], hi[h - 1]
+                assert np.array_equal(rows, order[g:h])
+                assert np.array_equal(cols, cols_order[a:b])
+                assert blk.shape == (h - g, b - a)
+                assert g >= last and a < b
                 assert (lo[last:g] == hi[last:g]).all()
                 assert h - g == 1 or (h - g) * (b - a) <= bound
                 if h < len(src):
                     assert (h + 1 - g) * (hi[h] - a) > bound
-                got[g:h, a:b] = blk
+                got[rows[:, None], cols] = blk
                 last = h
             assert (lo[last:] == hi[last:]).all()
             want = np.zeros_like(got)

@@ -198,7 +198,7 @@ def _parse_measure(entry: dict, exact: bool, name: str):
                                     f"measures only; '{name}' is a grid")
             g = entry["grid"]
             return SliceMeasure.from_grid(
-                time_v, [float(v) for v in _require(g, "origin", name)],
+                time_v, _items(float)(_require(g, "origin", name)),
                 float(_require(g, "cell_size", name)),
                 np.asarray(_require(g, "weights", name), dtype=float))
     except CliInputError:

@@ -27,6 +27,7 @@ from .measure import (
     SliceMeasure,
     Weight,
     _aligned_diffs,
+    _larger_side,
     _merged_support,
     cellwise_max_difference,
     mixture,
@@ -91,6 +92,13 @@ class MeasurementScenario:
     def _in_future(self) -> SliceFuture:
         """Membership test of the detector future, without building it."""
         return SliceFuture(self.K, self.t_time - self.s_time, self.cs)
+
+    @cached_property
+    def _ns_diffs(self):
+        """(positions, nu0 - nu1, mask off the detector future) on the merged
+        support, nu0's points first: the one table of every ns reader."""
+        positions, diffs = _aligned_diffs(self.nu0, self.nu1)
+        return positions, diffs, ~self._in_future.contains_points(positions)
 
     @property
     def mass_tol(self) -> Weight:
@@ -164,7 +172,7 @@ def _a1_detail(sc: MeasurementScenario) -> tuple[bool, bool, Weight]:
 
 
 def _ns_detail(sc: MeasurementScenario) -> tuple[bool, Weight]:
-    d = restriction_distance(sc.nu1, sc.nu0, outside=sc._in_future)
+    d = _larger_side(*sc._ns_diffs[1:], sc.nu0.exact and sc.nu1.exact)
     return d <= sc.mass_tol, d
 
 
@@ -273,33 +281,30 @@ def evaluate_conditions(sc: MeasurementScenario,
 def ns_gap_support(sc: MeasurementScenario):
     """Support points off the detector future where nu0 exceeds nu1.
 
-    Returns (flat indices into nu0's support, positions, gaps nu0-nu1).
-    The gaps are the positive part of `_aligned_diffs(nu0, nu1)`, the
-    difference whose one-sided sums give `ns_distance`: a float array for
-    grids, a list in the weights' own type for atoms.  The merged support
-    starts with nu0's own, and only those points can carry a positive gap.
+    Returns (positions, gaps nu0 - nu1): the positive entries off the
+    future of the scenario's one ns table `_ns_diffs`, whose one-sided
+    sums give `ns_distance`, in nu0's support order.  The gaps are a float
+    array for grids, a list in the weights' own type for atoms.
     """
-    points, diffs = _aligned_diffs(sc.nu0, sc.nu1)
-    n = len(sc.nu0.positions)
-    off_future = ~sc._in_future.contains_points(points[:n])
-    idx = np.flatnonzero(off_future & (np.asarray(diffs[:n]) > 0))
+    points, diffs, off = sc._ns_diffs
+    idx = np.flatnonzero(off & (np.asarray(diffs) > 0))
     gaps = (diffs[idx] if isinstance(diffs, np.ndarray)
             else [diffs[i] for i in idx.tolist()])
-    return idx, points[idx], gaps
+    return points[idx], gaps
 
 
 def find_ns_witness(sc: MeasurementScenario) -> Region | None:
     """Region C off the detector future with nu1(C) strictly below nu0(C).
 
-    Built from the pointwise gaps, so when present it maximizes the
-    one-sided disagreement; absent when no compact set qualifies beyond
-    tolerance.
+    The points of `ns_gap_support`, each a cell of nu0's halfwidth (a
+    point for atoms), so when present it maximizes the one-sided
+    disagreement; absent when no compact set qualifies beyond tolerance.
     """
-    idx, pts, gaps = ns_gap_support(sc)
+    pts, gaps = ns_gap_support(sc)
     total_gap = sum(gaps) if not isinstance(gaps, np.ndarray) else float(gaps.sum())
-    if total_gap <= sc.mass_tol or len(idx) == 0:
+    if total_gap <= sc.mass_tol:
         return None
-    return sc.nu0.cell_region(list(idx))
+    return Region.point_boxes(pts, sc.nu0.dim, halfwidth=sc.nu0.cell_halfwidth)
 
 
 # -- the two-atom family ----------------------------------------------------

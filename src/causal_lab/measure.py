@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from numbers import Rational
 from typing import Iterable, Sequence, Union
 
@@ -155,11 +156,6 @@ class SliceMeasure:
         """Half the side of a grid cell; 0.0 for atoms, which are points."""
         return self.grid_cell / 2 if self.is_grid else 0.0
 
-    def cell_region(self, flat_indices: Sequence[int]) -> Region:
-        """Region made of the cells (or atom points) at the given indices."""
-        return Region.point_boxes(self.positions[list(flat_indices)],
-                                  self.dim, halfwidth=self.cell_halfwidth)
-
     # -- measure operations --------------------------------------------
 
     def mass(self, region: Region) -> Weight:
@@ -246,9 +242,10 @@ def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
 
     Returns (positions as an (n, d) array, differences): a float array for
     grids, a list in the weights' own type for atoms.  The support starts
-    with m1's own support in order, so its first points index m1; only
-    they can carry a positive difference.  The ns distance, the ns witness
-    and the protocol's readout gaps all read this one difference.
+    with m1's own support in order; only those points can carry a positive
+    difference.  A scenario takes nu0 - nu1 once, in
+    `MeasurementScenario._ns_diffs`, and the ns distance, the ns witness
+    and the protocol's readout gaps all read that one table.
     """
     points, w1, w2 = _merged_support(m1, m2)
     if m1.is_grid:
@@ -257,36 +254,31 @@ def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
     return positions, [a - b for a, b in zip(w1, w2)]
 
 
-def restriction_distance(m1: SliceMeasure, m2: SliceMeasure,
-                         outside: Region) -> Weight:
-    """Largest one-sided disagreement on sets avoiding `outside`.
-
-    Equals sup over compact C disjoint from `outside` of |m1(C) - m2(C)|
-    for atomic and grid measures alike: the supremum picks either all
-    positive or all negative pointwise differences.
-    """
-    positions, diffs = _aligned_diffs(m1, m2)
-    if outside.dim != m1.dim:
-        raise ValueError("region dimension does not match measures")
-    if len(positions) == 0:
-        return Fraction(0) if (m1.exact and m2.exact) else 0.0
-    excluded = outside.contains_points(positions)
+def _larger_side(diffs, keep: np.ndarray, exact: bool) -> Weight:
+    """Larger of the positive and the negative sum of `diffs` where `keep`:
+    sup over compact C of the kept points of |m1(C) - m2(C)|.  `diffs` is
+    a float array (grids) or a list in the weights' own type (atoms),
+    summed from Fraction(0) when `exact`."""
     if isinstance(diffs, np.ndarray):
-        kept = diffs[~excluded]
-        pos = float(kept[kept > 0].sum()) if kept.size else 0.0
-        neg = float(-kept[kept < 0].sum()) if kept.size else 0.0
-        return max(pos, neg)
-    exact = m1.exact and m2.exact
-    pos = Fraction(0) if exact else 0.0
-    neg = Fraction(0) if exact else 0.0
-    for d, out in zip(diffs, excluded):
-        if out:
-            continue
+        kept = diffs[keep]
+        return max(float(kept[kept > 0].sum()), float(-kept[kept < 0].sum()))
+    pos = neg = Fraction(0) if exact else 0.0
+    for d in compress(diffs, keep.tolist()):
         if d > 0:
             pos += d
         elif d < 0:
             neg -= d
     return max(pos, neg)
+
+
+def restriction_distance(m1: SliceMeasure, m2: SliceMeasure,
+                         outside: Region) -> Weight:
+    """sup over compact C disjoint from `outside` of |m1(C) - m2(C)|."""
+    positions, diffs = _aligned_diffs(m1, m2)
+    if outside.dim != m1.dim:
+        raise ValueError("region dimension does not match measures")
+    return _larger_side(diffs, ~outside.contains_points(positions),
+                        m1.exact and m2.exact)
 
 
 def cellwise_max_difference(m1: SliceMeasure, m2: SliceMeasure) -> float:

@@ -163,19 +163,19 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     if witness is None or witness.is_empty:
         raise ProtocolSearchError("scenario provides no marginal-gap witness")
 
-    idx, pts, gaps = ns_gap_support(sc)
+    pts, gaps = ns_gap_support(sc)
     keep = np.flatnonzero(witness.contains_points(pts)).tolist()
     if not keep:
         raise ProtocolSearchError("witness carries no positive marginal gap")
-    cell_gaps = np.asarray([float(gaps[i]) for i in keep])
+    pts, cell_gaps = pts[keep], np.asarray([float(gaps[i]) for i in keep])
 
     q_xs = lattice.q_candidates()
     # a cell is in q's chronological past when all its corners are
     half = sc.nu0.cell_halfwidth
-    corners = _box_corners(pts[keep] - half, pts[keep] + half)
+    corners = _box_corners(pts - half, pts + half)
     seen = np.concatenate(list(cone_blocks(
         corners, lattice.q_time - t_time, cs, q_xs, open_cone=True)))
-    seen = seen.reshape(len(keep), -1, len(q_xs)).all(axis=1)
+    seen = seen.reshape(len(pts), -1, len(q_xs)).all(axis=1)
     # the receiver must stay outside the future of K
     free = ~SliceFuture(sc.K, lattice.q_time - s_time, cs).contains_points(q_xs)
     best: tuple[float, int, list[int]] | None = None
@@ -195,7 +195,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
             f"t={lattice.q_time}, {lattice.q_points} points per axis)")
     gap, j, sel = best
     q = _event(lattice.q_time, q_xs[j])
-    c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
+    c_region = Region.point_boxes(pts[sel], sc.nu0.dim, halfwidth=half)
 
     cand_xs, _, cover_pts, reach = _sender_reach(sc, q, lattice)
     senders: list[Event] = []

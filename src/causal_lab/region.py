@@ -19,6 +19,9 @@ Box = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def _as_box(lo: Sequence[float], hi: Sequence[float]) -> Box:
+    if isinstance(lo, str) or isinstance(hi, str):  # else read per character
+        raise ValueError("box corners are sequences of coordinates, "
+                         f"got {lo!r} and {hi!r}")
     lo_t = tuple(float(v) for v in lo)
     hi_t = tuple(float(v) for v in hi)
     if len(lo_t) != len(hi_t):

@@ -473,6 +473,27 @@ def _set(*path_and_value):
     return edit
 
 
+def _drop(*path):
+    """Edit of a scenario payload: delete the item at `path`."""
+    *path, key = path
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        del payload[key]
+    return edit
+
+
+def _on(name, edit):
+    """Edit that returns the payload of data file `name`, edited, to be
+    written in place of two_atom.json's."""
+    def replace(payload):
+        payload = json.loads((DATA / name).read_text())
+        edit(payload)
+        return payload
+    return replace
+
+
 def _grid_nu0(**grid):
     return _set("measures", "nu0", {"time": 1.0, "grid": {
         "origin": [-4.0], "cell_size": 0.5,
@@ -596,6 +617,41 @@ def _grid_nu0(**grid):
         QUANTUM["quantum"], grid=dict(QUANTUM["quantum"]["grid"],
                                       n=2 ** 40))), ("simulate-quantum",),
      f"grid size {2 ** 40} is above the limit of"),
+    # string coordinates were read character by character: origin "5" as
+    # (5.0,), a K corner pair "0", "1" as [0, 1] and "05", "16" as the
+    # box (0, 5)-(1, 6)
+    (_on("grid_1d.json", _set("measures", "mu", "grid", "origin", "5")),
+     ("check", "all"), "bad measure 'mu': expected a list, got '5'"),
+    (_set("measurement", "K", [["0", "1"]]), ("check", "all"),
+     "bad region in measurement.K: box corners are sequences of "
+     "coordinates, got '0' and '1'"),
+    (_on("annulus_64.json", _set("measurement", "K", [["05", "16"]])),
+     ("check", "all"), "bad region in measurement.K: box corners are "
+     "sequences of coordinates, got '05' and '16'"),
+    (lambda payload: payload.update(
+        quantum=dict(QUANTUM["quantum"], K=[["0", "1"]])),
+     ("simulate-quantum",), "bad region in quantum.K: box corners are "
+     "sequences of coordinates, got '0' and '1'"),
+    # missing or unusable sections
+    (_set("measures", "nu0", {"time": 1.0}), ("check", "all"),
+     "measure 'nu0' needs 'atoms' or 'grid'"),
+    (lambda payload: [payload], ("check", "all"),
+     "scenario root must be an object"),
+    (_drop("measurement"), ("check", "all"),
+     "scenario has no 'measurement' section"),
+    (_drop("protocol", "lattice"), ("protocol",),
+     "scenario has no protocol.lattice section"),
+    (_set("measurement", "nu1", "nu0"), ("signal-sim",),
+     "cannot build a protocol to simulate: find_ns_witness found no "
+     "marginal gap"),
+    (lambda payload: None, ("simulate-quantum",),
+     "scenario has no 'quantum' section"),
+    (lambda payload: payload.update(quantum=QUANTUM["quantum"],
+                                    spacetime={"dim": 2, "c": 1.0}),
+     ("simulate-quantum",), "quantum dynamics are one-dimensional"),
+    (lambda payload: payload.update(
+        quantum=dict(QUANTUM["quantum"], dynamics="klein-gordon")),
+     ("simulate-quantum",), "unknown dynamics 'klein-gordon'"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "weight_null", "atom_row_object",
@@ -609,13 +665,20 @@ def _grid_nu0(**grid):
         "q_points_fraction", "p_points_bool", "q_lo_str", "q_hi_longer",
         "p_lo_longer", "p_lo_neg_inf", "p_lo_nan", "p_hi_inf", "q_lo_inf",
         "q_time_nan", "p_time_nan", "cover_resolution_nan", "q_points_huge",
-        "p_points_huge", "trials_huge", "block_size_huge", "grid_n_huge"])
+        "p_points_huge", "trials_huge", "block_size_huge", "grid_n_huge",
+        "grid_origin_str", "k_corners_str", "annulus_k_corners_str",
+        "quantum_k_corners_str", "measure_neither_atoms_nor_grid",
+        "root_list", "no_measurement", "no_lattice", "signal_sim_no_gap",
+        "no_quantum", "quantum_dim_2", "dynamics_unknown"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
-    # each of these once escaped main as a traceback with exit code 1
+    # each of these once escaped main as a traceback with exit code 1, was
+    # read as something else, or was reached by no other test
     if edit is not None:
         payload = json.loads((DATA / "two_atom.json").read_text())
-        edit(payload)
+        # an edit changes the payload in place or returns the one to write
+        edited = edit(payload)
+        payload = payload if edited is None else edited
         argv += ("--scenario", write_scenario(tmp_path, payload))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 import helpers
-from causal_lab import conditions, transport
+from causal_lab import conditions, measure, transport
 from causal_lab.conditions import (TRUTH_TABLE_SAMPLES, MeasurementScenario,
                                    check_a1, check_a2, check_ce, check_ns,
                                    evaluate_conditions, find_ns_witness,
                                    make_abc_scenario, ns_gap_support,
                                    truth_table, validate)
 from causal_lab.measure import SliceMeasure, mixture
-from causal_lab.protocol import (audit_protocol, construct_protocol,
-                                 make_annulus_scenario)
+from causal_lab.protocol import (ABC_LATTICE, audit_protocol,
+                                 construct_protocol, make_annulus_scenario)
 from causal_lab.region import Region
 from causal_lab.spacetime import EPS_CAUSAL, CausalStructure, cone_radius
 
@@ -161,6 +161,66 @@ def test_vacuous_negative_branch():
     assert not rep.a1_vacuous
 
 
+_EXACTLY_TWO = ("logic: exactly two of the marginal/outcome conditions hold "
+                "(ns=True, a1=True, a2=False); two should force the third")
+_A2_BUT_NOT_CE = ("logic: negative-outcome update holds but the ordering "
+                  "inequality fails at the detector region")
+_TWO_BUT_NOT_CE = ("logic: two outcome conditions hold but the ordering "
+                   "inequality fails at the detector region")
+
+
+@pytest.mark.parametrize("weights, messages", [
+    ((0, 0, 1, 0, 0, "1/4"), (_EXACTLY_TWO,)),
+    (("1/4", 0, 0, 0, 0, 0), (_A2_BUT_NOT_CE,)),
+    (("1/4", 0, 1, 0, 0, "1/4"), (_EXACTLY_TWO, _TWO_BUT_NOT_CE)),
+], ids=["exactly_two", "a2_but_not_ce", "two_but_not_ce"])
+def test_logic_diagnostics_fire_on_inconsistent_scenarios(weights, messages,
+                                                         tmp_path, capsys):
+    # the two-atom geometry: mu = m d0 + (1 - m) d1.5, each late measure
+    # w d0.9 + (1 - w) d2.2, K = [-1/4, 1/4]; weights lists (m, w of nu0,
+    # nu_plus, nu_minus, nu1, p_plus)
+    import json
+
+    from causal_lab.cli import main
+
+    m, *late, p_plus = (Fraction(v) for v in weights)
+
+    def atoms(w, near, far):
+        return [[*near, w], [*far, 1 - w]]
+
+    measures = {"mu": {"time": 0.0, "atoms": atoms(m, (0.0,), (1.5,))}}
+    for name, w in zip(("nu0", "nup", "num", "nu1"), late):
+        measures[name] = {"time": 1.0, "atoms": atoms(w, (0.9,), (2.2,))}
+    parsed = {name: SliceMeasure.from_atoms(
+        e["time"], [((x,), w) for x, w in e["atoms"]])
+        for name, e in measures.items()}
+    sc = MeasurementScenario(
+        cs=CausalStructure(dim=1, c=1.0), K=Region.interval(-0.25, 0.25),
+        mu=parsed["mu"], nu0=parsed["nu0"], nu1=parsed["nu1"],
+        nu_plus=parsed["nup"], nu_minus=parsed["num"], p_plus=p_plus)
+    assert sc.exact
+    with pytest.warns(RuntimeWarning) as record:
+        rep = evaluate_conditions(sc)
+    assert rep.diagnostics == messages
+    assert tuple(str(w.message) for w in record) == messages
+
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps({
+        "spacetime": {"dim": 1, "c": 1.0},
+        "measures": {name: {"time": e["time"],
+                            "atoms": [[x, str(w)] for x, w in e["atoms"]]}
+                     for name, e in measures.items()},
+        "measurement": {"K": [[[-0.25], [0.25]]], "p_plus": str(p_plus),
+                        "mu": "mu", "nu0": "nu0", "nu1": "nu1",
+                        "nu_plus": "nup", "nu_minus": "num"}}))
+    with pytest.warns(RuntimeWarning):
+        code = main(["check", "all", "--exact-rational", "--scenario",
+                     str(path)])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["result"]["diagnostics"] == list(messages)
+
+
 def test_ns_witness_absent_when_marginals_agree():
     assert find_ns_witness(make_abc_scenario(1.0, 1.0, 1.0)) is None
     assert find_ns_witness(make_abc_scenario(0.5, 0.6, 0.4)) is None
@@ -185,7 +245,7 @@ def test_ns_witness_strict_on_family(seed):
 def test_ns_gap_support_grid():
     rng = np.random.default_rng(3)
     sc, _ = helpers.random_grid_scenario(rng, "break")
-    idx, pts, gaps = ns_gap_support(sc)
+    pts, gaps = ns_gap_support(sc)
     jk = sc.detector_future
     for p, g in zip(pts, gaps):
         assert not jk.contains(tuple(p))
@@ -353,9 +413,11 @@ def _oracle_ns_gap_support(sc):
             np.asarray(pts, dtype=float).reshape(-1, sc.nu0.dim), gaps)
 
 
-def _same_gap_support(got, want):
-    (gi, gp, gg), (wi, wp, wg) = got, want
-    assert np.array_equal(gi, wi) and np.array_equal(gp, wp)
+def _same_gap_support(got, want, nu0):
+    """`ns_gap_support`'s (positions, gaps) against the oracle's (indices
+    into nu0's support, positions, gaps)."""
+    (gp, gg), (wi, wp, wg) = got, want
+    assert np.array_equal(gp, wp) and np.array_equal(gp, nu0.positions[wi])
     if isinstance(wg, np.ndarray):
         assert np.array_equal(gg, wg)
     else:
@@ -405,7 +467,7 @@ def test_verdict_path_never_builds_detector_future(monkeypatch):
             got = _verdict_summary(build())
             got_gaps = ns_gap_support(build())
         assert got == want
-        _same_gap_support(got_gaps, want_gaps)
+        _same_gap_support(got_gaps, want_gaps, build().nu0)
         dropped += len(build().nu0.positions) - len(got_gaps[0])
         witnessed += got[-1][0] is not None
         if build().exact:
@@ -428,6 +490,31 @@ def test_protocol_never_builds_detector_future(segments, monkeypatch):
     monkeypatch.setattr(conditions, "causal_future_on_slice",
                         _no_future_region)
     assert protocol() == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (make_abc_scenario(0, 1, 1), ABC_LATTICE),
+    lambda: make_annulus_scenario(64),
+], ids=["two_atom", "annulus_64"])
+def test_ns_readers_merge_nu0_with_nu1_once(build, monkeypatch):
+    # the ns distance, the witness and the protocol's readout gaps all read
+    # the scenario's one table of nu0 - nu1
+    merges = []
+    aligned_diffs = measure._aligned_diffs
+
+    def spy(m1, m2):
+        merges.append({id(m1), id(m2)})
+        return aligned_diffs(m1, m2)
+
+    monkeypatch.setattr(measure, "_aligned_diffs", spy)
+    monkeypatch.setattr(conditions, "_aligned_diffs", spy)
+    sc, lattice = build()
+    rep = evaluate_conditions(sc)
+    witness = find_ns_witness(sc)
+    proto = construct_protocol(sc, witness, lattice)
+    assert not rep.ns and rep.witnesses["ns_witness"] == witness
+    assert proto.channel_gap > 0
+    assert merges.count({id(sc.nu0), id(sc.nu1)}) == 1
 
 
 def test_cli_check_all_never_builds_detector_future(tmp_path, capsys,

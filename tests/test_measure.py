@@ -196,9 +196,10 @@ def test_scaled():
     assert m.scaled(Fraction(1, 2)).mass(Region.interval(-1, 2)) == pytest.approx(0.5)
 
 
-def test_cell_region_wraps_grid_cells():
+def test_point_boxes_wrap_grid_cells():
     m = SliceMeasure.from_grid(0.0, (0.0,), 0.5, np.array([1.0, 1.0, 1.0, 1.0]))
-    r = m.cell_region([1, 2])
+    r = Region.point_boxes(m.positions[[1, 2]], m.dim,
+                           halfwidth=m.cell_halfwidth)
     assert r.contains((0.75,)) and r.contains((1.25,))
     assert not r.contains((0.25,)) and not r.contains((1.9,))
 
@@ -209,9 +210,10 @@ def test_cell_halfwidth():
     assert grid.cell_halfwidth == 0.25 and atoms.cell_halfwidth == 0.0
 
 
-def test_cell_region_on_atoms_gives_points():
+def test_point_boxes_on_atom_positions_give_points():
     m = SliceMeasure.from_atoms(0.0, [((0.0,), 0.5), ((2.0,), 0.5)])
-    r = m.cell_region([1])
+    r = Region.point_boxes(m.positions[[1]], m.dim,
+                           halfwidth=m.cell_halfwidth)
     assert r.contains((2.0,)) and not r.contains((0.0,))
 
 

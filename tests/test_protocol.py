@@ -280,11 +280,13 @@ def _oracle_construct(sc, witness, lattice):
     if witness is None or witness.is_empty:
         raise ProtocolSearchError("scenario provides no marginal-gap witness")
 
-    idx, pts, gaps = ns_gap_support(sc)
+    pts, gaps = ns_gap_support(sc)
     keep = np.flatnonzero(witness.contains_points(pts)).tolist()
     if not keep:
         raise ProtocolSearchError("witness carries no positive marginal gap")
-    cells = [sc.nu0.cell_region([int(idx[i])]) for i in keep]
+    half = sc.nu0.cell_halfwidth
+    cells = [Region.point_boxes([pts[i]], sc.nu0.dim, halfwidth=half)
+             for i in keep]
     cell_gaps = np.asarray([float(gaps[i]) for i in keep])
 
     best = None
@@ -307,7 +309,8 @@ def _oracle_construct(sc, witness, lattice):
             f"future of K; not found at this resolution (slice "
             f"t={lattice.q_time}, {lattice.q_points} points per axis)")
     gap, q, sel = best
-    c_region = sc.nu0.cell_region([int(idx[keep[i]]) for i in sel])
+    c_region = Region.point_boxes([pts[keep[i]] for i in sel], sc.nu0.dim,
+                                  halfwidth=half)
 
     cand_events, _, cover_pts, reach = _oracle_sender_reach(sc, q, lattice)
     senders = []

@@ -51,6 +51,15 @@ def test_degenerate_point_boxes():
     assert not r.contains((0.7,))
 
 
+def test_string_corners_are_rejected():
+    # a string corner was read character by character, "05" as (0.0, 5.0)
+    for box in (("05", "16"), ("0", (1.0,)), ((0.0,), "1")):
+        with pytest.raises(ValueError, match="sequences of coordinates"):
+            Region.from_boxes([box])
+    with pytest.raises(ValueError, match="sequences of coordinates"):
+        Region.from_json([["0", "1"]], dim=1)
+
+
 def test_empty_region():
     r = Region.empty(2)
     assert r.is_empty

@@ -37,6 +37,7 @@ input error: `main` reports it as `error: <message>` and returns 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -75,30 +76,62 @@ def _fmt_float(x: float) -> str:
 
 def _float_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
     """CSV rows "x,y" of two float arrays, each value as `_fmt_float`
-    writes it, in one pass: .17g spells the non-finite values nan, inf
-    and -inf, which no finite value's digits contain, so they are then
-    respelled NaN, Infinity and -Infinity."""
-    text = "".join(map("{:.17g},{:.17g}\n".format, xs.tolist(), ys.tolist()))
+    writes it, in one format call over the interleaved values: .17g
+    spells the non-finite values nan, inf and -inf, which no finite
+    value's digits contain, so they are then respelled NaN, Infinity and
+    -Infinity."""
+    flat = np.column_stack((xs, ys)).ravel().tolist()
+    text = ("%.17g,%.17g\n" * len(xs)) % tuple(flat)
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Recursive writer: sorted keys, 17-significant-digit floats."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    """Writer of every record: sorted keys, two-space indent,
+    17-significant-digit floats."""
+    return _json(obj, indent)
+
+
+def _json(obj, indent: int) -> str:
+    """canonical_json's one recursive pass.  The types a record is made
+    of are told apart by exact type first; any other value (a bool, int,
+    Fraction, None, numpy scalar or subclass) takes the isinstance chain
+    of `_json_other`."""
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is dict:
+        return _json_dict(obj, indent)
+    if kind is list or kind is tuple:
+        return _json_list(obj, indent)
+    if kind is str:
+        return json.dumps(obj)
+    return _json_other(obj, indent)
+
+
+def _json_dict(obj, indent: int) -> str:
+    if not obj:
+        return "{}"
+    deeper = indent + 2
+    inner = " " * deeper
+    return ("{\n" + inner + (",\n" + inner).join(
+        [f'"{key}": {_json(obj[key], deeper)}' for key in sorted(obj)])
+        + "\n" + " " * indent + "}")
+
+
+def _json_list(obj, indent: int) -> str:
+    if not obj:
+        return "[]"
+    deeper = indent + 2
+    inner = " " * deeper
+    return ("[\n" + inner + (",\n" + inner).join(
+        [_json(v, deeper) for v in obj]) + "\n" + " " * indent + "]")
+
+
+def _json_other(obj, indent: int) -> str:
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{inner}"{key}": '
-                         + canonical_json(obj[key], indent + 2))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _json_dict(obj, indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + canonical_json(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return _json_list(obj, indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -179,19 +212,22 @@ def _items(kind):
     return read
 
 
+def _atom_row(row, exact: bool):
+    """(coordinates, weight) of one atom row, the coordinates as given."""
+    # a string row would be read character by character
+    if not isinstance(row, list) or len(row) < 2:
+        raise ValueError("atom rows are lists of coordinates and a weight, "
+                         f"got {row!r}")
+    return row[:-1], Fraction(str(row[-1])) if exact else float(row[-1])
+
+
 def _parse_measure(entry: dict, exact: bool, name: str):
     try:
         time_v = float(_require(entry, "time", f"measure '{name}'"))
         if "atoms" in entry:
-            atoms = []
-            for row in entry["atoms"]:
-                # a string row would be read character by character
-                if not isinstance(row, list) or len(row) < 2:
-                    raise ValueError("atom rows are lists of coordinates "
-                                     f"and a weight, got {row!r}")
-                w = Fraction(str(row[-1])) if exact else float(row[-1])
-                atoms.append((tuple(float(v) for v in row[:-1]), w))
-            return SliceMeasure.from_atoms(time_v, atoms)
+            # from_atoms converts the coordinates, each once
+            return SliceMeasure.from_atoms(
+                time_v, (_atom_row(row, exact) for row in entry["atoms"]))
         if "grid" in entry:
             if exact:
                 raise CliInputError("exact-rational mode supports atom "
@@ -554,7 +590,11 @@ def _add_common(p: argparse.ArgumentParser,
                    help="directory for report and CSV files")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Every
+    caller shares it, so it must not be changed; `main` finds each
+    command's handler by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="causal-lab",
         description="causality checks for detection statistics on "
@@ -563,32 +603,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="scenario consistency check")
     _add_common(p, "scenario exact assert")
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("check", help="evaluate causality conditions")
     p.add_argument("condition", choices=["ce", "ns", "a1", "a2", "all"])
     p.add_argument("--method", choices=["auto", "bruteforce", "maxflow"],
                    default="auto")
     _add_common(p)
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("truth-table",
                        help="exact verdicts for the canonical two-atom family")
     _add_common(p, "assert")
-    p.set_defaults(handler=cmd_truth_table)
 
     p = sub.add_parser("protocol", help="construct a signalling protocol")
     _add_common(p)
-    p.set_defaults(handler=cmd_protocol)
 
     p = sub.add_parser("signal-sim", help="Monte Carlo of the one-bit channel")
     _add_common(p, "scenario seed exact")
-    p.set_defaults(handler=cmd_signal_sim)
 
     p = sub.add_parser("simulate-quantum",
                        help="evolve a packet and check the ordering condition")
     _add_common(p, "scenario assert")
-    p.set_defaults(handler=cmd_simulate_quantum)
 
     p = sub.add_parser("scales", help="closed-form violation scales")
     p.add_argument("--m", type=float, required=True, help="mass")
@@ -598,17 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spreading time; 'inf' for the asymptote")
     p.add_argument("--units", choices=["si", "natural"], default="si")
     _add_common(p, "")
-    p.set_defaults(handler=cmd_scales)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.monotonic()
+    # looked up per call, like the module names above
+    handler = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except ValueError as exc:  # CliInputError and what the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,9 @@
 """Seeded scenario generators shared across the test modules."""
 
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from causal_lab.conditions import MeasurementScenario
@@ -236,3 +240,83 @@ def cone_corner_scenario():
                           p_hi=(1.0, 1.0), p_points=11,
                           cover_resolution=0.05)
     return sc, lattice
+
+
+def canonical_json_oracle(obj, indent: int = 0) -> str:
+    """The record writer as it was before `cli.canonical_json` became one
+    pass by exact type: an isinstance chain per value, recursing through
+    itself.  Kept as the reference the writer must equal."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            items.append(f'{inner}"{key}": '
+                         + canonical_json_oracle(obj[key], indent + 2))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [inner + canonical_json_oracle(v, indent + 2) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return format(obj, ".17g")
+    if isinstance(obj, Fraction):
+        return f'"{obj}"'
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+ODD_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+              -2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+              1e16, 0.1)
+ODD_STRINGS = ('', 'plain', 'say "hi"', 'back\\slash', 'tab\there\n',
+               '\x00\x1f\x7f', 'caf\u00e9 \u2014 \u03bd\u2080',
+               '\U0001d4c3')
+
+
+def random_record(rng: np.random.Generator, depth: int = 0):
+    """A seeded JSON-like value of the kinds a CLI record can hold:
+    nested dicts, lists and tuples (empty ones too), bools, ints, None,
+    Fractions, odd and random floats, numpy scalars and strings with
+    quotes, backslashes, control characters and non-ASCII text."""
+    kind = rng.integers(0, 14 if depth < 4 else 11)
+    if kind == 0:
+        return bool(rng.integers(0, 2))
+    if kind == 1:
+        return int(rng.integers(-10**9, 10**9))
+    if kind == 2:
+        return None
+    if kind == 3:
+        return Fraction(int(rng.integers(-99, 99)), int(rng.integers(1, 99)))
+    if kind == 4:
+        return ODD_FLOATS[rng.integers(0, len(ODD_FLOATS))]
+    if kind == 5:
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 6:
+        return np.float64(rng.normal())
+    if kind == 7:
+        return np.int64(rng.integers(-1000, 1000))
+    if kind == 8:
+        return np.bool_(rng.integers(0, 2))
+    if kind in (9, 10):
+        return ODD_STRINGS[rng.integers(0, len(ODD_STRINGS))]
+    size = int(rng.integers(0, 5))
+    items = [random_record(rng, depth + 1) for _ in range(size)]
+    if kind == 11:
+        return items
+    if kind == 12:
+        return tuple(items)
+    keys = [ODD_STRINGS[rng.integers(1, 3)] + str(i) for i in range(size)]
+    return dict(zip(keys, items))

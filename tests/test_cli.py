@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from causal_lab import conditions, protocol
 from causal_lab.cli import (Scenario, _float_pairs, _fmt_float,
-                            build_parser, main)
+                            build_parser, canonical_json, main)
 from causal_lab.region import Region
 
-from helpers import random_grid_scenario
+from helpers import (ODD_FLOATS, ODD_STRINGS, canonical_json_oracle,
+                     random_grid_scenario, random_record)
 
 LATTICE = {"q_time": 2.0, "q_lo": [1.5], "q_hi": [4.5], "q_points": 13,
            "p_time": -1.0, "p_lo": [-4.0], "p_hi": [4.0], "p_points": 41,
@@ -57,6 +59,11 @@ def run_cli(capsys, *argv):
 
 def parse_record(out):
     return json.loads(out)
+
+
+def _without_clock(out):
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if "wall_clock_s" not in line)
 
 
 def test_validate_clean_scenario(tmp_path, capsys):
@@ -174,8 +181,7 @@ def test_report_determinism(tmp_path, capsys):
     def snapshot():
         code, out, _ = run_cli(capsys, "check", "all", "--scenario", path)
         assert code == 0
-        return "\n".join(l for l in out.splitlines()
-                         if "wall_clock_s" not in l)
+        return _without_clock(out)
 
     assert snapshot() == snapshot()
 
@@ -293,18 +299,79 @@ def test_simulate_quantum_violation(tmp_path, capsys):
 
 
 def test_float_pairs_spell_each_value_as_fmt_float():
-    # the density CSV is formatted in one pass; each value must read as
-    # `_fmt_float` writes it, non-finite spellings and signed zeros included
+    # the density CSV is formatted in one format call; each value must
+    # read as `_fmt_float` writes it, non-finite spellings and signed
+    # zeros included, at every length
     rng = np.random.default_rng(59)
-    odd = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-           -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]
     xs = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
-        -300, 300, 40), odd])
+        -300, 300, 40), ODD_FLOATS])
     ys = rng.permutation(xs)
-    want = "".join(f"{_fmt_float(x)},{_fmt_float(y)}\n"
-                   for x, y in zip(xs.tolist(), ys.tolist()))
-    assert _float_pairs(xs, ys) == want
-    assert _float_pairs(np.empty(0), np.empty(0)) == ""
+    for n in (len(xs), 2, 1, 0):
+        want = "".join(f"{_fmt_float(x)},{_fmt_float(y)}\n"
+                       for x, y in zip(xs[:n].tolist(), ys[:n].tolist()))
+        assert _float_pairs(xs[:n], ys[:n]) == want
+
+
+def test_canonical_json_matches_oracle():
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        record = {f"key{i}": random_record(rng)
+                  for i in range(int(rng.integers(0, 6)))}
+        assert canonical_json(record) == canonical_json_oracle(record)
+    leaves = (ODD_FLOATS + ODD_STRINGS
+              + (True, False, 0, -7, None, math.pi, np.float64(-0.0),
+                 np.float64(math.nan), np.int64(-3), np.bool_(True)))
+    for value in leaves:
+        for indent in (0, 4):
+            assert (canonical_json(value, indent)
+                    == canonical_json_oracle(value, indent))
+
+
+def test_main_many_calls_in_one_process(tmp_path, capsys):
+    # main shares one parser between calls: no call may leak a flag, an
+    # exit code or an output place into the next
+    scen = ("--scenario", write_scenario(tmp_path, abc_payload(0.0, 1.0, 1.0)))
+    outdir = tmp_path / "out"
+    steps = [
+        (("check", "ce", "--method", "bruteforce", *scen), 0),
+        (("check", "ce", *scen), 0),
+        (("check", "ce", "--assert", *scen), 1),
+        (("check", "ce", *scen), 0),
+        (("check", "ce", "--out", str(outdir), *scen), 0),
+        (("truth-table",), 0),
+        (("check", "all", "--assert", *scen), 1),
+        (("check", "all", *scen), 0),
+    ]
+    first = {}
+    for argv, _ in steps:
+        build_parser.cache_clear()  # a parser built afresh: a new process
+        code, out, _ = run_cli(capsys, *argv)
+        first[argv] = (code, _without_clock(out))
+    build_parser.cache_clear()
+    shutil.rmtree(outdir)
+
+    for argv, want_code in steps:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, _without_clock(out)) == first[argv], argv
+        assert code == want_code and err == "", argv
+        if argv[0] == "check":
+            method = argv[3] if "--method" in argv else "auto"
+            assert parse_record(out)["method"] == method, argv
+        if "--out" in argv:
+            assert [p.name for p in outdir.iterdir()] == ["check.json"]
+            assert (outdir / "check.json").read_text() == out
+            written = out
+    # the calls after --out printed only to stdout
+    assert [p.name for p in outdir.iterdir()] == ["check.json"]
+    assert (outdir / "check.json").read_text() == written
+
+    # a bad flag after good calls still exits 2, and the next call runs
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "ce", "--bogus", *scen])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "check", "ce", *scen)
+    assert (code, _without_clock(out)) == first[("check", "ce", *scen)]
 
 
 def test_simulate_quantum_narrow_region_holds(tmp_path, capsys):
@@ -839,9 +906,7 @@ def _matches_golden(capsys, name, command):
     code, out, _ = run_cli(capsys, *command, "--scenario",
                            str(DATA / scenario))
     assert code == 0
-    got = "".join(line for line in out.splitlines(keepends=True)
-                  if "wall_clock_s" not in line)
-    assert got == (DATA / f"{name}.out").read_text()
+    assert _without_clock(out) == (DATA / f"{name}.out").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -873,8 +938,7 @@ def test_simulate_quantum_records_match_golden(dynamics, tmp_path, capsys):
     path = write_scenario(tmp_path, payload)
     code, out, _ = run_cli(capsys, "simulate-quantum", "--scenario", path)
     assert code == 0
-    got = "".join(line for line in out.splitlines(keepends=True)
-                  if "wall_clock_s" not in line)
+    got = _without_clock(out)
     want = (DATA / f"simulate_quantum_{dynamics}.out").read_text()
     assert NUMBER.sub("#", got) == NUMBER.sub("#", want)
     assert ([float(v) for v in NUMBER.findall(got)]

@@ -109,12 +109,15 @@ def _json(obj, indent: int) -> str:
 
 
 def _json_dict(obj, indent: int) -> str:
+    """Keys are spelled by `json.dumps`, so quotes, backslashes and
+    control characters in them are escaped."""
     if not obj:
         return "{}"
     deeper = indent + 2
     inner = " " * deeper
     return ("{\n" + inner + (",\n" + inner).join(
-        [f'"{key}": {_json(obj[key], deeper)}' for key in sorted(obj)])
+        [f'{json.dumps(str(key))}: {_json(obj[key], deeper)}'
+         for key in sorted(obj)])
         + "\n" + " " * indent + "}")
 
 

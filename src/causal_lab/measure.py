@@ -26,7 +26,9 @@ Weight = Union[float, Fraction, int]
 
 
 def _is_exact_weight(w: Weight) -> bool:
-    return isinstance(w, Rational)
+    # floats (numpy's float64 among them) come first: they are the common
+    # weight, and the Rational ABC check is the slow one
+    return not isinstance(w, float) and isinstance(w, Rational)
 
 
 def _check_weight(w: Weight) -> None:
@@ -162,14 +164,24 @@ class SliceMeasure:
         """Mass carried by atoms in the region / cells whose center is in it.
 
         `region` may be anything with `dim` and `contains_points`, such as
-        a `spacetime.SliceFuture`; membership is one `contains_points`
-        call, and atom weights are summed in atom order.
+        a `spacetime.SliceFuture`.  Two steps: membership, one
+        `contains_points` call over the support, then `_mass_where` on
+        that mask.  A scenario asks its detector future once for all its
+        post-slice measures (`MeasurementScenario._future_table`) and
+        hands each measure's mask to `_mass_where` directly.
         """
         if region.dim != self.dim:
             raise ValueError("region dimension does not match measure")
         inside = region.contains_points(self.positions)
+        return self._mass_where(inside.tolist() if self.is_atomic else inside)
+
+    def _mass_where(self, inside) -> Weight:
+        """Mass at the support points where `inside` holds: a boolean
+        array over the grid cells, or a sequence of bools over the atoms,
+        whose weights are summed in atom order (from Fraction(0) when
+        exact)."""
         if self.is_atomic:
-            hits = [w for (_, w), h in zip(self.atoms, inside.tolist()) if h]
+            hits = list(compress((w for _, w in self.atoms), inside))
             if self.exact:
                 return sum(hits, Fraction(0))
             return float(sum(float(w) for w in hits))
@@ -208,29 +220,46 @@ def _merged_support(m1: SliceMeasure, m2: SliceMeasure):
     positions in order, then the positions only m2 has, as tuples, and
     two lists of weights in their own type with 0 where an atom is absent.
     """
+    if _comparable_grids(m1, m2):
+        return m1._grid_centers, m1.weights_flat, m2.weights_flat
+    return _merged_atoms(dict(m1.atoms), dict(m2.atoms))
+
+
+def _merged_atoms(w1: dict, w2: dict):
+    """(points, weights of w1, weights of w2) on the union of two
+    point -> weight maps: w1's points in order, then those only w2 has,
+    with 0 where a map has no weight."""
+    points = [*w1, *(p for p in w2 if p not in w1)]
+    return (points, [w1.get(p, 0) for p in points],
+            [w2.get(p, 0) for p in points])
+
+
+def _comparable_grids(m1: SliceMeasure, m2: SliceMeasure) -> bool:
+    """Whether two measures of one dimension are grids of one geometry
+    (False for two atomic measures); raises `ValueError` for any other
+    pair, which has no pointwise comparison."""
     if m1.dim != m2.dim:
         raise ValueError("measure dimensions differ")
     if m1.is_grid or m2.is_grid:
         if not m1.grid_compatible(m2):
             raise ValueError("grid measures must share geometry to compare")
-        return m1._grid_centers, m1.weights_flat, m2.weights_flat
-    w1, w2 = dict(m1.atoms), dict(m2.atoms)
-    points = [*w1, *(p for p in w2 if p not in w1)]
-    return (points, [w1.get(p, 0) for p in points],
-            [w2.get(p, 0) for p in points])
+        return True
+    return False
 
 
 def mixture(p: Weight, m_plus: SliceMeasure, m_minus: SliceMeasure) -> SliceMeasure:
     """Convex combination p*m_plus + (1-p)*m_minus on a shared support."""
     if m_plus.dim != m_minus.dim or m_plus.time != m_minus.time:
         raise ValueError("mixture components must share slice and dimension")
-    points, w_plus, w_minus = _merged_support(m_plus, m_minus)
-    if m_plus.is_grid:
+    # grids mix their weights alone, without the cell centres
+    if _comparable_grids(m_plus, m_minus):
         pf = float(p)
-        mixed = pf * w_plus + (1.0 - pf) * w_minus
+        mixed = pf * m_plus.weights_flat + (1.0 - pf) * m_minus.weights_flat
         return SliceMeasure.from_grid(m_plus.time, m_plus.grid_origin,
                                       m_plus.grid_cell,
                                       mixed.reshape(m_plus.grid_weights.shape))
+    points, w_plus, w_minus = _merged_atoms(dict(m_plus.atoms),
+                                            dict(m_minus.atoms))
     q = 1 - p
     return SliceMeasure.from_atoms(
         m_plus.time, [(x, p * a + q * b)
@@ -254,16 +283,50 @@ def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
     return positions, [a - b for a, b in zip(w1, w2)]
 
 
-def _larger_side(diffs, keep: np.ndarray, exact: bool) -> Weight:
+def _scaled_diffs(m1: SliceMeasure, m2: SliceMeasure, factor: Weight):
+    """Pointwise differences m1 - factor * m2 on the merged support,
+    without building the scaled measure: the support, the values and the
+    exactness of `_aligned_diffs(m1, m2.scaled(factor))`, in its order,
+    with its types and from the same operations.  Returns (points,
+    differences, exact): the points as `_merged_support` gives them,
+    except that grids give m2's cell centres, which m1 shares, so that a
+    scenario's nu0 keeps the one copy.
+
+    The scaled weights are checked first, as `scaled` checks them, so a
+    weight that the factor takes past the largest float raises the
+    `ValueError` of `from_atoms` or `from_grid`.
+    """
+    if factor < 0:
+        raise ValueError("scale factor must be nonnegative")
+    if m2.is_atomic:
+        scaled = [w * factor for _, w in m2.atoms]
+        for w in scaled:
+            _check_weight(w)
+    else:
+        scaled = m2.weights_flat * float(factor)
+        if not np.all(np.isfinite(scaled)):
+            raise ValueError("grid weights must be finite and nonnegative")
+    if _comparable_grids(m1, m2):
+        return m2._grid_centers, m1.weights_flat - scaled, False
+    points, w1, w2 = _merged_atoms(
+        dict(m1.atoms), dict(zip((p for p, _ in m2.atoms), scaled)))
+    return (points, [a - b for a, b in zip(w1, w2)],
+            m1.exact and all(map(_is_exact_weight, scaled)))
+
+
+def _larger_side(diffs, keep, exact: bool) -> Weight:
     """Larger of the positive and the negative sum of `diffs` where `keep`:
     sup over compact C of the kept points of |m1(C) - m2(C)|.  `diffs` is
     a float array (grids) or a list in the weights' own type (atoms),
-    summed from Fraction(0) when `exact`."""
+    summed from Fraction(0) when `exact`; `keep` is a boolean array, or
+    for atoms any sequence of bools."""
     if isinstance(diffs, np.ndarray):
         kept = diffs[keep]
         return max(float(kept[kept > 0].sum()), float(-kept[kept < 0].sum()))
+    if isinstance(keep, np.ndarray):
+        keep = keep.tolist()
     pos = neg = Fraction(0) if exact else 0.0
-    for d in compress(diffs, keep.tolist()):
+    for d in compress(diffs, keep):
         if d > 0:
             pos += d
         elif d < 0:

@@ -2,15 +2,18 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from causal_lab.conditions import MeasurementScenario
-from causal_lab.measure import SliceMeasure, mixture
+from causal_lab.measure import (SliceMeasure, _aligned_diffs, _larger_side,
+                                mixture, restriction_distance)
 from causal_lab.protocol import LatticeSpec
 from causal_lab.region import Region
-from causal_lab.spacetime import CausalStructure, causal_future_on_slice
+from causal_lab.spacetime import (CausalStructure, SliceFuture,
+                                  causal_future_on_slice)
 
 # fixed 1D grid geometry: K and its future land exactly on cell edges
 GRID_N = 28
@@ -242,6 +245,155 @@ def cone_corner_scenario():
     return sc, lattice
 
 
+def _per_check_mass(m: SliceMeasure, future: SliceFuture):
+    """`SliceMeasure.mass` as it was: a membership pass of its own, then
+    the weights summed in atom order."""
+    inside = future.contains_points(m.positions)
+    if m.is_atomic:
+        hits = [w for (_, w), h in zip(m.atoms, inside.tolist()) if h]
+        if m.exact:
+            return sum(hits, Fraction(0))
+        return float(sum(float(w) for w in hits))
+    return float(m.weights_flat[inside].sum())
+
+
+def per_check_details(sc: MeasurementScenario):
+    """ns, a1, a2 and the ordering leg at the detector, each asking the
+    detector future of its own support, as the checks did before a
+    scenario kept one table of that future: a `SliceFuture` pass per
+    measure, and a2 through `restriction_distance` on `nu0.scaled`.
+
+    Returns {name: result}, named for the `conditions` function it stands
+    for; a check that raises gives ("raises", type, message).
+    """
+    future = SliceFuture(sc.K, sc.t_time - sc.s_time, sc.cs)
+    tol = sc.mass_tol
+
+    def ns():
+        positions, diffs = _aligned_diffs(sc.nu0, sc.nu1)
+        d = _larger_side(diffs, ~future.contains_points(positions),
+                         sc.nu0.exact and sc.nu1.exact)
+        return d <= tol, d
+
+    def a1():
+        m = _per_check_mass(sc.nu_plus, future)
+        if sc.p_plus <= tol:
+            return True, True, m
+        return m >= 1 - tol, False, m
+
+    def a2():
+        if 1 - sc.p_plus <= tol:
+            return True, True, 0 if sc.exact else 0.0
+        scale = (Fraction(1, 1) / (1 - sc.p_plus) if sc.exact
+                 else 1.0 / (1.0 - float(sc.p_plus)))
+        d = restriction_distance(sc.nu_minus, sc.nu0.scaled(scale),
+                                 outside=future)
+        return d <= tol, False, d
+
+    def ce_at_detector():
+        short = sc.mu.mass(sc.K) - _per_check_mass(sc.nu0, future)
+        return short <= tol
+
+    out = {}
+    for name, check in (("_ns_detail", ns), ("_a1_detail", a1),
+                        ("_a2_detail", a2),
+                        ("_ce_at_detector", ce_at_detector)):
+        try:
+            out[name] = check()
+        except ValueError as exc:
+            out[name] = ("raises", type(exc), str(exc))
+    return out
+
+
+SUPPORT_KINDS = ("atoms", "exact", "mixed", "grid", "grid_2d",
+                 "other_grid", "atoms_beside_grid", "other_grid_minus")
+
+
+def _support_weights(rng, kind: str, k: int):
+    """k weights: floats, Fractions, or for "mixed" all floats, all
+    Fractions, or each a float, an int or a Fraction."""
+    if kind == "mixed":
+        kind = ("atoms", "exact", "each")[rng.integers(0, 3)]
+    if kind == "exact":
+        return [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9)))
+                for _ in range(k)]
+    if kind == "each":
+        return [(float(rng.random()), int(rng.integers(0, 3)),
+                 Fraction(int(rng.integers(0, 5)), 4))[rng.integers(0, 3)]
+                for _ in range(k)]
+    return (rng.random(k) * (rng.random(k) < 0.8)).tolist()
+
+
+def _random_grid(rng, time, origin, cell, shape):
+    return SliceMeasure.from_grid(time, origin, cell, rng.random(shape))
+
+
+def random_support_scenario(rng: np.random.Generator, kind: str):
+    """Scenario whose post-slice measures line up in the ways the checks
+    must handle, valid or not.
+
+    Atom kinds, in d = 1 to 3: each post-slice measure holds a random
+    subset of one point pool, in an order of its own and at times empty,
+    so supports are shuffled and partly disjoint; the pool holds a point
+    on the rim of the detector future.  "exact" weighs them with
+    Fractions, "mixed" with floats, ints and Fractions.  Grid kinds:
+    `random_grid_scenario`, 2-D grids of one geometry, nu_plus on a grid
+    of another geometry or as atoms beside the grids, and nu_minus on a
+    grid of another geometry, on which a2 raises.
+    """
+    if kind in ("grid", "other_grid", "atoms_beside_grid",
+                "other_grid_minus"):
+        sc, _ = random_grid_scenario(rng, GRID_MODES[rng.integers(0, 6)])
+        if kind == "other_grid":
+            return replace(sc, nu_plus=_random_grid(
+                rng, GRID_T, (GRID_ORIGIN + 0.1,), GRID_H / 2, 2 * GRID_N))
+        if kind == "other_grid_minus":
+            return replace(sc, nu_minus=_random_grid(
+                rng, GRID_T, (GRID_ORIGIN,), GRID_H, GRID_N + 1))
+        if kind == "atoms_beside_grid":
+            xs = rng.uniform(-3.0, 3.0, 5)
+            return replace(sc, nu_plus=SliceMeasure.from_atoms(
+                GRID_T, [((x,), w) for x, w in zip(xs, rng.random(5))]))
+        return sc
+    if kind == "grid_2d":
+        cs = CausalStructure(dim=2, c=1.0)
+        shape, origin, cell = (6, 5), (-1.5, -1.25), 0.5
+        post = [_random_grid(rng, 1.0, origin, cell, shape)
+                for _ in range(4)]
+        return MeasurementScenario(
+            cs=cs, K=Region.from_boxes([((-0.25, -0.25), (0.25, 0.25))]),
+            mu=_random_grid(rng, 0.5, origin, cell, shape), nu0=post[0],
+            nu1=post[1], nu_plus=post[2], nu_minus=post[3],
+            p_plus=float(rng.choice([0.0, 1.0, rng.random()])))
+    dim = int(rng.integers(1, 4))
+    cs = CausalStructure(dim=dim, c=float(rng.uniform(0.5, 2.0)))
+    half, dt = float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.2, 1.5))
+    k_box = Region.from_boxes([((-half,) * dim, (half,) * dim)])
+    reach = half + cs.c * dt
+    # a pool within reach on each axis lies mostly in the detector future
+    span = reach * float(rng.choice([1.0, 2.0]))
+    pool = [tuple(p) for p in rng.uniform(-span, span, (8, dim)).tolist()]
+    pool.append((reach,) + (0.0,) * (dim - 1))
+
+    def post(at_least):
+        k = int(rng.integers(at_least, len(pool) + 1))
+        points = [pool[i] for i in rng.permutation(len(pool))[:k]]
+        return SliceMeasure.from_atoms(
+            dt, zip(points, _support_weights(rng, kind, k)), dim)
+
+    mu_points = [tuple(p) for p in rng.uniform(-reach, reach,
+                                               (3, dim)).tolist()]
+    mu = SliceMeasure.from_atoms(
+        0.0, zip(mu_points, _support_weights(rng, kind, 3)), dim)
+    if kind == "exact" or (kind == "mixed" and rng.random() < 0.5):
+        p_plus = Fraction(int(rng.integers(0, 5)), 4)
+    else:
+        p_plus = float(rng.choice([0.0, 1.0, 0.5, rng.random()]))
+    return MeasurementScenario(
+        cs=cs, K=k_box, mu=mu, nu0=post(int(rng.random() < 0.9)),
+        nu1=post(0), nu_plus=post(0), nu_minus=post(0), p_plus=p_plus)
+
+
 def canonical_json_oracle(obj, indent: int = 0) -> str:
     """The record writer as it was before `cli.canonical_json` became one
     pass by exact type: an isinstance chain per value, recursing through
@@ -253,7 +405,7 @@ def canonical_json_oracle(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for key in sorted(obj):
-            items.append(f'{inner}"{key}": '
+            items.append(f'{inner}{json.dumps(str(key))}: '
                          + canonical_json_oracle(obj[key], indent + 2))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

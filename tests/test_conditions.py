@@ -18,7 +18,8 @@ from causal_lab.measure import SliceMeasure, mixture
 from causal_lab.protocol import (ABC_LATTICE, audit_protocol,
                                  construct_protocol, make_annulus_scenario)
 from causal_lab.region import Region
-from causal_lab.spacetime import EPS_CAUSAL, CausalStructure, cone_radius
+from causal_lab.spacetime import (EPS_CAUSAL, CausalStructure, SliceFuture,
+                                  cone_radius)
 
 
 def test_valid_family_scenario_passes():
@@ -597,3 +598,104 @@ def test_ns_on_the_rim_is_the_same_in_d1_and_d2():
         assert sc._in_future.contains_points(sc.nu0.positions).all()
         verdicts.append((check_ns(sc), find_ns_witness(sc)))
     assert verdicts == [(True, None), (True, None)]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["atoms", "grid"])
+def test_a2_rejects_a_nu0_weight_the_scale_overflows(grid):
+    # nu0 / (1 - p_plus) with a weight of 1e308 and p_plus 0.5 is inf
+    if grid:
+        sc, _ = helpers.random_grid_scenario(np.random.default_rng(3))
+        w = sc.nu0.grid_weights.copy()
+        w[0] = 1e308
+        nu0 = SliceMeasure.from_grid(sc.t_time, sc.nu0.grid_origin,
+                                     sc.nu0.grid_cell, w)
+        sc, message = replace(sc, nu0=nu0, p_plus=0.5), "grid weights must"
+    else:
+        sc = make_abc_scenario(0.5, 1.0, 0.0)
+        nu0 = SliceMeasure.from_atoms(sc.t_time, [((0.9,), 1e308),
+                                                  ((2.2,), 0.5)])
+        sc, message = replace(sc, nu0=nu0), "weights must"
+    for check in (check_a2, evaluate_conditions):
+        with pytest.raises(ValueError, match=message):
+            check(sc)
+    # an exact scale never overflows
+    big = SliceMeasure.from_atoms(1.0, [((0.9,), Fraction(10) ** 400),
+                                        ((2.2,), Fraction(1, 2))])
+    exact = replace(make_abc_scenario(Fraction(1, 2), 1, 0, exact=True),
+                    nu0=big)
+    assert check_a2(exact) is True
+
+
+# -- one detector-future table per scenario ----------------------------------
+
+def _bits(value):
+    """A check's result as its exact spelling: bool, int, float and
+    Fraction values compare by type and repr, so -0.0 is not 0.0."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return type(value), repr(value)
+
+
+def _table_details(sc):
+    out = {}
+    for name in ("_ns_detail", "_a1_detail", "_a2_detail",
+                 "_ce_at_detector"):
+        try:
+            out[name] = getattr(conditions, name)(sc)
+        except ValueError as exc:
+            out[name] = ("raises", type(exc), str(exc))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_future_table_matches_per_check_passes():
+    # each check reads its measure's mask from the scenario's one table;
+    # every flag and distance must equal, bit for bit, what a pass of its
+    # own over its own support gave
+    seen = dict.fromkeys(helpers.SUPPORT_KINDS, 0)
+    raised = exact = 0
+    for seed in range(400):
+        kind = helpers.SUPPORT_KINDS[seed % len(helpers.SUPPORT_KINDS)]
+        sc = helpers.random_support_scenario(
+            np.random.default_rng([seed, 28]), kind)
+        want = helpers.per_check_details(replace(sc))
+        got = _table_details(replace(sc))
+        assert _bits(got) == _bits(want), (seed, kind)
+        seen[kind] += 1
+        raised += any(v[0] == "raises" for v in got.values()
+                      if isinstance(v, tuple))
+        exact += sc.exact
+    assert min(seen.values()) == 400 // len(helpers.SUPPORT_KINDS)
+    assert raised >= 400 // len(helpers.SUPPORT_KINDS) and exact > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_future_pass_per_evaluation(monkeypatch):
+    calls = []
+    contains = SliceFuture.contains_points
+
+    def counted(future, points):
+        calls.append(len(points))
+        return contains(future, points)
+
+    def passes(sc):
+        calls.clear()
+        evaluate_conditions(sc)
+        return len(calls)
+
+    monkeypatch.setattr(SliceFuture, "contains_points", counted)
+    rng = np.random.default_rng(28)
+    shared = [make_abc_scenario(0.0, 1.0, 1.0),
+              make_abc_scenario(Fraction(1, 3), 1, 0, exact=True),
+              helpers.random_grid_scenario(rng)[0],
+              helpers.random_support_scenario(rng, "grid_2d"),
+              make_annulus_scenario(64)[0],
+              helpers.cone_corner_scenario()[0]]
+    for _ in range(6):
+        shared.append(helpers.random_support_scenario(rng, "atoms"))
+    for sc in shared:
+        assert passes(sc) == 1
+    # a measure the table does not cover takes one pass of its own
+    for kind in ("other_grid", "atoms_beside_grid"):
+        sc = helpers.random_support_scenario(rng, kind)
+        assert passes(sc) == 2

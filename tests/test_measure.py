@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from causal_lab.measure import (EPS_MASS, SliceMeasure, _aligned_diffs,
-                                cellwise_max_difference, mixture,
-                                restriction_distance)
+                                _is_exact_weight, cellwise_max_difference,
+                                mixture, restriction_distance)
 from causal_lab.region import Region
 
 ERF_ONE = 0.8427007929497149  # mass of exp(-x^2)/sqrt(pi) on [-1, 1]
@@ -287,3 +287,14 @@ def test_all_float_means_every_weight_is_a_binary_float():
     assert grid.all_float and not grid.exact
     for odd in (Fraction(1, 2), 0, True):
         assert not atoms(0.5, odd).all_float
+
+
+def test_exact_weights_are_the_rationals():
+    exact = (True, False, 0, 3, np.int64(2), np.uint8(1), Fraction(1, 3))
+    inexact = (0.5, 0.0, -0.0, np.float64(0.25), np.float32(0.5),
+               np.float16(1.0))
+    assert all(_is_exact_weight(w) for w in exact)
+    assert not any(_is_exact_weight(w) for w in inexact)
+    for w in exact + inexact:
+        m = SliceMeasure.from_atoms(0.0, [((0.0,), w)])
+        assert m.exact is _is_exact_weight(w)

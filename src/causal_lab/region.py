@@ -1,9 +1,12 @@
 """Axis-aligned box regions on a spatial slice.
 
-A Region is a finite union of closed boxes [lo, hi] in R^d held in a
-canonical form whose boxes have pairwise disjoint interiors.  Boxes may be
-degenerate along any axis (lo == hi), which is how atom positions are
-wrapped when a point set has to travel through the region algebra.
+A Region is a finite union of closed boxes [lo, hi] in R^d, which may
+overlap.  In d = 1 the intervals are merged into disjoint sorted runs; in
+d >= 2 the boxes are kept as given, less exact repeats.  Every reader asks
+only for membership, the distance to the nearest box or sample points, and
+none of these needs disjoint interiors.  Boxes may be degenerate along any
+axis (lo == hi), which is how atom positions are wrapped when a point set
+has to travel through the region algebra.
 """
 from __future__ import annotations
 
@@ -32,40 +35,6 @@ def _as_box(lo: Sequence[float], hi: Sequence[float]) -> Box:
         if a > b:
             raise ValueError(f"empty box: lo {lo_t} exceeds hi {hi_t}")
     return (lo_t, hi_t)
-
-
-def _interiors_overlap(a: Box, b: Box) -> bool:
-    return all(al < bh and bl < ah for (al, ah), (bl, bh) in
-               zip(zip(a[0], a[1]), zip(b[0], b[1])))
-
-
-def _box_contains_box(outer: Box, inner: Box) -> bool:
-    return all(ol <= il and ih <= oh for ol, oh, il, ih in
-               zip(outer[0], outer[1], inner[0], inner[1]))
-
-
-def _subtract_box(box: Box, cutter: Box) -> list[Box]:
-    """Closed pieces of `box` not covered by the closed `cutter`."""
-    if not _interiors_overlap(box, cutter):
-        if _box_contains_box(cutter, box):
-            return []
-        return [box]
-    pieces: list[Box] = []
-    lo = list(box[0])
-    hi = list(box[1])
-    for ax, (cl, ch) in enumerate(zip(cutter[0], cutter[1])):
-        if lo[ax] < cl:
-            left = (tuple(lo), tuple(hi[:ax] + [cl] + hi[ax + 1:]))
-            if left[0][ax] < left[1][ax]:
-                pieces.append(left)
-            lo[ax] = cl
-        if ch < hi[ax]:
-            right = (tuple(lo[:ax] + [ch] + lo[ax + 1:]), tuple(hi))
-            if right[0][ax] < right[1][ax]:
-                pieces.append(right)
-            hi[ax] = ch
-    # whatever is left of [lo, hi] lies inside the cutter and is dropped
-    return pieces
 
 
 def _merge_intervals(boxes: Iterable[Box]) -> tuple[Box, ...]:
@@ -120,8 +89,7 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # pairs per block of every blocked kernel, read at call time: point x box
-# in `_by_blocks`, box x box in `_cut_by_earlier`, source x target in
-# `spacetime.cone_blocks`, which `spacetime.window_blocks` asks once a run
+# in `_by_blocks`, source x target in `spacetime.cone_blocks`, which `spacetime.window_blocks` asks once a run
 # of axis-0 windows.
 # Against the former bounds (4M-pair graph blocks, 65,536-entry box blocks,
 # 8192-pair reach runs), 5 alternating 8 s pairs on a 2-core VM read
@@ -198,92 +166,10 @@ def _box_distance2(pts: np.ndarray, lo: np.ndarray,
     return np.minimum.reduce(dist2, axis=1, initial=np.inf)
 
 
-def _carve(box: Box, cutters_lo: np.ndarray, cutters_hi: np.ndarray,
-           cutters: Sequence[Box]) -> list[Box]:
-    """Closed pieces of `box` outside every cutter, cut in cutter order.
-
-    `cutters_lo` / `cutters_hi` hold the corners of `cutters`, one row
-    each.  Only cutters whose closed box meets `box` are applied: every
-    piece lies inside `box`, and `_subtract_box` returns a piece unchanged
-    when its closed box misses the cutter's, so the rest cannot change
-    the pieces or their order.
-    """
-    touching = np.flatnonzero(
-        np.all((cutters_lo <= box[1]) & (cutters_hi >= box[0]), axis=1))
-    frags = [box]
-    for i in touching.tolist():
-        frags = [p for f in frags for p in _subtract_box(f, cutters[i])]
-        if not frags:
-            break
-    return frags
-
-
-def _cut_by_earlier(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask of the boxes, given by (B, d) corners, that some earlier box
-    cuts: their interiors overlap, or the earlier box holds the box (a
-    repeat, a face, a point).  These are the two cases in which
-    `_subtract_box` does not return a box unchanged.  One vectorised pass
-    in blocks of rows against all earlier boxes, one axis at a time."""
-    n, dim = lo.shape
-    cut = np.zeros(n, dtype=bool)
-    step = max(1, BLOCK_PAIRS // max(n, 1))
-    for start in range(1, n, step):
-        stop = min(n, start + step)
-        # rows: the boxes start..stop-1; columns: the boxes before stop
-        overlap = np.arange(stop) < np.arange(start, stop)[:, None]
-        holds = overlap.copy()
-        for ax in range(dim):
-            b_lo, b_hi = lo[start:stop, ax, None], hi[start:stop, ax, None]
-            e_lo, e_hi = lo[:stop, ax], hi[:stop, ax]
-            overlap &= e_lo < b_hi
-            overlap &= b_lo < e_hi
-            holds &= e_lo <= b_lo
-            holds &= b_hi <= e_hi
-        cut[start:stop] = np.logical_or.reduce(overlap | holds, axis=1)
-    return cut
-
-
-def _disjointify(boxes: Sequence[Box]) -> tuple[Box, ...]:
-    """Split `boxes` into closed boxes with pairwise disjoint interiors.
-
-    Each box, in input order, is carved by the fragments accepted before
-    it, in acceptance order.  Every accepted fragment lies inside an
-    earlier input box, so a box that no earlier input box cuts
-    (`_cut_by_earlier`, one vectorised pass) is accepted as it stands:
-    no fragment can cut it either.  A region none of whose boxes an
-    earlier one cuts, such as a scenario's detector region, is therefore
-    read without a carve.  Exact: `_carve` skips only fragments that `_subtract_box`
-    would pass through unchanged, so the result is the full O(B^2)
-    carve's, box for box and in order.  Cost: the corners of the
-    accepted fragments sit in two arrays that double as they fill, so
-    each cut box takes one vectorised compare against all of them, and
-    Python carving only against the fragments whose closed box meets it.
-    """
-    if not boxes:
-        return ()
-    dim = len(boxes[0][0])
-    cut = _cut_by_earlier(*_corners(boxes, dim)).tolist()
-    if not any(cut):
-        return tuple(boxes)
-    out: list[Box] = []
-    lo = np.empty((16, dim))
-    hi = np.empty((16, dim))
-    for box, is_cut in zip(boxes, cut):
-        n = len(out)
-        frags = _carve(box, lo[:n], hi[:n], out) if is_cut else [box]
-        m = n + len(frags)
-        if m > len(lo):
-            grow = np.empty((max(2 * len(lo), m) - n, dim))
-            lo = np.concatenate([lo[:n], grow])
-            hi = np.concatenate([hi[:n], grow])
-        lo[n:m], hi[n:m] = _corners(frags, dim)
-        out.extend(frags)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Region:
-    """Finite union of closed axis-aligned boxes with disjoint interiors."""
+    """Finite union of closed axis-aligned boxes, which may overlap: in
+    d = 1 merged intervals, in d >= 2 the boxes given less exact repeats."""
 
     boxes: tuple[Box, ...]
     dim: int
@@ -309,7 +195,8 @@ class Region:
             raise ValueError("boxes have mixed dimensions")
         if dim == 1:
             return Region(_merge_intervals(norm), 1)
-        return Region(_disjointify(norm), dim)
+        # exact repeats go, the first kept; of -0.0 and 0.0 the first given
+        return Region(tuple(dict.fromkeys(norm)), dim)
 
     @staticmethod
     def interval(a: float, b: float) -> "Region":
@@ -330,13 +217,12 @@ class Region:
         `from_boxes`: both ends are nondecreasing in x, so this is the
         order in which `from_boxes` would sort the boxes, and the runs are
         its boxes.  In d >= 2 one dict pass keeps the first of equal
-        points (of -0.0 and 0.0 the first given).  With halfwidth 0 the
-        boxes are degenerate, no two of which meet, so the carve of
-        `from_boxes` would return them unchanged and is skipped; and
-        p - h and p + h are p itself unless p has a zero coordinate
-        (-0.0 + 0.0 is 0.0), so only such a point is worked out one
-        coordinate at a time.  Either way the checks of `from_boxes`
-        (finite corners, one dimension) still run.
+        points (of -0.0 and 0.0 the first given), so the boxes are those
+        of `from_boxes` in the same order.  With halfwidth 0, p - h and
+        p + h are p itself unless p has a zero coordinate (-0.0 + 0.0 is
+        0.0), so only such a point is worked out one coordinate at a
+        time, and the checks of `from_boxes` (finite corners, one
+        dimension) run on the points directly.
         """
         points = list(points)
         if dim is None:
@@ -380,17 +266,10 @@ class Region:
         """Vectorised membership for an (n, d) array of points."""
         return points_in_boxes(points, *self.corners)
 
-    # -- algebra -----------------------------------------------------------
-
-    def covers(self, other: "Region") -> bool:
-        """True if every point of `other` lies in this region (exact)."""
-        if self.dim != other.dim:
-            raise ValueError("region dimensions differ")
-        lo, hi = self.corners
-        return not any(_carve(box, lo, hi, self.boxes) for box in other.boxes)
-
     def sample_points(self, resolution: float) -> np.ndarray:
-        """Cell centers of a per-box grid no coarser than `resolution`."""
+        """Cell centers of a per-box grid no coarser than `resolution`,
+        box by box in order; where boxes overlap, the overlap is sampled
+        once per box."""
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         lo, hi = self.corners

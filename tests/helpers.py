@@ -472,3 +472,67 @@ def random_record(rng: np.random.Generator, depth: int = 0):
         return tuple(items)
     keys = [ODD_STRINGS[rng.integers(1, 3)] + str(i) for i in range(size)]
     return dict(zip(keys, items))
+
+
+# -- the box carve, kept as an oracle ------------------------------------------
+
+def _interiors_overlap(a, b) -> bool:
+    return all(al < bh and bl < ah for (al, ah), (bl, bh) in
+               zip(zip(a[0], a[1]), zip(b[0], b[1])))
+
+
+def _box_contains_box(outer, inner) -> bool:
+    return all(ol <= il and ih <= oh for ol, oh, il, ih in
+               zip(outer[0], outer[1], inner[0], inner[1]))
+
+
+def subtract_box(box, cutter) -> list:
+    """Closed pieces of `box` not covered by the closed `cutter`."""
+    if not _interiors_overlap(box, cutter):
+        if _box_contains_box(cutter, box):
+            return []
+        return [box]
+    pieces = []
+    lo = list(box[0])
+    hi = list(box[1])
+    for ax, (cl, ch) in enumerate(zip(cutter[0], cutter[1])):
+        if lo[ax] < cl:
+            left = (tuple(lo), tuple(hi[:ax] + [cl] + hi[ax + 1:]))
+            if left[0][ax] < left[1][ax]:
+                pieces.append(left)
+            lo[ax] = cl
+        if ch < hi[ax]:
+            right = (tuple(lo[:ax] + [ch] + lo[ax + 1:]), tuple(hi))
+            if right[0][ax] < right[1][ax]:
+                pieces.append(right)
+            hi[ax] = ch
+    # whatever is left of [lo, hi] lies inside the cutter and is dropped
+    return pieces
+
+
+def _carve(box, cutters) -> list:
+    """Closed pieces of `box` outside every cutter, cut in cutter order."""
+    frags = [box]
+    for cutter in cutters:
+        frags = [p for f in frags for p in subtract_box(f, cutter)]
+        if not frags:
+            break
+    return frags
+
+
+def oracle_disjointify(boxes) -> tuple:
+    """The full carve: each box, in input order, cut by every fragment
+    accepted before it; the fragments have pairwise disjoint interiors and
+    cover the same union."""
+    out = []
+    for box in boxes:
+        out.extend(_carve(box, out))
+    return tuple(out)
+
+
+def oracle_covers(outer: Region, inner: Region) -> bool:
+    """True if every point of `inner` lies in `outer`: each of `inner`'s
+    boxes carved by all of `outer`'s leaves nothing."""
+    if outer.dim != inner.dim:
+        raise ValueError("region dimensions differ")
+    return not any(_carve(box, outer.boxes) for box in inner.boxes)

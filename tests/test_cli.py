@@ -936,8 +936,8 @@ GOLDEN = {
 
 
 # the same on tests/data/annulus_64.json, `make_annulus_scenario(64)`: a
-# d = 2 detector region of 248 boxes and a cover by ten senders, written
-# before a canonical K was read without its carve
+# d = 2 detector region of 248 boxes with disjoint interiors (the ring's 64
+# overlapping boxes carved) and a cover by ten senders
 GOLDEN_D2 = {
     "check_all_annulus_64": ("check", "all", "annulus_64.json"),
     "protocol_annulus_64": ("protocol", "annulus_64.json"),
@@ -961,6 +961,32 @@ def test_d1_records_match_golden(name, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN_D2))
 def test_d2_records_match_golden(name, capsys):
     _matches_golden(capsys, name, GOLDEN_D2[name])
+
+
+def test_uncarved_annulus_k_matches_golden(tmp_path, capsys):
+    # K as the ring's 64 overlapping boxes, not the file's 248 carved ones:
+    # the same union, so `check all` writes the golden record less its
+    # input digest, and `protocol` still needs several senders
+    payload = json.loads((DATA / "annulus_64.json").read_text())
+    payload["measurement"]["K"] = \
+        protocol.make_annulus_scenario(64)[0].K.to_json()
+    assert len(payload["measurement"]["K"]) == 64
+    path = write_scenario(tmp_path, payload)
+
+    def without_digest(out):
+        return "".join(line for line in out.splitlines(keepends=True)
+                       if "input_digest" not in line)
+
+    code, out, _ = run_cli(capsys, "check", "all", "--scenario", path)
+    assert code == 0
+    want = (DATA / "check_all_annulus_64.out").read_text()
+    assert without_digest(_without_clock(out)) == without_digest(want)
+    code, out, _ = run_cli(capsys, "protocol", "--scenario", path)
+    assert code == 0
+    res = parse_record(out)["result"]
+    assert res["constructed"] is True and res["problems"] == []
+    assert res["protocol"]["k"] > 1
+    assert res["protocol"]["K"] == payload["measurement"]["K"]
 
 
 # stdout of `simulate-quantum` (record, then density.csv) on

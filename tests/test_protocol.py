@@ -59,7 +59,7 @@ def test_family_protocol_clauses_reverify():
 def test_protocol_readout_inside_witness():
     sc, proto = _abc_protocol(0.2, 1.0, 0.6)
     witness = find_ns_witness(sc)
-    assert witness.covers(proto.C)
+    assert helpers.oracle_covers(witness, proto.C)
 
 
 def _single_senders(sc, q, lattice):

@@ -1,5 +1,6 @@
 """Region algebra: normalization, membership, distance, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ import helpers
 from causal_lab import region
 from causal_lab.measure import SliceMeasure
 from causal_lab.protocol import make_annulus_scenario
-from causal_lab.region import (Region, _as_box, _subtract_box,
-                               points_box_distance2)
+from causal_lab.region import Region, _as_box, points_box_distance2
 from causal_lab.spacetime import CausalStructure
 from causal_lab.transport import check_ce_maxflow, recompute_deficit
 
@@ -36,13 +36,18 @@ def test_adjacent_intervals_merge():
     assert r.boxes == (((0.0,), (2.0,)),)
 
 
-def test_disjointify_2d_overlap():
-    r = Region.from_boxes([((0.0, 0.0), (2.0, 2.0)), ((1.0, 1.0), (3.0, 3.0))])
-    # total area must count the overlap once
-    area = sum((b[1][0] - b[0][0]) * (b[1][1] - b[0][1]) for b in r.boxes)
-    assert area == pytest.approx(7.0)
+def test_overlapping_boxes_2d():
+    boxes = (((0.0, 0.0), (2.0, 2.0)), ((1.0, 1.0), (3.0, 3.0)))
+    r = Region.from_boxes(boxes)
+    # in d >= 2 the boxes stand as given, overlap and all
+    assert r.boxes == boxes
     assert r.contains((2.5, 2.5)) and r.contains((0.5, 0.5))
+    assert r.contains((1.5, 1.5))
     assert not r.contains((0.5, 2.5))
+    # the same union carved into disjoint interiors counts the overlap once
+    carved = helpers.oracle_disjointify(r.boxes)
+    area = sum((b[1][0] - b[0][0]) * (b[1][1] - b[0][1]) for b in carved)
+    assert area == pytest.approx(7.0)
 
 
 def test_degenerate_point_boxes():
@@ -89,18 +94,19 @@ def test_union_and_covers():
     a = Region.interval(0.0, 1.0)
     b = Region.interval(2.0, 3.0)
     u = Region.from_boxes(a.boxes + b.boxes)
-    assert u.covers(a) and u.covers(b)
-    assert not a.covers(u)
+    covers = helpers.oracle_covers
+    assert covers(u, a) and covers(u, b)
+    assert not covers(a, u)
     v = Region.from_boxes(b.boxes + a.boxes)
-    assert u.covers(v) and v.covers(u)
+    assert covers(u, v) and covers(v, u)
 
 
 def test_covers_needs_full_containment():
     outer = Region.interval(0.0, 10.0)
     inner = Region.from_boxes([((1.0,), (2.0,)), ((8.0,), (9.0,))])
     straddle = Region.interval(9.0, 11.0)
-    assert outer.covers(inner)
-    assert not outer.covers(straddle)
+    assert helpers.oracle_covers(outer, inner)
+    assert not helpers.oracle_covers(outer, straddle)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -141,33 +147,7 @@ def test_inverted_box_rejected():
         Region.from_boxes([((1.0,), (0.0,))])
 
 
-# -- the prefiltered carve against the full O(B^2) carve ----------------------
-
-def _oracle_disjointify(boxes):
-    """The full carve: every box against every fragment accepted before it."""
-    out = []
-    for box in boxes:
-        frags = [box]
-        for existing in out:
-            frags = [p for f in frags for p in _subtract_box(f, existing)]
-            if not frags:
-                break
-        out.extend(frags)
-    return tuple(out)
-
-
-def _oracle_covers(self, other):
-    """The full carve of each of `other`'s boxes by all of `self`'s."""
-    for box in other.boxes:
-        frags = [box]
-        for mine in self.boxes:
-            frags = [p for f in frags for p in _subtract_box(f, mine)]
-            if not frags:
-                break
-        if frags:
-            return False
-    return True
-
+# -- the boxes as given against the full O(B^2) carve -------------------------
 
 _LATTICE = np.arange(7) * 0.5
 
@@ -207,88 +187,120 @@ def _random_box_set(rng, dim):
     return boxes
 
 
+def _probe_points(rng, dim, *box_sets):
+    """Every corner, centre and face midpoint of the boxes, the corners
+    nudged one ulp (out along every axis, and along a random mix), and
+    uniform points around them."""
+    boxes = [b for bs in box_sets for b in bs]
+    lo, hi = region._corners(boxes, dim)
+    pick = np.array(list(itertools.product((False, True), repeat=dim)))
+    corners = np.where(pick[None], hi[:, None], lo[:, None]).reshape(-1, dim)
+    mid = (lo + hi) / 2.0
+    faces = []
+    for ax in range(dim):
+        for side in (lo, hi):
+            face = mid.copy()
+            face[:, ax] = side[:, ax]
+            faces.append(face)
+    mix = np.where(rng.random(corners.shape) < 0.5, -np.inf, np.inf)
+    nudged = [np.nextafter(corners, -np.inf), np.nextafter(corners, np.inf),
+              np.nextafter(corners, mix)]
+    spread = rng.uniform(lo.min() - 0.5, hi.max() + 0.5, size=(200, dim))
+    return np.concatenate([corners, mid, *faces, *nudged, spread])
+
+
+def _assert_same_union(region, carved, probes):
+    """Membership and nearest-box distance, bit for bit."""
+    assert np.array_equal(region.contains_points(probes),
+                          carved.contains_points(probes))
+    assert (points_box_distance2(probes, *region.corners).tobytes()
+            == points_box_distance2(probes, *carved.corners).tobytes())
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_carve_matches_full_carve(seed):
+    # the boxes as given answer every point as the full carve of the same
+    # boxes does: each fragment lies in its input box, and a box's nearest
+    # point lies in some fragment, so neither verdict can move
     rng = np.random.default_rng([seed, 31])
     for trial in range(100):
         dim = 2 + trial % 2
         boxes = _random_box_set(rng, dim)
-        region = Region.from_boxes(boxes)
-        assert region.boxes == _oracle_disjointify(boxes)
-        # covers: against itself, a piece of its input, and a fresh set
+        got = Region.from_boxes(boxes)
+        carved = Region(helpers.oracle_disjointify(boxes), dim)
+        _assert_same_union(got, carved,
+                           _probe_points(rng, dim, boxes, carved.boxes))
+        # covers, by the oracle: both ways, and against a piece of the input
+        assert helpers.oracle_covers(got, carved)
+        assert helpers.oracle_covers(carved, got)
         part = [boxes[i] for i in range(len(boxes)) if rng.random() < 0.5]
-        fresh = _random_box_set(rng, dim)
-        for other in (region, Region.from_boxes(part, dim),
-                      Region.from_boxes(fresh, dim), Region.empty(dim)):
-            assert region.covers(other) == _oracle_covers(region, other)
-            assert other.covers(region) == _oracle_covers(other, region)
+        assert helpers.oracle_covers(got, Region.from_boxes(part, dim))
 
 
-def _cuts(boxes):
-    """Per box, whether `_subtract_box` changes it against an earlier one."""
-    return [any(_subtract_box(box, earlier) != [box]
-                for earlier in boxes[:i])
-            for i, box in enumerate(boxes)]
+@pytest.mark.parametrize("segments", [8, 12, 16, 32, 64])
+def test_annulus_k_matches_full_carve(segments):
+    # the ring's boxes overlap their neighbours from 32 segments on
+    K = make_annulus_scenario(segments)[0].K
+    assert len(K.boxes) == segments
+    carved = Region(helpers.oracle_disjointify(K.boxes), 2)
+    if segments >= 32:
+        assert len(carved.boxes) > segments
+    rng = np.random.default_rng([segments, 37])
+    _assert_same_union(K, carved, _probe_points(rng, 2, K.boxes,
+                                                carved.boxes))
 
 
 def _carved_regions():
     """Seeded carved regions (degenerate, point and repeated boxes among
-    their inputs) in d = 2 and 3, and the annulus detector regions."""
+    their inputs) in d = 2 and 3, and the carved annulus detector
+    regions."""
     rng = np.random.default_rng(53)
     for trial in range(200):
-        yield Region.from_boxes(_random_box_set(rng, 2 + trial % 2))
+        dim = 2 + trial % 2
+        yield Region(helpers.oracle_disjointify(_random_box_set(rng, dim)),
+                     dim)
     for segments in (8, 12, 16, 32, 64):
-        yield make_annulus_scenario(segments)[0].K
+        K = make_annulus_scenario(segments)[0].K
+        yield Region(helpers.oracle_disjointify(K.boxes), 2)
 
 
-def test_canonical_region_reads_back_unchanged():
-    # a region none of whose boxes an earlier one cuts is read back box
-    # for box.  The carve can leave a flat sliver on the faces of earlier
-    # fragments (a degenerate input box split around a cutter's plane);
-    # such a region is read back as the full carve reads it, sliver gone
-    canonical = 0
+def test_region_reads_back_unchanged():
+    # a region is read back box for box.  The carve was not: it can leave
+    # a flat sliver on the faces of earlier fragments (a degenerate input
+    # box split around a cutter's plane), which carving again drops
+    recarved = 0
     for r in _carved_regions():
-        again = Region.from_boxes(r.boxes, r.dim)
-        assert again.boxes == _oracle_disjointify(r.boxes)
-        if not any(_cuts(r.boxes)):
-            canonical += 1
-            assert again.boxes == r.boxes
-            assert Region.from_json(r.to_json(), r.dim) == r
-    assert canonical > 180
+        assert Region.from_json(r.to_json(), r.dim) == r
+        recarved += helpers.oracle_disjointify(r.boxes) != r.boxes
+    assert recarved > 0
+    rng = np.random.default_rng(67)
+    for trial in range(200):
+        dim = 1 + trial % 3
+        r = Region.from_boxes(_random_box_set(rng, dim), dim)
+        assert Region.from_json(r.to_json(), r.dim) == r
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_cut_mask_matches_subtract_box(seed, monkeypatch):
-    # a box is marked exactly when `_subtract_box` would not return it
-    # unchanged from some earlier input box; blocks of one to a few rows
-    rng = np.random.default_rng([seed, 47])
-    for trial in range(60):
+def test_from_boxes_keeps_order_less_repeats():
+    rng = np.random.default_rng(71)
+    repeats = 0
+    for trial in range(200):
         dim = 2 + trial % 2
         boxes = _random_box_set(rng, dim)
-        lo, hi = region._corners(boxes, dim)
-        for pairs in (region.BLOCK_PAIRS, 1, 3 * len(boxes)):
-            monkeypatch.setattr(region, "BLOCK_PAIRS", pairs)
-            assert region._cut_by_earlier(lo, hi).tolist() == _cuts(boxes)
-
-
-def test_canonical_region_is_read_without_a_carve(monkeypatch):
-    # reading back a region none of whose boxes an earlier one cuts makes
-    # no `_carve` call; raw overlapping boxes are still carved
-    regions = [r for r in _carved_regions() if not any(_cuts(r.boxes))]
-    calls = []
-    carve = region._carve
-
-    def counted(*args):
-        calls.append(args[0])
-        return carve(*args)
-
-    monkeypatch.setattr(region, "_carve", counted)
-    for r in regions:
-        Region.from_json(r.to_json(), r.dim)
-    assert calls == []
-    Region.from_boxes([((0.0, 0.0), (2.0, 2.0)), ((1.0, 1.0), (3.0, 3.0))])
-    assert calls == [((1.0, 1.0), (3.0, 3.0))]
-    assert sum(len(r.boxes) for r in regions) > 1000
+        got = Region.from_boxes(boxes).boxes
+        # first occurrences, in input order
+        want = tuple(b for i, b in enumerate(boxes) if b not in boxes[:i])
+        assert got == want
+        repeats += len(got) < len(boxes)
+    assert repeats > 20
+    # of boxes equal but for the sign of a zero, the first given is kept
+    neg = ((-0.0, 1.0), (0.0, 2.0))
+    pos = ((0.0, 1.0), (0.0, 2.0))
+    other = ((1.0, 1.0), (2.0, 2.0))
+    for boxes in ([neg, other, pos, other], [pos, neg, other]):
+        got = Region.from_boxes(boxes, 2)
+        first = boxes[0]
+        assert (_signed_boxes(got)
+                == _signed_boxes(Region((first, other), 2)))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -326,10 +338,9 @@ def _signed_boxes(region: Region):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(6))
 def test_point_boxes_match_carved_boxes(dim, seed):
-    # distinct points are boxes that meet no other, so point_boxes skips the
-    # carve in d >= 2, and in d = 1 merges the sorted points' intervals in
-    # one pass; from_boxes on the same boxes must still give them box for
-    # box.  Points sit half a unit apart, so cells of halfwidth 0.25 touch.
+    # point_boxes keeps each distinct point once in d >= 2, and in d = 1
+    # merges the sorted points' intervals in one pass; from_boxes on the
+    # same boxes must give them box for box.  Points sit half a unit apart, so cells of halfwidth 0.25 touch.
     rng = np.random.default_rng([seed, dim, 61])
     pts = rng.integers(-3, 4, (int(rng.integers(1, 60)), dim)) / 2.0
     pts = pts[rng.integers(0, len(pts), 2 * len(pts))]  # duplicates

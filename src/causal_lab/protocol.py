@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,14 @@ from .spacetime import (
     CausalStructure,
     Event,
     SliceFuture,
+    _cone_windows,
     boost,
     causally_precedes,
     cone_blocks,
+    cone_radius,
     inverse,
     region_precedes_event,
-    window_blocks,
+    squared_cone_radius,
 )
 
 # `simulate_signalling` holds a few numpy arrays of one entry a trial, about
@@ -83,15 +86,19 @@ class LatticeSpec:
             raise ValueError("cover resolution must be positive")
 
     def q_candidates(self) -> np.ndarray:
-        return _lattice(self.q_lo, self.q_hi, self.q_points)
+        return _lattice(_axes(self.q_lo, self.q_hi, self.q_points))
 
     def p_candidates(self) -> np.ndarray:
-        return _lattice(self.p_lo, self.p_hi, self.p_points)
+        return _lattice(_axes(self.p_lo, self.p_hi, self.p_points))
 
 
-def _lattice(lo: tuple[float, ...], hi: tuple[float, ...],
-             n: int) -> np.ndarray:
-    axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+def _axes(lo: tuple[float, ...], hi: tuple[float, ...],
+          n: int) -> list[np.ndarray]:
+    return [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+
+
+def _lattice(axes: list[np.ndarray]) -> np.ndarray:
+    """(n**d, d) lattice positions, the last axis running fastest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -149,10 +156,12 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     the receiver's chronological past.  Senders are picked greedily until
     their chronological futures cover K's sample points: each time the
     candidate that reaches the most points not yet covered, the first one
-    on a tie.  Those counts are taken once and, after each pick, lowered
-    by the newly covered points alone.  Candidates that causally precede
-    the receiver are never eligible.  Lattice exhaustion means "not found
-    at this resolution", not nonexistence.
+    in lattice order on a tie.  The reach is kept as intervals on lattice
+    lines (`_sender_reach`), and the counts are taken once from them and,
+    after each pick, lowered by the newly covered points' intervals
+    alone (`_greedy_cover`).  Candidates that causally precede the
+    receiver are never eligible.  Lattice exhaustion means "not found at
+    this resolution", not nonexistence.
     """
     cs = sc.cs
     s_time, t_time = sc.s_time, sc.t_time
@@ -197,24 +206,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     q = _event(lattice.q_time, q_xs[j])
     c_region = Region.point_boxes(pts[sel], sc.nu0.dim, halfwidth=half)
 
-    cand_xs, _, cover_pts, reach = _sender_reach(sc, q, lattice)
-    senders: list[Event] = []
-    covered = np.zeros(len(cover_pts), dtype=bool)
-    # each candidate's count of the points it reaches that are not covered
-    gains = np.count_nonzero(reach, axis=1)
-    while not covered.all():
-        pick = int(np.argmax(gains))
-        if gains[pick] == 0:
-            missing = cover_pts[~covered][0]
-            raise ProtocolSearchError(
-                "no eligible sender reaches the sample point at "
-                f"{tuple(float(v) for v in missing)}; not found at this "
-                f"resolution (slice t={lattice.p_time}, "
-                f"{lattice.p_points} points per axis)")
-        senders.append(_event(lattice.p_time, cand_xs[pick]))
-        new = reach[pick] & ~covered
-        covered |= new
-        gains -= np.count_nonzero(reach[:, new], axis=1)
+    senders = _greedy_cover(_sender_reach(sc, q, lattice), lattice)
     proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
                                senders=tuple(senders), channel_gap=gap)
     problems = audit_protocol(proto, sc, lattice.cover_resolution)
@@ -224,34 +216,131 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     return proto
 
 
-def _sender_reach(sc: MeasurementScenario, q: Event, lattice: LatticeSpec):
-    """Sender candidates and which of K's sample points each one reaches.
+class SenderReach(NamedTuple):
+    """Which of K's sample points each sender candidate reaches, as
+    intervals on the lines of the sender lattice.
 
-    Returns the lattice positions on the sender slice, whether each may send
-    (it does not causally precede q), K's sample points, and the boolean
-    (candidates, points) matrix of points strictly inside each candidate's
-    chronological future; a candidate that may not send reaches nothing.
+    `cand_xs` are the lattice positions in lattice order, `eligible` marks
+    the candidates that may send (they do not causally precede q), and
+    `cover_pts` are K's sample points.  Each axis is taken in its stable
+    sorted order, `order[k]` holding axis k's lattice indices in that
+    order; a line fixes the sorted index of every axis but the last and
+    is numbered by those indices ravelled.  Sample point `point[i]` is
+    strictly inside the chronological future of the candidates at sorted
+    last-axis indices lo[i] .. hi[i] - 1 of line `line[i]`, and of no
+    other candidate on that line.  The intervals come point by point and
+    each point's line by line; none is empty, and they take no notice of
+    `eligible`.
+    """
 
-    The eligible candidates and the points go in any order through
-    `spacetime.window_blocks`, which settles every pair of each
-    candidate's open axis-0 window by the `sum_squares` test of
-    `cone_blocks` on the same operands and names the rows and columns of
-    each block, so the matrix is that kernel's over all pairs, bit for bit.
+    cand_xs: np.ndarray
+    eligible: np.ndarray
+    cover_pts: np.ndarray
+    order: tuple[np.ndarray, ...]
+    point: np.ndarray
+    line: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _sender_reach(sc: MeasurementScenario, q: Event,
+                  lattice: LatticeSpec) -> SenderReach:
+    """Sender candidates, and K's sample points in each one's
+    chronological future as intervals on lattice lines.
+
+    The reach is found axis by axis over rows of a point and the sorted
+    indices of the axes before: `spacetime._cone_windows` gives each row
+    the window of the next axis where its partial sum s plus that axis's
+    d * d stays below r * r, and each window index becomes a row of the
+    next axis with that sum.  The operands, the order of the additions
+    (0.0 + d0 * d0, then + d1 * d1, ...) and the bound are those of the
+    open `cone_blocks`, whose sum only grows with each axis, so every
+    pair is decided as that kernel decides it, bit for bit.  Along a
+    line the sum falls and then rises, so the candidates a point reaches
+    there are one interval.  No array holds candidates x points entries.
     """
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
-    cand_xs = lattice.p_candidates()
+    axes = _axes(lattice.p_lo, lattice.p_hi, lattice.p_points)
+    cand_xs = _lattice(axes)
     # the candidates in q's past cone: the same distances, in one block
     eligible = ~next(cone_blocks([q.x], q.t - lattice.p_time, sc.cs,
                                  cand_xs))[0]
     dt = sc.s_time - lattice.p_time
-    rows = np.flatnonzero(eligible)
-    # column-major, as the greedy cover of `construct_protocol` gathers
-    # the columns of newly covered points
-    reach = np.zeros((len(cand_xs), len(cover_pts)), dtype=bool, order="F")
-    for r, c, block in window_blocks(cand_xs[rows], dt, sc.cs, cover_pts,
-                                     open_cone=True):
-        reach[rows[r, None], c] = block
-    return cand_xs, eligible, cover_pts, reach
+    r2 = squared_cone_radius(dt, sc.cs, open_cone=True)
+    radius = cone_radius(dt, sc.cs, open_cone=True)
+    order = tuple(np.argsort(a, kind="stable") for a in axes)
+    n = lattice.p_points
+    point = np.arange(len(cover_pts))
+    line = np.zeros(len(cover_pts), dtype=np.intp)
+    partial = np.zeros(len(cover_pts))
+    for k, ax in enumerate(a[o] for a, o in zip(axes, order)):
+        y = cover_pts[point, k]
+        lo, hi = _cone_windows(y, ax, radius, r2, partial)
+        if k == len(axes) - 1:
+            break
+        # one row per window index, in row order, each index ascending
+        counts = hi - lo
+        rows = np.repeat(np.arange(len(lo)), counts)
+        idx = np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts)
+                                               + counts, counts)
+        point, line = point[rows], line[rows] * n + idx
+        d = ax[idx] - y[rows]
+        partial = partial[rows] + d * d
+        # inside the cone, so r2 - partial > 0; the rims are settled exactly
+        radius = np.sqrt(r2 - partial)
+    keep = lo < hi
+    return SenderReach(cand_xs, eligible, cover_pts, order, point[keep],
+                       line[keep], lo[keep], hi[keep])
+
+
+def _greedy_cover(reach: SenderReach, lattice: LatticeSpec) -> list[Event]:
+    """Senders picked until their futures cover all of K's sample points.
+
+    Each pick is the eligible candidate that reaches the most points not
+    yet covered, the first in lattice order on a tie.  The counts are
+    kept in sorted lattice order as a difference array, +1 at each
+    interval's lo and -1 at its hi on its line, summed along the lines
+    and gathered into lattice order before each pick.  The points a pick
+    covers are those with an interval on its line around its index, and
+    their intervals then leave the difference array.
+    """
+    n, dim = lattice.p_points, reach.cand_xs.shape[1]
+    width = n + 1
+    size = n ** (dim - 1) * width
+    lo_at = reach.line * width + reach.lo
+    hi_at = reach.line * width + reach.hi
+
+    def ends(sel):
+        return (np.bincount(lo_at[sel], minlength=size)
+                - np.bincount(hi_at[sel], minlength=size))
+
+    diff = ends(slice(None))
+    # each candidate's index in sorted lattice order
+    rank = np.meshgrid(*map(np.argsort, reach.order), indexing="ij")
+    perm = np.ravel_multi_index(rank, (n,) * dim).ravel()
+    cover_pts = reach.cover_pts
+    covered = np.zeros(len(cover_pts), dtype=bool)
+    senders: list[Event] = []
+    while not covered.all():
+        gains = np.cumsum(diff.reshape(-1, width)[:, :n], axis=1).ravel()[perm]
+        gains[~reach.eligible] = 0
+        pick = int(np.argmax(gains))
+        if gains[pick] == 0:
+            missing = cover_pts[~covered][0]
+            raise ProtocolSearchError(
+                "no eligible sender reaches the sample point at "
+                f"{tuple(float(v) for v in missing)}; not found at this "
+                f"resolution (slice t={lattice.p_time}, "
+                f"{lattice.p_points} points per axis)")
+        senders.append(_event(lattice.p_time, reach.cand_xs[pick]))
+        at, j = divmod(int(perm[pick]), n)
+        new = reach.point[(reach.line == at) & (reach.lo <= j)
+                          & (j < reach.hi)]
+        fresh = np.zeros(len(cover_pts), dtype=bool)
+        fresh[new] = ~covered[new]
+        covered |= fresh
+        diff -= ends(fresh[reach.point])  # every interval of those points
+    return senders
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
@@ -269,9 +358,14 @@ def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
         out.append("receiver lies in the causal future of K")
     pts = sc.K.sample_points(cover_resolution)
     covered = np.zeros(len(pts), dtype=bool)
+    # one kernel call over the senders of each slice time (and length, so
+    # that a sender of the wrong dimension fails as it would alone)
+    groups: dict[tuple[float, int], list] = {}
     for p in proto.senders:
-        covered |= next(cone_blocks([p.x], sc.s_time - p.t, cs, pts,
-                                    open_cone=True))[0]
+        groups.setdefault((p.t, len(p.x)), []).append(p.x)
+    for (t, _), xs in groups.items():
+        for block in cone_blocks(xs, sc.s_time - t, cs, pts, open_cone=True):
+            covered |= np.logical_or.reduce(block, axis=0)
     if not covered.all():
         out.append("sender futures fail to cover K's sample points")
     for p in proto.senders:

@@ -184,8 +184,9 @@ def _right_of_cone(d, r2: float):
     return (d > 0) & (d * d > r2)
 
 
-def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
-                  r2: float) -> tuple[np.ndarray, np.ndarray]:
+def _cone_windows(x: np.ndarray, y: np.ndarray, reach, r2: float,
+                  partial: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Index window [lo, hi) of sorted targets y in the cone of each x.
 
     searchsorted places the ends at x -+ reach; the closed-cone test
@@ -194,7 +195,23 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
     the test splits sorted y into left-out, inside and right-out runs,
     and both ends are nondecreasing in x.  The x need not be sorted.
     Both ends come back as int arrays.
+
+    With `partial`, one running sum s per x of the squares of earlier
+    axes, the test is instead the open one, s + d * d < r2, which is
+    `cone_blocks`' sum on this axis: the inside run is still one run, as
+    s + d * d falls and then rises along y, and `reach` may be one value
+    per x.
     """
+    if partial is None:
+        not_left, right = _not_left_of_cone, _right_of_cone
+    else:
+        def not_left(d, r2):
+            return (d >= 0) | (partial + d * d < r2)
+
+        def right(d, r2):
+            # not d > 0: at an open radius of 0 the target at d = 0 is out
+            return (d >= 0) & (partial + d * d >= r2)
+
     # guards at -inf and +inf, outside every cone, stop each end at 0 and m
     guarded = np.concatenate(([-np.inf], y, [np.inf]))
 
@@ -207,8 +224,8 @@ def _cone_windows(x: np.ndarray, y: np.ndarray, reach: float,
             end += ~stay
         return end
 
-    lo = settle(y.searchsorted(x - reach, "left"), _not_left_of_cone)
-    hi = settle(y.searchsorted(x + reach, "right"), _right_of_cone)
+    lo = settle(y.searchsorted(x - reach, "left"), not_left)
+    hi = settle(y.searchsorted(x + reach, "right"), right)
     return lo, hi
 
 
@@ -235,8 +252,8 @@ def _small_cone_windows(x: list, y: list, reach: float,
 
 
 def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
-                  targets: np.ndarray, open_cone: bool = False):
-    """`cone_blocks` over the axis-0 windows of two point sets.
+                  targets: np.ndarray):
+    """Closed-cone `cone_blocks` over the axis-0 windows of two point sets.
 
     `sources` (k, d) and `targets` (n, d) may come in any order; each is
     sorted stably on axis 0 here.  `_cone_windows` gives source i the
@@ -253,9 +270,8 @@ def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     rows = np.argsort(sources[:, 0], kind="stable")
     cols = np.argsort(targets[:, 0], kind="stable")
     src, tgt = sources[rows], targets[cols]
-    r2 = squared_cone_radius(dt, cs, open_cone)
-    lo, hi = _cone_windows(src[:, 0], tgt[:, 0],
-                           cone_radius(dt, cs, open_cone), r2)
+    lo, hi = _cone_windows(src[:, 0], tgt[:, 0], cone_radius(dt, cs),
+                           squared_cone_radius(dt, cs))
     lo, hi = lo.tolist(), hi.tolist()
     k, g = len(lo), 0
     while g < k:
@@ -265,7 +281,7 @@ def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
             key=lambda j: (j - g) * (hi[j - 1] - lo[g])))
         a, b = lo[g], hi[h - 1]
         if a < b:
-            block, = cone_blocks(src[g:h], dt, cs, tgt[a:b], open_cone)
+            block, = cone_blocks(src[g:h], dt, cs, tgt[a:b])
             yield rows[g:h], cols[a:b], block
         g = h
 

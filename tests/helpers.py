@@ -10,10 +10,10 @@ import numpy as np
 from causal_lab.conditions import MeasurementScenario
 from causal_lab.measure import (SliceMeasure, _aligned_diffs, _larger_side,
                                 mixture, restriction_distance)
-from causal_lab.protocol import LatticeSpec
+from causal_lab.protocol import LatticeSpec, make_annulus_scenario
 from causal_lab.region import Region
 from causal_lab.spacetime import (CausalStructure, SliceFuture,
-                                  causal_future_on_slice)
+                                  causal_future_on_slice, cone_radius)
 
 # fixed 1D grid geometry: K and its future land exactly on cell edges
 GRID_N = 28
@@ -536,3 +536,47 @@ def oracle_covers(outer: Region, inner: Region) -> bool:
     if outer.dim != inner.dim:
         raise ValueError("region dimensions differ")
     return not any(_carve(box, outer.boxes) for box in inner.boxes)
+
+
+# -- the sender reach ---------------------------------------------------------
+
+def rim_annulus():
+    """The 16-segment annulus with point boxes added to K on the rim of the
+    open cone of the corner columns x = -3.5 and 3.5, at y = -3.5: one ulp
+    inside it, one ulp past it, and exactly c * dt away, where the open and
+    the closed cone part ways.  Returns the scenario, its lattice and the
+    (source, target, open, closed) positions and verdicts."""
+    sc, lattice = make_annulus_scenario(16)
+    dt = sc.s_time - lattice.p_time
+    r_open = cone_radius(dt, sc.cs, open_cone=True)
+    rims = []
+    for x, side in ((-3.5, 1.0), (3.5, -1.0)):
+        inside = x + side * r_open
+        for t, reached in ((inside, True),
+                           (float(np.nextafter(inside, side * np.inf)), False),
+                           (x + side * sc.cs.c * dt, False)):
+            rims.append(((x, -3.5), (t, -3.5), reached, True))
+    boxes = list(sc.K.boxes) + [(t, t) for _, t, _, _ in rims]
+    sc = replace(sc, K=Region.from_boxes(boxes, 2))
+    return sc, lattice, rims
+
+
+def dense_reach(reach) -> np.ndarray:
+    """The boolean (candidates, points) matrix of a `protocol.SenderReach`:
+    row i, in lattice order, marks the sample points strictly inside
+    candidate i's chronological future; a candidate that may not send
+    reaches nothing."""
+    dim = len(reach.order)
+    n = len(reach.order[0])
+    counts = reach.hi - reach.lo
+    rows = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(rows)) + np.repeat(
+        reach.lo - np.cumsum(counts) + counts, counts)
+    # sorted lattice indices of each pair, then the lattice's own
+    at = np.unravel_index(reach.line[rows] * n + j, (n,) * dim)
+    cand = np.ravel_multi_index([o[i] for o, i in zip(reach.order, at)],
+                                (n,) * dim)
+    out = np.zeros((len(reach.cand_xs), len(reach.cover_pts)), dtype=bool)
+    out[cand, reach.point[rows]] = True
+    out[~reach.eligible] = False
+    return out

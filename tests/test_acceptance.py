@@ -7,8 +7,8 @@ from itertools import product
 
 import numpy as np
 
-from helpers import GRID_MODES, random_abc_triple, random_atomic_pair, \
-    random_grid_scenario
+from helpers import GRID_MODES, dense_reach, random_abc_triple, \
+    random_atomic_pair, random_grid_scenario
 from causal_lab.conditions import (evaluate_conditions, find_ns_witness,
                                    make_abc_scenario, truth_table)
 from causal_lab.protocol import (ABC_LATTICE, SignallingProtocol,
@@ -216,8 +216,8 @@ def test_criterion_08_sender_counts():
     assert len(proto2.senders) > 1
     assert audit_protocol(proto2, sc2, lat2.cover_resolution) == []
     _verify_protocol_clauses(sc2, proto2, lat2.cover_resolution)
-    _, eligible, _, reach = _sender_reach(sc2, proto2.q, lat2)
-    assert not (eligible & reach.all(axis=1)).any()
+    got = _sender_reach(sc2, proto2.q, lat2)
+    assert not (got.eligible & dense_reach(got).all(axis=1)).any()
 
     # exhaustive: no lattice event both covers the ring and avoids q
     samples = [Event(sc2.s_time, tuple(x))

@@ -945,6 +945,15 @@ GOLDEN_D2 = {
 }
 
 
+# tests/data/ring_3d.json: the 16-segment annulus lifted to d = 3 (K boxes
+# 0.22 deep on z, a 15^3 sender lattice) and a cover by nine senders;
+# written while the sender reach was still a dense matrix
+GOLDEN_D3 = {
+    "protocol_ring_3d": ("protocol", "ring_3d.json"),
+    "signal_sim_ring_3d": ("signal-sim", "ring_3d.json"),
+}
+
+
 def _matches_golden(capsys, name, command):
     *command, scenario = command
     code, out, _ = run_cli(capsys, *command, "--scenario",
@@ -961,6 +970,11 @@ def test_d1_records_match_golden(name, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN_D2))
 def test_d2_records_match_golden(name, capsys):
     _matches_golden(capsys, name, GOLDEN_D2[name])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_D3))
+def test_d3_records_match_golden(name, capsys):
+    _matches_golden(capsys, name, GOLDEN_D3[name])
 
 
 def test_uncarved_annulus_k_matches_golden(tmp_path, capsys):

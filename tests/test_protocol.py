@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+from causal_lab.cli import Scenario
 from causal_lab.conditions import (find_ns_witness, make_abc_scenario,
                                    ns_gap_support)
 from causal_lab.measure import SliceMeasure
@@ -18,7 +21,7 @@ from causal_lab.protocol import (ABC_LATTICE, LatticeSpec, ProtocolSearchError,
                                  make_annulus_scenario, round_trip_check,
                                  simulate_signalling)
 from causal_lab.region import Region
-from causal_lab.spacetime import (BoostedFrame, Event, boost,
+from causal_lab.spacetime import (EPS_CAUSAL, BoostedFrame, Event, boost,
                                   causally_precedes, chronologically_precedes,
                                   cone_blocks, inverse, region_precedes_event)
 
@@ -65,9 +68,10 @@ def test_protocol_readout_inside_witness():
 def _single_senders(sc, q, lattice):
     """The lattice events that may send and cover K's sample points alone,
     in lattice order."""
-    xs, eligible, _, reach = _sender_reach(sc, q, lattice)
+    got = _sender_reach(sc, q, lattice)
+    reach = helpers.dense_reach(got)
     return [Event(lattice.p_time, tuple(x))
-            for x in xs[eligible & reach.all(axis=1)].tolist()]
+            for x in got.cand_xs[got.eligible & reach.all(axis=1)].tolist()]
 
 
 def test_single_sender_found_on_family():
@@ -486,3 +490,116 @@ def test_protocol_matches_per_point_oracle():
                       "sender Event"):
             assert any(p.startswith(start) for p in problems), start
     assert built > 20 and 0 < found < built and failed == 2
+
+
+# -- the interval reach against the all-pairs kernel ---------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _ring_3d():
+    """tests/data/ring_3d.json: the 16-segment annulus lifted to d = 3."""
+    sc = Scenario(str(DATA / "ring_3d.json"))
+    return sc.measurement_scenario(), sc.lattice()
+
+
+def _lattice_variants(lattice, rng):
+    """The lattice with some axes descending, one axis of one repeated
+    value, a single point per axis, and the sender slice within the cone
+    slack of the source slice, where the open cone has radius 0."""
+    dim = len(lattice.p_lo)
+    flip = rng.random(dim) < 0.5
+    flip[rng.integers(dim)] = True
+    lo = tuple(np.where(flip, lattice.p_hi, lattice.p_lo).tolist())
+    hi = tuple(np.where(flip, lattice.p_lo, lattice.p_hi).tolist())
+    yield replace(lattice, p_lo=lo, p_hi=hi)
+    ax = int(rng.integers(dim))
+    v = float(rng.uniform(lattice.p_lo[ax], lattice.p_hi[ax]))
+    yield replace(lattice, p_lo=lo[:ax] + (v,) + lo[ax + 1:],
+                  p_hi=hi[:ax] + (v,) + hi[ax + 1:])
+    yield replace(lattice, p_lo=lo, p_hi=hi, p_points=1)
+    yield replace(lattice, p_time=-EPS_CAUSAL / 2)
+
+
+def _reach_cases():
+    rng = np.random.default_rng(83)
+    rim_sc, rim_lattice, _ = helpers.rim_annulus()
+    cases = [(make_abc_scenario(0.0, 1.0, 1.0), ABC_LATTICE),
+             make_annulus_scenario(16), _reweighted_annulus(32, 1),
+             (rim_sc, rim_lattice), _ring_3d()]
+    for sc, lattice in list(cases):
+        cases.extend((sc, v) for v in _lattice_variants(lattice, rng))
+    # the rim lattice turned end for end keeps its rim pairs
+    cases.append((rim_sc, replace(rim_lattice, p_lo=rim_lattice.p_hi,
+                                  p_hi=rim_lattice.p_lo)))
+    return cases
+
+
+def test_interval_reach_matches_all_pairs_kernel():
+    # the intervals, expanded, are the open cone_blocks matrix over all
+    # pairs in d = 1, 2 and 3, on ascending, descending and one-valued
+    # axes, one point per axis, rim points and an open radius of 0
+    dims, reached = set(), 0
+    for sc, lattice in _reach_cases():
+        for q_x in lattice.q_candidates()[[0, -1]]:
+            q = Event(lattice.q_time, tuple(q_x.tolist()))
+            got = _sender_reach(sc, q, lattice)
+            events, eligible, cover_pts, want = _oracle_sender_reach(
+                sc, q, lattice)
+            assert np.array_equal(got.cand_xs, lattice.p_candidates())
+            assert np.array_equal(got.eligible, eligible)
+            assert np.array_equal(got.cover_pts, cover_pts)
+            assert np.array_equal(helpers.dense_reach(got), want)
+            # one nonempty interval a point and line, point by point
+            assert (got.lo < got.hi).all()
+            key = got.point * len(got.cand_xs) + got.line
+            assert (np.diff(key) > 0).all()
+            dims.add(sc.cs.dim)
+            reached += bool(want.any())
+        if lattice.p_time > -EPS_CAUSAL:
+            assert not got.point.size  # an open radius of 0 reaches nothing
+    assert dims == {1, 2, 3} and reached > 20
+
+
+def test_sender_reach_holds_no_dense_matrix():
+    # the 64-segment ring on a 300 x 300 sender lattice: the dense
+    # (candidates, points) matrix alone would be 111 MB
+    sc, lattice = make_annulus_scenario(64)
+    lattice = replace(lattice, p_points=300)
+    witness = find_ns_witness(sc)
+    tracemalloc.start()
+    try:
+        proto = construct_protocol(sc, witness, lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(proto.senders) > 1
+    assert peak < 50e6
+
+
+def test_construct_matches_oracle_on_lattice_variants():
+    # the greedy cover on the intervals against the dense oracle: ties
+    # go to the lowest lattice index on descending and one-valued axes
+    rng = np.random.default_rng(89)
+    abc = make_abc_scenario(0.2, 1.0, 0.6)
+    ring_sc, ring_lattice = _ring_3d()
+    cases = [(abc, ABC_LATTICE), (ring_sc, ring_lattice)]
+    cases += [_reweighted_annulus(int(s), int(seed)) for s, seed in
+              zip(rng.choice([8, 16, 24], 3), rng.integers(0, 100, 3))]
+    cases = [(sc, lat) for sc, lattice in cases
+             for lat in [lattice, *_lattice_variants(lattice, rng)]]
+    # one-valued axes on which a cover exists: every candidate of the
+    # d = 1 lattice at x = -0.6, and the d = 3 lattice on the plane z = 0
+    # with its other axes descending
+    at = replace(ABC_LATTICE, p_lo=(-0.6,), p_hi=(-0.6,))
+    cases += [(abc, at), (abc, replace(at, p_points=1))]
+    cases += [(ring_sc, replace(ring_lattice, p_lo=lo, p_hi=hi)) for lo, hi
+              in (((3.5, -3.5, 0.0), (-3.5, 3.5, 0.0)),
+                  ((3.5, 3.5, 0.0), (-3.5, -3.5, 0.0)))]
+    built = 0
+    for sc, lattice in cases:
+        witness = find_ns_witness(sc)
+        proto = _outcome(construct_protocol, sc, witness, lattice)
+        assert proto == _outcome(_oracle_construct, sc, witness, lattice)
+        built += isinstance(proto, SignallingProtocol)
+    assert built >= 14

@@ -388,35 +388,14 @@ def test_flow_network_windows_match_oracle(block, monkeypatch):
         assert 0 < net.num_edges < len(src) * len(tgt), name
 
 
-def _rim_annulus():
-    """The 16-segment annulus with point boxes added to K on the rim of the
-    open cone of the corner columns x = -3.5 and 3.5, at y = -3.5: one ulp
-    inside it, one ulp past it, and exactly c * dt away, where the open and
-    the closed cone part ways.  Returns the scenario, its lattice and the
-    (source, target, open, closed) positions and verdicts."""
-    sc, lattice = make_annulus_scenario(16)
-    dt = sc.s_time - lattice.p_time
-    r_open = spacetime.cone_radius(dt, sc.cs, open_cone=True)
-    rims = []
-    for x, side in ((-3.5, 1.0), (3.5, -1.0)):
-        inside = x + side * r_open
-        for t, reached in ((inside, True),
-                           (float(np.nextafter(inside, side * np.inf)), False),
-                           (x + side * sc.cs.c * dt, False)):
-            rims.append(((x, -3.5), (t, -3.5), reached, True))
-    boxes = list(sc.K.boxes) + [(t, t) for _, t, _, _ in rims]
-    sc = replace(sc, K=Region.from_boxes(boxes, 2))
-    return sc, lattice, rims
-
-
 @pytest.mark.parametrize("block", [None, 1, 5, 64, 10**9])
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
-    # the windowed reach against the einsum oracle and against the dense
-    # open-cone kernel over all pairs, bit for bit: runs of one candidate
-    # (and kernel blocks of one source) up to one run over all candidates
+    # the interval reach, expanded to a dense matrix, against the einsum
+    # oracle and against the dense open-cone kernel over all pairs, bit
+    # for bit, with that kernel in blocks of one source up to one block
     if block is not None:
         monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
-    rim_sc, rim_lattice, rims = _rim_annulus()
+    rim_sc, rim_lattice, rims = helpers.rim_annulus()
     abc = make_abc_scenario(0.0, 1.0, 1.0)
     cases = [(abc, ABC_LATTICE), (abc, replace(ABC_LATTICE, p_points=2001)),
              make_annulus_scenario(16), make_annulus_scenario(32),
@@ -424,7 +403,9 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     for sc, lattice in cases:
         q = Event(lattice.q_time, tuple(float(v) for v in
                                         lattice.q_candidates()[-1]))
-        xs, eligible, cover_pts, reach = _sender_reach(sc, q, lattice)
+        got = _sender_reach(sc, q, lattice)
+        xs, eligible, cover_pts = got.cand_xs, got.eligible, got.cover_pts
+        reach = helpers.dense_reach(got)
         cand_xs = lattice.p_candidates()
         dt = sc.s_time - lattice.p_time
         want = _oracle_chronological_reach(
@@ -442,7 +423,9 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         assert reach.any() and eligible.any() and not eligible.all()
     # the rim points sit where they were meant to, and the reach says so
     q = Event(rim_lattice.q_time, tuple(rim_lattice.q_candidates()[-1]))
-    xs, eligible, cover_pts, reach = _sender_reach(rim_sc, q, rim_lattice)
+    got = _sender_reach(rim_sc, q, rim_lattice)
+    xs, eligible, cover_pts = got.cand_xs, got.eligible, got.cover_pts
+    reach = helpers.dense_reach(got)
     row = {tuple(x): i for i, x in enumerate(xs.tolist())}
     col = {tuple(p): j for j, p in enumerate(cover_pts.tolist())}
     for source, target, reached, closed in rims:
@@ -487,34 +470,31 @@ def test_window_runs_cover_rows_in_order(block, monkeypatch):
     for src, tgt, dt in cases + sorted_cases:
         order, cols_order = _axis0_order(src), _axis0_order(tgt)
         place = np.argsort(order)  # each row's place in axis-0 order
-        for open_cone in (False, True):
-            lo, hi = spacetime._cone_windows(
-                src[order, 0], tgt[cols_order, 0],
-                spacetime.cone_radius(dt, CS2, open_cone),
-                spacetime.squared_cone_radius(dt, CS2, open_cone))
-            got = np.zeros((len(src), len(tgt)), dtype=bool)
-            last = 0
-            for rows, cols, blk in spacetime.window_blocks(
-                    src, dt, CS2, tgt, open_cone):
-                g = int(place[rows[0]])
-                h = g + len(rows)
-                a, b = lo[g], hi[h - 1]
-                assert np.array_equal(rows, order[g:h])
-                assert np.array_equal(cols, cols_order[a:b])
-                assert blk.shape == (h - g, b - a)
-                assert g >= last and a < b
-                assert (lo[last:g] == hi[last:g]).all()
-                assert h - g == 1 or (h - g) * (b - a) <= bound
-                if h < len(src):
-                    assert (h + 1 - g) * (hi[h] - a) > bound
-                got[rows[:, None], cols] = blk
-                last = h
-            assert (lo[last:] == hi[last:]).all()
-            want = np.zeros_like(got)
-            if len(src) and len(tgt):
-                want = np.concatenate(list(cone_blocks(
-                    src, dt, CS2, tgt, open_cone)))
-            assert np.array_equal(got, want)
+        lo, hi = spacetime._cone_windows(
+            src[order, 0], tgt[cols_order, 0],
+            spacetime.cone_radius(dt, CS2),
+            spacetime.squared_cone_radius(dt, CS2))
+        got = np.zeros((len(src), len(tgt)), dtype=bool)
+        last = 0
+        for rows, cols, blk in spacetime.window_blocks(src, dt, CS2, tgt):
+            g = int(place[rows[0]])
+            h = g + len(rows)
+            a, b = lo[g], hi[h - 1]
+            assert np.array_equal(rows, order[g:h])
+            assert np.array_equal(cols, cols_order[a:b])
+            assert blk.shape == (h - g, b - a)
+            assert g >= last and a < b
+            assert (lo[last:g] == hi[last:g]).all()
+            assert h - g == 1 or (h - g) * (b - a) <= bound
+            if h < len(src):
+                assert (h + 1 - g) * (hi[h] - a) > bound
+            got[rows[:, None], cols] = blk
+            last = h
+        assert (lo[last:] == hi[last:]).all()
+        want = np.zeros_like(got)
+        if len(src) and len(tgt):
+            want = np.concatenate(list(cone_blocks(src, dt, CS2, tgt)))
+        assert np.array_equal(got, want)
 
 
 def _spy_cone_blocks(monkeypatch) -> list:
@@ -539,14 +519,9 @@ def _one_bounded_block(calls) -> None:
 
 
 def test_window_blocks_take_one_bounded_block(monkeypatch):
-    # both windowed callers ask the kernel once a run, and each call is
-    # one block of at most `region.BLOCK_PAIRS` pairs or of one row
+    # the cone graph asks the kernel once a run, and each call is one
+    # block of at most `region.BLOCK_PAIRS` pairs or of one row
     calls = _spy_cone_blocks(monkeypatch)
-    sc, lattice = make_annulus_scenario(64)
-    q = Event(lattice.q_time, tuple(lattice.q_candidates()[-1].tolist()))
-    _sender_reach(sc, q, lattice)
-    _one_bounded_block(calls)
-    calls.clear()
     dt = 0.4
     mu_pts, nu_pts, weights, _ = helpers.drained_cloud(
         np.random.default_rng(241), 800, dt)

@@ -417,6 +417,15 @@ def test_cone_windows_match_squared_predicate(seed):
         got = np.arange(lo[i], hi[i])
         assert list(got) == list(want)
     assert lo.tolist() == sorted(lo) and hi.tolist() == sorted(hi)
+    # with a running sum s per x, the open test s + d * d < r2 of the
+    # sender reach: s = r2 leaves no target, not even one at d = 0, and
+    # so does r2 = 0
+    r2 = reach * reach
+    part = r2 * rng.choice([0.0, 0.25, 0.5, 1.0], len(x))
+    lo, hi = spacetime._cone_windows(x, y, np.sqrt(r2 - part), r2, part)
+    inside = part[:, None] + (y[None, :] - x[:, None]) ** 2 < r2
+    for i in range(len(x)):
+        assert list(range(lo[i], hi[i])) == list(np.flatnonzero(inside[i]))
 
 
 def _rim_instance(rng, n, c):

@@ -218,15 +218,11 @@ class Region:
         order in which `from_boxes` would sort the boxes, and the runs are
         its boxes.  In d >= 2 one dict pass keeps the first of equal
         points (of -0.0 and 0.0 the first given), so the boxes are those
-        of `from_boxes` in the same order.  With halfwidth h > 0 the
-        corners p -+ h of all points are worked out in one array, the
-        same float arithmetic, and checked finite in one pass; the boxes
-        are built from them directly.  With halfwidth 0, p - h and p + h
-        are p itself unless p has a zero coordinate (-0.0 + 0.0 is 0.0),
-        so only such a point is worked out one coordinate at a time, and
-        the checks of `from_boxes` (finite corners, one dimension) run on
-        the points directly.  Points that fail a check, and a negative
-        halfwidth, go through `from_boxes`, which raises its error.
+        of `from_boxes` in the same order.  With halfwidth 0, p - h and
+        p + h are p itself unless p has a zero coordinate (-0.0 + 0.0 is
+        0.0), so only such a point is worked out one coordinate at a
+        time, and the checks of `from_boxes` (finite corners, one
+        dimension) run on the points directly.
         """
         points = list(points)
         if dim is None:
@@ -241,16 +237,7 @@ class Region:
             return (tuple(v - halfwidth for v in p),
                     tuple(v + halfwidth for v in p))
 
-        if halfwidth > 0 and keys and not set(map(len, keys)) - {dim}:
-            pts = np.array(list(keys))
-            # p -+ h can overflow where p does not: an error, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                lo, hi = pts - float(halfwidth), pts + float(halfwidth)
-            if np.isfinite(lo).all() and np.isfinite(hi).all():
-                # distinct points can still round to one box
-                boxes = zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))
-                return Region(tuple(dict.fromkeys(boxes)), dim)
-        if halfwidth != 0:  # raises the error of `from_boxes`, if any
+        if halfwidth != 0:
             return Region.from_boxes(map(box, keys), dim)
         if not all(map(math.isfinite, chain.from_iterable(keys))):
             raise ValueError("box corners must be finite")

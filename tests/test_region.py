@@ -385,47 +385,6 @@ def test_point_boxes_keep_their_checks(dim):
         Region.point_boxes([zero], dim, halfwidth=-0.5)
 
 
-def _from_boxes_outcome(points, dim, h):
-    """What `point_boxes` gave when every box went through `from_boxes`:
-    the signed boxes, or the error's type and message."""
-    keys = dict.fromkeys([tuple(map(float, p)) for p in points])
-    boxes = [(tuple(v - h for v in p), tuple(v + h for v in p))
-             for p in keys]
-    try:
-        return _signed_boxes(Region.from_boxes(boxes, dim))
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("seed", range(6))
-def test_wide_point_boxes_match_from_boxes(dim, seed):
-    # boxes of halfwidth h > 0 are built directly from p -+ h; the boxes,
-    # and the error of every point set that fails a check, are those of
-    # `from_boxes` on each box: -0.0 beside 0.0, repeats, points whose
-    # boxes round to one, p + h that overflows where p does not, NaN and
-    # inf coordinates, mixed dimensions, and halfwidths <= 0 or NaN
-    rng = np.random.default_rng([seed, dim, 67])
-    pts = rng.integers(-3, 4, (int(rng.integers(1, 40)), dim)) / 2.0
-    pts = pts[rng.integers(0, len(pts), 2 * len(pts))]
-    pts[rng.random(pts.shape) < 0.3] *= -1.0
-    pts = [tuple(p) for p in pts.tolist()]
-    big = (1.7976931348623157e308,) * dim
-    near = [(1.0,) * dim, (float(np.nextafter(1.0, 2.0)),) * dim]
-    cases = [pts, pts + [big], [big] + pts, pts + near,
-             pts + [(math.nan,) * dim], pts + [(-math.inf,) + pts[0][1:]],
-             pts + [pts[0] + (1.0,)], [pts[0][1:]] + pts]
-    for points in cases:
-        for h in (0.25, 0.1, 1e-300, 1e10, 1e308, math.inf, math.nan, 0.0,
-                  -1e-300, -0.5):
-            try:
-                got = _signed_boxes(Region.point_boxes(points, dim,
-                                                       halfwidth=h))
-            except ValueError as exc:
-                got = type(exc), str(exc)
-            assert got == _from_boxes_outcome(points, dim, h), (points, h)
-
-
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
     # the atoms_2d construction, whose min cut is exactly the drained atoms

@@ -9,13 +9,17 @@ capacity limit.  So the solver keeps one integer flow per arc and nothing
 else: no reverse arcs, no source or sink arcs and no stand-in for an
 infinite capacity.
 
-A greedy fill in source order comes first.  Dinic phases (Dinic 1970;
-the layered multi-source search of Hopcroft and Karp 1973) then finish
-the flow: a breadth-first search from every source with supply left goes
-forward along any arc and backward along arcs that carry flow, and stops
-at the first layer that holds a target with room; an iterative blocking
-flow with current-arc pointers then saturates that layered graph.  The
-search that finds no such target marks the source side of a minimum cut.
+A greedy fill in source order comes first.  When no source that still
+holds supply after it has an arc, as the drained sources of a failing
+check, the flow is maximum and those sources are the cut, so the solver
+returns at once, without the search structures below.  Otherwise Dinic
+phases (Dinic 1970; the layered multi-source search of Hopcroft and Karp
+1973) finish the flow: a breadth-first search from every source with
+supply left goes forward along any arc and backward along arcs that
+carry flow, and stops at the first layer that holds a target with room;
+an iterative blocking flow with current-arc pointers then saturates that
+layered graph.  The search that finds no such target marks the source
+side of a minimum cut.
 """
 from __future__ import annotations
 
@@ -54,8 +58,13 @@ def dinic_max_flow(supply: Sequence[int], heads: Sequence[int],
                 s -= d
             e += 1
         supply[i] = s
-    if not any(supply):
+    left = [i for i in range(nl) if supply[i]]
+    if not left:
         return 0, []
+    # supply left only on sources without arcs: the search would mark
+    # just those, so they are the cut
+    if all(indptr[i] == indptr[i + 1] for i in left):
+        return sum(supply), left
 
     # each arc's source, and the arcs into each target
     tails = [0] * len(heads)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from numbers import Rational
 from typing import Iterable, Sequence, Union
 
@@ -58,6 +58,38 @@ class SliceMeasure:
     def from_atoms(time: float,
                    atoms: Iterable[tuple[Sequence[float], Weight]],
                    dim: int | None = None) -> "SliceMeasure":
+        """Atoms (position, weight), checked in bulk: positions in one
+        pass, finiteness over all coordinates, repeats by one set, float
+        weights by one comparison each.  On any fault the atoms are
+        checked again one at a time, which raises the error of the first
+        faulty atom."""
+        atoms = list(atoms)
+        try:
+            pos = [tuple(map(float, p)) for p, _ in atoms]
+            weights = [w for _, w in atoms]
+            clean = (all(map(math.isfinite, chain.from_iterable(pos)))
+                     and len(set(pos)) == len(pos))
+            for w in weights:
+                if isinstance(w, float):
+                    clean = clean and 0.0 <= w < math.inf
+                else:
+                    _check_weight(w)
+        except (TypeError, ValueError, ArithmeticError):
+            # a fault: the loop below raises it for the first faulty atom
+            clean = False
+        norm = (list(zip(pos, weights)) if clean
+                else SliceMeasure._checked_atoms(atoms))
+        if dim is None:
+            if not norm:
+                raise ValueError("dimension required for an empty measure")
+            dim = len(norm[0][0])
+        if any(len(p) != dim for p, _ in norm):
+            raise ValueError("atom dimensions are inconsistent")
+        return SliceMeasure(float(time), dim, atoms=tuple(norm))
+
+    @staticmethod
+    def _checked_atoms(atoms) -> list[tuple[tuple[float, ...], Weight]]:
+        """`from_atoms`' checks one atom at a time, in order."""
         norm: list[tuple[tuple[float, ...], Weight]] = []
         seen: set[tuple[float, ...]] = set()
         for pos, w in atoms:
@@ -69,13 +101,7 @@ class SliceMeasure:
             seen.add(p)
             _check_weight(w)
             norm.append((p, w))
-        if dim is None:
-            if not norm:
-                raise ValueError("dimension required for an empty measure")
-            dim = len(norm[0][0])
-        if any(len(p) != dim for p, _ in norm):
-            raise ValueError("atom dimensions are inconsistent")
-        return SliceMeasure(float(time), dim, atoms=tuple(norm))
+        return norm
 
     @staticmethod
     def from_grid(time: float, origin: Sequence[float], cell_size: float,

@@ -206,10 +206,12 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     q = _event(lattice.q_time, q_xs[j])
     c_region = Region.point_boxes(pts[sel], sc.nu0.dim, halfwidth=half)
 
-    senders = _greedy_cover(_sender_reach(sc, q, lattice), lattice)
+    reach = _sender_reach(sc, q, lattice)
+    senders = _greedy_cover(reach, lattice)
     proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
                                senders=tuple(senders), channel_gap=gap)
-    problems = audit_protocol(proto, sc, lattice.cover_resolution)
+    problems = audit_protocol(proto, sc, lattice.cover_resolution,
+                              cover_pts=reach.cover_pts)
     if problems:
         raise ProtocolSearchError("constructed protocol failed its audit: "
                                   + "; ".join(problems))
@@ -344,8 +346,14 @@ def _greedy_cover(reach: SenderReach, lattice: LatticeSpec) -> list[Event]:
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
-                   cover_resolution: float = 0.05) -> list[str]:
-    """Re-verify every protocol clause with the cone kernels."""
+                   cover_resolution: float = 0.05, *,
+                   cover_pts: np.ndarray | None = None) -> list[str]:
+    """Re-verify every protocol clause with the cone kernels.
+
+    The sender cover is checked on K's sample points at
+    `cover_resolution`; `cover_pts` hands in those points when the caller
+    has taken them already (`construct_protocol`, from its sender reach).
+    """
     cs = sc.cs
     out: list[str] = []
     corners = _box_corners(*proto.C.corners)
@@ -356,7 +364,8 @@ def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
                    f"{tuple(corners[late[0]].tolist())}")
     if region_precedes_event(sc.K, sc.s_time, proto.q, cs):
         out.append("receiver lies in the causal future of K")
-    pts = sc.K.sample_points(cover_resolution)
+    pts = (sc.K.sample_points(cover_resolution) if cover_pts is None
+           else cover_pts)
     covered = np.zeros(len(pts), dtype=bool)
     # one kernel call over the senders of each slice time (and length, so
     # that a sender of the wrong dimension fails as it would alone)

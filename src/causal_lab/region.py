@@ -216,22 +216,34 @@ class Region:
         once and the intervals merged in one pass by the rule of
         `from_boxes`: both ends are nondecreasing in x, so this is the
         order in which `from_boxes` would sort the boxes, and the runs are
-        its boxes.  In d >= 2 one dict pass keeps the first of equal
-        points (of -0.0 and 0.0 the first given), so the boxes are those
-        of `from_boxes` in the same order.  With halfwidth 0, p - h and
-        p + h are p itself unless p has a zero coordinate (-0.0 + 0.0 is
-        0.0), so only such a point is worked out one coordinate at a
-        time, and the checks of `from_boxes` (finite corners, one
-        dimension) run on the points directly.
+        its boxes.  In d >= 2 the points become one float array, on which
+        the checks of `from_boxes` (finite corners, one dimension) run
+        directly, and one dict pass over its rows keeps the first of
+        equal points (of -0.0 and 0.0 the first given), so the boxes are
+        those of `from_boxes` in the same order.  With halfwidth 0, p - h
+        and p + h are p itself unless p has a zero coordinate (-0.0 + 0.0
+        is 0.0), so only such a point is worked out one coordinate at a
+        time.
         """
-        points = list(points)
+        if not isinstance(points, np.ndarray):
+            points = list(points)
         if dim is None:
-            if not points:
+            if not len(points):
                 raise ValueError("dimension required for an empty region")
             dim = len(points[0])
         if dim == 1:
             return Region(_point_intervals(points, halfwidth), 1)
-        keys = dict.fromkeys([tuple(map(float, p)) for p in points])
+        try:
+            pts = np.asarray(points, dtype=float)
+            ragged = False
+        except ValueError:  # rows of several lengths, or not numbers
+            pts = np.array([float(v) for v in chain.from_iterable(points)])
+            ragged = True
+        if not np.isfinite(pts).all():
+            raise ValueError("box corners must be finite")
+        if ragged or (len(pts) and pts.shape[1:] != (dim,)):
+            raise ValueError("boxes have mixed dimensions")
+        keys = dict.fromkeys(map(tuple, pts.tolist()))
 
         def box(p):
             return (tuple(v - halfwidth for v in p),
@@ -239,10 +251,6 @@ class Region:
 
         if halfwidth != 0:
             return Region.from_boxes(map(box, keys), dim)
-        if not all(map(math.isfinite, chain.from_iterable(keys))):
-            raise ValueError("box corners must be finite")
-        if set(map(len, keys)) - {dim}:
-            raise ValueError("boxes have mixed dimensions")
         return Region(tuple([(p, p) if 0.0 not in p else box(p)
                              for p in keys]), dim)
 

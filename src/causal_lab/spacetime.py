@@ -159,6 +159,10 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     within that bound, or with one source or none, yields one block, as
     each run of `window_blocks` does.
     `sources` is (k, d), `targets` (n, d); swapped, they ask a past cone.
+    The squared distances of every block go into one buffer of the call:
+    axis 0's square, then each later axis's square added in place, the
+    operations of `sum_squares` in its order (0.0 + x is x for a square),
+    so the blocks are its test bit for bit, each a new array.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -166,12 +170,19 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
         raise ValueError("point dimension does not match causal structure")
     r2 = squared_cone_radius(dt, cs, open_cone)
     step = max(1, region.BLOCK_PAIRS // max(tgt.shape[0], 1))
+    # one (b, n) difference per axis into the buffers: no (b, n, d) temporary
+    dist2 = np.empty((min(step, src.shape[0]), tgt.shape[0]))
+    part = np.empty_like(dist2) if tgt.shape[1] > 1 else None
     for start in range(0, max(src.shape[0], 1), step):
         block = src[start:start + step]
-        # one (b, n) difference per axis: no (b, n, d) temporary
-        dist2 = sum_squares(tgt[:, ax] - block[:, ax, None]
-                            for ax in range(tgt.shape[1]))
-        yield dist2 < r2 if open_cone else dist2 <= r2
+        total = dist2[:len(block)]
+        np.subtract(tgt[:, 0], block[:, 0, None], out=total)
+        np.multiply(total, total, out=total)
+        for ax in range(1, tgt.shape[1]):
+            d = np.subtract(tgt[:, ax], block[:, ax, None],
+                            out=part[:len(block)])
+            total += np.multiply(d, d, out=d)
+        yield total < r2 if open_cone else total <= r2
 
 
 # the rim tests that settle the window ends of both kernels, on a target's

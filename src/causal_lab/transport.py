@@ -22,8 +22,11 @@ tails of a Born grid, cells of 1e-200 beside cells of 0.1, are mostly
 neither lifted nor scanned.  In d >= 2 a greedy fill plus bipartite
 Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
-the min-cut side.  Both run on an exact integer lift of the capacities and
-name the same worst set: the inclusion-minimal one of greatest deficit.
+the min-cut side; only the targets that some arc reaches are lifted and
+solved (`_solve_dinic`), and when the mass left after the greedy fill
+sits on sources without arcs, no search runs.  Both run on an exact
+integer lift of the capacities and name the same worst set: the
+inclusion-minimal one of greatest deficit.
 Both solvers read the positive supports through `_support` and lift
 their capacities through `_lift`: when every weight is a binary float
 and there are more than `SMALL_SWEEP_ATOMS` sources (in d = 1, those the
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -220,15 +223,25 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 
 
 def _solve_dinic(mu: SliceMeasure, nu: SliceMeasure,
-                 cs: CausalStructure) -> tuple[int, int, list]:
+                 cs: CausalStructure) -> tuple[int, int, np.ndarray]:
     """Exact max-flow deficit and min-cut left points on the cone graph,
-    with the deficit as leftover supply over the lift's denominator."""
+    with the deficit as leftover supply over the lift's denominator.
+
+    Only the targets that some arc reaches are lifted and handed to the
+    solver, renumbered in order: the others take no flow and no cut.
+    Dropping them may change the denominator, but not the quotient, as
+    in the d = 1 scan.  The cut's points come back as one (k, d) array.
+    """
     net = build_flow_network(mu, nu, cs)
     nl = net.num_left
-    den, caps = _lift(net.left_caps, net.right_caps, mu, nu)
-    rest, cut = dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
+    hit = np.zeros(net.num_right, dtype=bool)
+    hit[net.edge_indices] = True
+    heads = (np.cumsum(hit) - 1)[net.edge_indices]
+    den, caps = _lift(net.left_caps,
+                      list(compress(net.right_caps, hit.tolist())), mu, nu)
+    rest, cut = dinic_max_flow(caps[:nl], heads.tolist(),
                                net.edge_indptr.tolist(), caps[nl:])
-    return rest, den, net.left_points[cut].tolist()
+    return rest, den, net.left_points[cut]
 
 
 def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:

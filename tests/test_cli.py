@@ -942,6 +942,9 @@ GOLDEN_D2 = {
     "check_all_annulus_64": ("check", "all", "annulus_64.json"),
     "protocol_annulus_64": ("protocol", "annulus_64.json"),
     "signal_sim_annulus_64": ("signal-sim", "annulus_64.json"),
+    # a failing ordering check: drained_2d.json's deficit is mass whose
+    # cones hold no target, and its worst set those atoms
+    "check_all_drained_2d": ("check", "all", "drained_2d.json"),
 }
 
 
@@ -951,6 +954,7 @@ GOLDEN_D2 = {
 GOLDEN_D3 = {
     "protocol_ring_3d": ("protocol", "ring_3d.json"),
     "signal_sim_ring_3d": ("signal-sim", "ring_3d.json"),
+    "check_all_drained_3d": ("check", "all", "drained_3d.json"),
 }
 
 

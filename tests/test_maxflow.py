@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import helpers
 from causal_lab import maxflow, transport
 from causal_lab.measure import SliceMeasure
 from causal_lab.spacetime import CausalStructure
@@ -191,11 +192,17 @@ def test_bipartite_huge_integers_exact():
     assert maxflow.dinic_max_flow(*problem) == (20, [0, 1])
 
 
+def _solve(mu, nu, cs):
+    """`transport._solve_dinic`, its array of cut points as a list."""
+    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    return rest, den, cut.tolist()
+
+
 def _oracle_solve(mu, nu, cs):
-    """`transport._solve_dinic` with the generic oracle as its solver."""
+    """`_solve` with the generic oracle as its solver."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "dinic_max_flow", solve_cone_graph)
-        return transport._solve_dinic(mu, nu, cs)
+        return _solve(mu, nu, cs)
 
 
 def _lattice_instance(rng, dim, exact):
@@ -231,7 +238,7 @@ def _lattice_instance(rng, dim, exact):
 def test_cone_graph_matches_oracle(seed, dim, exact):
     rng = np.random.default_rng([seed, dim, exact])
     mu, nu, cs = _lattice_instance(rng, dim, exact)
-    got = transport._solve_dinic(mu, nu, cs)
+    got = _solve(mu, nu, cs)
     assert got == _oracle_solve(mu, nu, cs)
     v = check_ce_maxflow(mu, nu, cs)
     assert isinstance(v.deficit, Fraction) == exact
@@ -302,11 +309,11 @@ def test_frexp_lifted_cone_graph_matches_oracle(monkeypatch, seed, dim):
     rng = np.random.default_rng([seed, dim, 22])
     mu, nu, cs = _float_cloud(rng, dim)
     frexp = _spy(monkeypatch, "_frexp_lift")
-    got = transport._solve_dinic(mu, nu, cs)
+    got = _solve(mu, nu, cs)
     assert frexp and got == _oracle_solve(mu, nu, cs)
     monkeypatch.setattr(transport, "SMALL_SWEEP_ATOMS", 10 ** 9)
     listed = _spy(monkeypatch, "_integer_lift")
-    assert transport._solve_dinic(mu, nu, cs) == got and listed
+    assert _solve(mu, nu, cs) == got and listed
 
 
 @pytest.mark.parametrize("odd", ["mu", "nu"])
@@ -317,7 +324,7 @@ def test_mixed_weights_keep_the_list_lift(monkeypatch, odd):
     assert not (mu.all_float and nu.all_float)
     frexp = _spy(monkeypatch, "_frexp_lift")
     listed = _spy(monkeypatch, "_integer_lift")
-    got = transport._solve_dinic(mu, nu, cs)
+    got = _solve(mu, nu, cs)
     assert listed and not frexp
     assert got == _oracle_solve(mu, nu, cs)
 
@@ -334,7 +341,7 @@ def test_cone_graph_grids_match_oracle(seed):
         return SliceMeasure.from_grid(time, (-n * h / 2,) * 2, h, w)
 
     mu, nu = grid(0.0, 1.0), grid(dt, float(rng.uniform(0.5, 3.0)))
-    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    rest, den, cut = _solve(mu, nu, cs)
     assert (rest, den, cut) == _oracle_solve(mu, nu, cs)
     net = transport.build_flow_network(mu, nu, cs)
     _, caps = transport._integer_lift(net.left_caps + net.right_caps)
@@ -350,6 +357,185 @@ def test_cone_graph_without_edges():
                                        ((0.0, 1.0), 0.75)])
     nu = SliceMeasure.from_atoms(0.5, [((5.0, 5.0), 1.0)])
     assert transport.build_flow_network(mu, nu, cs).num_edges == 0
-    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    rest, den, cut = _solve(mu, nu, cs)
     assert (rest, den, cut) == _oracle_solve(mu, nu, cs)
     assert rest == den and cut == [[0.0, 0.0], [0.0, 1.0]]
+
+
+# -- the early exit and the lift of reached targets --------------------------
+
+class _SliceSpy(list):
+    """Arc heads that count the slices read from them: the layered search
+    reads each source's arcs as one slice, the greedy fill and the
+    blocking flow one arc at a time."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+def _spied(supply, heads, indptr, room):
+    spy = _SliceSpy(heads)
+    return maxflow.dinic_max_flow(supply, spy, indptr, room), spy.slices
+
+
+def test_search_reads_arcs_as_slices():
+    # the spy's control: a flow that needs an augmenting path searches
+    supply, heads, indptr, room = [1, 1], [0, 1, 0], [0, 2, 3], [1, 1]
+    (leftover, cut), slices = _spied(supply, heads, indptr, room)
+    assert (leftover, cut) == (0, []) and slices > 0
+
+
+@pytest.mark.parametrize("k", [40, 400])
+@pytest.mark.parametrize("seed", range(3))
+def test_drained_cloud_runs_no_search(monkeypatch, seed, k):
+    # the greedy fill places all the mass that can move; what is left
+    # sits on the drained sources, whose cones hold no target, so no
+    # search phase runs and the cut is those sources
+    dt = 0.4
+    mu_pts, nu_pts, weights, drained = helpers.drained_cloud(
+        np.random.default_rng([seed, k, 57]), k, dt)
+    searched = []
+
+    def spied(*problem):
+        result, slices = _spied(*problem)
+        searched.append(slices)
+        return result
+
+    monkeypatch.setattr(transport, "dinic_max_flow", spied)
+    cs = CausalStructure(dim=2, c=1.0)
+    v = check_ce_maxflow(SliceMeasure.from_atoms(0.0, zip(mu_pts, weights)),
+                         SliceMeasure.from_atoms(dt, zip(nu_pts, weights)),
+                         cs)
+    assert not v.holds and searched == [0]
+    assert ({lo for lo, _ in v.worst_set.boxes}
+            == set(map(tuple, mu_pts[drained].tolist())))
+
+
+def _with_arcless_sources(rng, alone):
+    """A `_random_bipartite` problem with sources added that hold supply
+    and have no arc; when `alone`, the other sources hold none."""
+    supply, heads, indptr, room = _random_bipartite(rng)
+    rows = [heads[a:b] for a, b in zip(indptr, indptr[1:])]
+    if alone:
+        supply = [0] * len(supply)
+    for _ in range(int(rng.integers(1, 5))):
+        at = int(rng.integers(0, len(rows) + 1))
+        rows.insert(at, [])
+        supply.insert(at, int(rng.integers(1, 30)))
+    heads = [j for row in rows for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows]).tolist()
+    return supply, heads, indptr, room
+
+
+@pytest.mark.parametrize("alone", [True, False])
+def test_arcless_sources_match_oracle(alone):
+    # sources with supply and no arc, alone or beside sources that have
+    # arcs and supply: the leftover and the cut are the oracle's, whether
+    # the solver stops after the greedy fill or searches
+    stopped = 0
+    for seed in range(120):
+        problem = _with_arcless_sources(
+            np.random.default_rng([seed, alone, 58]), alone)
+        (leftover, cut), slices = _spied(*problem)
+        assert (leftover, cut) == solve_cone_graph(*problem)
+        assert _certified(*problem, leftover, cut)
+        stopped += slices == 0
+    if alone:
+        assert stopped == 120
+    else:
+        assert 0 < stopped < 120
+
+
+def _solve_all_targets(mu, nu, cs):
+    """`transport._solve_dinic` with every target lifted and solved, as
+    before the lift kept only the reached ones."""
+    net = transport.build_flow_network(mu, nu, cs)
+    nl = net.num_left
+    den, caps = transport._lift(net.left_caps, net.right_caps, mu, nu)
+    rest, cut = maxflow.dinic_max_flow(caps[:nl], net.edge_indices.tolist(),
+                                       net.edge_indptr.tolist(), caps[nl:])
+    return rest, den, net.left_points[cut]
+
+
+def _kind_weights(rng, kind, n, far):
+    """n weights of one kind, a fifth of them 0; `far` ones carry a finer
+    denominator, which only they bring to the lift."""
+    if kind == "mixed":
+        return [_kind_weights(rng, str(rng.choice(["float", "fraction",
+                                                   "int"])), 1, far)[0]
+                for _ in range(n)]
+    on = rng.random(n) > 0.2
+    if kind == "float":
+        scale = 2.0 ** -70 if far else 1.0
+        return (rng.random(n) * on * scale).tolist()
+    if kind == "fraction":
+        den = 997 if far else 24
+        return [Fraction(int(v), den) for v in rng.integers(0, 30, n) * on]
+    return (rng.integers(0, 5, n) * on).tolist()
+
+
+def _reach_instance(rng, kind, k, edges=True):
+    """d = 2 atoms: k sources on a lattice, targets beside them and, far
+    from every cone unless `edges` is False for all, targets of their
+    own denominators."""
+    cs = CausalStructure(dim=2, c=1.0)
+    cells = rng.choice(15 * 15, size=2 * k, replace=False)
+    pos = np.stack(np.unravel_index(cells, (15, 15)), axis=1) * 0.25
+    near, far = pos[k:k + k // 2], pos[:k // 2] + 100.0
+    nu_pts = np.concatenate([near, far] if edges else [far + 50.0, far])
+    nu_w = (_kind_weights(rng, kind, len(near), False)
+            + _kind_weights(rng, kind, len(far), True))
+    mu = SliceMeasure.from_atoms(0.0, list(zip(
+        map(tuple, pos[:k].tolist()), _kind_weights(rng, kind, k, False))))
+    nu = SliceMeasure.from_atoms(0.5, list(zip(
+        map(tuple, nu_pts.tolist()), nu_w)))
+    return mu, nu, cs
+
+
+def _signed(region):
+    return None if region is None else [
+        tuple(tuple(x.hex() for x in corner) for corner in box)
+        for box in region.boxes]
+
+
+@pytest.mark.parametrize("kind", ["float", "fraction", "int", "mixed"])
+def test_reached_lift_matches_lift_of_all_targets(monkeypatch, kind):
+    # dropping the targets that no arc reaches may change the lift's
+    # denominator, never rest / den, the verdict, the deficit or the
+    # worst set; float clouds of 40 sources are lifted from np.frexp
+    moved = 0
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 59])
+        k = 40 if seed % 2 else 12
+        mu, nu, cs = _reach_instance(rng, kind, k, edges=seed % 4 != 3)
+        rest, den, cut = transport._solve_dinic(mu, nu, cs)
+        all_rest, all_den, all_cut = _solve_all_targets(mu, nu, cs)
+        assert Fraction(rest, den) == Fraction(all_rest, all_den)
+        assert rest / den == all_rest / all_den
+        assert cut.tolist() == all_cut.tolist()
+        moved += den != all_den
+        got = check_ce_maxflow(mu, nu, cs)
+        with monkeypatch.context() as mp:
+            mp.setattr(transport, "_solve_dinic", _solve_all_targets)
+            want = check_ce_maxflow(mu, nu, cs)
+        assert got.holds == want.holds
+        assert type(got.deficit) is type(want.deficit)
+        assert got.deficit == want.deficit
+        assert _signed(got.worst_set) == _signed(want.worst_set)
+    assert moved > 0 or kind == "int"
+
+
+def test_reached_lift_without_edges():
+    # no arc at all: no target is lifted, and the leftover is all supply
+    mu, nu, cs = _reach_instance(np.random.default_rng(60), "fraction", 12,
+                                 edges=False)
+    assert transport.build_flow_network(mu, nu, cs).num_edges == 0
+    rest, den, cut = transport._solve_dinic(mu, nu, cs)
+    assert Fraction(rest, den) == mu.total
+    assert len(cut) == sum(w > 0 for _, w in mu.atoms)
+    # the far targets' 997ths stay out of the lift
+    assert 24 % den == 0 and _solve_all_targets(mu, nu, cs)[1] % 997 == 0

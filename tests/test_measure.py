@@ -36,6 +36,46 @@ def test_negative_and_nan_weights_rejected():
         SliceMeasure.from_atoms(0.0, [((0.0,), float("nan"))])
 
 
+
+def test_atom_faults_raise_for_the_first_faulty_atom():
+    # the bulk checks find faults anywhere; the error is the one the
+    # first faulty atom raises, whichever fault comes first
+    ok = [((0.0, 0.0), 0.5), ((1.0, 0.0), Fraction(1, 4))]
+    faults = {
+        "atom positions must be finite": ((math.inf, 0.0), 0.1),
+        "duplicate atom position": ((0.0, 0.0), 0.1),
+        "weights must be finite and nonnegative": ((2.0, 0.0), -0.1),
+        "weights must be nonnegative": ((3.0, 0.0), Fraction(-1, 3)),
+        "could not convert": (("x", 0.0), 0.1),
+    }
+    for (m1, a1), (m2, a2) in itertools.permutations(faults.items(), 2):
+        if a1[0] == a2[0]:
+            continue
+        for given in (ok + [a1, a2], iter(ok + [a1, a2])):
+            with pytest.raises(ValueError, match=m1):
+                SliceMeasure.from_atoms(0.0, given)
+        with pytest.raises(ValueError, match=m2):
+            SliceMeasure.from_atoms(0.0, ok + [a2, a1])
+    # one fault alone, after many clean atoms
+    many = [((float(i), 0.5), 0.25) for i in range(100)]
+    with pytest.raises(ValueError, match=r"duplicate atom position \(7.0"):
+        SliceMeasure.from_atoms(0.0, many + [((7.0, 0.5), 0.1)])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SliceMeasure.from_atoms(0.0, many + [((-1.0, 0.5), math.nan)])
+
+
+def test_bulk_checked_atoms_are_the_loop_ones():
+    # positions as floats in one tuple each, weights as given, in order
+    atoms = [((1, 2), 0.5), ([0.5, np.float64(3)], Fraction(1, 3)),
+             ((np.int64(4), True), 0), ((-0.0, 5.0), np.float64(0.25))]
+    m = SliceMeasure.from_atoms(1.0, iter(atoms))
+    assert m.atoms == tuple(SliceMeasure._checked_atoms(atoms))
+    assert [type(v) for p, _ in m.atoms for v in p] == [float] * 8
+    assert [w for _, w in m.atoms] == [w for _, w in atoms]
+    assert math.copysign(1.0, m.atoms[3][0][0]) == -1.0
+    with pytest.raises(ValueError, match="inconsistent"):
+        SliceMeasure.from_atoms(0.0, [((0.0,), 0.5), ((1.0, 0.0), 0.5)])
+
 def test_grid_gaussian_matches_error_function():
     n, half = 2048, 8.0
     h = 2 * half / n

@@ -603,3 +603,29 @@ def test_construct_matches_oracle_on_lattice_variants():
         assert proto == _outcome(_oracle_construct, sc, witness, lattice)
         built += isinstance(proto, SignallingProtocol)
     assert built >= 14
+
+
+def test_construct_samples_k_once(monkeypatch):
+    # the sender reach and the audit's cover clause read one sampling of
+    # K; audit_protocol called alone still takes its own
+    sc, lattice = make_annulus_scenario(16)
+    witness = find_ns_witness(sc)
+    calls = []
+    sample = Region.sample_points
+
+    def counted(self, resolution):
+        calls.append(resolution)
+        return sample(self, resolution)
+
+    monkeypatch.setattr(Region, "sample_points", counted)
+    proto = construct_protocol(sc, witness, lattice)
+    assert calls == [lattice.cover_resolution]
+    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+    assert calls == [lattice.cover_resolution] * 2
+    # the handed points are the clause's: a sender less leaves K uncovered
+    fewer = replace(proto, senders=proto.senders[1:])
+    pts = sample(sc.K, lattice.cover_resolution)
+    assert (audit_protocol(fewer, sc, lattice.cover_resolution,
+                           cover_pts=pts)
+            == audit_protocol(fewer, sc, lattice.cover_resolution)
+            == ["sender futures fail to cover K's sample points"])

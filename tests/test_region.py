@@ -385,6 +385,46 @@ def test_point_boxes_keep_their_checks(dim):
         Region.point_boxes([zero], dim, halfwidth=-0.5)
 
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_point_boxes_take_arrays_as_lists(dim, seed):
+    # one float array or a list of tuples: the same boxes, sign of zero
+    # included, from repeats and -0.0 beside 0.0 in either order
+    rng = np.random.default_rng([seed, dim, 62])
+    pts = rng.integers(-2, 3, (int(rng.integers(1, 40)), dim)) / 2.0
+    pts = pts[rng.integers(0, len(pts), 2 * len(pts))]
+    pts[rng.random(pts.shape) < 0.4] *= -1.0
+    for h in (0.0, 0.25):
+        want = Region.point_boxes([tuple(p) for p in pts.tolist()], dim,
+                                  halfwidth=h)
+        for given in (pts, pts.tolist(), list(pts)):
+            got = Region.point_boxes(given, dim, halfwidth=h)
+            assert _signed_boxes(got) == _signed_boxes(want)
+        assert Region.point_boxes(pts, halfwidth=h) == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_boxes_array_checks(dim):
+    # an array input meets the checks and messages of a list input
+    zero = np.zeros(dim)
+    for bad in (math.nan, math.inf, -math.inf):
+        pts = np.stack([zero, zero])
+        pts[1, -1] = bad
+        for given in (pts, pts.tolist()):
+            with pytest.raises(ValueError, match="^box corners must be finite$"):
+                Region.point_boxes(given, dim)
+    # of mixed lengths and a NaN, the NaN is reported first, in any order
+    for given in ([tuple(zero), (math.nan,) * (dim + 1)],
+                  [(math.nan,) * (dim + 1), tuple(zero)]):
+        with pytest.raises(ValueError, match="^box corners must be finite$"):
+            Region.point_boxes(given, dim)
+    with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
+        Region.point_boxes(np.zeros((2, dim + 1)), dim)
+    with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
+        Region.point_boxes([tuple(zero), tuple(zero) + (1.0,)], dim)
+    assert Region.point_boxes(np.empty((0, dim)), dim) == Region.empty(dim)
+
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
     # the atoms_2d construction, whose min cut is exactly the drained atoms

@@ -1,5 +1,6 @@
 """Causal order, cones on slices, and boost kinematics."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -835,3 +836,77 @@ def test_cone_radius_overflow_raises():
     # below the overflow the cone still decides
     assert not causally_precedes(a, Event(1e150, (1e300,)), cs)
     assert causally_precedes(a, Event(1e150, (1e149,)), cs)
+
+
+def _sum_squares_blocks(src, dt, cs, tgt, open_cone):
+    """The blocks of `cone_blocks` as the `sum_squares` expression, each
+    block's distances a fresh sum of fresh per-axis squares."""
+    r2 = spacetime.squared_cone_radius(dt, cs, open_cone)
+    step = max(1, region_module.BLOCK_PAIRS // max(len(tgt), 1))
+    for start in range(0, max(len(src), 1), step):
+        rows = src[start:start + step]
+        dist2 = region_module.sum_squares(tgt[:, ax] - rows[:, ax, None]
+                                          for ax in range(cs.dim))
+        yield dist2 < r2 if open_cone else dist2 <= r2
+
+
+def _rim_targets(rng, src, radius, n):
+    """n targets, most on the rim of a source's cone of `radius` and
+    nudged by an ulp either way or not at all, the rest anywhere."""
+    dim = src.shape[1]
+    u = rng.normal(size=(n, dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    tgt = src[rng.integers(0, len(src), n)] + radius * u
+    nudge = rng.integers(-1, 2, tgt.shape)
+    tgt = np.where(nudge < 0, np.nextafter(tgt, -np.inf),
+                   np.where(nudge > 0, np.nextafter(tgt, np.inf), tgt))
+    free = rng.random(n) < 0.2
+    tgt[free] = rng.uniform(-2.0, 2.0, (int(free.sum()), dim))
+    return tgt
+
+
+@pytest.mark.parametrize("block", [1, 5, None])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cone_blocks_are_the_sum_squares_test(dim, block, monkeypatch):
+    # the in-place sum of one buffer must decide every pair as the
+    # sum_squares expression does, on targets an ulp from the rim, and
+    # every block a caller keeps must stay as yielded
+    if block is not None:
+        monkeypatch.setattr(region_module, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng([dim, block or 0, 31])
+    for c in (1.0, 1.7):
+        cs = CausalStructure(dim=dim, c=c)
+        for dt in (0.0, 0.3, 1.0):
+            for k, n in ((0, 4), (1, 12), (7, 12), (40, 30)):
+                src = rng.uniform(-1.0, 1.0, (k, dim))
+                for open_cone in (False, True):
+                    radius = spacetime.cone_radius(dt, cs, open_cone)
+                    tgt = _rim_targets(rng, src if k else np.zeros((1, dim)),
+                                       radius, n)
+                    got = list(cone_blocks(src, dt, cs, tgt, open_cone))
+                    want = list(_sum_squares_blocks(src, dt, cs, tgt,
+                                                    open_cone))
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert g.dtype == bool and g.shape == w.shape
+                        assert np.array_equal(g, w)
+                    assert not any(np.shares_memory(a, b)
+                                   for a, b in itertools.combinations(got, 2))
+                    if block == 5 and k > 1:
+                        # n > BLOCK_PAIRS: blocks of one row each
+                        assert [len(g) for g in got] == [1] * k
+
+
+def test_cone_blocks_one_row_past_the_default_bound():
+    # more targets than the default BLOCK_PAIRS: one row a block, the
+    # last block of the call as exact as the first
+    rng = np.random.default_rng(32)
+    cs = CausalStructure(dim=2, c=1.0)
+    n = region_module.BLOCK_PAIRS + 37
+    src = rng.uniform(-1.0, 1.0, (3, 2))
+    tgt = _rim_targets(rng, src, spacetime.cone_radius(0.5, cs), n)
+    got = list(cone_blocks(src, 0.5, cs, tgt))
+    assert [g.shape for g in got] == [(1, n)] * 3
+    for g, w in zip(got, _sum_squares_blocks(src, 0.5, cs, tgt, False)):
+        assert np.array_equal(g, w)
+    assert 0 < sum(int(g.sum()) for g in got) < 3 * n

@@ -385,7 +385,6 @@ def test_point_boxes_keep_their_checks(dim):
         Region.point_boxes([zero], dim, halfwidth=-0.5)
 
 
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(4))
 def test_point_boxes_take_arrays_as_lists(dim, seed):
@@ -408,22 +407,24 @@ def test_point_boxes_take_arrays_as_lists(dim, seed):
 def test_point_boxes_array_checks(dim):
     # an array input meets the checks and messages of a list input
     zero = np.zeros(dim)
+    finite = "^box corners must be finite$"
     for bad in (math.nan, math.inf, -math.inf):
         pts = np.stack([zero, zero])
         pts[1, -1] = bad
         for given in (pts, pts.tolist()):
-            with pytest.raises(ValueError, match="^box corners must be finite$"):
+            with pytest.raises(ValueError, match=finite):
                 Region.point_boxes(given, dim)
     # of mixed lengths and a NaN, the NaN is reported first, in any order
     for given in ([tuple(zero), (math.nan,) * (dim + 1)],
                   [(math.nan,) * (dim + 1), tuple(zero)]):
-        with pytest.raises(ValueError, match="^box corners must be finite$"):
+        with pytest.raises(ValueError, match=finite):
             Region.point_boxes(given, dim)
     with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
         Region.point_boxes(np.zeros((2, dim + 1)), dim)
     with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
         Region.point_boxes([tuple(zero), tuple(zero) + (1.0,)], dim)
     assert Region.point_boxes(np.empty((0, dim)), dim) == Region.empty(dim)
+
 
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):

@@ -508,6 +508,9 @@ def cmd_simulate_quantum(args) -> int:
         _scalar(str, q, "units", "quantum", "natural"))
     if units is None:
         raise CliInputError("quantum.units must be 'natural' or 'si'")
+    if units.c != sc.cs.c:
+        raise CliInputError(f"quantum.units evolve at c = {units.c!r}, but "
+                            f"spacetime.c is {sc.cs.c!r}; set it to match")
     m = _scalar(float, q, "m", "quantum")
     lam = _scalar(float, q, "lambda", "quantum")
     t = _scalar(float, q, "t", "quantum")

@@ -27,15 +27,19 @@ from .measure import (
     SliceMeasure,
     Weight,
     _aligned_diffs,
+    _comparable_grids,
     _larger_side,
-    _merged_support,
     _scaled_diffs,
     cellwise_max_difference,
     mixture,
     restriction_distance,  # noqa: F401  perfbench traces it by this name
 )
 from .region import Region
-from .spacetime import CausalStructure, SliceFuture, causal_future_on_slice
+from .spacetime import (
+    CausalStructure,
+    SliceFuture,
+    causal_future_on_slice,  # noqa: F401  perfbench traces it by this name
+)
 from .transport import (
     CeVerdict,
     check_ce_bruteforce,
@@ -77,20 +81,6 @@ class MeasurementScenario:
                                           self.nu_plus, self.nu_minus)))
 
     @cached_property
-    def detector_future(self) -> Region:
-        """Future cone of K intersected with the later slice, in d = 1:
-        K's intervals grown by `cone_radius`.
-
-        Built on demand, for callers that want the region; in d >= 2 that
-        future is no box region and this raises `ValueError`.  The checks
-        below ask `_in_future`, through `_future_table`, in every
-        dimension; its squared-distance test may differ from this region's
-        ends by an ulp.
-        """
-        return causal_future_on_slice(self.K, self.t_time - self.s_time,
-                                      self.cs)
-
-    @cached_property
     def _in_future(self) -> SliceFuture:
         """Membership test of the detector future, without building it."""
         return SliceFuture(self.K, self.t_time - self.s_time, self.cs)
@@ -108,7 +98,7 @@ class MeasurementScenario:
         another geometry, atoms beside a grid nu0) takes a pass of its own.
         """
         if self.nu0.is_grid:
-            return self._in_future.contains_points(self.nu0._grid_centers)
+            return self._in_future.contains_points(self.nu0.positions)
         points = list(dict.fromkeys(
             p for m in (self.nu0, self.nu1, self.nu_plus, self.nu_minus)
             if m.is_atomic for p, _ in m.atoms))
@@ -117,9 +107,9 @@ class MeasurementScenario:
         return dict(zip(points, inside.tolist()))
 
     def _off_future(self, points) -> list[bool] | np.ndarray:
-        """Mask off the detector future of `points`, a merged support with
-        nu0 (`measure._merged_support`): a boolean array over nu0's grid
-        cells, or a list of bools over atom positions given as tuples."""
+        """Mask off the detector future of `points`, nu0's support merged
+        with another's (`measure._merged_atoms`): a boolean array over
+        nu0's grid cells, or a list of bools over atoms given as tuples."""
         table = self._future_table
         if isinstance(table, dict):
             return [not table[p] for p in points]
@@ -198,7 +188,7 @@ def validate(sc: MeasurementScenario) -> list[str]:
     # ns lines up nu0 with nu1, a2 nu0 with nu_minus; nu1 ~ nu_minus is
     # checked above and grid geometry is transitive, so one check does
     try:
-        _merged_support(sc.nu0, sc.nu1)
+        _comparable_grids(sc.nu0, sc.nu1)
     except ValueError as exc:
         out.append(f"marginal: nu0 and nu1 are not comparable ({exc})")
     return out

@@ -159,10 +159,6 @@ class SliceMeasure:
             if not self.atoms:
                 return np.empty((0, self.dim))
             return np.array([p for p, _ in self.atoms], dtype=float)
-        return self._grid_centers
-
-    @cached_property
-    def _grid_centers(self) -> np.ndarray:
         shape = self.grid_weights.shape
         idx = np.indices(shape).reshape(len(shape), -1).T
         return np.asarray(self.grid_origin) + (idx + 0.5) * self.grid_cell
@@ -236,21 +232,6 @@ class SliceMeasure:
                                       self.grid_weights * float(factor))
 
 
-def _merged_support(m1: SliceMeasure, m2: SliceMeasure):
-    """Both measures' weights on the union of their supports.
-
-    The one place where two slice measures are lined up point by point,
-    and where their dimensions and, if either is a grid, their grid
-    geometry are checked.  Returns (points, w1, w2).  Grids give the
-    shared cell centers and both flat weight arrays.  Atoms give m1's
-    positions in order, then the positions only m2 has, as tuples, and
-    two lists of weights in their own type with 0 where an atom is absent.
-    """
-    if _comparable_grids(m1, m2):
-        return m1._grid_centers, m1.weights_flat, m2.weights_flat
-    return _merged_atoms(dict(m1.atoms), dict(m2.atoms))
-
-
 def _merged_atoms(w1: dict, w2: dict):
     """(points, weights of w1, weights of w2) on the union of two
     point -> weight maps: w1's points in order, then those only w2 has,
@@ -302,9 +283,9 @@ def _aligned_diffs(m1: SliceMeasure, m2: SliceMeasure):
     `MeasurementScenario._ns_diffs`, and the ns distance, the ns witness
     and the protocol's readout gaps all read that one table.
     """
-    points, w1, w2 = _merged_support(m1, m2)
-    if m1.is_grid:
-        return points, w1 - w2
+    if _comparable_grids(m1, m2):
+        return m1.positions, m1.weights_flat - m2.weights_flat
+    points, w1, w2 = _merged_atoms(dict(m1.atoms), dict(m2.atoms))
     positions = np.array(points, dtype=float).reshape(-1, m1.dim)
     return positions, [a - b for a, b in zip(w1, w2)]
 
@@ -314,9 +295,9 @@ def _scaled_diffs(m1: SliceMeasure, m2: SliceMeasure, factor: Weight):
     without building the scaled measure: the support, the values and the
     exactness of `_aligned_diffs(m1, m2.scaled(factor))`, in its order,
     with its types and from the same operations.  Returns (points,
-    differences, exact): the points as `_merged_support` gives them,
-    except that grids give m2's cell centres, which m1 shares, so that a
-    scenario's nu0 keeps the one copy.
+    differences, exact): for atoms, the points as tuples, m1's in order
+    and then those only m2 has; for grids, m2's cell centres, which m1
+    shares, so that a scenario's nu0 keeps the one copy.
 
     The scaled weights are checked first, as `scaled` checks them, so a
     weight that the factor takes past the largest float raises the
@@ -333,7 +314,7 @@ def _scaled_diffs(m1: SliceMeasure, m2: SliceMeasure, factor: Weight):
         if not np.all(np.isfinite(scaled)):
             raise ValueError("grid weights must be finite and nonnegative")
     if _comparable_grids(m1, m2):
-        return m2._grid_centers, m1.weights_flat - scaled, False
+        return m2.positions, m1.weights_flat - scaled, False
     points, w1, w2 = _merged_atoms(
         dict(m1.atoms), dict(zip((p for p, _ in m2.atoms), scaled)))
     return (points, [a - b for a, b in zip(w1, w2)],

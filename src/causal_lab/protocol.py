@@ -88,9 +88,6 @@ class LatticeSpec:
     def q_candidates(self) -> np.ndarray:
         return _lattice(_axes(self.q_lo, self.q_hi, self.q_points))
 
-    def p_candidates(self) -> np.ndarray:
-        return _lattice(_axes(self.p_lo, self.p_hi, self.p_points))
-
 
 def _axes(lo: tuple[float, ...], hi: tuple[float, ...],
           n: int) -> list[np.ndarray]:
@@ -210,8 +207,7 @@ def construct_protocol(sc: MeasurementScenario, witness: Region,
     senders = _greedy_cover(reach, lattice)
     proto = SignallingProtocol(K=sc.K, C=c_region, q=q,
                                senders=tuple(senders), channel_gap=gap)
-    problems = audit_protocol(proto, sc, lattice.cover_resolution,
-                              cover_pts=reach.cover_pts)
+    problems = audit_protocol(proto, sc, reach.cover_pts)
     if problems:
         raise ProtocolSearchError("constructed protocol failed its audit: "
                                   + "; ".join(problems))
@@ -346,13 +342,11 @@ def _greedy_cover(reach: SenderReach, lattice: LatticeSpec) -> list[Event]:
 
 
 def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
-                   cover_resolution: float = 0.05, *,
-                   cover_pts: np.ndarray | None = None) -> list[str]:
+                   cover_pts: np.ndarray) -> list[str]:
     """Re-verify every protocol clause with the cone kernels.
 
-    The sender cover is checked on K's sample points at
-    `cover_resolution`; `cover_pts` hands in those points when the caller
-    has taken them already (`construct_protocol`, from its sender reach).
+    The sender cover is checked on `cover_pts`, which must be the (n, d)
+    array `sc.K.sample_points(lattice.cover_resolution)`.
     """
     cs = sc.cs
     out: list[str] = []
@@ -364,16 +358,15 @@ def audit_protocol(proto: SignallingProtocol, sc: MeasurementScenario,
                    f"{tuple(corners[late[0]].tolist())}")
     if region_precedes_event(sc.K, sc.s_time, proto.q, cs):
         out.append("receiver lies in the causal future of K")
-    pts = (sc.K.sample_points(cover_resolution) if cover_pts is None
-           else cover_pts)
-    covered = np.zeros(len(pts), dtype=bool)
+    covered = np.zeros(len(cover_pts), dtype=bool)
     # one kernel call over the senders of each slice time (and length, so
     # that a sender of the wrong dimension fails as it would alone)
     groups: dict[tuple[float, int], list] = {}
     for p in proto.senders:
         groups.setdefault((p.t, len(p.x)), []).append(p.x)
     for (t, _), xs in groups.items():
-        for block in cone_blocks(xs, sc.s_time - t, cs, pts, open_cone=True):
+        for block in cone_blocks(xs, sc.s_time - t, cs, cover_pts,
+                                 open_cone=True):
             covered |= np.logical_or.reduce(block, axis=0)
     if not covered.all():
         out.append("sender futures fail to cover K's sample points")

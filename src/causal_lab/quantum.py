@@ -356,12 +356,15 @@ def measurement_scenario_from_collapse(psi: WavePacket | DiracPacket,
     mu is the state's detection measure at its own slice (time 0), the
     post-measurement branches evolve for dt and land on the later slice.
     At dt = 0 the positive branch sits entirely inside the region by
-    construction.
+    construction.  A `cs` given must have the c of the state's units.
     """
     if dt < 0:
         raise ValueError("detection slice must not precede the state")
     if cs is None:
         cs = CausalStructure(dim=1, c=psi.units.c)
+    elif cs.c != psi.units.c:
+        raise ValueError(f"the state evolves at c = {psi.units.c!r}, but cs "
+                         f"has c = {cs.c!r}")
     mu = born_measure(psi, 0.0)
     p = mu.mass(region)
     psi_plus = collapse(psi, region, "+")

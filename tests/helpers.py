@@ -1,5 +1,6 @@
 """Seeded scenario generators shared across the test modules."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -243,6 +244,12 @@ def cone_corner_scenario():
                           p_hi=(1.0, 1.0), p_points=11,
                           cover_resolution=0.05)
     return sc, lattice
+
+
+def future_region(sc: MeasurementScenario) -> Region:
+    """The detector future of a scenario as a region, which exists in
+    d = 1 only: `causal_future_on_slice` of K, from slice s to slice t."""
+    return causal_future_on_slice(sc.K, sc.t_time - sc.s_time, sc.cs)
 
 
 def _per_check_mass(m: SliceMeasure, future: SliceFuture):
@@ -559,6 +566,15 @@ def rim_annulus():
     boxes = list(sc.K.boxes) + [(t, t) for _, t, _, _ in rims]
     sc = replace(sc, K=Region.from_boxes(boxes, 2))
     return sc, lattice, rims
+
+
+def sender_lattice(lattice: LatticeSpec) -> np.ndarray:
+    """The (n**d, d) sender lattice positions in lattice order, the last
+    axis running fastest, built point by point by `itertools.product`."""
+    axes = [np.linspace(a, b, lattice.p_points).tolist()
+            for a, b in zip(lattice.p_lo, lattice.p_hi)]
+    return np.array(list(itertools.product(*axes)),
+                    dtype=float).reshape(-1, len(axes))
 
 
 def dense_reach(reach) -> np.ndarray:

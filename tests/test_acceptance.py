@@ -208,13 +208,15 @@ def test_criterion_08_sender_counts():
     sc1 = make_abc_scenario(0.0, 1.0, 1.0)
     proto1 = construct_protocol(sc1, find_ns_witness(sc1), ABC_LATTICE)
     assert len(proto1.senders) == 1
-    assert audit_protocol(proto1, sc1) == []
+    pts1 = sc1.K.sample_points(ABC_LATTICE.cover_resolution)
+    assert audit_protocol(proto1, sc1, pts1) == []
     _verify_protocol_clauses(sc1, proto1, ABC_LATTICE.cover_resolution)
 
     sc2, lat2 = make_annulus_scenario()
     proto2 = construct_protocol(sc2, find_ns_witness(sc2), lat2)
     assert len(proto2.senders) > 1
-    assert audit_protocol(proto2, sc2, lat2.cover_resolution) == []
+    pts2 = sc2.K.sample_points(lat2.cover_resolution)
+    assert audit_protocol(proto2, sc2, pts2) == []
     _verify_protocol_clauses(sc2, proto2, lat2.cover_resolution)
     got = _sender_reach(sc2, proto2.q, lat2)
     assert not (got.eligible & dense_reach(got).all(axis=1)).any()

@@ -409,6 +409,32 @@ def test_simulate_quantum_narrow_region_holds(tmp_path, capsys):
     assert rec["result"]["ce"]["holds"] is True
 
 
+def test_simulate_quantum_si_units_need_the_si_speed_of_light(tmp_path,
+                                                             capsys):
+    # an SI electron evolves at c = 299792458 m/s; with spacetime.c left at
+    # 1 the ordering check ran at 1 m/s and read a violation (deficit
+    # 0.487 on this file), so that pairing is an input error
+    payload = {
+        "spacetime": {"dim": 1, "c": 1.0},
+        "quantum": {"dynamics": "schrodinger", "units": "si",
+                    "m": 9.1093837015e-31, "lambda": 2e-8, "t": 1e-11,
+                    "grid": {"origin": -5.12e-7, "cell_size": 2e-9,
+                             "n": 512},
+                    "K": [[[-2e-8], [2e-8]]]},
+    }
+    path = write_scenario(tmp_path, payload)
+    code, out, err = run_cli(capsys, "simulate-quantum", "--scenario", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: quantum.units evolve at c = 299792458.0, but "
+                   "spacetime.c is 1.0; set it to match\n")
+    payload["spacetime"]["c"] = 299792458.0
+    path = write_scenario(tmp_path, payload)
+    code, out, err = run_cli(capsys, "simulate-quantum", "--scenario", path,
+                             "--assert", "--out", str(tmp_path / "qr"))
+    assert (code, err) == (0, "")
+    assert parse_record(out)["result"]["ce"]["holds"] is True
+
+
 def test_scales_asymptote_and_finite_time(capsys):
     code, out, _ = run_cli(capsys, "scales", "--m", "1e-26",
                            "--lambda", "1e-6", "--t", "inf", "--units", "si")

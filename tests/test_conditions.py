@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from causal_lab import conditions, measure, transport
+from causal_lab import conditions, measure, spacetime, transport
 from causal_lab.conditions import (TRUTH_TABLE_SAMPLES, MeasurementScenario,
                                    check_a1, check_a2, check_ce, check_ns,
                                    evaluate_conditions, find_ns_witness,
@@ -18,8 +18,7 @@ from causal_lab.measure import SliceMeasure, mixture
 from causal_lab.protocol import (ABC_LATTICE, audit_protocol,
                                  construct_protocol, make_annulus_scenario)
 from causal_lab.region import Region
-from causal_lab.spacetime import (EPS_CAUSAL, CausalStructure, SliceFuture,
-                                  cone_radius)
+from causal_lab.spacetime import CausalStructure, SliceFuture, cone_radius
 
 
 def test_valid_family_scenario_passes():
@@ -238,16 +237,17 @@ def test_ns_witness_strict_on_family(seed):
         assert w is not None
         assert float(sc.nu1.mass(w)) < float(sc.nu0.mass(w))
         # the witness stays clear of the detector future
-        assert not helpers.oracle_covers(sc.detector_future, w) or w.is_empty
+        future = helpers.future_region(sc)
+        assert not helpers.oracle_covers(future, w) or w.is_empty
         for box in w.boxes:
-            assert not sc.detector_future.contains(box[0])
+            assert not future.contains(box[0])
 
 
 def test_ns_gap_support_grid():
     rng = np.random.default_rng(3)
     sc, _ = helpers.random_grid_scenario(rng, "break")
     pts, gaps = ns_gap_support(sc)
-    jk = sc.detector_future
+    jk = helpers.future_region(sc)
     for p, g in zip(pts, gaps):
         assert not jk.contains(tuple(p))
         assert g > 0
@@ -338,7 +338,8 @@ def test_scenario_times_and_future():
     sc = make_abc_scenario(0.5, 0.5, 0.5)
     assert sc.s_time == 0.0 and sc.t_time == 1.0
     reach = cone_radius(1.0, sc.cs)
-    assert sc.detector_future.boxes == (((-0.25 - reach,), (0.25 + reach,)),)
+    assert helpers.future_region(sc).boxes == (((-0.25 - reach,),
+                                                (0.25 + reach,)),)
 
 
 def test_family_rejects_out_of_range():
@@ -355,12 +356,12 @@ def _oracle_in_future(sc, points):
     """Detector-future membership asked point by point: with `contains` on
     the built region in d = 1; in d >= 2, where no box region holds the
     future, with math.dist from the point to its clamp into each box of K
-    against the cone radius c*(dt + slack)."""
+    against `cone_radius`."""
     pts = np.asarray(points, dtype=float).reshape(-1, sc.K.dim).tolist()
     if sc.K.dim == 1:
-        jk = sc.detector_future
+        jk = helpers.future_region(sc)
         return np.array([jk.contains(tuple(p)) for p in pts], dtype=bool)
-    reach = sc.cs.c * (sc.t_time - sc.s_time + EPS_CAUSAL)
+    reach = cone_radius(sc.t_time - sc.s_time, sc.cs)
     return np.array([
         any(math.dist(p, [min(max(x, a), b) for a, b, x in zip(lo, hi, p)])
             <= reach for lo, hi in sc.K.boxes) for p in pts], dtype=bool)
@@ -379,6 +380,12 @@ class _LoopFuture:
 
 def _no_future_region(region, dt, cs):
     raise AssertionError("the verdict path built the detector future")
+
+
+def _forbid_future_region(m):
+    """Make building the future as a region fail, by either name."""
+    for module in (conditions, spacetime):
+        m.setattr(module, "causal_future_on_slice", _no_future_region)
 
 
 def _verdict_summary(sc):
@@ -456,15 +463,14 @@ def _scenario_builders():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verdict_path_never_builds_detector_future(monkeypatch):
+def test_verdict_path_never_builds_future_region(monkeypatch):
     exact = witnessed = dropped = 0
     builders = _scenario_builders()
     for build in builders:
         want = _oracle_summary(monkeypatch, build)
         want_gaps = _oracle_ns_gap_support(build())
         with monkeypatch.context() as m:
-            m.setattr(conditions, "causal_future_on_slice",
-                      _no_future_region)
+            _forbid_future_region(m)
             got = _verdict_summary(build())
             got_gaps = ns_gap_support(build())
         assert got == want
@@ -479,7 +485,7 @@ def test_verdict_path_never_builds_detector_future(monkeypatch):
 
 
 @pytest.mark.parametrize("segments", [16, 32, 64])
-def test_protocol_never_builds_detector_future(segments, monkeypatch):
+def test_protocol_never_builds_future_region(segments, monkeypatch):
     def protocol():
         sc, lattice = make_annulus_scenario(segments)
         proto = construct_protocol(sc, find_ns_witness(sc), lattice)
@@ -488,8 +494,7 @@ def test_protocol_never_builds_detector_future(segments, monkeypatch):
     with monkeypatch.context() as m:
         _ask_point_loop(m)
         want = protocol()
-    monkeypatch.setattr(conditions, "causal_future_on_slice",
-                        _no_future_region)
+    _forbid_future_region(monkeypatch)
     assert protocol() == want
 
 
@@ -518,8 +523,8 @@ def test_ns_readers_merge_nu0_with_nu1_once(build, monkeypatch):
     assert merges.count({id(sc.nu0), id(sc.nu1)}) == 1
 
 
-def test_cli_check_all_never_builds_detector_future(tmp_path, capsys,
-                                                     monkeypatch):
+def test_cli_check_all_never_builds_future_region(tmp_path, capsys,
+                                                  monkeypatch):
     import json
 
     from causal_lab.cli import main
@@ -546,8 +551,7 @@ def test_cli_check_all_never_builds_detector_future(tmp_path, capsys,
     with monkeypatch.context() as m:
         _ask_point_loop(m)
         want = check_all()
-    monkeypatch.setattr(conditions, "causal_future_on_slice",
-                        _no_future_region)
+    _forbid_future_region(monkeypatch)
     got = check_all()
     assert got == want
     assert got[1]["result"]["ns"] is False
@@ -566,10 +570,11 @@ def test_ns_sees_a_loss_in_the_corner_of_the_box_dilation():
     witness = rep.witnesses["ns_witness"]
     assert witness.contains((0.9, 0.9))
     with pytest.raises(ValueError, match="not a box region"):
-        sc.detector_future
+        helpers.future_region(sc)
     proto = construct_protocol(sc, witness, lattice)
     assert proto.channel_gap == pytest.approx(0.25)
-    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+    pts = sc.K.sample_points(lattice.cover_resolution)
+    assert audit_protocol(proto, sc, pts) == []
 
 
 def _rim_loss_scenario(dim):

@@ -26,6 +26,11 @@ from causal_lab.spacetime import (EPS_CAUSAL, BoostedFrame, Event, boost,
                                   cone_blocks, inverse, region_precedes_event)
 
 
+def _abc_sample(sc):
+    """K's sample points at the resolution of `ABC_LATTICE`."""
+    return sc.K.sample_points(ABC_LATTICE.cover_resolution)
+
+
 def _abc_protocol(a=0.0, b=1.0, c=1.0):
     sc = make_abc_scenario(a, b, c)
     witness = find_ns_witness(sc)
@@ -38,7 +43,7 @@ def test_family_protocol_shape():
     assert len(proto.senders) == 1
     assert proto.channel_gap == pytest.approx(1.0)
     assert proto.q.t == ABC_LATTICE.q_time
-    assert audit_protocol(proto, sc) == []
+    assert audit_protocol(proto, sc, _abc_sample(sc)) == []
 
 
 def test_family_protocol_clauses_reverify():
@@ -89,23 +94,25 @@ def test_annulus_needs_multiple_senders():
     witness = find_ns_witness(sc)
     proto = construct_protocol(sc, witness, lattice)
     assert len(proto.senders) > 1
-    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+    pts = sc.K.sample_points(lattice.cover_resolution)
+    assert audit_protocol(proto, sc, pts) == []
     assert _single_senders(sc, proto.q, lattice) == []
 
 
 def test_audit_flags_receiver_in_the_future_of_k():
     sc, lattice = helpers.cone_corner_scenario()
     proto = construct_protocol(sc, find_ns_witness(sc), lattice)
-    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
+    pts = sc.K.sample_points(lattice.cover_resolution)
+    assert audit_protocol(proto, sc, pts) == []
     # (1.0, 1.0) is 1.27 from K, inside its cone 1.5 later
     moved = replace(proto, q=Event(proto.q.t, (1.0, 1.0)))
-    problems = audit_protocol(moved, sc, lattice.cover_resolution)
+    problems = audit_protocol(moved, sc, pts)
     assert any(p.startswith("receiver lies in the causal future of K")
                for p in problems)
     # the clause reads K's own boxes: q just outside the cone passes it
     outside = replace(proto, q=Event(proto.q.t, (1.2, 1.2)))
     assert not any("causal future of K" in p for p in
-                   audit_protocol(outside, sc, lattice.cover_resolution))
+                   audit_protocol(outside, sc, pts))
 
 
 def test_protocol_requires_gap():
@@ -152,7 +159,7 @@ def test_audit_detects_tampered_sender():
     inside = SignallingProtocol(K=proto.K, C=proto.C, q=proto.q,
                                 senders=(Event(-1.0, (2.4,)),),
                                 channel_gap=proto.channel_gap)
-    problems = audit_protocol(inside, sc)
+    problems = audit_protocol(inside, sc, _abc_sample(sc))
     assert problems  # sender both precedes q and fails to cover K
 
 
@@ -160,7 +167,7 @@ def test_audit_detects_wrong_gap():
     sc, proto = _abc_protocol()
     wrong = SignallingProtocol(K=proto.K, C=proto.C, q=proto.q,
                                senders=proto.senders, channel_gap=0.123)
-    assert any("gap" in p for p in audit_protocol(wrong, sc))
+    assert any("gap" in p for p in audit_protocol(wrong, sc, _abc_sample(sc)))
 
 
 def test_protocol_dataclass_guards():
@@ -342,7 +349,7 @@ def _oracle_construct(sc, witness, lattice):
 
 def _oracle_sender_reach(sc, q, lattice):
     cover_pts = sc.K.sample_points(lattice.cover_resolution)
-    cand_xs = lattice.p_candidates()
+    cand_xs = helpers.sender_lattice(lattice)
     events = [Event(lattice.p_time, tuple(float(v) for v in x))
               for x in cand_xs]
     eligible = np.asarray([not causally_precedes(p, q, sc.cs)
@@ -360,7 +367,7 @@ def _oracle_single_senders(sc, q, lattice):
             if ok and row.all()]
 
 
-def _oracle_audit(proto, sc, cover_resolution=0.05):
+def _oracle_audit(proto, sc, cover_resolution):
     cs = sc.cs
     out = []
     for corner in _oracle_box_corners(proto.C):
@@ -481,11 +488,12 @@ def test_protocol_matches_per_point_oracle():
         assert singles == _oracle_single_senders(sc, proto.q, lattice)
         found += bool(singles)
         res = lattice.cover_resolution
+        pts = sc.K.sample_points(res)
         tampered = _tampered(proto, sc, res)
         for t in (proto,) + tampered:
-            assert audit_protocol(t, sc, res) == _oracle_audit(t, sc, res)
+            assert audit_protocol(t, sc, pts) == _oracle_audit(t, sc, res)
         # every clause fails on some tampered protocol
-        problems = [p for t in tampered for p in audit_protocol(t, sc, res)]
+        problems = [p for t in tampered for p in audit_protocol(t, sc, pts)]
         for start in ("readout set leaves", "receiver lies in the causal",
                       "sender Event"):
             assert any(p.startswith(start) for p in problems), start
@@ -546,7 +554,8 @@ def test_interval_reach_matches_all_pairs_kernel():
             got = _sender_reach(sc, q, lattice)
             events, eligible, cover_pts, want = _oracle_sender_reach(
                 sc, q, lattice)
-            assert np.array_equal(got.cand_xs, lattice.p_candidates())
+            assert np.array_equal(got.cand_xs,
+                                  helpers.sender_lattice(lattice))
             assert np.array_equal(got.eligible, eligible)
             assert np.array_equal(got.cover_pts, cover_pts)
             assert np.array_equal(helpers.dense_reach(got), want)
@@ -607,7 +616,7 @@ def test_construct_matches_oracle_on_lattice_variants():
 
 def test_construct_samples_k_once(monkeypatch):
     # the sender reach and the audit's cover clause read one sampling of
-    # K; audit_protocol called alone still takes its own
+    # K; audit_protocol takes no sample of its own
     sc, lattice = make_annulus_scenario(16)
     witness = find_ns_witness(sc)
     calls = []
@@ -620,12 +629,12 @@ def test_construct_samples_k_once(monkeypatch):
     monkeypatch.setattr(Region, "sample_points", counted)
     proto = construct_protocol(sc, witness, lattice)
     assert calls == [lattice.cover_resolution]
-    assert audit_protocol(proto, sc, lattice.cover_resolution) == []
-    assert calls == [lattice.cover_resolution] * 2
-    # the handed points are the clause's: a sender less leaves K uncovered
-    fewer = replace(proto, senders=proto.senders[1:])
     pts = sample(sc.K, lattice.cover_resolution)
-    assert (audit_protocol(fewer, sc, lattice.cover_resolution,
-                           cover_pts=pts)
-            == audit_protocol(fewer, sc, lattice.cover_resolution)
+    assert audit_protocol(proto, sc, pts) == []
+    # the handed points are the clause's: a sender less leaves K uncovered,
+    # and no point left to cover passes the clause
+    fewer = replace(proto, senders=proto.senders[1:])
+    assert (audit_protocol(fewer, sc, pts)
             == ["sender futures fail to cover K's sample points"])
+    assert audit_protocol(fewer, sc, pts[:0]) == []
+    assert calls == [lattice.cover_resolution]

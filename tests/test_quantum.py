@@ -173,7 +173,8 @@ def test_collapse_scenario_dirac_branch_stays_confined():
     K = Region.interval(-0.5, 0.5)
     sc = measurement_scenario_from_collapse(spinor, K, 0.5, evolve_dirac_1p1)
     assert validate(sc) == []
-    inside = float(sc.nu_plus.mass(sc.detector_future))
+    future = causal_future_on_slice(K, 0.5, sc.cs)
+    inside = float(sc.nu_plus.mass(future))
     assert inside >= 1 - 1e-6
 
 
@@ -187,8 +188,43 @@ def test_collapse_scenario_schrodinger_branch_leaks():
     assert validate(sc) == []
     rep = evaluate_conditions(sc)
     assert not rep.a1
-    leak = 1.0 - float(sc.nu_plus.mass(sc.detector_future))
+    future = causal_future_on_slice(K, 0.05, sc.cs)
+    leak = 1.0 - float(sc.nu_plus.mass(future))
     assert leak > 1e-3
+
+
+def _si_electron():
+    """An SI electron packet, λ = 20 nm, on a 512-cell grid of 1 nm cells."""
+    return gaussian_packet(2e-8, origin=-2.56e-7, cell_size=1e-9, n=512,
+                           mass=9.1093837015e-31, units=SI_UNITS)
+
+
+def test_collapse_scenario_rejects_a_cs_of_another_speed():
+    # an SI state evolves at c = 299792458 m/s; a check at c = 1 m/s would
+    # read the evolution against a cone 3e8 times too narrow
+    K = Region.interval(-2e-8, 2e-8)
+    with pytest.raises(ValueError, match="c = 299792458.0.*c = 1.0"):
+        measurement_scenario_from_collapse(
+            _si_electron(), K, 1e-11, evolve_schrodinger_free,
+            cs=CausalStructure(dim=1, c=1.0))
+    with pytest.raises(ValueError, match="c = 1.0.*c = 2.0"):
+        measurement_scenario_from_collapse(
+            gaussian_packet(1.0, **GRID), Region.interval(-0.5, 0.5), 0.05,
+            evolve_schrodinger_free, cs=CausalStructure(dim=1, c=2.0))
+
+
+def test_collapse_scenario_takes_a_cs_of_the_state_speed():
+    # at dt = 0, since the sharp collapse spreads past any small SI grid
+    K = Region.interval(-2e-8, 2e-8)
+    given = measurement_scenario_from_collapse(
+        _si_electron(), K, 0.0, evolve_schrodinger_free,
+        cs=CausalStructure(dim=1, c=SI_UNITS.c))
+    own = measurement_scenario_from_collapse(
+        _si_electron(), K, 0.0, evolve_schrodinger_free)
+    assert given.cs == own.cs == CausalStructure(dim=1, c=SI_UNITS.c)
+    assert validate(given) == []
+    assert evaluate_conditions(given).as_flags() == \
+        evaluate_conditions(own).as_flags()
 
 
 def test_scale_report_closed_form():

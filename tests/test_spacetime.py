@@ -198,7 +198,7 @@ def _oracle_chronological_reach(sources: np.ndarray, targets: np.ndarray,
     """Boolean (n_sources, n_targets): strictly inside the open cone."""
     diff = targets[None, :, :] - sources[:, None, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    strict = max(cs.c * (dt - EPS_CAUSAL), 0.0)
+    strict = spacetime.cone_radius(dt, cs, open_cone=True)
     return d2 < strict * strict
 
 
@@ -211,7 +211,7 @@ def _oracle_point_cone_membership(sources: np.ndarray, dt: float,
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     if src.shape[0] == 0:
         return np.zeros(tgt.shape[0], dtype=bool)
-    reach = cs.c * (dt + EPS_CAUSAL)
+    reach = spacetime.cone_radius(dt, cs)
     hit = np.zeros(tgt.shape[0], dtype=bool)
     # blocks of sources keep the pairwise arrays near 4e6 entries
     step = max(1, int(4e6 // max(tgt.shape[0], 1)))
@@ -246,12 +246,14 @@ def _point_set(rng, k: int, dim: int, lattice: bool) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(k, dim))
 
 
-def _with_slack_targets(src: np.ndarray, tgt: np.ndarray, c: float,
-                        dt: float) -> np.ndarray:
+def _with_slack_targets(src: np.ndarray, tgt: np.ndarray,
+                        cs: CausalStructure, dt: float) -> np.ndarray:
     """Add targets on the cone edge of src[0] and within the slack of it."""
     if not len(src) or not len(tgt):
         return tgt
-    offsets = [c * (dt + EPS_CAUSAL), max(c * (dt - EPS_CAUSAL), 0.0), c * dt,
+    c = cs.c
+    offsets = [spacetime.cone_radius(dt, cs),
+               spacetime.cone_radius(dt, cs, open_cone=True), c * dt,
                c * (dt + EPS_CAUSAL / 2), c * (dt - EPS_CAUSAL / 2)]
     edge = np.repeat(src[:1], len(offsets), axis=0)
     edge[:, 0] += offsets
@@ -280,8 +282,8 @@ def test_cone_kernel_matches_replaced_kernels(dim, block, monkeypatch):
                 for k, n in SIZES:
                     src = _point_set(rng, k, dim, lattice)
                     tgt = _with_slack_targets(
-                        src, _point_set(rng, n, dim, lattice), c, dt)
-                    reach = c * (dt + EPS_CAUSAL)
+                        src, _point_set(rng, n, dim, lattice), cs, dt)
+                    reach = spacetime.cone_radius(dt, cs)
 
                     net = build_flow_network(_atoms(0.0, src, dim),
                                              _atoms(dt, tgt, dim), cs)
@@ -381,7 +383,7 @@ def test_flow_network_windows_match_oracle(block, monkeypatch):
         src = mu.positions[np.asarray(mu.weights_flat) > 0]
         tgt = nu.positions[np.asarray(nu.weights_flat) > 0]
         indptr, indices = _oracle_cone_edges(
-            src, tgt, cs.c * (nu.time - mu.time + EPS_CAUSAL))
+            src, tgt, spacetime.cone_radius(nu.time - mu.time, cs))
         assert net.edge_indptr.dtype == indptr.dtype, name
         assert net.edge_indices.dtype == indices.dtype, name
         assert np.array_equal(net.edge_indptr, indptr), name
@@ -407,7 +409,7 @@ def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
         got = _sender_reach(sc, q, lattice)
         xs, eligible, cover_pts = got.cand_xs, got.eligible, got.cover_pts
         reach = helpers.dense_reach(got)
-        cand_xs = lattice.p_candidates()
+        cand_xs = helpers.sender_lattice(lattice)
         dt = sc.s_time - lattice.p_time
         want = _oracle_chronological_reach(
             cand_xs, sc.K.sample_points(lattice.cover_resolution), dt, sc.cs)
@@ -557,7 +559,7 @@ def _oracle_in_cone_of_boxes(region: Region, dt: float, cs: CausalStructure,
                              points: np.ndarray) -> np.ndarray:
     """Point by point: is the clamp of the point into some box of the
     region within the closed cone radius c*(dt + slack)?"""
-    reach = cs.c * (dt + EPS_CAUSAL)
+    reach = spacetime.cone_radius(dt, cs)
     return np.array([
         any(math.dist(p, [min(max(x, a), b) for a, b, x in zip(lo, hi, p)])
             <= reach for lo, hi in region.boxes)

@@ -41,6 +41,13 @@ def _check_weight(w: Weight) -> None:
         raise ValueError("weights must be finite and nonnegative")
 
 
+def _slice_time(time: float) -> float:
+    t = float(time)
+    if not math.isfinite(t):
+        raise ValueError("slice time must be finite")
+    return t
+
+
 @dataclass(frozen=True)
 class SliceMeasure:
     """Nonnegative measure on one slice, atomic or grid-backed."""
@@ -63,6 +70,7 @@ class SliceMeasure:
         weights by one comparison each.  On any fault the atoms are
         checked again one at a time, which raises the error of the first
         faulty atom."""
+        time = _slice_time(time)
         atoms = list(atoms)
         try:
             pos = [tuple(map(float, p)) for p, _ in atoms]
@@ -85,7 +93,7 @@ class SliceMeasure:
             dim = len(norm[0][0])
         if any(len(p) != dim for p, _ in norm):
             raise ValueError("atom dimensions are inconsistent")
-        return SliceMeasure(float(time), dim, atoms=tuple(norm))
+        return SliceMeasure(time, dim, atoms=tuple(norm))
 
     @staticmethod
     def _checked_atoms(atoms) -> list[tuple[tuple[float, ...], Weight]]:
@@ -106,6 +114,7 @@ class SliceMeasure:
     @staticmethod
     def from_grid(time: float, origin: Sequence[float], cell_size: float,
                   weights: np.ndarray) -> "SliceMeasure":
+        time = _slice_time(time)
         w = np.asarray(weights, dtype=float)
         if w.ndim < 1:
             raise ValueError("grid weights must be an array")
@@ -118,7 +127,7 @@ class SliceMeasure:
             raise ValueError("cell size must be positive")
         w = w.copy()
         w.flags.writeable = False
-        return SliceMeasure(float(time), w.ndim, grid_origin=origin_t,
+        return SliceMeasure(time, w.ndim, grid_origin=origin_t,
                             grid_cell=float(cell_size), grid_weights=w)
 
     # -- structure ---------------------------------------------------------

@@ -89,12 +89,11 @@ def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # pairs per block of every blocked kernel, read at call time: point x box
-# in `_by_blocks`, source x target in `spacetime.cone_blocks`, which `spacetime.window_blocks` asks once a run
-# of axis-0 windows.
-# Against the former bounds (4M-pair graph blocks, 65,536-entry box blocks,
-# 8192-pair reach runs), 5 alternating 8 s pairs on a 2-core VM read
-# atoms_2d peak RSS 55.3 -> 44.1 MB and 339 -> 382 ops/s, and cli_protocol
-# 141 -> 145 ops/s; 16384 cut atoms_2d from 376 to 349 ops/s (4 pairs)
+# in `_by_blocks`, source x target in `spacetime.cone_blocks` and in each
+# run of `spacetime.window_blocks`.  Against the bounds it replaced (4M-pair
+# graph blocks, 65,536-entry box blocks), 5 alternating 8 s pairs on a
+# 2-core VM read atoms_2d peak RSS 55.3 -> 44.1 MB and 339 -> 382 ops/s;
+# 16384 cut atoms_2d from 376 to 349 ops/s (4 pairs)
 BLOCK_PAIRS = 8_192
 
 # most points one `Region.sample_points` call makes: its arrays peak near

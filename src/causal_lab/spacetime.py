@@ -6,8 +6,9 @@ a source's closed cone (causal future) when their squared distance is
 <= r * r, r = c*(dt + slack), and in its open cone (chronological
 future) when it is < r * r, r = c*(dt - slack) clamped at 0.  Each form
 compares `region.sum_squares` with `squared_cone_radius`, which decides
-time order and overflow too, so the scalar predicates, the kernel
-`cone_blocks` and the future of a slice region (`SliceFuture`,
+time order and overflow too, so the scalar predicates, the one kernel
+`_cone_block` (asked by `cone_blocks` and `window_blocks`) and the
+future of a slice region (`SliceFuture`,
 `region_precedes_event`: the cone of its nearest point) agree to the
 last ulp.  In d = 1 that future is a union of intervals, which
 `causal_future_on_slice` builds; in d >= 2 no box region holds it.
@@ -147,6 +148,33 @@ def squared_cone_radius(dt: float, cs: CausalStructure,
     return r * r
 
 
+def _cone_block(src: np.ndarray, tgt: np.ndarray, r2: float,
+                open_cone: bool, total: np.ndarray,
+                part: np.ndarray | None) -> np.ndarray:
+    """The one cone kernel: a new boolean (b, n) array whose row i marks
+    the targets of `tgt` (n, d) that source `src[i]` of (b, d) reaches.
+
+    The squared distances go into the caller's (b, n) scratch buffer
+    `total`: axis 0's square, then each later axis's square, made in
+    `part` (None in d = 1) and added in place, the operations of
+    `sum_squares` in its order (0.0 + x is x for a square), so the test
+    total <= r2 (closed cone) or total < r2 (open cone) is its test bit
+    for bit.
+    """
+    # one (b, n) difference per axis into the buffers: no (b, n, d) temporary
+    np.subtract(tgt[:, 0], src[:, 0, None], out=total)
+    np.multiply(total, total, out=total)
+    for ax in range(1, tgt.shape[1]):
+        d = np.subtract(tgt[:, ax], src[:, ax, None], out=part)
+        total += np.multiply(d, d, out=d)
+    return total < r2 if open_cone else total <= r2
+
+
+def _check_point_dims(cs: CausalStructure, *points: np.ndarray) -> None:
+    if any(p.shape[1] != cs.dim for p in points):
+        raise ValueError("point dimension does not match causal structure")
+
+
 def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
                 targets: np.ndarray, open_cone: bool = False):
     """Yield, block by block of sources, which targets each one reaches.
@@ -154,35 +182,25 @@ def cone_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     Each block is a boolean (b, n) array with one row per source, in
     source order: a row marks the targets whose `sum_squares` distance
     from its source is <= r * r (closed cone) or < r * r (open cone), with
-    r * r from `squared_cone_radius`.  Blocks of at most
-    `region.BLOCK_PAIRS` pairs, or of one source, bound memory; a call
-    within that bound, or with one source or none, yields one block, as
-    each run of `window_blocks` does.
-    `sources` is (k, d), `targets` (n, d); swapped, they ask a past cone.
-    The squared distances of every block go into one buffer of the call:
-    axis 0's square, then each later axis's square added in place, the
-    operations of `sum_squares` in its order (0.0 + x is x for a square),
-    so the blocks are its test bit for bit, each a new array.
+    r * r from `squared_cone_radius`, as the kernel `_cone_block`
+    decides it.  Blocks of at most `region.BLOCK_PAIRS` pairs, or of one
+    source, bound memory; a call within that bound, or with one source
+    or none, yields one block.  `sources` is (k, d), `targets` (n, d);
+    swapped, they ask a past cone.  The kernel works in two scratch
+    buffers of the call; each block is a new array.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    if src.shape[1] != cs.dim or tgt.shape[1] != cs.dim:
-        raise ValueError("point dimension does not match causal structure")
+    _check_point_dims(cs, src, tgt)
     r2 = squared_cone_radius(dt, cs, open_cone)
     step = max(1, region.BLOCK_PAIRS // max(tgt.shape[0], 1))
-    # one (b, n) difference per axis into the buffers: no (b, n, d) temporary
     dist2 = np.empty((min(step, src.shape[0]), tgt.shape[0]))
     part = np.empty_like(dist2) if tgt.shape[1] > 1 else None
     for start in range(0, max(src.shape[0], 1), step):
         block = src[start:start + step]
-        total = dist2[:len(block)]
-        np.subtract(tgt[:, 0], block[:, 0, None], out=total)
-        np.multiply(total, total, out=total)
-        for ax in range(1, tgt.shape[1]):
-            d = np.subtract(tgt[:, ax], block[:, ax, None],
-                            out=part[:len(block)])
-            total += np.multiply(d, d, out=d)
-        yield total < r2 if open_cone else total <= r2
+        b = len(block)
+        yield _cone_block(block, tgt, r2, open_cone, dist2[:b],
+                          None if part is None else part[:b])
 
 
 # the rim tests that settle the window ends of both kernels, on a target's
@@ -275,26 +293,37 @@ def window_blocks(sources: np.ndarray, dt: float, cs: CausalStructure,
     `region.BLOCK_PAIRS`, or that hold one row.  For each run with a
     target, yields (rows, cols, block): the indices into `sources` and
     `targets` of the run and of its targets lo_g .. hi_{h-1}, each in
-    axis-0 order, and the one `cone_blocks` block of those rows against
-    those columns, so every pair is settled by that kernel, bit for bit.
+    axis-0 order, and the block of those rows against those columns from
+    the one cone kernel `_cone_block`, so every pair is settled as
+    `cone_blocks` settles it, bit for bit.  The dimension check, r * r
+    and the kernel's scratch buffers, sized for the largest run, are set
+    up once a call, not once a run.
     """
+    _check_point_dims(cs, sources, targets)
     rows = np.argsort(sources[:, 0], kind="stable")
     cols = np.argsort(targets[:, 0], kind="stable")
     src, tgt = sources[rows], targets[cols]
-    lo, hi = _cone_windows(src[:, 0], tgt[:, 0], cone_radius(dt, cs),
-                           squared_cone_radius(dt, cs))
+    r2 = squared_cone_radius(dt, cs)
+    lo, hi = _cone_windows(src[:, 0], tgt[:, 0], cone_radius(dt, cs), r2)
     lo, hi = lo.tolist(), hi.tolist()
-    k, g = len(lo), 0
+    k, g, runs = len(lo), 0, []
     while g < k:
         # both ends rise with the row, so the area only grows with h
         h = g + max(1, bisect_right(
             range(g + 1, k + 1), region.BLOCK_PAIRS,
             key=lambda j: (j - g) * (hi[j - 1] - lo[g])))
-        a, b = lo[g], hi[h - 1]
-        if a < b:
-            block, = cone_blocks(src[g:h], dt, cs, tgt[a:b])
-            yield rows[g:h], cols[a:b], block
+        if lo[g] < hi[h - 1]:
+            runs.append((g, h, lo[g], hi[h - 1]))
         g = h
+    size = max(((h - g) * (b - a) for g, h, a, b in runs), default=0)
+    total = np.empty(size)
+    part = np.empty(size) if cs.dim > 1 else None
+    for g, h, a, b in runs:
+        shape, n = (h - g, b - a), (h - g) * (b - a)
+        block = _cone_block(src[g:h], tgt[a:b], r2, False,
+                            total[:n].reshape(shape),
+                            None if part is None else part[:n].reshape(shape))
+        yield rows[g:h], cols[a:b], block
 
 
 def point_cone_membership(sources: np.ndarray, dt: float, cs: CausalStructure,

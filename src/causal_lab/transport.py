@@ -66,6 +66,8 @@ from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
+# both solvers raise it when a float deficit would pass the largest float
+_DEFICIT_OVERFLOW = "the deficit overflows a float"
 # up to this many points in mu's positive support, atoms or grid cells,
 # the d = 1 scan places its windows on Python lists, above it with numpy.
 # Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
@@ -198,11 +200,12 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
 
     Sources and targets go in any order through
     `spacetime.window_blocks`, which settles every pair of each source's
-    axis-0 window by the `sum_squares` test of `spacetime.cone_blocks`,
-    in blocks of at most `region.BLOCK_PAIRS` pairs (or one source), and
+    axis-0 window by the `sum_squares` test of the one cone kernel, in
+    blocks of at most `region.BLOCK_PAIRS` pairs (or one source), and
     names the rows and columns of each block; no edge lies outside the
     windows, so the edges are that kernel's over all pairs, each row in
-    ascending target index.
+    ascending target index.  A block's edges are its flat true indices,
+    split into row and column by the block's width.
     """
     dt = _slice_gap(mu, nu, cs)
     left_pts, left_caps = _support(mu)
@@ -210,7 +213,8 @@ def build_flow_network(mu: SliceMeasure, nu: SliceMeasure,
     k, n = len(left_pts), len(right_pts)
     keys = [np.empty(0, dtype=np.int64)]
     for rows, cols, block in window_blocks(left_pts, dt, cs, right_pts):
-        r, c = np.nonzero(block)
+        # a 2-D np.nonzero took as long as computing the block
+        r, c = np.divmod(block.ravel().nonzero()[0], block.shape[1])
         # one int64 key orders the edges by source, then by target index
         keys.append(rows[r] * n + cols[c])
     key = np.concatenate(keys)
@@ -249,17 +253,25 @@ def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
     is its 53-bit mantissa times a power of two, read from np.frexp, with
     the mantissa's trailing zeros moved into the exponent, so the lowest
     exponent (or 0, the exponent of 0.0 and the integers) gives the same
-    reduced denominator and numerators."""
-    frac, exp = np.frexp(w)
+    reduced denominator and numerators.  A numerator's width is its
+    weight's frexp exponent less the lowest exponent: when the widest
+    fits in 63 bits, as on every float cloud of a few decades, the
+    numerators are shifted in int64 and read with one `.tolist()`;
+    otherwise, as on the far tails of a Born grid, one Python shift at a
+    time."""
+    frac, top = np.frexp(w)  # w < 2**top
     mant = np.ldexp(frac, 53).astype(np.int64)
     nonzero = mant > 0
     # the lowest set bit is exact in a float; np.frexp(0) gives exponent 0
     zeros = np.frexp((mant & -mant).astype(float))[1] - 1
     zeros[~nonzero] = 0
-    exp = np.where(nonzero, exp - 53 + zeros, 0)
+    exp = np.where(nonzero, top - 53 + zeros, 0)
     low = int(exp.min(initial=0))
-    return 1 << -low, [v << e for v, e in zip((mant >> zeros).tolist(),
-                                               (exp - low).tolist())]
+    mant >>= zeros
+    shift = np.where(nonzero, exp - low, 0)  # a zero's 0 is not shifted
+    if int(top.max(initial=low, where=nonzero)) - low <= 63:
+        return 1 << -low, (mant << shift).tolist()
+    return 1 << -low, [v << e for v, e in zip(mant.tolist(), shift.tolist())]
 
 
 def _droppable(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
@@ -412,10 +424,13 @@ def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
     rest, den, cut_pts = solve(mu, nu, cs)
     if rest == 0 or (not exact and rest * _EPS_DEN <= _EPS_NUM * den):
         return CeVerdict(True, Fraction(0) if exact else 0.0, None, "maxflow")
+    try:
+        # int true division rounds correctly, as float(Fraction) does
+        deficit = Fraction(rest, den) if exact else rest / den
+    except OverflowError:
+        raise ValueError(_DEFICIT_OVERFLOW) from None
     worst = Region.point_boxes(cut_pts, mu.dim, halfwidth=mu.cell_halfwidth)
-    # int true division rounds correctly, as float(Fraction(rest, den)) does
-    return CeVerdict(False, Fraction(rest, den) if exact else rest / den,
-                     worst, "maxflow")
+    return CeVerdict(False, deficit, worst, "maxflow")
 
 
 def _cone_bits(sources: np.ndarray, dt: float, cs: CausalStructure,
@@ -475,6 +490,9 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
         if best is None or d > best:
             best = d
             best_subset = s
+    if not (exact or best < math.inf):
+        # a float sum of mu's weights passed the largest float
+        raise ValueError(_DEFICIT_OVERFLOW)
     if best <= (0 if exact else EPS_FLOW):
         return CeVerdict(True, zero, None, "bruteforce")
     worst = Region.point_boxes(

@@ -627,6 +627,10 @@ def _on(name, edit):
     return replace
 
 
+# two atoms of 1e308 whose cones hold nu's unit mass: a deficit near 2e308
+_HUGE_MU = _set("measures", "mu", "atoms", [[0.0, 1e308], [1.5, 1e308]])
+
+
 def _grid_nu0(**grid):
     return _set("measures", "nu0", {"time": 1.0, "grid": {
         "origin": [-4.0], "cell_size": 0.5,
@@ -653,6 +657,16 @@ def _grid_nu0(**grid):
      "bad measure 'nu0': could not convert string to float: 'x'"),
     (_set("measures", "mu", "time", None), ("check", "all"),
      "bad measure 'mu': float() argument must be a string or a"),
+    # a slice time that is not finite once passed validate and was then
+    # read as a cone radius that overflows
+    (_set("measures", "mu", "time", math.nan), ("validate", "--assert"),
+     "bad measure 'mu': slice time must be finite"),
+    (_set("measures", "nu0", "time", math.inf), ("check", "all"),
+     "bad measure 'nu0': slice time must be finite"),
+    (_set("measures", "mu", "time", -math.inf), ("check", "ce"),
+     "bad measure 'mu': slice time must be finite"),
+    (_on("grid_1d.json", _set("measures", "mu", "time", math.nan)),
+     ("validate",), "bad measure 'mu': slice time must be finite"),
     (_set("measures", "nu0", "atoms", 0, [0.0, None]), ("validate",),
      "bad measure 'nu0': float() argument must be a string or a"),
     # an object row once raised KeyError: -1; a string row was read
@@ -785,9 +799,19 @@ def _grid_nu0(**grid):
     (lambda payload: payload.update(
         quantum=dict(QUANTUM["quantum"], dynamics="klein-gordon")),
      ("simulate-quantum",), "unknown dynamics 'klein-gordon'"),
+    # a float deficit past the largest float: maxflow raised OverflowError
+    # with a traceback, brute force wrote "deficit": Infinity
+    (_HUGE_MU, ("check", "ce", "--method", "auto"),
+     "the deficit overflows a float"),
+    (_HUGE_MU, ("check", "ce", "--method", "bruteforce"),
+     "the deficit overflows a float"),
+    (_HUGE_MU, ("check", "ce", "--method", "maxflow"),
+     "the deficit overflows a float"),
+    (_HUGE_MU, ("check", "all"), "the deficit overflows a float"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
-        "weights_x", "time_null", "weight_null", "atom_row_object",
+        "weights_x", "time_null", "time_nan", "time_inf", "time_neg_inf",
+        "grid_time_nan", "weight_null", "atom_row_object",
         "atom_row_str", "atom_row_short", "scales_t_abc",
         "scales_m_nan", "scales_m_inf", "scales_lambda_nan",
         "scales_lambda_inf", "scales_t_nan", "scales_overflow",
@@ -802,7 +826,9 @@ def _grid_nu0(**grid):
         "grid_origin_str", "k_corners_str", "annulus_k_corners_str",
         "quantum_k_corners_str", "measure_neither_atoms_nor_grid",
         "root_list", "no_measurement", "no_lattice", "signal_sim_no_gap",
-        "no_quantum", "quantum_dim_2", "dynamics_unknown"])
+        "no_quantum", "quantum_dim_2", "dynamics_unknown",
+        "deficit_overflow_auto", "deficit_overflow_bruteforce",
+        "deficit_overflow_maxflow", "deficit_overflow_all"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
     # each of these once escaped main as a traceback with exit code 1, was

@@ -36,6 +36,17 @@ def test_negative_and_nan_weights_rejected():
         SliceMeasure.from_atoms(0.0, [((0.0,), float("nan"))])
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_slice_time_must_be_finite(time):
+    # a time of 1e200 is finite; only its cone radius overflows, later
+    with pytest.raises(ValueError, match="^slice time must be finite$"):
+        SliceMeasure.from_atoms(time, [((0.0,), 0.5)])
+    with pytest.raises(ValueError, match="^slice time must be finite$"):
+        SliceMeasure.from_grid(time, (0.0,), 1.0, [0.5, 0.5])
+    assert SliceMeasure.from_atoms(1e200, [((0.0,), 0.5)]).time == 1e200
+    assert SliceMeasure.from_grid(-1e200, (0.0,), 1.0, [0.5]).time == -1e200
+
+
 def test_atom_faults_raise_for_the_first_faulty_atom():
     # the bulk checks find faults anywhere; the error is the one the
     # first faulty atom raises, whichever fault comes first

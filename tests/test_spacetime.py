@@ -391,6 +391,64 @@ def test_flow_network_windows_match_oracle(block, monkeypatch):
         assert 0 < net.num_edges < len(src) * len(tgt), name
 
 
+def _thin_block_cases():
+    """(name, bound, sources, targets, dt, shape test): clouds whose runs
+    are each one column, each one row, or skip sources with empty
+    windows, in d = 2 and 3, with the block shapes that make them so."""
+    rng = np.random.default_rng(83)
+    out = []
+    for dim in (2, 3):
+        # five sources about each target, targets 10 apart on axis 0: with
+        # a bound of 5 each run is one cluster against its one target
+        tgt = np.zeros((8, dim))
+        tgt[:, 0] = 10.0 * np.arange(8)
+        src = (np.repeat(tgt, 5, axis=0)
+               + rng.uniform(-0.1, 0.1, (40, dim)))
+        out.append((f"one column d{dim}", 5, src[rng.permutation(40)], tgt,
+                    0.5, lambda shape: shape[1] == 1))
+        # a bound of 1: every run is one row, most of them several targets
+        src = _point_set(rng, 30, dim, True)
+        out.append((f"one row d{dim}", 1, src, _point_set(rng, 60, dim, True),
+                    0.5, lambda shape: shape[0] == 1))
+        # half the sources 5 away on axis 1 from all targets, so their
+        # windows hold targets but their cones none; six sources between
+        # two clusters have empty windows, which no run starts at
+        src = _point_set(rng, 20, dim, True)
+        far = src.copy()
+        far[:, 1] += 5.0
+        gaps = np.zeros((9, dim))
+        gaps[:, 0] = 10.0 + np.arange(9)
+        gaps[6:, 0] += 20.0
+        out.append((f"empty windows d{dim}", 64,
+                    np.concatenate([src, far, gaps]),
+                    np.concatenate([src, gaps[6:]]) + 0.125,
+                    0.25, lambda shape: True))
+    return out
+
+
+@pytest.mark.parametrize("name, bound, src, tgt, dt, thin",
+                         _thin_block_cases(),
+                         ids=[case[0] for case in _thin_block_cases()])
+def test_flow_network_thin_blocks_match_oracle(name, bound, src, tgt, dt,
+                                               thin, monkeypatch):
+    # the CSR arrays against the all-pairs oracle when the flat edge
+    # indices are split by a width of one, by a block of one row, and
+    # when runs skip sources whose windows are empty
+    monkeypatch.setattr(region_module, "BLOCK_PAIRS", bound)
+    calls = _spy_cone_block(monkeypatch)
+    cs = CausalStructure(dim=src.shape[1], c=1.0)
+    mu, nu = _atoms(0.0, src, cs.dim), _atoms(dt, tgt, cs.dim)
+    net = build_flow_network(mu, nu, cs)
+    indptr, indices = _oracle_cone_edges(
+        mu.positions, nu.positions, spacetime.cone_radius(dt, cs))
+    assert np.array_equal(net.edge_indptr, indptr), name
+    assert np.array_equal(net.edge_indices, indices), name
+    assert net.num_edges > 0, name
+    shapes = [blocks[0].shape for blocks in calls]
+    assert shapes and all(thin(shape) for shape in shapes), name
+    assert any(shape[0] * shape[1] > 1 for shape in shapes), name
+
+
 @pytest.mark.parametrize("block", [None, 1, 5, 64, 10**9])
 def test_sender_reach_matches_replaced_kernel(block, monkeypatch):
     # the interval reach, expanded to a dense matrix, against the einsum
@@ -500,16 +558,17 @@ def test_window_runs_cover_rows_in_order(block, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def _spy_cone_blocks(monkeypatch) -> list:
-    """Record the blocks of each `spacetime.cone_blocks` call."""
+def _spy_cone_block(monkeypatch) -> list:
+    """Record the block of each call of the cone kernel
+    `spacetime._cone_block`, as a list of one block."""
     calls = []
-    kernel = spacetime.cone_blocks
+    kernel = spacetime._cone_block
 
     def spy(*args, **kwargs):
-        calls.append(list(kernel(*args, **kwargs)))
-        yield from calls[-1]
+        calls.append([kernel(*args, **kwargs)])
+        return calls[-1][0]
 
-    monkeypatch.setattr(spacetime, "cone_blocks", spy)
+    monkeypatch.setattr(spacetime, "_cone_block", spy)
     return calls
 
 
@@ -524,7 +583,7 @@ def _one_bounded_block(calls) -> None:
 def test_window_blocks_take_one_bounded_block(monkeypatch):
     # the cone graph asks the kernel once a run, and each call is one
     # block of at most `region.BLOCK_PAIRS` pairs or of one row
-    calls = _spy_cone_blocks(monkeypatch)
+    calls = _spy_cone_block(monkeypatch)
     dt = 0.4
     mu_pts, nu_pts, weights, _ = helpers.drained_cloud(
         np.random.default_rng(241), 800, dt)

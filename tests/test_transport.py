@@ -180,6 +180,36 @@ def test_bruteforce_rejects_oversized_instances():
         check_ce_bruteforce(mu, nu, CS1)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_both_solvers_reject_a_deficit_past_the_largest_float(dim):
+    # about 2e308 of mu reaches 1.0 of nu: the float deficit would be inf
+    # (brute force's sum) or raise OverflowError (maxflow's rest / den)
+    cs = CausalStructure(dim=dim, c=1.0)
+    pad = (0.0,) * (dim - 1)
+    mu = SliceMeasure.from_atoms(0.0, [((0.0, *pad), 1e308),
+                                       ((1.5, *pad), 1e308)])
+    nu = SliceMeasure.from_atoms(1.0, [((0.9, *pad), 0.2),
+                                       ((2.2, *pad), 0.8)])
+    for check in (check_ce_maxflow, check_ce_bruteforce):
+        with pytest.raises(ValueError,
+                           match="^the deficit overflows a float$"):
+            check(mu, nu, cs)
+    # one atom of 1e308 is a float deficit, and so is an exact one
+    one = SliceMeasure.from_atoms(0.0, [((5.0, *pad), 1e308)])
+    for check in (check_ce_maxflow, check_ce_bruteforce):
+        assert check(one, nu, cs).deficit == 1e308
+    exact = SliceMeasure.from_atoms(0.0, [((5.0, *pad), 10 ** 400)])
+    exact_nu = SliceMeasure.from_atoms(1.0, [((0.9, *pad), Fraction(1, 5))])
+    for check in (check_ce_maxflow, check_ce_bruteforce):
+        assert check(exact, exact_nu, cs).deficit == 10 ** 400
+    # nu's sum past the largest float is no deficit
+    many = SliceMeasure.from_atoms(1.0, [((0.5, *pad), 1e308),
+                                         ((-0.5, *pad), 1e308)])
+    small = SliceMeasure.from_atoms(0.0, [((0.0, *pad), 1.0)])
+    for check in (check_ce_maxflow, check_ce_bruteforce):
+        assert check(small, many, cs).holds
+
+
 def test_time_order_enforced():
     mu = _atoms(1.0, [(0.0, 1.0)])
     nu = _atoms(0.0, [(0.0, 1.0)])
@@ -757,6 +787,30 @@ def test_frexp_lift_matches_integer_lift_on_random_floats():
         caps = np.append(caps, rng.choice([0.0, 1.0, 5e-324], 2))
         assert (transport._frexp_lift(caps)
                 == transport._integer_lift(caps.tolist()))
+
+
+# the widest numerator at the int64 shift's bound and past it: 63 bits
+# are shifted in int64, 64 and more one Python int at a time (zeros,
+# subnormals and integral floats of narrow lifts are in _LIFT_MIXES)
+_FREXP_WIDTHS = {
+    "62_bits": ([2.0 ** 61, 1.0, 0.0], 62),
+    "63_bits": ([(2.0 ** 53 - 1) * 2.0 ** 10, 1.0, 0.0], 63),
+    "63_bits_power": ([2.0 ** 62, 1.0, 3.0], 63),
+    "63_bits_subnormal": ([(2.0 ** 53 - 1) * 2.0 ** -1064, 5e-324, 0.0],
+                          63),
+    "64_bits": ([(2.0 ** 53 - 1) * 2.0 ** 11, 1.0], 64),
+    "64_bits_power": ([2.0 ** 63, 1.0, 0.0], 64),
+    "wide": ([1.7976931348623157e308, 5e-324, 0.25], 2098),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FREXP_WIDTHS))
+def test_frexp_lift_matches_integer_lift_at_every_width(case):
+    caps, width = _FREXP_WIDTHS[case]
+    den, nums = transport._frexp_lift(np.array(caps))
+    assert (den, nums) == transport._integer_lift(caps)
+    assert max(nums).bit_length() == width
+    assert all(type(n) is int for n in nums)
 
 
 def test_full_support_born_scan_keeps_few_sources(monkeypatch):

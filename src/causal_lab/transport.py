@@ -254,11 +254,11 @@ def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
     the mantissa's trailing zeros moved into the exponent, so the lowest
     exponent (or 0, the exponent of 0.0 and the integers) gives the same
     reduced denominator and numerators.  A numerator's width is its
-    weight's frexp exponent less the lowest exponent: when the widest
-    fits in 63 bits, as on every float cloud of a few decades, the
-    numerators are shifted in int64 and read with one `.tolist()`;
-    otherwise, as on the far tails of a Born grid, one Python shift at a
-    time."""
+    weight's frexp exponent less the lowest exponent.  When the widest
+    fits in 63 bits (53-bit mantissas within about 2**10 of each other,
+    as in the atom clouds of `atoms_2d`), the numerators are shifted in
+    int64 and read with one `.tolist()`; wider lifts, such as a Born
+    grid's full support, take one Python shift a numerator."""
     frac, top = np.frexp(w)  # w < 2**top
     mant = np.ldexp(frac, 53).astype(np.int64)
     nonzero = mant > 0
@@ -268,7 +268,8 @@ def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
     exp = np.where(nonzero, top - 53 + zeros, 0)
     low = int(exp.min(initial=0))
     mant >>= zeros
-    shift = np.where(nonzero, exp - low, 0)  # a zero's 0 is not shifted
+    # a zero's shift would be -low, which may pass int64's width
+    shift = np.where(nonzero, exp - low, 0)
     if int(top.max(initial=low, where=nonzero)) - low <= 63:
         return 1 << -low, (mant << shift).tolist()
     return 1 << -low, [v << e for v, e in zip(mant.tolist(), shift.tolist())]

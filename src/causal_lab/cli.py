@@ -37,6 +37,7 @@ input error: `main` reports it as `error: <message>` and returns 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -481,11 +482,7 @@ def cmd_signal_sim(args) -> int:
     for i, block in enumerate(block_sizes):
         st = protocol.simulate_signalling(proto, ms, trials=trials,
                                           seed=seed + i, block_size=block)
-        stats.append({"block_size": block, "trials": st.trials,
-                      "error_rate": st.error_rate, "stderr": st.stderr,
-                      "p_detect_off": st.p_detect_off,
-                      "p_detect_on": st.p_detect_on,
-                      "threshold": st.threshold})
+        stats.append(dataclasses.asdict(st))
         lines.append(f"{block},{_fmt_float(st.error_rate)},"
                      f"{_fmt_float(st.stderr)}")
     rec["result"] = {"protocol": _protocol_json(proto), "trials": trials,

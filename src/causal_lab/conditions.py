@@ -301,8 +301,6 @@ def evaluate_conditions(sc: MeasurementScenario,
     for d in diags:
         warnings.warn(d, RuntimeWarning, stacklevel=2)
     witnesses = {
-        "ce_deficit": ce_v.deficit,
-        "ce_worst_set": ce_v.worst_set,
         "ns_distance": ns_dist,
         "ns_witness": None if ns else find_ns_witness(sc),
         "a1_future_mass": a1_mass,

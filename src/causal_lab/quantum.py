@@ -79,7 +79,8 @@ class _GridPacket:
         if any(len(c) != len(first) for c in rest):
             raise ValueError("spinor components differ in length")
         for name, c in zip(self.component_names, self.components):
-            arr = np.ascontiguousarray(c, dtype=complex)
+            # its own copy: no array or view the caller holds can write it
+            arr = np.array(c, dtype=complex, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not abs(self.norm - 1.0) <= EPS_MASS:  # NaN included
@@ -349,22 +350,17 @@ def analytic_ce_gaussian(m: float, lam: float, t: float, ell: float,
 
 
 def measurement_scenario_from_collapse(psi: WavePacket | DiracPacket,
-                                       region: Region, dt: float, evolve,
-                                       cs=None):
+                                       region: Region, dt: float, evolve):
     """Build a measurement scenario from projective collapse plus evolution.
 
     mu is the state's detection measure at its own slice (time 0), the
     post-measurement branches evolve for dt and land on the later slice.
     At dt = 0 the positive branch sits entirely inside the region by
-    construction.  A `cs` given must have the c of the state's units.
+    construction.  The scenario's causal structure is 1+1 dimensional
+    with the c of the state's units, the speed its dynamics run at.
     """
     if dt < 0:
         raise ValueError("detection slice must not precede the state")
-    if cs is None:
-        cs = CausalStructure(dim=1, c=psi.units.c)
-    elif cs.c != psi.units.c:
-        raise ValueError(f"the state evolves at c = {psi.units.c!r}, but cs "
-                         f"has c = {cs.c!r}")
     mu = born_measure(psi, 0.0)
     p = mu.mass(region)
     psi_plus = collapse(psi, region, "+")
@@ -373,5 +369,6 @@ def measurement_scenario_from_collapse(psi: WavePacket | DiracPacket,
     nu_p = born_measure(evolve(psi_plus, dt), dt)
     nu_m = born_measure(evolve(psi_minus, dt), dt)
     nu1 = mixture(p, nu_p, nu_m)
-    return MeasurementScenario(cs=cs, K=region, mu=mu, nu0=nu0, nu1=nu1,
+    return MeasurementScenario(cs=CausalStructure(dim=1, c=psi.units.c),
+                               K=region, mu=mu, nu0=nu0, nu1=nu1,
                                nu_plus=nu_p, nu_minus=nu_m, p_plus=p)

@@ -445,7 +445,13 @@ def _cone_bits(sources: np.ndarray, dt: float, cs: CausalStructure,
 
 def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
                         cs: CausalStructure) -> CeVerdict:
-    """Exhaustive subset scan over mu's atoms (capped at 20 atoms)."""
+    """Exhaustive subset scan over mu's atoms (capped at 20 atoms).
+
+    Float weights are summed as floats.  When a subset's sum passes the
+    largest float, the scan runs again on the weights' exact rationals
+    and rounds the deficit once, as max-flow does; only an exact deficit
+    past the largest float raises.
+    """
     if not mu.is_atomic:
         raise ValueError("bruteforce check requires an atomic mu")
     dt = _slice_gap(mu, nu, cs)
@@ -458,14 +464,38 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
     if n == 0:
         return CeVerdict(True, zero, None, "bruteforce")
 
-    nu_pts = nu.positions
     if nu.is_atomic:
         nu_w = [w for _, w in nu.atoms]
     else:
         nu_w = [float(v) for v in nu.weights_flat]
+    mu_w = [w for _, w in atoms]
     mu_pts = np.array([p for p, _ in atoms], dtype=float)
-    cone_bits = _cone_bits(mu_pts, dt, cs, nu_pts)
+    cone_bits = _cone_bits(mu_pts, dt, cs, nu.positions)
+    best, best_subset, finite = _subset_scan(mu_w, nu_w, cone_bits, zero)
+    if not finite:
+        # subset sums in float are monotone, so only the full ones can
+        # have passed the largest float; redo the scan without rounding
+        best, best_subset, _ = _subset_scan(
+            [Fraction(w) for w in mu_w], [Fraction(w) for w in nu_w],
+            cone_bits, Fraction(0))
+    if best <= (0 if exact else EPS_FLOW):
+        return CeVerdict(True, zero, None, "bruteforce")
+    if not finite:
+        try:
+            best = float(best)  # the rescan's exact deficit, rounded once
+        except OverflowError:
+            raise ValueError(_DEFICIT_OVERFLOW) from None
+    worst = Region.point_boxes(
+        [atoms[i][0] for i in range(n) if best_subset >> i & 1], mu.dim)
+    return CeVerdict(False, best, worst, "bruteforce")
 
+
+def _subset_scan(mu_w: list, nu_w: list, cone_bits: list[int],
+                 zero: Weight) -> tuple[Weight, int, bool]:
+    """The greatest mu(S) - nu(J+(S)) over nonempty subsets S of the
+    sources, the first subset (as a bitmask) that reaches it, and whether
+    every sum stayed finite."""
+    n = len(mu_w)
     nu_mass_cache: dict[int, Weight] = {0: zero}
 
     def nu_mass(bits: int) -> Weight:
@@ -485,20 +515,14 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
     for s in range(1, 1 << n):
         low = s & -s
         i = low.bit_length() - 1
-        mu_sum[s] = mu_sum[s ^ low] + atoms[i][1]
+        mu_sum[s] = mu_sum[s ^ low] + mu_w[i]
         or_bits[s] = or_bits[s ^ low] | cone_bits[i]
         d = mu_sum[s] - nu_mass(or_bits[s])
         if best is None or d > best:
             best = d
             best_subset = s
-    if not (exact or best < math.inf):
-        # a float sum of mu's weights passed the largest float
-        raise ValueError(_DEFICIT_OVERFLOW)
-    if best <= (0 if exact else EPS_FLOW):
-        return CeVerdict(True, zero, None, "bruteforce")
-    worst = Region.point_boxes(
-        [atoms[i][0] for i in range(n) if best_subset >> i & 1], mu.dim)
-    return CeVerdict(False, best, worst, "bruteforce")
+    return (best, best_subset,
+            mu_sum[-1] < math.inf and nu_mass(or_bits[-1]) < math.inf)
 
 
 def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,
@@ -506,10 +530,8 @@ def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,
     """Re-derive mu(W) - nu(cone(W)) from first principles for a worst set.
 
     Point sources inside W use the exact Euclidean cone, matching the edge
-    rule of the flow network in every dimension.  In d = 1 each target is
-    tested against its two nearest sources only, found by bisection in
-    the sorted sources: rounding is monotone, so no farther source on the
-    same side has a smaller squared distance.
+    rule of the flow network in every dimension: each target is tested
+    against every source by `point_cone_membership`.
     """
     dt = nu.time - mu.time
     mu_in = mu.restricted(worst)
@@ -517,30 +539,10 @@ def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,
                if mu_in.is_grid else mu_in.positions)
     if len(src_pts) == 0:
         return Fraction(0) if (mu.exact and nu.exact) else 0.0
-    if cs.dim == 1 and mu.dim == nu.dim == 1:
-        mask = _nearest_source_membership(src_pts[:, 0], dt, cs,
-                                          nu.positions[:, 0])
-    else:
-        mask = point_cone_membership(src_pts, dt, cs, nu.positions)
+    mask = point_cone_membership(src_pts, dt, cs, nu.positions)
     if nu.is_atomic:
         nu_cov = sum((w for (_, w), hit in zip(nu.atoms, mask) if hit),
                      Fraction(0) if nu.exact else 0.0)
     else:
         nu_cov = float(nu.weights_flat[mask].sum())
     return mu_in.total - nu_cov
-
-
-def _nearest_source_membership(sources: np.ndarray, dt: float,
-                               cs: CausalStructure,
-                               targets: np.ndarray) -> np.ndarray:
-    """`point_cone_membership` in d = 1, in O((k + n) log k): a target is
-    in a cone iff it is in that of the nearest source on its left or on
-    its right, under the same squared-distance test."""
-    if dt < 0:
-        raise ValueError("slice separation must be nonnegative")
-    r2 = squared_cone_radius(dt, cs)
-    xs = np.sort(sources)
-    k = np.searchsorted(xs, targets)  # bisect_left, one target at a time
-    left = targets - xs[np.maximum(k - 1, 0)]
-    right = targets - xs[np.minimum(k, len(xs) - 1)]
-    return (left * left <= r2) | (right * right <= r2)

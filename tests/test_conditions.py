@@ -391,6 +391,9 @@ def _forbid_future_region(m):
 def _verdict_summary(sc):
     rep = evaluate_conditions(sc)
     wit = rep.witnesses
+    # the ordering verdict's deficit and worst set live in ce_verdict only
+    assert set(wit) == {"ns_distance", "ns_witness", "a1_future_mass",
+                        "a2_distance"}
     values = (wit["ns_distance"], wit["a1_future_mass"], wit["a2_distance"],
               rep.ce_verdict.deficit)
     witnesses = (wit["ns_witness"], find_ns_witness(sc))

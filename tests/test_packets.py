@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from causal_lab.quantum import (Constants, DiracPacket, WavePacket,
-                                bump_spinor_packet, collapse,
+                                born_measure, bump_spinor_packet, collapse,
                                 evolve_dirac_1p1, gaussian_packet)
 from causal_lab.region import Region
 
@@ -55,3 +55,27 @@ def test_with_components_rebuilds_and_rechecks():
     with pytest.raises(ValueError, match="power of two"):
         scalar.with_components(scalar.amplitudes[:384])
     assert type(scalar.with_components(-scalar.amplitudes)) is WavePacket
+
+
+def test_packet_keeps_its_own_copy_of_its_components():
+    # neither the caller's array, which stays writeable, nor a view of it
+    # taken before the packet was built can write the packet
+    amp = np.zeros(16, dtype=complex)
+    amp[8] = 1.0
+    view = amp[:]
+    p = WavePacket(amp, -8.0, 1.0, 1.0)
+    density = p.density.copy()
+    weights = born_measure(p, 0.0).weights_flat.copy()
+    view[8] = 3.0
+    amp[7] = 2.0
+    assert p.amplitudes[8] == 1.0 and p.amplitudes[7] == 0.0
+    assert not p.amplitudes.flags.writeable
+    assert np.array_equal(p.density, density)
+    assert p.norm == 1.0
+    assert np.array_equal(born_measure(p, 0.0).weights_flat, weights)
+    upper, lower = np.zeros(16, dtype=complex), np.zeros(16, dtype=complex)
+    upper[8] = lower[8] = math.sqrt(0.5)
+    s = DiracPacket(upper, lower, -8.0, 1.0, 1.0)
+    upper[8] = lower[8] = 0.0
+    assert s.upper[8] == s.lower[8] == math.sqrt(0.5)
+    assert s.norm == pytest.approx(1.0)

@@ -210,6 +210,27 @@ def test_both_solvers_reject_a_deficit_past_the_largest_float(dim):
         assert check(small, many, cs).holds
 
 
+@pytest.mark.parametrize("mu_pairs, nu_pairs, worst", [
+    # the sum over {0, 10} is inf - inf, once skipped as NaN
+    ([(0.0, 1e308), (10.0, 1e308)], [(0.0, 9.5e307), (10.0, 9e307)],
+     [0.0, 10.0]),
+    # the sum over {0, 5} is inf, once read as an overflowing deficit
+    ([(0.0, 1e308), (5.0, 1e308)], [(0.0, 1e308), (5.0, 5e307)], [5.0]),
+], ids=["nan_sum", "inf_sum"])
+def test_bruteforce_rescans_float_sums_past_the_largest_float(
+        mu_pairs, nu_pairs, worst):
+    mu, nu = _atoms(0.0, mu_pairs), _atoms(1.0, nu_pairs)
+    exact = (sum(Fraction(w) for x, w in mu_pairs if x in worst)
+             - sum(Fraction(w) for x, w in nu_pairs if x in worst))
+    vm = check_ce_maxflow(mu, nu, CS1)
+    vb = check_ce_bruteforce(mu, nu, CS1)
+    for v in (vm, vb):
+        assert not v.holds
+        assert v.deficit == float(exact)
+        assert v.worst_set.boxes == Region.point_boxes(
+            [(x,) for x in worst], 1).boxes
+
+
 def test_time_order_enforced():
     mu = _atoms(1.0, [(0.0, 1.0)])
     nu = _atoms(0.0, [(0.0, 1.0)])
@@ -554,15 +575,14 @@ def test_recompute_deficit_d1_matches_all_pairs(seed):
     tgt = np.array(rims + [np.nextafter(e, s) for e in rims
                            for s in (-np.inf, np.inf)]
                    + list(rng.uniform(-8, 8, 50)) + [0.0, -0.0])
-    want = point_cone_membership(src[:, None], dt, cs, tgt[:, None])
-    got = transport._nearest_source_membership(src, dt, cs, tgt)
-    assert got.tolist() == want.tolist()
-    # and recompute_deficit, on a worst set that holds every source
+    # recompute_deficit, on a worst set that holds every source, against
+    # the all-pairs cone test on rim targets and their neighbours
     w = rng.random(len(src))
     mu = _atoms(0.0, zip(src.tolist(), w))
     nu = _atoms(dt, zip(dict.fromkeys(tgt.tolist()), rng.random(len(tgt))))
     all_src = Region.point_boxes(src[:, None], 1)
-    hit = point_cone_membership(src[:, None], dt, cs, nu.positions)
+    d = nu.positions[:, 0] - src[:, None]
+    hit = (d * d <= spacetime.squared_cone_radius(dt, cs)).any(axis=0)
     expect = mu.total - sum(wt for (_, wt), h in zip(nu.atoms, hit) if h)
     assert recompute_deficit(mu, nu, all_src, cs) == expect
 

@@ -337,8 +337,7 @@ def _region_json(region):
 def _verdict_json(v):
     return {
         "holds": v.holds,
-        "deficit": v.deficit if isinstance(v.deficit, Fraction)
-        else float(v.deficit),
+        "deficit": v.deficit,
         "worst_set": _region_json(v.worst_set),
         "method": v.method,
     }

@@ -245,8 +245,9 @@ def check_ce(sc: MeasurementScenario, method: str = "auto") -> CeVerdict:
     "auto" is "maxflow", exact and polynomial for every input: a prefix
     scan over runs of sources in d = 1; in d >= 2 a greedy fill plus
     bipartite Dinic phases on the cone graph's CSR arrays.  "bruteforce"
-    enumerates mu's atom subsets and stays as an oracle to check the flow
-    against.
+    enumerates mu's atom subsets on the same integer lift and stays as an
+    oracle to check the flow against; the two verdicts are equal bit for
+    bit, worst set included.
     """
     if method == "bruteforce":
         return check_ce_bruteforce(sc.mu, sc.nu0, sc.cs)

@@ -45,7 +45,9 @@ geometric bipartite graphs from neighbour queries the same way).
 
 `conditions.check_ce` with method "auto" always runs this max-flow check.
 The exhaustive subset scan `check_ce_bruteforce` stays for
-`--method bruteforce` and as the test oracle.
+`--method bruteforce` and as the test oracle.  It sums the same lifted
+integers and ends in the same verdict rule (`_verdict`), so its verdict
+equals max-flow's bit for bit; only its subset enumeration is its own.
 """
 from __future__ import annotations
 
@@ -66,8 +68,6 @@ from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
-# both solvers raise it when a float deficit would pass the largest float
-_DEFICIT_OVERFLOW = "the deficit overflows a float"
 # up to this many points in mu's positive support, atoms or grid cells,
 # the d = 1 scan places its windows on Python lists, above it with numpy.
 # Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
@@ -407,6 +407,25 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
             [(v,) for run in reversed(runs) for v in run])
 
 
+def _verdict(rest: int, den: int, cut_pts, mu: SliceMeasure,
+             nu: SliceMeasure, method: str) -> CeVerdict:
+    """The verdict on a leftover supply `rest` over the lift's denominator
+    `den` and the points of the worst set that leaves it.
+
+    The eps_flow slack on float verdicts is tested on the integers, and a
+    Fraction is built only when every weight is rational."""
+    exact = mu.exact and nu.exact
+    if rest == 0 or (not exact and rest * _EPS_DEN <= _EPS_NUM * den):
+        return CeVerdict(True, Fraction(0) if exact else 0.0, None, method)
+    try:
+        # int true division rounds correctly, as float(Fraction) does
+        deficit = Fraction(rest, den) if exact else rest / den
+    except OverflowError:
+        raise ValueError("the deficit overflows a float") from None
+    worst = Region.point_boxes(cut_pts, mu.dim, halfwidth=mu.cell_halfwidth)
+    return CeVerdict(False, deficit, worst, method)
+
+
 def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
                      cs: CausalStructure) -> CeVerdict:
     """Flow-based ordering check; min cut names the worst offending set.
@@ -417,21 +436,10 @@ def check_ce_maxflow(mu: SliceMeasure, nu: SliceMeasure,
     Either is exact for any input; the eps_flow slack on float verdicts
     only absorbs noise already present in the given weights.  Both return
     the leftover supply as an integer over the lift's denominator, so the
-    verdict is decided on integers and a Fraction is built only when every
-    weight is rational.
+    verdict is decided on integers (`_verdict`).
     """
-    exact = mu.exact and nu.exact
     solve = _solve_sweep_1d if cs.dim == 1 else _solve_dinic
-    rest, den, cut_pts = solve(mu, nu, cs)
-    if rest == 0 or (not exact and rest * _EPS_DEN <= _EPS_NUM * den):
-        return CeVerdict(True, Fraction(0) if exact else 0.0, None, "maxflow")
-    try:
-        # int true division rounds correctly, as float(Fraction) does
-        deficit = Fraction(rest, den) if exact else rest / den
-    except OverflowError:
-        raise ValueError(_DEFICIT_OVERFLOW) from None
-    worst = Region.point_boxes(cut_pts, mu.dim, halfwidth=mu.cell_halfwidth)
-    return CeVerdict(False, deficit, worst, "maxflow")
+    return _verdict(*solve(mu, nu, cs), mu, nu, "maxflow")
 
 
 def _cone_bits(sources: np.ndarray, dt: float, cs: CausalStructure,
@@ -447,58 +455,35 @@ def check_ce_bruteforce(mu: SliceMeasure, nu: SliceMeasure,
                         cs: CausalStructure) -> CeVerdict:
     """Exhaustive subset scan over mu's atoms (capped at 20 atoms).
 
-    Float weights are summed as floats.  When a subset's sum passes the
-    largest float, the scan runs again on the weights' exact rationals
-    and rounds the deficit once, as max-flow does; only an exact deficit
-    past the largest float raises.
+    The scan sums the integer capacities of `_lift`, as max-flow does, and
+    hands its largest deficit to the same verdict rule (`_verdict`), so
+    the two solvers give the same holds, deficit and worst set bit for
+    bit: in exact integers the first maximiser in subset-bitmask order is
+    the inclusion-minimal worst set.
     """
     if not mu.is_atomic:
         raise ValueError("bruteforce check requires an atomic mu")
     dt = _slice_gap(mu, nu, cs)
-    atoms = [(p, w) for p, w in mu.atoms if w > 0]
-    n = len(atoms)
+    left_pts, left_caps = _support(mu)
+    n = len(left_pts)
     if n > MAX_BRUTEFORCE_ATOMS:
         raise ValueError(f"bruteforce capped at {MAX_BRUTEFORCE_ATOMS} atoms")
-    exact = mu.exact and nu.exact
-    zero = Fraction(0) if exact else 0.0
-    if n == 0:
-        return CeVerdict(True, zero, None, "bruteforce")
-
-    if nu.is_atomic:
-        nu_w = [w for _, w in nu.atoms]
-    else:
-        nu_w = [float(v) for v in nu.weights_flat]
-    mu_w = [w for _, w in atoms]
-    mu_pts = np.array([p for p, _ in atoms], dtype=float)
-    cone_bits = _cone_bits(mu_pts, dt, cs, nu.positions)
-    best, best_subset, finite = _subset_scan(mu_w, nu_w, cone_bits, zero)
-    if not finite:
-        # subset sums in float are monotone, so only the full ones can
-        # have passed the largest float; redo the scan without rounding
-        best, best_subset, _ = _subset_scan(
-            [Fraction(w) for w in mu_w], [Fraction(w) for w in nu_w],
-            cone_bits, Fraction(0))
-    if best <= (0 if exact else EPS_FLOW):
-        return CeVerdict(True, zero, None, "bruteforce")
-    if not finite:
-        try:
-            best = float(best)  # the rescan's exact deficit, rounded once
-        except OverflowError:
-            raise ValueError(_DEFICIT_OVERFLOW) from None
-    worst = Region.point_boxes(
-        [atoms[i][0] for i in range(n) if best_subset >> i & 1], mu.dim)
-    return CeVerdict(False, best, worst, "bruteforce")
+    right_pts, right_caps = _support(nu)
+    den, caps = _lift(left_caps, right_caps, mu, nu)
+    best, subset = _subset_scan(caps[:n], caps[n:],
+                                _cone_bits(left_pts, dt, cs, right_pts))
+    cut = np.array([subset >> i & 1 for i in range(n)], dtype=bool)
+    return _verdict(best, den, left_pts[cut], mu, nu, "bruteforce")
 
 
-def _subset_scan(mu_w: list, nu_w: list, cone_bits: list[int],
-                 zero: Weight) -> tuple[Weight, int, bool]:
-    """The greatest mu(S) - nu(J+(S)) over nonempty subsets S of the
-    sources, the first subset (as a bitmask) that reaches it, and whether
-    every sum stayed finite."""
+def _subset_scan(mu_w: list[int], nu_w: list[int],
+                 cone_bits: list[int]) -> tuple[int, int]:
+    """The greatest mu(S) - nu(J+(S)) over subsets S of the sources, 0 for
+    the empty set, and the first subset (as a bitmask) that reaches it."""
     n = len(mu_w)
-    nu_mass_cache: dict[int, Weight] = {0: zero}
+    nu_mass_cache: dict[int, int] = {0: 0}
 
-    def nu_mass(bits: int) -> Weight:
+    def nu_mass(bits: int) -> int:
         got = nu_mass_cache.get(bits)
         if got is not None:
             return got
@@ -508,9 +493,8 @@ def _subset_scan(mu_w: list, nu_w: list, cone_bits: list[int],
         nu_mass_cache[bits] = val
         return val
 
-    best = None
-    best_subset = 1
-    mu_sum = [zero] * (1 << n)
+    best = best_subset = 0
+    mu_sum = [0] * (1 << n)
     or_bits = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
@@ -518,11 +502,10 @@ def _subset_scan(mu_w: list, nu_w: list, cone_bits: list[int],
         mu_sum[s] = mu_sum[s ^ low] + mu_w[i]
         or_bits[s] = or_bits[s ^ low] | cone_bits[i]
         d = mu_sum[s] - nu_mass(or_bits[s])
-        if best is None or d > best:
+        if d > best:
             best = d
             best_subset = s
-    return (best, best_subset,
-            mu_sum[-1] < math.inf and nu_mass(or_bits[-1]) < math.inf)
+    return best, best_subset
 
 
 def recompute_deficit(mu: SliceMeasure, nu: SliceMeasure, worst: Region,

@@ -175,9 +175,10 @@ def random_grid_scenario(rng: np.random.Generator, mode: str = "generic"):
     return sc, expected
 
 
-def random_atomic_pair(rng: np.random.Generator, max_atoms: int = 12):
+def random_atomic_pair(rng: np.random.Generator, max_atoms: int = 12,
+                       max_dim: int = 2):
     """Random atomic (mu, nu, cs, dt) pair for ordering-check cross-tests."""
-    dim = int(rng.integers(1, 3))
+    dim = int(rng.integers(1, max_dim + 1))
     cs = CausalStructure(dim=dim, c=float(rng.uniform(0.5, 2.0)))
     nl = int(rng.integers(1, max_atoms + 1))
     nr = int(rng.integers(1, max_atoms + 1))
@@ -193,6 +194,18 @@ def random_atomic_pair(rng: np.random.Generator, max_atoms: int = 12):
     mu = SliceMeasure.from_atoms(0.0, list(zip(map(tuple, mu_pts), mu_w)))
     nu = SliceMeasure.from_atoms(dt, list(zip(map(tuple, nu_pts), nu_w)))
     return mu, nu, cs
+
+
+def assert_same_verdict(va, vb) -> None:
+    """Two ordering verdicts agree bit for bit: holds, the deficit's value
+    and type, and the worst set's boxes."""
+    assert va.holds == vb.holds
+    assert va.deficit == vb.deficit
+    assert type(va.deficit) is type(vb.deficit)
+    if va.holds:
+        assert va.worst_set is None and vb.worst_set is None
+    else:
+        assert va.worst_set.boxes == vb.worst_set.boxes
 
 
 def drained_cloud(rng: np.random.Generator, k: int, dt: float = 0.4):

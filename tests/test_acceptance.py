@@ -7,8 +7,8 @@ from itertools import product
 
 import numpy as np
 
-from helpers import GRID_MODES, dense_reach, random_abc_triple, \
-    random_atomic_pair, random_grid_scenario
+from helpers import GRID_MODES, assert_same_verdict, dense_reach, \
+    random_abc_triple, random_atomic_pair, random_grid_scenario
 from causal_lab.conditions import (evaluate_conditions, find_ns_witness,
                                    make_abc_scenario, truth_table)
 from causal_lab.protocol import (ABC_LATTICE, SignallingProtocol,
@@ -101,21 +101,24 @@ def test_criterion_03_witness_is_strict():
 def test_criterion_04_solver_cross_validation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(44)
+    # 200 pairs in d = 1, 2 of up to 12 atoms a side, then 3,000 in d = 1
+    # to 3 of up to 10, whose float deficits once differed in the last bits
+    pairs = [random_atomic_pair(rng) for _ in range(200)]
+    pairs += [random_atomic_pair(rng, max_atoms=10, max_dim=3)
+              for _ in range(3000)]
     violated = 0
-    for _ in range(200):
-        mu, nu, cs = random_atomic_pair(rng)
+    for mu, nu, cs in pairs:
         vb = check_ce_bruteforce(mu, nu, cs)
         vm = check_ce_maxflow(mu, nu, cs)
-        assert vb.holds == vm.holds
-        assert abs(float(vb.deficit) - float(vm.deficit)) <= 1e-9
-        for v in (vb, vm):
-            if not v.holds:
-                again = recompute_deficit(mu, nu, v.worst_set, cs)
-                assert abs(float(again) - float(v.deficit)) <= 1e-9
+        assert_same_verdict(vb, vm)
+        if not vm.holds:
+            again = recompute_deficit(mu, nu, vm.worst_set, cs)
+            assert abs(float(again) - float(vm.deficit)) <= 1e-9
         violated += not vb.holds
-    assert 0 < violated < 200  # both verdicts exercised
+    assert 0 < violated < len(pairs)  # both verdicts exercised
     _finish(4, t0, 10.0,
-            f"200 instances, {violated} violations, deficits within 1e-9")
+            f"{len(pairs)} instances, {violated} violations, verdicts equal "
+            "bit for bit")
 
 
 def test_criterion_05_asymptotic_scale():

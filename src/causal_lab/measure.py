@@ -319,7 +319,9 @@ def _scaled_diffs(m1: SliceMeasure, m2: SliceMeasure, factor: Weight):
         for w in scaled:
             _check_weight(w)
     else:
-        scaled = m2.weights_flat * float(factor)
+        # a product past the largest float is reported by the check below
+        with np.errstate(over="ignore"):
+            scaled = m2.weights_flat * float(factor)
         if not np.all(np.isfinite(scaled)):
             raise ValueError("grid weights must be finite and nonnegative")
     if _comparable_grids(m1, m2):

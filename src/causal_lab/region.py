@@ -61,9 +61,14 @@ def _merge_sorted(ivs: Iterable[tuple[float, float]]) -> tuple[Box, ...]:
     return tuple(runs)
 
 
-def _point_intervals(points: Sequence[Sequence[float]],
+def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
                      halfwidth: float) -> tuple[Box, ...]:
-    """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points."""
+    """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points.
+
+    A list is merged in Python by `_merge_sorted`, an (n, 1) array in
+    numpy (`_array_intervals`), with the same checks, messages and boxes."""
+    if isinstance(points, np.ndarray):
+        return _array_intervals(np.asarray(points, dtype=float), halfwidth)
     if set(map(len, points)) - {1}:
         raise ValueError("boxes have mixed dimensions")
     # the sort is stable and the merge keeps the first of equal ends, so a
@@ -80,6 +85,38 @@ def _point_intervals(points: Sequence[Sequence[float]],
                       and math.isfinite(boxes[-1][1][0])):
         raise ValueError("box corners must be finite")
     return boxes
+
+
+def _array_intervals(pts: np.ndarray, halfwidth: float) -> tuple[Box, ...]:
+    """`_point_intervals` of an (n, 1) float array.
+
+    The coordinates are sorted stably, so equal ones keep the order given.
+    hi = x + h is nondecreasing in sorted x, so the running max of
+    `_merge_sorted` is the hi before, and a run ends where the next lo
+    passes it.  Its box runs from its first lo to the first hi equal to
+    its last, which `_merge_sorted` keeps on a tie (of -0.0 and 0.0, at
+    halfwidth -0.0)."""
+    if len(pts) and pts.shape[1:] != (1,):
+        raise ValueError("boxes have mixed dimensions")
+    xs = np.sort(pts.reshape(-1), kind="stable")
+    # NaN sorts last, so the points are finite when the outermost two are
+    if len(xs) and not all(map(math.isfinite, xs[[0, -1]].tolist())):
+        raise ValueError("box corners must be finite")
+    if halfwidth < 0:
+        raise ValueError(f"empty box: negative halfwidth {halfwidth!r}")
+    if not len(xs):
+        return ()
+    # a corner past the largest float is reported below
+    with np.errstate(over="ignore"):
+        lo, hi = xs - halfwidth, xs + halfwidth
+    gap = lo[1:] > hi[:-1]
+    firsts = lo[np.concatenate(([True], gap))]
+    lasts = hi[hi.searchsorted(hi[np.concatenate((gap, [True]))])]
+    # both ends are monotone in x, so the outermost corners are the extremes
+    if not (math.isfinite(firsts[0]) and math.isfinite(lasts[-1])):
+        raise ValueError("box corners must be finite")
+    return tuple([((a,), (b,))
+                  for a, b in zip(firsts.tolist(), lasts.tolist())])
 
 
 def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +252,9 @@ class Region:
         once and the intervals merged in one pass by the rule of
         `from_boxes`: both ends are nondecreasing in x, so this is the
         order in which `from_boxes` would sort the boxes, and the runs are
-        its boxes.  In d >= 2 the points become one float array, on which
+        its boxes.  Points given as one array, such as the worst set of the
+        d = 1 scan over many sources, are sorted and merged in numpy, to
+        the same boxes.  In d >= 2 the points become one float array, on which
         the checks of `from_boxes` (finite corners, one dimension) run
         directly, and one dict pass over its rows keeps the first of
         equal points (of -0.0 and 0.0 the first given), so the boxes are

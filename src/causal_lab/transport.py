@@ -275,10 +275,19 @@ def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
     return 1 << -low, [v << e for v, e in zip(mant.tolist(), shift.tolist())]
 
 
+# sums that overflow are expected: the NaN or inf that they give fails every
+# test of the certificate, so numpy is told not to warn of them
+@np.errstate(over="ignore", invalid="ignore")
 def _droppable(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> int:
     """The most leading sources that no worst set holds, as certified in
-    floats; the certificate and its rounding bound are `_trim_1d`'s."""
+    floats; the certificate and its rounding bound are `_trim_1d`'s.
+
+    It reads the supplies s of the sources and the rooms c of the targets
+    it is given, each window [lo_i, hi_i) an index range of c, and takes
+    its rounding bound from their counts: the bound holds for the prefix
+    sums of any such arrays, so a caller may hand it the targets that the
+    windows reach, shifted to start at 0."""
     k, m = len(s), len(c)
     supply = np.concatenate(([0.0], np.cumsum(s)))  # before each source
     room = np.concatenate(([0.0], np.cumsum(c)))    # before each target
@@ -307,12 +316,27 @@ def _droppable(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
 def _trim_1d(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> tuple[int, int]:
     """Sources [t0, t1) of the d = 1 scan outside of which no worst set
-    holds a source, for float supplies s, float rooms c and the windows."""
-    k, m = len(s), len(c)
-    t0 = _droppable(s, c, lo, hi)
-    # the trailing side in mirror image: tail sums from their own end
-    t1 = k - _droppable(s[::-1], c[::-1], m - hi[::-1], m - lo[::-1])
-    return t0, max(t0, t1)
+    holds a source, for float supplies s, float rooms c and the windows,
+    nondecreasing at both ends.
+
+    The leading pass reads every source and the targets [lo_0, hi_{k-1})
+    that some window reaches.  When it drops every source, no set falls
+    short and the trailing pass does not run.  Otherwise the trailing pass
+    reads only the sources t0.. that are left and the targets [lo_t0,
+    hi_{k-1}) that they reach, reversed.  That is sound: no worst set
+    holds a dropped leading source, so the worst sets of the whole scan
+    are those of the scan over sources t0.., whose trailing sources the
+    mirror image certifies."""
+    k = len(s)
+    a, b = int(lo[0]), int(hi[-1])
+    t0 = _droppable(s, c[a:b], lo - a, hi - a)
+    if t0 == k:
+        return k, k
+    # the trailing side in mirror image: tail sums from their own end; the
+    # slice is reversed whole, as c[b - 1:a - 1:-1] wraps at a = 0 or b = 0
+    a = int(lo[t0])
+    return t0, k - _droppable(s[t0:][::-1], c[a:b][::-1],
+                              b - hi[t0:][::-1], b - lo[t0:][::-1])
 
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
@@ -358,7 +382,8 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     xs, left_caps = _support(mu, ordered=True)
     ys, right_caps = _support(nu, ordered=True)
     xs, ys = xs[:, 0], ys[:, 0]
-    if len(xs) <= SMALL_SWEEP_ATOMS:
+    small = len(xs) <= SMALL_SWEEP_ATOMS
+    if small:
         lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
@@ -367,10 +392,9 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
             xs, lo, hi = xs[keep], lo[keep], hi[keep]
             left_caps = left_caps[keep]
         lo, hi = lo.tolist(), hi.tolist()
-    x = xs.tolist()
     a, b = min(lo, default=0), max(hi, default=0)
     den, caps = _lift(left_caps, right_caps[a:b], mu, nu)
-    k = len(x)
+    k = len(xs)
     w = k + 1
     # room[t]: w times the room of the lifted targets before t
     room = list(accumulate((w * c for c in caps[k:]), initial=0))
@@ -401,10 +425,18 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
         if i < 0:
             j -= 1
         else:
-            runs.append(x[i:j])
+            runs.append(slice(i, j))
             j = prev[i]
-    return (-(-best[k] // w), den,
-            [(v,) for run in reversed(runs) for v in run])
+    runs.reverse()
+    if small:
+        x = xs.tolist()
+        cut = [(v,) for run in runs for v in x[run]]
+    else:
+        inside = np.zeros(k, dtype=bool)
+        for run in runs:
+            inside[run] = True
+        cut = xs[inside][:, None]
+    return -(-best[k] // w), den, cut
 
 
 def _verdict(rest: int, den: int, cut_pts, mu: SliceMeasure,

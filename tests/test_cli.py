@@ -573,6 +573,7 @@ def test_exit_code_two_on_scenarios_the_library_rejects(tmp_path, capsys):
     assert parse_record(out)["result"]["constructed"] is False
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("data, weight, message", [
     ("two_atom.json", 1e308, "weights must be finite and nonnegative"),
     ("grid_1d.json", 1.5e308, "grid weights must be finite and nonnegative"),
@@ -582,7 +583,8 @@ def test_exit_code_two_when_a2_scale_overflows(data, weight, message,
                                                 condition, tmp_path, capsys):
     # a2 compares nu_minus with nu0 / (1 - p_plus); a nu0 weight that the
     # scale takes past the largest float is an input error, as it was when
-    # a2 built the scaled nu0 as a measure of its own
+    # a2 built the scaled nu0 as a measure of its own, and its one error
+    # line is all it writes: numpy's overflow warning is an error here
     payload = json.loads((DATA / data).read_text())
     nu0 = payload["measures"]["nu0"]
     if "atoms" in nu0:

@@ -389,12 +389,14 @@ def test_point_boxes_keep_their_checks(dim):
 @pytest.mark.parametrize("seed", range(4))
 def test_point_boxes_take_arrays_as_lists(dim, seed):
     # one float array or a list of tuples: the same boxes, sign of zero
-    # included, from repeats and -0.0 beside 0.0 in either order
+    # included, from repeats and -0.0 beside 0.0 in either order; at
+    # halfwidth -0.0, x + h keeps the sign of x = -0.0, and of equal ends
+    # the first counts
     rng = np.random.default_rng([seed, dim, 62])
     pts = rng.integers(-2, 3, (int(rng.integers(1, 40)), dim)) / 2.0
     pts = pts[rng.integers(0, len(pts), 2 * len(pts))]
     pts[rng.random(pts.shape) < 0.4] *= -1.0
-    for h in (0.0, 0.25):
+    for h in (0.0, -0.0, 0.25):
         want = Region.point_boxes([tuple(p) for p in pts.tolist()], dim,
                                   halfwidth=h)
         for given in (pts, pts.tolist(), list(pts)):
@@ -403,7 +405,8 @@ def test_point_boxes_take_arrays_as_lists(dim, seed):
         assert Region.point_boxes(pts, halfwidth=h) == want
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_point_boxes_array_checks(dim):
     # an array input meets the checks and messages of a list input
     zero = np.zeros(dim)
@@ -414,16 +417,30 @@ def test_point_boxes_array_checks(dim):
         for given in (pts, pts.tolist()):
             with pytest.raises(ValueError, match=finite):
                 Region.point_boxes(given, dim)
-    # of mixed lengths and a NaN, the NaN is reported first, in any order
+    # of mixed lengths and a NaN, the NaN is reported first, in any order;
+    # in d = 1 a list's lengths are checked before its values
     for given in ([tuple(zero), (math.nan,) * (dim + 1)],
                   [(math.nan,) * (dim + 1), tuple(zero)]):
-        with pytest.raises(ValueError, match=finite):
+        with pytest.raises(ValueError, match=finite if dim > 1 else "mixed"):
             Region.point_boxes(given, dim)
     with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
         Region.point_boxes(np.zeros((2, dim + 1)), dim)
     with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
         Region.point_boxes([tuple(zero), tuple(zero) + (1.0,)], dim)
     assert Region.point_boxes(np.empty((0, dim)), dim) == Region.empty(dim)
+    # a negative halfwidth, and corners that x -+ h takes past the largest
+    # float at either end: one ValueError each, and no numpy warning
+    big = np.stack([zero, zero])
+    big[0, 0], big[1, 0] = -1.7976931348623157e308, 1.7976931348623157e308
+    for given in (big, big.tolist()):
+        with pytest.raises(ValueError, match="^empty box"):
+            Region.point_boxes(given, dim, halfwidth=-0.5)
+        for h in (1e308, math.nan, math.inf):
+            with pytest.raises(ValueError, match=finite):
+                Region.point_boxes(given, dim, halfwidth=h)
+        for end in (0, 1):
+            with pytest.raises(ValueError, match=finite):
+                Region.point_boxes(given[end:end + 1], dim, halfwidth=1e308)
 
 
 @pytest.mark.parametrize("seed", range(2))

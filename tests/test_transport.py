@@ -615,7 +615,8 @@ def test_born_grid_16384_full_support():
 
 # -- the d = 1 trim ----------------------------------------------------------
 
-TRIM_KINDS = ("born", "restricted", "zeros", "gaps", "subnormal")
+TRIM_KINDS = ("born", "restricted", "zeros", "gaps", "subnormal", "wide",
+              "beyond", "empty")
 
 
 def _trim_instance(rng, kind, n=None):
@@ -628,7 +629,11 @@ def _trim_instance(rng, kind, n=None):
     both grids' cells emptied; "gaps": nu as atoms at random positions and
     a cone reach of a fifth of mu's cell, so windows hold a few targets or
     none, with gaps between them; "subnormal": O(1) weights mixed with
-    subnormal ones on both grids.
+    subnormal ones on both grids; "wide": nu on a grid three times as
+    wide, so the windows start well after its first target and end well
+    before its last; "beyond": nu's cells past a random point emptied, on
+    a random side, so mu's support runs past nu's and the windows at that
+    end are empty; "empty": nu with no positive mass.
     """
     n = n or int(rng.choice([64, 256, 1024]))
     half = float(rng.choice([6.0, 12.0, 24.0]))
@@ -670,6 +675,16 @@ def _trim_instance(rng, kind, n=None):
             return np.where(rng.random(n) < 0.5, rng.random(n), tiny)
 
         mu, nu = grid(0.0, weights()), grid(t, 2.0 * weights())
+    elif kind == "wide":
+        wide = -3 * half + (np.arange(3 * n) + 0.5) * cell
+        w = np.exp(-((wide - x0) / math.hypot(lam, t / lam)) ** 2)
+        nu = SliceMeasure.from_grid(t, (-3 * half,), cell, w / w.sum())
+    elif kind == "beyond":
+        past = x > float(rng.uniform(-1.0, 1.0)) * lam + x0
+        nu = grid(t, np.where(past if rng.random() < 0.5 else ~past, 0.0,
+                              nu.weights_flat))
+    elif kind == "empty":
+        nu = grid(t, np.zeros(n))
     return mu, nu, cs
 
 
@@ -712,16 +727,30 @@ def test_trimmed_scan_matches_untrimmed(monkeypatch, kind):
         mu, nu, cs = _trim_instance(rng, kind)
         _same_verdict(check_ce_maxflow(mu, nu, cs), _untrimmed(mu, nu, cs))
     # instances above SMALL_SWEEP_ATOMS sources took the trim, and it
-    # dropped sources in some
+    # dropped sources in some; with no mass in nu every source falls short
     assert len(calls) >= 4
-    assert any(kept < sources for sources, kept in calls)
+    if kind == "empty":
+        assert all(kept == sources for sources, kept in calls)
+    else:
+        assert any(kept < sources for sources, kept in calls)
 
 
 def test_trim_drops_every_source_of_holding_checks(monkeypatch):
     # nu holds twice mu on the same grid, or mu is cut well inside the
     # threshold halfwidth 1 + sqrt 2: no set falls short, and the trim
-    # certifies it for every source
+    # certifies it for every source.  The cut mu has no tails, and the
+    # leading pass alone drops every source; the far right tail of the
+    # whole grid sits below the rounding bound of the leading sums, and
+    # the trailing pass drops it
     calls = _spy_trim(monkeypatch)
+    passes = []
+    droppable = transport._droppable
+
+    def recorded(s, c, lo, hi):
+        passes.append(len(s))
+        return droppable(s, c, lo, hi)
+
+    monkeypatch.setattr(transport, "_droppable", recorded)
     for seed in range(6):
         rng = np.random.default_rng([seed, 223])
         mu, _, _ = _trim_instance(rng, "zeros", n=int(rng.choice([256, 1024])))
@@ -732,9 +761,11 @@ def test_trim_drops_every_source_of_holding_checks(monkeypatch):
         cut = born_measure(psi, 0.0).restricted(Region.interval(-ell, ell))
         spread = born_measure(evolve_schrodinger_free(psi, 1.0), 1.0)
         for a, b in ((mu, doubled), (cut, spread)):
+            passes.clear()
             v = check_ce_maxflow(a, b, CS1)
             assert v.holds and v.deficit == 0.0
             _same_verdict(v, _untrimmed(a, b, CS1))
+        assert passes == [calls[-1][0]]
     assert len(calls) == 12
     assert all(kept == 0 for _, kept in calls)
 
@@ -752,7 +783,19 @@ def test_trim_keeps_a_source_that_rounding_hides():
     nu = _atoms(0.5, [(0.0, 2.0), (10.0, room)] + [(x, 2.0) for x in far])
     rest, den, cut = transport._solve_sweep_1d(mu, nu, CS1)
     assert Fraction(rest, den) == 2.0 ** -55
-    assert cut == [(10.0,)]
+    assert cut.tolist() == [[10.0]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_trim_of_overflowing_sums_warns_nothing():
+    # 40 atoms of 1e307 a side, nu shifted by 5: the prefix sums pass the
+    # largest float, and the NaN and inf that they give certify nothing;
+    # the four leading sources reach nothing and fall short
+    mu = _atoms(0.0, [(float(i), 1e307) for i in range(40)])
+    nu = _atoms(1.0, [(float(i + 5), 1e307) for i in range(40)])
+    v = check_ce_maxflow(mu, nu, CS1)
+    assert v.deficit == 4e307
+    _same_verdict(v, _untrimmed(mu, nu, CS1))
 
 
 @pytest.mark.parametrize("kind", TRIM_KINDS)

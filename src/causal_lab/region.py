@@ -65,9 +65,12 @@ def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
                      halfwidth: float) -> tuple[Box, ...]:
     """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points.
 
-    A list is merged in Python by `_merge_sorted`, an (n, 1) array in
-    numpy (`_array_intervals`), with the same checks, messages and boxes."""
-    if isinstance(points, np.ndarray):
+    A list is merged in Python by `_merge_sorted`, an (n, 1) array of two
+    or more points in numpy (`_array_intervals`), with the same checks,
+    messages and boxes.  A lone point has nothing to merge, and the list
+    path takes it without numpy's fixed cost per call: most d = 1 arrays
+    that ns witnesses give in `scenario_sweep` hold one point."""
+    if isinstance(points, np.ndarray) and len(points) > 1:
         return _array_intervals(np.asarray(points, dtype=float), halfwidth)
     if set(map(len, points)) - {1}:
         raise ValueError("boxes have mixed dimensions")
@@ -88,7 +91,7 @@ def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
 
 
 def _array_intervals(pts: np.ndarray, halfwidth: float) -> tuple[Box, ...]:
-    """`_point_intervals` of an (n, 1) float array.
+    """`_point_intervals` of an (n, 1) float array, n >= 2.
 
     The coordinates are sorted stably, so equal ones keep the order given.
     hi = x + h is nondecreasing in sorted x, so the running max of
@@ -96,27 +99,25 @@ def _array_intervals(pts: np.ndarray, halfwidth: float) -> tuple[Box, ...]:
     passes it.  Its box runs from its first lo to the first hi equal to
     its last, which `_merge_sorted` keeps on a tie (of -0.0 and 0.0, at
     halfwidth -0.0)."""
-    if len(pts) and pts.shape[1:] != (1,):
+    if pts.shape[1:] != (1,):
         raise ValueError("boxes have mixed dimensions")
     xs = np.sort(pts.reshape(-1), kind="stable")
     # NaN sorts last, so the points are finite when the outermost two are
-    if len(xs) and not all(map(math.isfinite, xs[[0, -1]].tolist())):
+    first, last = xs[[0, -1]].tolist()
+    if not (math.isfinite(first) and math.isfinite(last)):
         raise ValueError("box corners must be finite")
     if halfwidth < 0:
         raise ValueError(f"empty box: negative halfwidth {halfwidth!r}")
-    if not len(xs):
-        return ()
-    # a corner past the largest float is reported below
-    with np.errstate(over="ignore"):
-        lo, hi = xs - halfwidth, xs + halfwidth
-    gap = lo[1:] > hi[:-1]
-    firsts = lo[np.concatenate(([True], gap))]
-    lasts = hi[hi.searchsorted(hi[np.concatenate((gap, [True]))])]
-    # both ends are monotone in x, so the outermost corners are the extremes
-    if not (math.isfinite(firsts[0]) and math.isfinite(lasts[-1])):
+    # both ends are monotone in x, so the outermost corners are the
+    # extremes; checked in Python floats, before numpy would warn of them
+    h = float(halfwidth)
+    if not (math.isfinite(first - h) and math.isfinite(last + h)):
         raise ValueError("box corners must be finite")
-    return tuple([((a,), (b,))
-                  for a, b in zip(firsts.tolist(), lasts.tolist())])
+    lo, hi = xs - h, xs + h
+    ends = np.flatnonzero(lo[1:] > hi[:-1]).tolist()
+    firsts = lo[[0] + [j + 1 for j in ends]].tolist()
+    lasts = hi[hi.searchsorted(hi[ends + [len(xs) - 1]])].tolist()
+    return tuple([((a,), (b,)) for a, b in zip(firsts, lasts)])
 
 
 def _corners(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:

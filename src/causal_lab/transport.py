@@ -19,7 +19,11 @@ run i..j before t has mu(i..j) < nu([lo_i, min(hi_j, lo_t))), strictly,
 which float prefix sums decide soundly once each run's value is raised
 by a bound on its own rounding error (`_solve_sweep_1d`).  So the far
 tails of a Born grid, cells of 1e-200 beside cells of 0.1, are mostly
-neither lifted nor scanned.  In d >= 2 a greedy fill plus bipartite
+neither lifted nor scanned.  The leading pass reads only the targets
+that the windows reach; the trailing pass reads only the sources that
+the leading one kept and their targets, and does not run when it kept
+none (`_trim_1d`).  That scan's worst set leaves as one array, which
+`Region.point_boxes` merges in numpy.  In d >= 2 a greedy fill plus bipartite
 Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side; only the targets that some arc reaches are lifted and
@@ -340,7 +344,8 @@ def _trim_1d(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
 
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
-                    cs: CausalStructure) -> tuple[int, int, list]:
+                    cs: CausalStructure
+                    ) -> tuple[int, int, list | np.ndarray]:
     """Exact deficit and worst-set points of the ordering check in d = 1.
 
     The deficit is the largest mu(S) - nu(J+(S)) over source sets S, the
@@ -362,7 +367,8 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
 
     Above `SMALL_SWEEP_ATOMS` sources with float weights, the scan first
     drops the leading and trailing sources that no worst set holds
-    (`_trim_1d`), and lifts the rest by `_lift`.  The leading t
+    (`_trim_1d`, whose passes read only the targets that their sources'
+    windows reach), and lifts the rest by `_lift`.  The leading t
     sources go if every run i..j < t has mu(i..j) < nu([lo_i, min(hi_j,
     lo_t))): kept sources reach nothing before lo_t, and the dropped
     members of a set split into groups whose windows chain, each reaching
@@ -376,6 +382,11 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     2**-52 of that sum plus k + m subnormal ulps, a value still below 0
     proves the strict inequality; the largest t so proved is taken.  The
     deficit, its quotient and the worst set are those of the whole scan.
+
+    The worst set's points come back as a list of 1-tuples at or below
+    `SMALL_SWEEP_ATOMS` sources, and above it as one (k, 1) array taken
+    from the sorted positions by the runs, which `Region.point_boxes`
+    merges in numpy.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)

@@ -253,16 +253,16 @@ class Region:
         once and the intervals merged in one pass by the rule of
         `from_boxes`: both ends are nondecreasing in x, so this is the
         order in which `from_boxes` would sort the boxes, and the runs are
-        its boxes.  Points given as one array, such as the worst set of the
-        d = 1 scan over many sources, are sorted and merged in numpy, to
-        the same boxes.  In d >= 2 the points become one float array, on which
-        the checks of `from_boxes` (finite corners, one dimension) run
-        directly, and one dict pass over its rows keeps the first of
-        equal points (of -0.0 and 0.0 the first given), so the boxes are
-        those of `from_boxes` in the same order.  With halfwidth 0, p - h
-        and p + h are p itself unless p has a zero coordinate (-0.0 + 0.0
-        is 0.0), so only such a point is worked out one coordinate at a
-        time.
+        its boxes.  Two or more points given as one array, such as the
+        worst set of the d = 1 scan over many sources, are sorted and
+        merged in numpy, to the same boxes.  In d >= 2 the points become
+        one float array, on which the checks of `from_boxes` (finite
+        corners, one dimension) run directly, and one dict pass over its
+        rows keeps the first of equal points (of -0.0 and 0.0 the first
+        given), so the boxes are those of `from_boxes` in the same order.
+        With halfwidth 0, p - h and p + h are p itself unless p has a zero
+        coordinate (-0.0 + 0.0 is 0.0), so only such a point is worked out
+        one coordinate at a time.
         """
         if not isinstance(points, np.ndarray):
             points = list(points)

@@ -23,8 +23,8 @@ neither lifted nor scanned.  The leading pass reads only the targets
 that the windows reach; the trailing pass reads only the sources that
 the leading one kept and their targets, and does not run when it kept
 none (`_trim_1d`).  That scan's worst set leaves as one array, which
-`Region.point_boxes` merges in numpy.  In d >= 2 a greedy fill plus bipartite
-Dinic phases on the cone graph's CSR arrays
+`Region.point_boxes` merges in numpy.  In d >= 2 a greedy fill plus
+bipartite Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side; only the targets that some arc reaches are lifted and
 solved (`_solve_dinic`), and when the mass left after the greedy fill
@@ -279,8 +279,8 @@ def _frexp_lift(w: np.ndarray) -> tuple[int, list[int]]:
     return 1 << -low, [v << e for v, e in zip(mant.tolist(), shift.tolist())]
 
 
-# sums that overflow are expected: the NaN or inf that they give fails every
-# test of the certificate, so numpy is told not to warn of them
+# a sum that overflows is no input error (see the last comment below), so
+# numpy is told not to warn of it
 @np.errstate(over="ignore", invalid="ignore")
 def _droppable(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> int:

@@ -205,6 +205,15 @@ def bump_spinor_packet(center: float, halfwidth: float, *, origin: float,
 # -- propagators -------------------------------------------------------------
 
 
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """A function even in k on every wavenumber of a packet, from its
+    values on the first n // 2 + 1 (`_GridPacket.wavenumbers`).
+
+    `np.fft.fftfreq` gives k[n - j] = -k[j] exactly, so for n >= 2 the
+    mirror holds the floats that the whole spectrum would give."""
+    return np.concatenate((half, half[-2:0:-1]))
+
+
 def _evolve_phase(psi: WavePacket, phase: np.ndarray) -> WavePacket:
     """Multiply each momentum mode by exp(-i omega(k) t), given as `phase`."""
     return _check_boundary(
@@ -218,9 +227,9 @@ def evolve_schrodinger_free(psi: WavePacket, t: float) -> WavePacket:
     if psi.mass <= 0:
         raise ValueError("nonrelativistic evolution needs positive mass")
     hbar = psi.units.hbar
-    k = psi.wavenumbers
+    k = psi.wavenumbers[:psi.n // 2 + 1]
     phase = np.exp(-1j * hbar * k * k * t / (2.0 * psi.mass))
-    return _evolve_phase(psi, phase)
+    return _evolve_phase(psi, _mirrored(phase))
 
 
 def evolve_relativistic(psi: WavePacket, t: float) -> WavePacket:
@@ -234,9 +243,9 @@ def evolve_relativistic(psi: WavePacket, t: float) -> WavePacket:
             f"pi/h = {k_cut:.3e} < {RELATIVISTIC_CUTOFF_FACTOR:.0f} m c/hbar")
     if t == 0:
         return psi
-    k = psi.wavenumbers
+    k = psi.wavenumbers[:psi.n // 2 + 1]
     omega = np.sqrt(k * k * c * c + (psi.mass * c * c / hbar) ** 2)
-    return _evolve_phase(psi, np.exp(-1j * omega * t))
+    return _evolve_phase(psi, _mirrored(np.exp(-1j * omega * t)))
 
 
 def evolve_dirac_1p1(psi: DiracPacket, t: float) -> DiracPacket:
@@ -251,13 +260,15 @@ def evolve_dirac_1p1(psi: DiracPacket, t: float) -> DiracPacket:
     k = psi.wavenumbers
     hk = c * hbar * k          # sigma_1 coefficient
     hm = psi.mass * c * c      # sigma_3 coefficient
-    energy = np.sqrt(hk * hk + hm * hm)
+    half = hk[:psi.n // 2 + 1]
+    energy = np.sqrt(half * half + hm * hm)
     theta = energy * t / hbar
+    energy = _mirrored(energy)
     safe = np.where(energy > 0, energy, 1.0)  # k = 0, m = 0 mode is inert
     n1 = hk / safe
     n3 = hm / safe
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
+    cos_t = _mirrored(np.cos(theta))
+    sin_t = _mirrored(np.sin(theta))
     u = np.fft.fft(psi.upper)
     v = np.fft.fft(psi.lower)
     u_new = (cos_t - 1j * sin_t * n3) * u + (-1j * sin_t * n1) * v

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -61,6 +61,14 @@ def _merge_sorted(ivs: Iterable[tuple[float, float]]) -> tuple[Box, ...]:
     return tuple(runs)
 
 
+def _mixed(values: Iterable) -> NoReturn:
+    """Reject d = 1 points of other lengths; as in d >= 2, a value that is
+    not finite is reported first."""
+    if not all(map(math.isfinite, map(float, values))):
+        raise ValueError("box corners must be finite")
+    raise ValueError("boxes have mixed dimensions")
+
+
 def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
                      halfwidth: float) -> tuple[Box, ...]:
     """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points.
@@ -73,7 +81,7 @@ def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
     if isinstance(points, np.ndarray) and len(points) > 1:
         return _array_intervals(np.asarray(points, dtype=float), halfwidth)
     if set(map(len, points)) - {1}:
-        raise ValueError("boxes have mixed dimensions")
+        _mixed(chain.from_iterable(points))
     # the sort is stable and the merge keeps the first of equal ends, so a
     # repeated point adds nothing, and of -0.0 and 0.0 the first given
     # counts, as when the points are taken once each
@@ -100,7 +108,7 @@ def _array_intervals(pts: np.ndarray, halfwidth: float) -> tuple[Box, ...]:
     its last, which `_merge_sorted` keeps on a tie (of -0.0 and 0.0, at
     halfwidth -0.0)."""
     if pts.shape[1:] != (1,):
-        raise ValueError("boxes have mixed dimensions")
+        _mixed(pts.ravel())
     xs = np.sort(pts.reshape(-1), kind="stable")
     # NaN sorts last, so the points are finite when the outermost two are
     first, last = xs[[0, -1]].tolist()

@@ -22,7 +22,14 @@ tails of a Born grid, cells of 1e-200 beside cells of 0.1, are mostly
 neither lifted nor scanned.  The leading pass reads only the targets
 that the windows reach; the trailing pass reads only the sources that
 the leading one kept and their targets, and does not run when it kept
-none (`_trim_1d`).  That scan's worst set leaves as one array, which
+none (`_trim_1d`).  When the kept sources' windows chain and every run
+of them holds strictly more mass than the room that only it reaches,
+again on float prefix sums under a rounding bound (`_one_run`; cf.
+Shewchuk 1997 on float filters with exact fallbacks), they are the one
+worst set: removing runs from them loses the sum of those runs' slacks,
+and the trim leaves no worst set outside them.  Then the scan's loop
+does not run, and the deficit is their lifted supply less the lifted
+room of their windows.  The scan's worst set leaves as one array, which
 `Region.point_boxes` merges in numpy.  In d >= 2 a greedy fill plus
 bipartite Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
@@ -343,6 +350,36 @@ def _trim_1d(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
                               b - hi[t0:][::-1], b - lo[t0:][::-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _one_run(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> bool:
+    """Whether the sources 0..k-1, k >= 1, are certified in floats to be
+    the one worst set among their subsets; the certificate and its
+    rounding bound are `_solve_sweep_1d`'s.
+
+    It reads the supplies s, the rooms c and the windows [lo_i, hi_i),
+    index ranges of c, nondecreasing at both ends.  Piece i..j-1 is
+    tested on the targets [H_i, L_j) with H_0 = lo_0, H_i = hi_{i-1},
+    L_j = lo_j and L_k = hi_{k-1}, for every i <= j with H_i < L_j: the
+    empty piece j..j-1 is tested when hi_{j-1} < lo_j, and fails, so the
+    windows chain when the test holds."""
+    a, b = int(lo[0]), int(hi[-1])
+    k, m = len(s), b - a
+    supply = np.concatenate(([0.0], np.cumsum(s)))  # before each source
+    room = np.concatenate(([0.0], np.cumsum(c[a:b])))
+    starts = np.concatenate(([0], hi[:-1] - a))  # H_i
+    ends = np.append(lo[1:] - a, m)              # L_j, j = 1..k
+    # best[q]: the largest supply[i] - room[H_i] over i < q, -inf at q = 0
+    best = np.maximum.accumulate(
+        np.concatenate(([-np.inf], supply[:-1] - room[starts])))
+    # the pieces i..j-1 with H_i < L_j are those with i < q_j
+    q = starts.searchsorted(ends)
+    top, past = supply[1:], room[ends]
+    tol, ulps = 8 * (k + m) * 2.0 ** -52, (k + m) * 2.0 ** -1074
+    # NaN from an overflowed sum fails the test
+    return bool(((top - past) - best[q] > tol * (top + past) + ulps).all())
+
+
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
                     cs: CausalStructure
                     ) -> tuple[int, int, list | np.ndarray]:
@@ -383,10 +420,31 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     proves the strict inequality; the largest t so proved is taken.  The
     deficit, its quotient and the worst set are those of the whole scan.
 
+    When the trim keeps sources A = 0..k-1, k >= 1, the scan does not run
+    if they are certified to be the one worst set (`_one_run`); the
+    deficit is then A's lifted supply less the lifted room of [lo_0,
+    hi_{k-1}).  Every worst set lies in A (the trim).  When the windows
+    chain, hi_i >= lo_{i+1}, a set S in A falls short of A by the sum,
+    over the maximal runs i..j-1 of A outside S, of mu(i..j-1) less the
+    room that only that piece reaches, [H_i, L_j) with H_i = hi_{i-1}
+    and L_j = lo_j, read as lo_0 at i = 0 and as hi_{k-1} at j = k: any
+    other target of the piece lies in the window of a source of S beside
+    it.  So A is the one maximiser when every piece with H_i < L_j holds
+    more supply than that room, and by at least one lifted unit, so the
+    scan's score w D - |S| (w = k + 1 > |S|) peaks at A alone too.  For
+    each j one running max of M[i] - R[H_i] settles every piece ending
+    there; a break in the chain, hi_{j-1} < lo_j, is the empty piece
+    j..j-1, whose room holds mass, so it fails.  Each value M[j] - R[L_j]
+    - max_i (M[i] - R[H_i]) is within (2 (k + m) - 1) 2**-53 (M[j] +
+    R[L_j]) of its exact value to first order, and it certifies only when
+    it is above the trim's bound of that sum, computed on the targets
+    [lo_0, hi_{k-1}); a NaN fails.  Unions of several runs, ties within
+    the bound, exact weights and small inputs take the scan.
+
     The worst set's points come back as a list of 1-tuples at or below
     `SMALL_SWEEP_ATOMS` sources, and above it as one (k, 1) array taken
-    from the sorted positions by the runs, which `Region.point_boxes`
-    merges in numpy.
+    from the sorted positions by the runs, or all of them when certified,
+    which `Region.point_boxes` merges in numpy.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
@@ -394,6 +452,7 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     ys, right_caps = _support(nu, ordered=True)
     xs, ys = xs[:, 0], ys[:, 0]
     small = len(xs) <= SMALL_SWEEP_ATOMS
+    one = False
     if small:
         lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
@@ -402,10 +461,13 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
             keep = slice(*_trim_1d(left_caps, right_caps, lo, hi))
             xs, lo, hi = xs[keep], lo[keep], hi[keep]
             left_caps = left_caps[keep]
+            one = len(xs) > 0 and _one_run(left_caps, right_caps, lo, hi)
         lo, hi = lo.tolist(), hi.tolist()
     a, b = min(lo, default=0), max(hi, default=0)
     den, caps = _lift(left_caps, right_caps[a:b], mu, nu)
     k = len(xs)
+    if one:
+        return sum(caps[:k]) - sum(caps[k:]), den, xs[:, None]
     w = k + 1
     # room[t]: w times the room of the lifted targets before t
     room = list(accumulate((w * c for c in caps[k:]), initial=0))

@@ -986,6 +986,10 @@ GOLDEN = {
     "signal_sim_two_atom": ("signal-sim", "two_atom.json"),
     "check_all_grid_1d": ("check", "all", "grid_1d.json"),
     "check_all_shuffled_1d": ("check", "all", "shuffled_1d.json"),
+    # mu the Born weights of a Gaussian on 128 cells, every later role
+    # their free evolution, K 48 cells: its failing ordering check is the
+    # only one here with more than SMALL_SWEEP_ATOMS sources
+    "check_all_born_1d": ("check", "all", "born_1d.json"),
 }
 
 
@@ -1064,13 +1068,15 @@ def test_uncarved_annulus_k_matches_golden(tmp_path, capsys):
 # stdout of `simulate-quantum` (record, then density.csv) on
 # tests/data/quantum_1d.json with its dynamics rewritten, without the
 # wall_clock_s line, written before the two packet classes shared one
-# base; for dirac k0 is dropped, which changes only input_digest.  FFTs
+# base (schrodinger, the file's own, before the phases were taken on half
+# the spectrum; its ordering check fails on more than SMALL_SWEEP_ATOMS
+# sources); for dirac k0 is dropped, which changes only input_digest.  FFTs
 # and transcendentals round differently across numpy builds and CPUs, so
 # the numbers match to 1e-9 and the text around them exactly.
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
-@pytest.mark.parametrize("dynamics", ["relativistic", "dirac"])
+@pytest.mark.parametrize("dynamics", ["schrodinger", "relativistic", "dirac"])
 def test_simulate_quantum_records_match_golden(dynamics, tmp_path, capsys):
     payload = json.loads((DATA / "quantum_1d.json").read_text())
     payload["quantum"]["dynamics"] = dynamics

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from causal_lab import quantum
 from causal_lab.conditions import evaluate_conditions, validate
-from causal_lab.quantum import (NATURAL_UNITS, SI_UNITS, WavePacket,
+from causal_lab.quantum import (NATURAL_UNITS, SI_UNITS, DiracPacket,
+                                WavePacket,
                                 analytic_ce_gaussian, born_measure,
                                 bump_spinor_packet, collapse, dispersed_width,
                                 evolve_dirac_1p1, evolve_relativistic,
@@ -78,6 +80,67 @@ def test_norm_and_group_property_all_engines(seed):
                                  + np.abs(a.lower - b.lower) ** 2)
                           * a.cell_size))
     assert gap < 1e-10
+
+
+def _full_spectrum(evolve, psi, t):
+    """The components of `evolve(psi, t)` with every phase taken on the
+    whole spectrum, as the engines once took them."""
+    hbar, c, m = psi.units.hbar, psi.units.c, psi.mass
+    k = psi.wavenumbers
+    if evolve is evolve_dirac_1p1:
+        hk, hm = c * hbar * k, m * c * c
+        energy = np.sqrt(hk * hk + hm * hm)
+        theta = energy * t / hbar
+        safe = np.where(energy > 0, energy, 1.0)
+        n1, n3 = hk / safe, hm / safe
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        u, v = np.fft.fft(psi.upper), np.fft.fft(psi.lower)
+        return (np.fft.ifft((cos_t - 1j * sin_t * n3) * u
+                            + (-1j * sin_t * n1) * v),
+                np.fft.ifft((-1j * sin_t * n1) * u
+                            + (cos_t + 1j * sin_t * n3) * v))
+    if evolve is evolve_schrodinger_free:
+        phase = np.exp(-1j * hbar * k * k * t / (2.0 * m))
+    else:
+        omega = np.sqrt(k * k * c * c + (m * c * c / hbar) ** 2)
+        phase = np.exp(-1j * omega * t)
+    return (np.fft.ifft(np.fft.fft(psi.amplitudes) * phase),)
+
+
+@pytest.mark.parametrize("units", ["natural", "si", "massless"])
+def test_half_spectrum_phases_match_the_full_spectrum(monkeypatch, units):
+    # every phase is even in k, and fftfreq gives k[n - j] = -k[j]
+    # exactly, so the engines' phases on k[:n // 2 + 1], mirrored, give
+    # the evolutions of the whole spectrum bit for bit, at every size
+    # (random components, so the boundary check is off)
+    monkeypatch.setattr(quantum, "_check_boundary", lambda psi: psi)
+    rng = np.random.default_rng(263)
+    consts, mass, t, cells = {
+        "natural": (NATURAL_UNITS, 1.0, 1.0, (0.01, 0.0625, 0.15)),
+        "si": (SI_UNITS, 9.1093837e-31, 1e-22, (1e-15, 1e-14, 5e-14)),
+        "massless": (NATURAL_UNITS, 0.0, 0.7, (0.01, 0.0625, 0.5)),
+    }[units]
+    engines = [evolve_relativistic, evolve_dirac_1p1]
+    if mass > 0:
+        engines.append(evolve_schrodinger_free)
+    for n in (2 ** p for p in range(1, 15)):
+        for cell in cells:
+            up, low = (rng.normal(size=n) + 1j * rng.normal(size=n)
+                       for _ in range(2))
+            both = math.sqrt(float(np.sum(np.abs(up) ** 2 + np.abs(low) ** 2))
+                             * cell)
+            one = math.sqrt(float(np.sum(np.abs(up) ** 2)) * cell)
+            spinor = DiracPacket(up / both, low / both, -n * cell / 2, cell,
+                                 mass, consts)
+            scalar = WavePacket(up / one, -n * cell / 2, cell, mass, consts)
+            for evolve in engines:
+                psi = spinor if evolve is evolve_dirac_1p1 else scalar
+                got = evolve(psi, t).components
+                want = _full_spectrum(evolve, psi, t)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), \
+                        (evolve.__name__, n, cell)
 
 
 def test_massless_drift_at_light_speed():

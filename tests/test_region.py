@@ -417,11 +417,13 @@ def test_point_boxes_array_checks(dim):
         for given in (pts, pts.tolist()):
             with pytest.raises(ValueError, match=finite):
                 Region.point_boxes(given, dim)
-    # of mixed lengths and a NaN, the NaN is reported first, in any order;
-    # in d = 1 a list's lengths are checked before its values
+    # of mixed lengths and a NaN, the NaN is reported first, in any order,
+    # on a list and on an array
+    wide = np.zeros((2, dim + 1))
+    wide[1, 0] = math.nan
     for given in ([tuple(zero), (math.nan,) * (dim + 1)],
-                  [(math.nan,) * (dim + 1), tuple(zero)]):
-        with pytest.raises(ValueError, match=finite if dim > 1 else "mixed"):
+                  [(math.nan,) * (dim + 1), tuple(zero)], wide, wide[1:]):
+        with pytest.raises(ValueError, match=finite):
             Region.point_boxes(given, dim)
     with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
         Region.point_boxes(np.zeros((2, dim + 1)), dim)

@@ -924,3 +924,182 @@ def test_drained_cloud_takes_no_list_lift(monkeypatch):
                 for box in boxes]
 
     assert signed(v.worst_set.boxes) == signed(want)
+
+
+# -- the d = 1 one-run certificate -------------------------------------------
+
+ONE_RUN_FAMILIES = ("uniform", "clusters", "narrow", "lattice", "ties",
+                    "tiny")
+
+
+def _one_run_instance(rng, family):
+    """Seeded d = 1 float atoms (mu, nu, cs), 33 to 79 sources.
+
+    "uniform": points spread evenly; "clusters": points about two to five
+    centres and a short reach, so the windows leave gaps; "narrow": mu
+    narrow against a wide nu; "lattice": points on one lattice of step
+    1/4 and a reach of 0 to 3 steps, so window ends meet points exactly;
+    "ties": every weight 1/64 on a lattice of step 1/2, so sets tie;
+    "tiny": weights from 1e-300 to 1.  Apart from "ties", mu has mass 1
+    and nu 0.5, 0.999, 1 or 1.001."""
+    k, m = int(rng.integers(33, 80)), int(rng.integers(20, 100))
+    dt = float(rng.uniform(0.2, 2.0))
+    if family == "clusters":
+        centres = rng.uniform(-10.0, 10.0, int(rng.integers(2, 6)))
+        xs = centres[rng.integers(0, len(centres), k)] + rng.normal(0, 0.3, k)
+        ys = centres[rng.integers(0, len(centres), m)] + rng.normal(0, 0.5, m)
+        dt = float(rng.uniform(0.05, 0.5))
+    elif family == "narrow":
+        xs, ys = rng.normal(0.0, 0.5, k), rng.normal(0.0, 3.0, m)
+    elif family in ("lattice", "ties"):
+        step = 0.25 if family == "lattice" else 0.5
+        xs = rng.choice(np.arange(-60, 60), k, replace=False) * step
+        ys = rng.choice(np.arange(-80, 80), m, replace=False) * step
+        dt = step * int(rng.integers(0, 4))
+    else:
+        xs, ys = rng.uniform(-5.0, 5.0, k), rng.uniform(-6.0, 6.0, m)
+    if family == "ties":
+        sw, nw = np.full(k, 1 / 64), np.full(m, 1 / 64)
+    else:
+        if family == "tiny":
+            sw, nw = (10.0 ** rng.uniform(-300, 0, n) for n in (k, m))
+        else:
+            sw, nw = rng.random(k) + 1e-3, rng.random(m) + 1e-3
+        sw = sw / sw.sum()
+        nw = nw / nw.sum() * float(rng.choice([0.5, 0.999, 1.0, 1.001]))
+    return (_atoms(0.0, zip(xs.tolist(), sw.tolist())),
+            _atoms(dt, zip(ys.tolist(), nw.tolist())), CS1)
+
+
+def _scanned(mu, nu, cs):
+    """check_ce_maxflow with `_one_run` certifying nothing: the scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_one_run", lambda s, c, lo, hi: False)
+        return check_ce_maxflow(mu, nu, cs)
+
+
+def _spy_one_run(monkeypatch):
+    """Record each `_one_run` call as (sources, certified)."""
+    calls = []
+    one_run = transport._one_run
+
+    def recorded(s, c, lo, hi):
+        got = one_run(s, c, lo, hi)
+        calls.append((len(s), got))
+        return got
+
+    monkeypatch.setattr(transport, "_one_run", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family", ONE_RUN_FAMILIES)
+def test_one_run_matches_the_scan(monkeypatch, family):
+    calls = _spy_one_run(monkeypatch)
+    failing = 0
+    for seed in range(500):
+        rng = np.random.default_rng([seed, ONE_RUN_FAMILIES.index(family),
+                                     257])
+        mu, nu, cs = _one_run_instance(rng, family)
+        v, u = check_ce_maxflow(mu, nu, cs), _scanned(mu, nu, cs)
+        _same_verdict(v, u)
+        assert float(v.deficit).hex() == float(u.deficit).hex()
+        failing += not u.holds
+    # some failing checks were certified
+    certified = sum(got for _, got in calls)
+    assert 0 < certified
+
+
+def test_born_failing_checks_certify_without_the_scan(monkeypatch):
+    # the born_grid_1d construction: Born grids of n = 2048 and 4096 cells
+    # on [-24, 24], mu cut to halfwidths about 0.5, 0.8, 1.2 and 2 times
+    # the threshold 1 + sqrt 2, and the n = 4096 mu whole.  Every failing
+    # check's trimmed sources are certified as the worst set, and the
+    # scan never runs; holding checks keep no source to certify
+    ell_star = 1 + math.sqrt(2)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 269])
+        for n in (2048, 4096):
+            x0 = float(rng.uniform(-0.5, 0.5))
+            psi = gaussian_packet(1.0, x0=x0, origin=-24.0, cell_size=48 / n,
+                                  n=n)
+            whole = born_measure(psi, 0.0)
+            nu = born_measure(evolve_schrodinger_free(psi, 1.0), 1.0)
+            for r in (0.5, 0.8, 1.2, 2.0) + ((None,) if n == 4096 else ()):
+                mu = whole
+                if r is not None:
+                    ell = r * ell_star * float(1 + rng.uniform(-0.01, 0.01))
+                    mu = whole.restricted(Region.interval(x0 - ell, x0 + ell))
+                fails = r is None or r > 1
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = _spy_one_run(mp)
+
+                    def unscanned(*args, **kwargs):
+                        raise AssertionError("the scan ran")
+
+                    if fails:
+                        mp.setattr(transport, "accumulate", unscanned)
+                    v = check_ce_maxflow(mu, nu, CS1)
+                assert v.holds != fails
+                assert calls == ([(calls[0][0], True)] if fails else [])
+                _same_verdict(v, _scanned(mu, nu, CS1))
+
+
+def _row(supply, room, xs=None, gap=()):
+    """40 float atoms of mu at xs (0..39 by default) and of nu at the same
+    points, weights in units of 1/128, plus nu atoms `gap` of one unit; a
+    reach of 1/2, so source i reaches target i alone and on unit spacing
+    the windows chain, each ending where the next starts."""
+    xs = list(range(40)) if xs is None else xs
+    unit = 1 / 128
+    mu = _atoms(0.0, [(float(x), s * unit) for x, s in zip(xs, supply)])
+    nu = _atoms(0.5, [(float(x), c * unit) for x, c in zip(xs, room)]
+                + [(float(x), unit) for x in gap])
+    return mu, nu
+
+
+# (supply, room, points of mu, gap atoms of nu, worst set's sources):
+# "gap_loses": R is two runs, as source 20 falls two units short;
+# "chain_broken": the windows of sources 19 and 20 do not meet, and nu's
+# atom at 50 lies between them, outside every window, lighter than any
+# piece's slack, so only the chain test keeps it out of R's room; "prefix_tie"
+# and "suffix_tie": the first or last source holds exactly its room, so
+# the inclusion-minimal worst set leaves it out
+_UNCERTIFIED = {
+    "gap_loses": ([2] * 20 + [1] + [2] * 19, [1] * 20 + [3] + [1] * 19,
+                  None, (), [i for i in range(40) if i != 20]),
+    "chain_broken": ([3] * 40, [1] * 40, list(range(20)) + list(
+        range(100, 120)), (50.0,), list(range(40))),
+    "prefix_tie": ([1] + [2] * 39, [1] * 40, None, (), list(range(1, 40))),
+    "suffix_tie": ([2] * 39 + [1], [1] * 40, None, (), list(range(39))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNCERTIFIED))
+def test_one_run_falls_back_to_the_scan(monkeypatch, case):
+    # the trim keeps all 40 sources, the certificate refuses them, and the
+    # scan names the worst set
+    supply, room, xs, gap, worst = _UNCERTIFIED[case]
+    mu, nu = _row(supply, room, xs, gap)
+    calls = _spy_one_run(monkeypatch)
+    v = check_ce_maxflow(mu, nu, CS1)
+    assert calls == [(40, False)]
+    pts = [float(x) for x in (xs or range(40))]
+    assert v.deficit == sum(supply[i] - room[i] for i in worst) / 128
+    assert v.worst_set.boxes == tuple(((pts[i],), (pts[i],)) for i in worst)
+    _same_verdict(v, _scanned(mu, nu, CS1))
+
+
+@pytest.mark.parametrize("piece", [0, 20, 39])
+def test_one_run_slack_must_exceed_its_bound(piece):
+    # subnormal weights on the chained row: every sum is exact and the
+    # relative part of the bound underflows to 0, so the bound is k + m =
+    # 80 units of 2**-1074.  A prefix (source 0), an interior piece (source
+    # 20) or a suffix (source 39) with a slack of exactly 80 units is not
+    # certified, with 81 it is
+    unit = 2.0 ** -1074
+    lo, hi = np.arange(40), np.arange(1, 41)
+    room = np.full(40, 100 * unit)
+    for slack, certified in ((80, False), (81, True)):
+        supply = room + 200 * unit
+        supply[piece] = room[piece] + slack * unit
+        assert transport._one_run(supply, room, lo, hi) is certified

@@ -8,8 +8,7 @@ import pytest
 from causal_lab import quantum
 from causal_lab.conditions import evaluate_conditions, validate
 from causal_lab.quantum import (NATURAL_UNITS, SI_UNITS, DiracPacket,
-                                WavePacket,
-                                analytic_ce_gaussian, born_measure,
+                                WavePacket, analytic_ce_gaussian, born_measure,
                                 bump_spinor_packet, collapse, dispersed_width,
                                 evolve_dirac_1p1, evolve_relativistic,
                                 evolve_schrodinger_free, gaussian_packet,
@@ -139,8 +138,8 @@ def test_half_spectrum_phases_match_the_full_spectrum(monkeypatch, units):
                 want = _full_spectrum(evolve, psi, t)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
-                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), \
-                        (evolve.__name__, n, cell)
+                    assert np.array_equal(g.view(np.int64),
+                                          w.view(np.int64)), (evolve, n, cell)
 
 
 def test_massless_drift_at_light_speed():

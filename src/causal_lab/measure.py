@@ -125,10 +125,18 @@ class SliceMeasure:
             raise ValueError("grid origin dimension does not match weights")
         if not (cell_size > 0 and math.isfinite(cell_size)):
             raise ValueError("cell size must be positive")
+        if not all(map(math.isfinite, origin_t)):
+            raise ValueError("grid origin must be finite")
+        # the last center on each axis, as `positions` computes it; the
+        # centers rise with the index, so this bounds them all
+        h = float(cell_size)
+        if not all(math.isfinite(o + (n - 1 + 0.5) * h)
+                   for o, n in zip(origin_t, w.shape) if n):
+            raise ValueError("grid cell centers must be finite")
         w = w.copy()
         w.flags.writeable = False
         return SliceMeasure(time, w.ndim, grid_origin=origin_t,
-                            grid_cell=float(cell_size), grid_weights=w)
+                            grid_cell=h, grid_weights=w)
 
     # -- structure ---------------------------------------------------------
 

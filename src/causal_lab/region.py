@@ -20,6 +20,18 @@ import numpy as np
 
 Box = tuple[tuple[float, ...], tuple[float, ...]]
 
+# up to this many d = 1 points, Python lists; above it, numpy.  It bounds
+# the merge of `Region.point_boxes` on an array (numpy's fixed cost of about
+# 8 us a call overtook the list merge only near 28 sorted points) and, in
+# `transport`, the d = 1 scan's windows and in every dimension the read of
+# atom weights (`_support`) and the lift of float capacities (`_lift`).  Per
+# `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
+# targets a window), list windows took 16-37 us against numpy's 42-86 us at
+# 2 points, about even at 32 to 40, and 170-370 against 142-338 us at 64; a
+# frexp lift on 2-16 atoms slowed scenario_sweep by 8-10%, and the array
+# read cost 3-5 us more a fresh measure of 2-16 atoms.
+SMALL_SWEEP_ATOMS = 32
+
 
 def _as_box(lo: Sequence[float], hi: Sequence[float]) -> Box:
     if isinstance(lo, str) or isinstance(hi, str):  # else read per character
@@ -73,13 +85,15 @@ def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
                      halfwidth: float) -> tuple[Box, ...]:
     """`_merge_intervals` of the boxes [x - h, x + h] of d = 1 points.
 
-    A list is merged in Python by `_merge_sorted`, an (n, 1) array of two
-    or more points in numpy (`_array_intervals`), with the same checks,
-    messages and boxes.  A lone point has nothing to merge, and the list
-    path takes it without numpy's fixed cost per call: most d = 1 arrays
-    that ns witnesses give in `scenario_sweep` hold one point."""
-    if isinstance(points, np.ndarray) and len(points) > 1:
-        return _array_intervals(np.asarray(points, dtype=float), halfwidth)
+    An array of more than `SMALL_SWEEP_ATOMS` points is merged in numpy
+    (`_array_intervals`); a smaller one is read as its `.tolist()` and,
+    like a list, merged in Python by `_merge_sorted`, with the same
+    checks, messages and boxes.  The list merge is the faster below about
+    28 points, as numpy's fixed cost per call outweighs its loop."""
+    if isinstance(points, np.ndarray):
+        if len(points) > SMALL_SWEEP_ATOMS:
+            return _array_intervals(np.asarray(points, dtype=float), halfwidth)
+        points = points.tolist()
     if set(map(len, points)) - {1}:
         _mixed(chain.from_iterable(points))
     # the sort is stable and the merge keeps the first of equal ends, so a
@@ -99,7 +113,7 @@ def _point_intervals(points: Sequence[Sequence[float]] | np.ndarray,
 
 
 def _array_intervals(pts: np.ndarray, halfwidth: float) -> tuple[Box, ...]:
-    """`_point_intervals` of an (n, 1) float array, n >= 2.
+    """`_point_intervals` of an (n, 1) float array, n > `SMALL_SWEEP_ATOMS`.
 
     The coordinates are sorted stably, so equal ones keep the order given.
     hi = x + h is nondecreasing in sorted x, so the running max of
@@ -261,13 +275,16 @@ class Region:
         once and the intervals merged in one pass by the rule of
         `from_boxes`: both ends are nondecreasing in x, so this is the
         order in which `from_boxes` would sort the boxes, and the runs are
-        its boxes.  Two or more points given as one array, such as the
-        worst set of the d = 1 scan over many sources, are sorted and
-        merged in numpy, to the same boxes.  In d >= 2 the points become
-        one float array, on which the checks of `from_boxes` (finite
-        corners, one dimension) run directly, and one dict pass over its
-        rows keeps the first of equal points (of -0.0 and 0.0 the first
-        given), so the boxes are those of `from_boxes` in the same order.
+        its boxes.  The count picks the merge: more than
+        `SMALL_SWEEP_ATOMS` points given as one array, as every solver,
+        the ns witness and the readout set give them, are sorted and
+        merged in numpy, and fewer in Python, to the same boxes; the
+        Python merge is the faster below about 28 points.  In d >= 2 the
+        points become one float array, on which the checks of `from_boxes`
+        (finite corners, one dimension) run directly, and one dict pass
+        over its rows keeps the first of equal points (of -0.0 and 0.0 the
+        first given), so the boxes are those of `from_boxes` in the same
+        order.
         With halfwidth 0, p - h and p + h are p itself unless p has a zero
         coordinate (-0.0 + 0.0 is 0.0), so only such a point is worked out
         one coordinate at a time.

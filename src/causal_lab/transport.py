@@ -29,9 +29,10 @@ Shewchuk 1997 on float filters with exact fallbacks), they are the one
 worst set: removing runs from them loses the sum of those runs' slacks,
 and the trim leaves no worst set outside them.  Then the scan's loop
 does not run, and the deficit is their lifted supply less the lifted
-room of their windows.  The scan's worst set leaves as one array, which
-`Region.point_boxes` merges in numpy.  In d >= 2 a greedy fill plus
-bipartite Dinic phases on the cone graph's CSR arrays
+room of their windows.  Every solver hands its worst set to
+`Region.point_boxes` as one float array, which merges more than
+`SMALL_SWEEP_ATOMS` points in numpy and fewer in Python.  In d >= 2 a
+greedy fill plus bipartite Dinic phases on the cone graph's CSR arrays
 (`maxflow.dinic_max_flow`) give a maximum flow, and residual reachability
 the min-cut side; only the targets that some arc reaches are lifted and
 solved (`_solve_dinic`), and when the mass left after the greedy fill
@@ -71,7 +72,7 @@ import numpy as np
 
 from .maxflow import dinic_max_flow
 from .measure import SliceMeasure, Weight
-from .region import Region
+from .region import SMALL_SWEEP_ATOMS, Region
 from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
                         cone_blocks, cone_radius, point_cone_membership,
                         squared_cone_radius, window_blocks)
@@ -79,16 +80,6 @@ from .spacetime import (CausalStructure, _cone_windows, _small_cone_windows,
 EPS_FLOW = 1e-9
 _EPS_NUM, _EPS_DEN = EPS_FLOW.as_integer_ratio()
 MAX_BRUTEFORCE_ATOMS = 20
-# up to this many points in mu's positive support, atoms or grid cells,
-# the d = 1 scan places its windows on Python lists, above it with numpy.
-# Per `_solve_sweep_1d` call (best of 15, 2-core VM, unit spacing, 2 or 16
-# targets a window): lists 16-37 us against numpy's 42-86 us at 2 points,
-# about even at 32 to 40, and 170-370 against 142-338 us at 64.  Above it,
-# float weights are lifted from np.frexp (`_lift`) and atom weights are
-# read from the measure's weight array (`_support`); at or below it they
-# keep the lists, as a frexp lift on 2-16 atoms slowed scenario_sweep by
-# 8-10%, and the array read cost 3-5 us more a fresh measure of 2-16 atoms.
-SMALL_SWEEP_ATOMS = 32
 
 
 @dataclass(frozen=True)
@@ -381,8 +372,7 @@ def _one_run(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
 
 
 def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
-                    cs: CausalStructure
-                    ) -> tuple[int, int, list | np.ndarray]:
+                    cs: CausalStructure) -> tuple[int, int, np.ndarray]:
     """Exact deficit and worst-set points of the ordering check in d = 1.
 
     The deficit is the largest mu(S) - nu(J+(S)) over source sets S, the
@@ -441,19 +431,18 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
     [lo_0, hi_{k-1}); a NaN fails.  Unions of several runs, ties within
     the bound, exact weights and small inputs take the scan.
 
-    The worst set's points come back as a list of 1-tuples at or below
-    `SMALL_SWEEP_ATOMS` sources, and above it as one (k, 1) array taken
-    from the sorted positions by the runs, or all of them when certified,
-    which `Region.point_boxes` merges in numpy.
+    The worst set's points come back as one (k, 1) float array, taken
+    from the sorted positions by a mask of the runs, or all of them when
+    certified, as the other solvers give theirs; `Region.point_boxes`
+    picks the merge from the count alone.
     """
     dt = _slice_gap(mu, nu, cs)
     reach, r2 = cone_radius(dt, cs), squared_cone_radius(dt, cs)
     xs, left_caps = _support(mu, ordered=True)
     ys, right_caps = _support(nu, ordered=True)
     xs, ys = xs[:, 0], ys[:, 0]
-    small = len(xs) <= SMALL_SWEEP_ATOMS
     one = False
-    if small:
+    if len(xs) <= SMALL_SWEEP_ATOMS:
         lo, hi = _small_cone_windows(xs.tolist(), ys.tolist(), reach, r2)
     else:
         lo, hi = _cone_windows(xs, ys, reach, r2)
@@ -492,24 +481,15 @@ def _solve_sweep_1d(mu: SliceMeasure, nu: SliceMeasure,
         else:
             start.append(-1)
             best.append(best[i])
-    runs, j = [], k
+    inside, j = np.zeros(k, dtype=bool), k
     while j:
         i = start[j - 1]
         if i < 0:
             j -= 1
         else:
-            runs.append(slice(i, j))
+            inside[i:j] = True
             j = prev[i]
-    runs.reverse()
-    if small:
-        x = xs.tolist()
-        cut = [(v,) for run in runs for v in x[run]]
-    else:
-        inside = np.zeros(k, dtype=bool)
-        for run in runs:
-            inside[run] = True
-        cut = xs[inside][:, None]
-    return -(-best[k] // w), den, cut
+    return -(-best[k] // w), den, xs[inside][:, None]
 
 
 def _verdict(rest: int, den: int, cut_pts, mu: SliceMeasure,

@@ -810,6 +810,31 @@ def _grid_nu0(**grid):
     (_HUGE_MU, ("check", "ce", "--method", "maxflow"),
      "the deficit overflows a float"),
     (_HUGE_MU, ("check", "all"), "the deficit overflows a float"),
+    # grid origins and cell sizes whose cell centers are not finite: the
+    # ordering check once raised IndexError from the cone windows, validate
+    # passed them (with a numpy overflow warning for the last), a NaN grid
+    # mu was blamed on the box corners and a NaN grid nu0 on the geometry
+    (_on("born_1d.json", _set("measures", "mu", "grid", "origin",
+                              [math.nan])), ("check", "ce"),
+     "bad measure 'mu': grid origin must be finite"),
+    (_on("born_1d.json", _set("measures", "mu", "grid", "origin",
+                              [math.inf])), ("check", "all"),
+     "bad measure 'mu': grid origin must be finite"),
+    (_on("born_1d.json", _set("measures", "mu", "grid", "origin",
+                              [math.nan])), ("validate",),
+     "bad measure 'mu': grid origin must be finite"),
+    (_on("born_1d.json", _set("measures", "mu", "grid", "cell_size",
+                              1e308)), ("check", "ce"),
+     "bad measure 'mu': grid cell centers must be finite"),
+    (_on("born_1d.json", lambda payload: payload["measures"]["mu"][
+        "grid"].update(origin=[1e308], cell_size=1e306)), ("validate",),
+     "bad measure 'mu': grid cell centers must be finite"),
+    (_on("grid_1d.json", _set("measures", "mu", "grid", "origin",
+                              [math.nan])), ("check", "all"),
+     "bad measure 'mu': grid origin must be finite"),
+    (_on("grid_1d.json", _set("measures", "nu0", "grid", "origin",
+                              [math.nan])), ("check", "all"),
+     "bad measure 'nu0': grid origin must be finite"),
 ], ids=["negative_weight", "negative_weight_assert", "duplicate_atom",
         "time_abc", "p_plus_half", "seed_x", "cell_size_negative",
         "weights_x", "time_null", "time_nan", "time_inf", "time_neg_inf",
@@ -830,7 +855,11 @@ def _grid_nu0(**grid):
         "root_list", "no_measurement", "no_lattice", "signal_sim_no_gap",
         "no_quantum", "quantum_dim_2", "dynamics_unknown",
         "deficit_overflow_auto", "deficit_overflow_bruteforce",
-        "deficit_overflow_maxflow", "deficit_overflow_all"])
+        "deficit_overflow_maxflow", "deficit_overflow_all",
+        "grid_origin_nan_ce", "grid_origin_inf_all",
+        "grid_origin_nan_validate", "grid_cell_size_overflow",
+        "grid_last_center_overflow", "grid_28_origin_nan",
+        "grid_nu0_origin_nan"])
 def test_exit_code_two_on_every_rejected_value(edit, argv, message, tmp_path,
                                                capsys):
     # each of these once escaped main as a traceback with exit code 1, was
@@ -990,6 +1019,9 @@ GOLDEN = {
     # their free evolution, K 48 cells: its failing ordering check is the
     # only one here with more than SMALL_SWEEP_ATOMS sources
     "check_all_born_1d": ("check", "all", "born_1d.json"),
+    # a worst set of three separate atoms, -9, 10 and 11, from the scan
+    # over fewer than SMALL_SWEEP_ATOMS sources
+    "check_all_drained_1d": ("check", "all", "drained_1d.json"),
 }
 
 

@@ -445,6 +445,56 @@ def test_point_boxes_array_checks(dim):
                 Region.point_boxes(given[end:end + 1], dim, halfwidth=1e308)
 
 
+N = region.SMALL_SWEEP_ATOMS
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1, 2, N, N + 1, 2 * N])
+def test_point_boxes_merge_by_count(n, monkeypatch):
+    # d = 1 points given as one array take the numpy merge exactly when
+    # there are more than SMALL_SWEEP_ATOMS of them, and either merge gives
+    # the list's boxes, sign of zero included, and its messages
+    calls = []
+    merge = region._array_intervals
+    monkeypatch.setattr(region, "_array_intervals",
+                        lambda pts, h: calls.append(len(pts)) or merge(pts, h))
+    rng = np.random.default_rng([n, 63])
+    pts = rng.integers(-4, 5, (n, 1)) / 8.0  # repeats, cells that touch
+    pts[rng.random(n) < 0.5] *= -1.0  # -0.0 beside 0.0
+    listed = [tuple(p) for p in pts.tolist()]
+    for h in (0.0, -0.0, 0.125):
+        got = Region.point_boxes(pts, 1, halfwidth=h)
+        want = Region.point_boxes(listed, 1, halfwidth=h)
+        assert _signed_boxes(got) == _signed_boxes(want)
+    assert calls == ([n] * 3 if n > N else [])
+    if not n:
+        return
+    finite = "^box corners must be finite$"
+    bad = pts.copy()
+    bad[n // 2] = math.nan
+    big = pts.copy()
+    big[0], big[-1] = -1.7976931348623157e308, 1.7976931348623157e308
+    for given in (bad, bad.tolist()):
+        with pytest.raises(ValueError, match=finite):
+            Region.point_boxes(given, 1)
+    for given in (big, big.tolist()):
+        with pytest.raises(ValueError, match=finite):
+            Region.point_boxes(given, 1, halfwidth=1e308)
+    for end in (0, -1):  # one end past the largest float at a time
+        one_big = pts.copy()
+        one_big[end] = big[end]
+        with pytest.raises(ValueError, match=finite):
+            Region.point_boxes(one_big, 1, halfwidth=1e308)
+    for given in (pts, listed):
+        with pytest.raises(ValueError,
+                           match=r"^empty box: negative halfwidth -0\.5$"):
+            Region.point_boxes(given, 1, halfwidth=-0.5)
+    wide = np.zeros((n, 2))
+    for given in (wide, wide.tolist()):
+        with pytest.raises(ValueError, match="^boxes have mixed dimensions$"):
+            Region.point_boxes(given, 1)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_failing_cloud_worst_set_is_the_drained_atoms(seed):
     # the atoms_2d construction, whose min cut is exactly the drained atoms
